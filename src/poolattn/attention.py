@@ -1,15 +1,20 @@
 """The two-level attention layer: forward passes, traces, and analytic backward.
 
 The fast path never materializes an n-by-n score matrix.  Tokens are processed
-in blocks; each block scores its rows against the union of their windows (plus
-global columns), masks per-row, and runs a stable masked softmax.  Global
-tokens get a separate full-width pass.  Heads are contiguous slices of the
-projected d-model vectors, attended independently and concatenated.
+in blocks whose size follows the first-level window (``block_rows``); each
+block scores its rows against the union of their windows (plus global
+columns), masks per-row, and runs a stable masked softmax.  Global tokens get
+a separate full-width pass.  Heads are contiguous slices of the projected
+d-model vectors, attended independently (one batched matmul over heads) and
+concatenated.
 
-Traces retain the per-block probabilities so the backward pass can replay the
-exact forward structure; every gradient is exact reverse-mode, with shared
-projections accumulating both levels' contributions.  All computations are
-pure functions of (batch, params, config), single-threaded, and deterministic.
+Traces keep, per block, its rows, key columns, mask, and the softmax row
+maximum and denominator (two floats per head and row), never the
+probabilities.  The backward pass replays each block's probabilities from
+those statistics with the forward's own operations, so they are bitwise the
+forward's; every gradient is exact reverse-mode, with shared projections
+accumulating both levels' contributions.  All computations are pure functions
+of (batch, params, config), single-threaded, and deterministic.
 """
 
 from __future__ import annotations
@@ -33,37 +38,38 @@ from poolattn.windowing import (
     visible_segments,
 )
 
-DEFAULT_BLOCK = 256
-
 SCHEDULE_MODES = ("sliding_only", "two_level")
+
+# fewest rows per block: below this, per-block Python overhead outweighs the
+# scores a smaller key union saves
+MIN_BLOCK = 32
+
+
+def block_rows(n: int, w1: int) -> int:
+    """Default rows per block: half the first-level window radius, at least MIN_BLOCK.
+
+    A block of b rows scores against a key union of b + 2*w1 columns while
+    each row sees 2*w1 + 1 of them, so b = w1/2 computes about 1.25x the
+    visible scores; the second level's segment union grows the same way.
+    """
+    return min(n, max(MIN_BLOCK, w1 // 2))
 
 
 @dataclass
 class _Block:
-    """One processed row block: its rows, key columns, mask, and probabilities."""
+    """One processed row block: its rows, key columns, mask, and softmax row statistics.
 
-    row_idx: np.ndarray
-    col_idx: np.ndarray
-    allowed: np.ndarray
-    probs: np.ndarray | None  # (n_heads, rows, cols) post-softmax, None if not retained
-
-
-def _masked_softmax(scores: np.ndarray) -> np.ndarray:
-    """In-place softmax over the last axis of scores that are -inf at masked entries.
-
-    The row maximum is taken over visible entries only (masked entries are
-    -inf and exponentiate to exact zeros); rows with nothing visible yield
-    all-zero rows.  Mutates and returns ``scores``.
+    ``row_idx`` and ``col_idx`` index the token (or segment) axis: a slice for
+    a contiguous range, an index array otherwise.  ``rowmax`` and ``denom``
+    are the (n_heads, rows, 1) shift and normalizer of the forward softmax, so
+    ``_replay_probs`` rebuilds the block's probabilities bit for bit.
     """
-    rowmax = scores.max(axis=-1, keepdims=True)
-    rowmax[~np.isfinite(rowmax)] = 0.0
-    scores -= rowmax
-    np.exp(scores, out=scores)
-    denom = scores.sum(axis=-1, keepdims=True)
-    if (denom == 0.0).any():
-        denom[denom == 0.0] = 1.0  # empty rows stay exactly zero
-    scores /= denom
-    return scores
+
+    row_idx: slice | np.ndarray
+    col_idx: slice | np.ndarray
+    allowed: np.ndarray
+    rowmax: np.ndarray
+    denom: np.ndarray
 
 
 def _split_heads(mat: np.ndarray, n_heads: int) -> np.ndarray:
@@ -78,27 +84,52 @@ def _merge_heads(mat: np.ndarray) -> np.ndarray:
     return mat.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def _block_attention(
-    qh_rows: np.ndarray,
-    kh: np.ndarray,
-    vh: np.ndarray,
-    col_idx: np.ndarray | None,
-    allowed: np.ndarray,
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked attention of a row block against selected key columns, all heads.
-
-    ``col_idx`` of None means every column (a slice also works and avoids a
-    copy).  Returns (probs, out) with probs (h, rows, cols) and out
-    (h, rows, d/h).
-    """
-    kc = kh if col_idx is None else kh[:, col_idx]
-    vc = vh if col_idx is None else vh[:, col_idx]
-    scores = np.matmul(qh_rows, kc.transpose(0, 2, 1))
+def _masked_scores(
+    qr: np.ndarray, kc: np.ndarray, allowed: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Scaled scores (h, rows, cols) of block queries against key columns, -inf where masked."""
+    scores = np.matmul(qr, kc.transpose(0, 2, 1))
     scores *= alpha
     scores[:, ~allowed] = -np.inf
-    probs = _masked_softmax(scores)
-    return probs, np.matmul(probs, vc)
+    return scores
+
+
+def _block_attention(
+    qh: np.ndarray,
+    kh: np.ndarray,
+    vh: np.ndarray,
+    rows: slice | np.ndarray,
+    cols: slice | np.ndarray,
+    allowed: np.ndarray,
+    alpha: float,
+) -> tuple[_Block, np.ndarray]:
+    """Masked attention of a row block against selected key columns, all heads.
+
+    Runs a stable softmax whose row maximum is taken over visible entries
+    only; rows with nothing visible yield all-zero rows.  A row whose visible
+    scores overflowed turns NaN rather than silently zero, so the level's
+    finiteness check reports it.  Returns the block record and the output
+    (h, rows, d/h).
+    """
+    probs = _masked_scores(qh[:, rows], kh[:, cols], allowed, alpha)
+    empty = ~allowed.any(axis=1)
+    rowmax = probs.max(axis=-1, keepdims=True)
+    rowmax[:, empty] = 0.0
+    probs -= rowmax
+    np.exp(probs, out=probs)
+    denom = probs.sum(axis=-1, keepdims=True)
+    denom[:, empty] = 1.0  # empty rows stay exactly zero
+    probs /= denom
+    return _Block(rows, cols, allowed, rowmax, denom), np.matmul(probs, vh[:, cols])
+
+
+def _replay_probs(b: _Block, qr: np.ndarray, kc: np.ndarray, alpha: float) -> np.ndarray:
+    """A block's forward probabilities (h, rows, cols), recomputed by the forward's own ops."""
+    probs = _masked_scores(qr, kc, b.allowed, alpha)
+    probs -= b.rowmax
+    np.exp(probs, out=probs)
+    probs /= b.denom
+    return probs
 
 
 @dataclass
@@ -116,10 +147,7 @@ class FirstLevelTrace:
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token attention weights, ragged: token i -> (n_heads, |field(i)|)."""
-        blocks = _require_blocks(self.blocks)
-        if self.global_block is not None:
-            blocks = blocks + [self.global_block]
-        return _ragged_rows(blocks, self.batch.n, self.config.n_heads)
+        return _ragged_rows(_first_blocks(self), self.q, self.k, self.config)
 
 
 @dataclass
@@ -142,7 +170,7 @@ class SecondLevelTrace:
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
-        return _ragged_rows(_require_blocks(self.blocks), self.batch.n, self.config.n_heads)
+        return _ragged_rows(_require_blocks(self.blocks), self.q2, self.pooled_k, self.config)
 
 
 @dataclass
@@ -188,20 +216,24 @@ def _require_blocks(blocks):
     return blocks
 
 
-def _ragged_rows(blocks: list[_Block], n: int, n_heads: int) -> list[np.ndarray]:
-    out: list[np.ndarray] = [np.zeros((n_heads, 0))] * n
+def _first_blocks(ft: FirstLevelTrace) -> list[_Block]:
+    blocks = _require_blocks(ft.blocks)
+    return blocks if ft.global_block is None else blocks + [ft.global_block]
+
+
+def _ragged_rows(
+    blocks: list[_Block], q: np.ndarray, keys: np.ndarray, config: LayerConfig
+) -> list[np.ndarray]:
+    qh, kh = (_split_heads(m, config.n_heads) for m in (q, keys))
+    tokens = np.arange(q.shape[0])
+    out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * q.shape[0]
     for b in blocks:
-        probs = _require_blocks(b.probs)
-        for r, tok in enumerate(b.row_idx):
+        probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], config.alpha())
+        for r, tok in enumerate(tokens[b.row_idx]):
             sel = b.allowed[r]
             if sel.any():
                 out[int(tok)] = probs[:, r, sel]
     return out
-
-
-def _head_slices(config: LayerConfig):
-    dh = config.head_dim
-    return [slice(h * dh, (h + 1) * dh) for h in range(config.n_heads)]
 
 
 def first_level_forward(
@@ -231,7 +263,7 @@ def first_level_forward(
     g = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
     is_global[g] = True
-    block = min(block_size or DEFAULT_BLOCK, n)
+    block = min(block_size or block_rows(n, w1), n)
 
     y = np.empty((n, d))
     counts = np.zeros(n, dtype=np.int64)
@@ -257,23 +289,27 @@ def first_level_forward(
         counts[rows] = allowed.sum(axis=1)
         if np.any(row_pad & ~row_glob & (counts[rows] == 0)):
             raise ValueError("malformed batch: a token's receptive field is entirely padding")
-        col_sel = slice(c0, c1) if extras.size == 0 else col_idx
-        probs, out = _block_attention(qh[:, s:e], kh, vh, col_sel, allowed, alpha)
+        cols = slice(c0, c1) if extras.size == 0 else col_idx
+        b, out = _block_attention(qh, kh, vh, slice(s, e), cols, allowed, alpha)
         y[s:e] = _merge_heads(out)
         if retain:
-            blocks.append(_Block(rows, col_idx, allowed, probs))
+            blocks.append(b)
 
     global_block = None
     if g.size:
         allowed = np.tile(pad, (g.size, 1))
         counts[g] = int(pad.sum())
-        probs, out = _block_attention(qh[:, g], kh, vh, None, allowed, alpha)
+        b, out = _block_attention(qh, kh, vh, g, slice(None), allowed, alpha)
         y[g] = _merge_heads(out)
         if retain:
-            global_block = _Block(g, np.arange(n, dtype=np.int64), allowed, probs)
+            global_block = b
 
     y[~pad] = 0.0
-    assert np.isfinite(y).all()
+    if not np.isfinite(y).all():
+        raise ValueError(
+            "first_level_forward: non-finite output; the scaled query-key scores "
+            "overflow float64"
+        )
     trace = FirstLevelTrace(
         batch, params, config, q, k, v, y, counts,
         blocks if retain else None, global_block,
@@ -318,7 +354,7 @@ def second_level_forward(
     pkh = _split_heads(pooled_k, config.n_heads)
     pvh = _split_heads(pooled_v, config.n_heads)
     centers = grid.centers
-    block = min(block_size or DEFAULT_BLOCK, n)
+    block = min(block_size or block_rows(n, config.w1), n)
     z = np.zeros((n, d))
     counts = np.zeros(n, dtype=np.int64)
     degenerate = np.zeros(n, dtype=bool)
@@ -329,22 +365,24 @@ def second_level_forward(
         # the block's segment union: first row's range start to last row's end
         j0 = visible_segments(s, w2, grid).start
         j1 = visible_segments(e - 1, w2, grid).stop
-        seg_idx = np.arange(j0, j1, dtype=np.int64)
         c = centers[j0:j1][None, :]
         allowed = (c >= (rows - w2)[:, None]) & (c <= (rows + w2)[:, None])
         allowed[~pad[rows]] = False
         counts[rows] = allowed.sum(axis=1)
         degenerate[rows] = pad[rows] & (counts[rows] == 0)
-        probs = np.zeros((config.n_heads, e - s, 0)) if retain else None
         if j1 > j0:
-            probs, out = _block_attention(
-                q2h[:, s:e], pkh[:, j0:j1], pvh[:, j0:j1], None, allowed, alpha
+            b, out = _block_attention(
+                q2h, pkh, pvh, slice(s, e), slice(j0, j1), allowed, alpha
             )
             z[s:e] = _merge_heads(out)
-        if retain:
-            blocks.append(_Block(rows, seg_idx, allowed, probs))
+            if retain:
+                blocks.append(b)
 
-    assert np.isfinite(z).all()
+    if not np.isfinite(z).all():
+        raise ValueError(
+            "second_level_forward: non-finite output; the scaled query-segment scores "
+            "overflow float64"
+        )
     trace = SecondLevelTrace(
         batch, params, config, src, q2, k2, v2, grid, pooled_k, pooled_v,
         z, counts, degenerate, blocks if retain else None, pad_arg,
@@ -384,32 +422,34 @@ class LayerGrads:
     embeddings: np.ndarray
 
 
-def _attention_block_backward(
-    b: _Block,
+def _attention_backward(
+    blocks: list[_Block],
     upstream: np.ndarray,
     q: np.ndarray,
     keys: np.ndarray,
     values: np.ndarray,
-    d_q: np.ndarray,
-    d_keys: np.ndarray,
-    d_values: np.ndarray,
-    heads,
-    alpha: float,
-) -> None:
-    """Reverse one block of softmax attention, accumulating into d_q/d_keys/d_values."""
-    probs = _require_blocks(b.probs)
-    rows, cols = b.row_idx, b.col_idx
-    kc, vc, qr = keys[cols], values[cols], q[rows]
-    upr = upstream[rows]
-    for h, hs in enumerate(heads):
-        p = probs[h]
-        du = upr[:, hs]
-        dp = du @ vc[:, hs].T
-        d_values[cols, hs] += p.T @ du
-        tmp = p * dp
-        ds = tmp - p * tmp.sum(axis=1, keepdims=True)
-        d_q[rows, hs] += alpha * (ds @ kc[:, hs])
-        d_keys[cols, hs] += alpha * (ds.T @ qr[:, hs])
+    config: LayerConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reverse blocked softmax attention; returns (d_q, d_keys, d_values) as (rows, d).
+
+    Each block's probabilities are replayed from its row statistics, and all
+    heads go through one batched matmul per product, as in the forward.
+    """
+    alpha = config.alpha()
+    qh, kh, vh, uh = (_split_heads(m, config.n_heads) for m in (q, keys, values, upstream))
+    d_qh, d_kh, d_vh = np.zeros_like(qh), np.zeros_like(kh), np.zeros_like(vh)
+    for b in blocks:
+        rows, cols = b.row_idx, b.col_idx
+        qr, kc, vc, du = qh[:, rows], kh[:, cols], vh[:, cols], uh[:, rows]
+        p = _replay_probs(b, qr, kc, alpha)
+        d_vh[:, cols] += np.matmul(p.transpose(0, 2, 1), du)
+        ds = np.matmul(du, vc.transpose(0, 2, 1))
+        ds *= p
+        p *= ds.sum(axis=-1, keepdims=True)
+        ds -= p  # p * (dp - rowsum(p * dp)), the softmax backward
+        d_qh[:, rows] += alpha * np.matmul(ds, kc)
+        d_kh[:, cols] += alpha * np.matmul(ds.transpose(0, 2, 1), qr)
+    return _merge_heads(d_qh), _merge_heads(d_kh), _merge_heads(d_vh)
 
 
 def _projection_backward(
@@ -430,16 +470,7 @@ def _projection_backward(
 
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    heads = _head_slices(ft.config)
-    alpha = ft.config.alpha()
-    d_q = np.zeros_like(ft.q)
-    d_k = np.zeros_like(ft.k)
-    d_v = np.zeros_like(ft.v)
-    blocks = list(_require_blocks(ft.blocks))
-    if ft.global_block is not None:
-        blocks.append(ft.global_block)
-    for b in blocks:
-        _attention_block_backward(b, d_y, ft.q, ft.k, ft.v, d_q, d_k, d_v, heads, alpha)
+    d_q, d_k, d_v = _attention_backward(_first_blocks(ft), d_y, ft.q, ft.k, ft.v, ft.config)
     return _projection_backward(ft.batch.embeddings, ft.params.first, d_q, d_k, d_v)
 
 
@@ -447,18 +478,9 @@ def _second_backward(
     st: SecondLevelTrace, d_z: np.ndarray
 ) -> tuple[np.ndarray, ProjectionTriple, np.ndarray | None, np.ndarray | None]:
     config = st.config
-    heads = _head_slices(config)
-    alpha = config.alpha()
-    d_q2 = np.zeros_like(st.q2)
-    d_pooled_k = np.zeros_like(st.pooled_k)
-    d_pooled_v = np.zeros_like(st.pooled_v)
-    for b in _require_blocks(st.blocks):
-        if b.col_idx.size == 0:
-            continue
-        _attention_block_backward(
-            b, d_z, st.q2, st.pooled_k, st.pooled_v, d_q2, d_pooled_k, d_pooled_v,
-            heads, alpha,
-        )
+    d_q2, d_pooled_k, d_pooled_v = _attention_backward(
+        _require_blocks(st.blocks), d_z, st.q2, st.pooled_k, st.pooled_v, config
+    )
     op_k = PoolingOp(config.pooling_kind, st.params.w_p_key)
     op_v = PoolingOp(config.pooling_kind, st.params.w_p_value)
     d_k2, d_wp_k = pool_grid_backward(op_k, st.k2, st.grid, st._pad_arg, d_pooled_k)

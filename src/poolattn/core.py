@@ -99,7 +99,11 @@ def project_qkv(x: np.ndarray, proj: ProjectionTriple) -> tuple[np.ndarray, np.n
     q = x @ proj.w_q.T + proj.b_q
     k = x @ proj.w_k.T + proj.b_k
     v = x @ proj.w_v.T + proj.b_v
-    assert np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()
+    if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
+        raise ValueError(
+            "project_qkv: non-finite query/key/value projection; the embeddings "
+            "overflow float64"
+        )
     return q, k, v
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from poolattn.attention import DEFAULT_BLOCK
+from poolattn.attention import block_rows
 
 PATTERNS = ("dense", "single_window", "two_level")
 
@@ -187,20 +187,23 @@ def estimate_peak_bytes(
     kappa: int = 1,
     xi: int = 1,
     n_global: int = 0,
-    block: int = DEFAULT_BLOCK,
+    block: int | None = None,
 ) -> int:
     """Analytic peak live bytes of one forward pass (float64 arrays only).
 
-    Dense holds two n-by-n score-sized matrices plus projections; the windowed
-    patterns hold O(n * d) projections plus transient block buffers whose key
-    width is the block's window union (or segment union).
+    Dense holds two n-by-n score-sized matrices plus projections.  The
+    windowed patterns hold O(n * d) projections and their head-split copies
+    plus the transient buffers of one row block at a time, whose key width is
+    the block's window union (or segment union).  No block's probabilities
+    outlive it: a retained trace adds only two floats per head and row.
+    ``block`` defaults to the layer's own ``block_rows(n, w1)``.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"pattern must be one of {PATTERNS}")
     nd = n * d_model
     if pattern == "dense":
         return 8 * (2 * n * n + 5 * nd)
-    b = min(block, n)
+    b = block_rows(n, w1) if block is None else min(block, n)
     if pattern == "single_window":
         u = min(n, b + 2 * w1) + n_global
         return 8 * (6 * nd + 3 * b * u)

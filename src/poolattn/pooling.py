@@ -152,33 +152,102 @@ def pool_grid(
                 f"segment {j} is entirely padding; the grid should have dropped it"
             )
         out[j] = pool_segment(op, source[rows])
-    assert np.isfinite(out).all()
+    if not np.isfinite(out).all():
+        raise ValueError(
+            f"pool_grid: non-finite pooled output; {op.kind} pooling overflows float64"
+        )
     return out
+
+
+def _full_windows(source: np.ndarray, grid: PooledGrid) -> np.ndarray:
+    """(n_full, d, kappa) view of the full-kernel segment prefix, window axis last.
+
+    Segments of an unpadded grid are full until the tail, so the prefix is
+    every segment whose length equals kappa; segment j's row r is source row
+    j * xi + r.
+    """
+    n_full = int(np.searchsorted(-grid.segment_lens, -grid.kappa, side="right"))
+    if n_full == 0:  # also when n < kappa, where no window view exists
+        return np.empty((0, source.shape[1], grid.kappa))
+    return sliding_window_view(source, grid.kappa, axis=0)[:: grid.xi][:n_full]
+
+
+def _dynamic_weights_full(
+    op: PoolingOp, source: np.ndarray, grid: PooledGrid, win: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Context rows (n_full, d) and softmax weights (n_full, kappa) of the full prefix."""
+    if op.kind == "ldconv":
+        ctx = source[grid.centers[: len(win)]]
+    else:
+        ctx = win.mean(axis=-1)
+    delta = ctx @ op.w_p.T
+    delta -= delta.max(axis=1, keepdims=True)
+    np.exp(delta, out=delta)
+    delta /= delta.sum(axis=1, keepdims=True)
+    return ctx, delta
 
 
 def _pool_full_segments(
     op: PoolingOp, source: np.ndarray, grid: PooledGrid, out: np.ndarray
 ) -> int:
     """Vectorized pooling of the full-kernel segment prefix; returns its length."""
-    n_full = int(np.searchsorted(-grid.segment_lens, -grid.kappa, side="right"))
+    win = _full_windows(source, grid)
+    n_full = len(win)
     if n_full == 0:
         return 0
-    # (n_full, d, kappa): window axis last, one independent lane per segment
-    win = sliding_window_view(source, grid.kappa, axis=0)[:: grid.xi][:n_full]
     if op.kind == "mean":
         out[:n_full] = win.mean(axis=-1)
     elif op.kind == "max":
         out[:n_full] = win.max(axis=-1)
     else:
+        _, delta = _dynamic_weights_full(op, source, grid, win)
+        out[:n_full] = np.einsum("sk,sdk->sd", delta, win)
+    return n_full
+
+
+def _pool_full_segments_backward(
+    op: PoolingOp,
+    source: np.ndarray,
+    grid: PooledGrid,
+    upstream: np.ndarray,
+    grad_source: np.ndarray,
+    grad_wp: np.ndarray | None,
+) -> int:
+    """Vectorized backward of the full-kernel prefix, accumulated in place; returns its length.
+
+    For one kernel offset r the segments' rows j * xi + r are distinct, so a
+    single strided add per offset never collides, even when segments overlap
+    (xi < kappa).  Offsets run from last to first so that every row sums its
+    segments in ascending order, as the per-segment loop does.
+    """
+    win = _full_windows(source, grid)
+    n_full = len(win)
+    if n_full == 0:
+        return 0
+    kappa, xi = grid.kappa, grid.xi
+    up = upstream[:n_full]
+    if op.kind == "mean":
+        share = up / kappa
+        parts = [share] * kappa
+    elif op.kind == "max":
+        first_max = win.argmax(axis=-1)  # first maximal row per column
+        parts = [np.where(first_max == r, up, 0.0) for r in range(kappa)]
+    else:
+        ctx, delta = _dynamic_weights_full(op, source, grid, win)
+        g_delta = np.einsum("sdk,sd->sk", win, up)
+        g_logits = delta * (g_delta - (delta * g_delta).sum(axis=1, keepdims=True))
+        grad_wp += g_logits.T @ ctx
+        g_ctx = g_logits @ op.w_p
+        parts = [delta[:, r, None] * up for r in range(kappa)]
         if op.kind == "ldconv":
-            ctx = source[grid.centers[:n_full]]
+            parts[kappa // 2] += g_ctx
         else:
-            ctx = win.mean(axis=-1)
-        logits = ctx @ op.w_p.T
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        out[:n_full] = np.einsum("sk,sdk->sd", logits, win)
+            g_ctx /= kappa
+            for part in parts:
+                part += g_ctx
+    stop = xi * (n_full - 1) + 1
+    for r in reversed(range(kappa)):
+        grad_source[r : r + stop : xi] += parts[r]
     return n_full
 
 
@@ -192,6 +261,8 @@ def pool_grid_backward(
     """Gradients of ``pool_grid`` w.r.t. the source rows and the pooling weights.
 
     Overlapping segments (xi < kappa) accumulate into the same source rows.
+    Without padding, the full-kernel prefix of the grid is reversed in one
+    vectorized pass; the tail and padded grids go segment by segment.
     """
     source = np.asarray(source, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -201,7 +272,10 @@ def pool_grid_backward(
         )
     grad_source = np.zeros_like(source)
     grad_wp = np.zeros_like(op.w_p) if op.w_p is not None else None
-    for j in range(len(grid)):
+    start = 0
+    if pad_mask is None:
+        start = _pool_full_segments_backward(op, source, grid, upstream, grad_source, grad_wp)
+    for j in range(start, len(grid)):
         rows = _segment_rows(grid, j, pad_mask)
         if rows.size == 0:
             raise RuntimeError(

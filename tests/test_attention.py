@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from poolattn.attention import (
+    _merge_heads,
+    _replay_probs,
+    _split_heads,
+    block_rows,
     first_level_forward,
     layer_backward,
     layer_forward,
@@ -479,3 +483,140 @@ class TestDenseLayerEquivalence:
         out, _ = layer_forward(batch, params, cfg)
         ref = dense_layer_reference(batch, params, cfg)
         assert relative_diff(out, ref) <= 1e-12
+
+
+def _grad_groups(out, grads):
+    """Output and gradients, one flat vector per parameter group.
+
+    A projection triple is compared as one vector: a key-bias gradient sums
+    terms that cancel (exactly, where keys reach the output only through a
+    softmax, which ignores a shared shift), so alone it is rounding noise
+    with no scale of its own.
+    """
+    groups = {"output": out, "embeddings": grads.embeddings}
+    for level in ("first", "second"):
+        groups[level] = np.concatenate([a.ravel() for a in getattr(grads, level)])
+    for name in ("w_p_key", "w_p_value"):
+        if getattr(grads, name) is not None:
+            groups[name] = getattr(grads, name)
+    return groups
+
+
+class TestBlockSizeInvariance:
+    CASES = {
+        # padding mid-sequence, globals at both ends
+        "padded_globals": (
+            LayerConfig(d_model=4, n_heads=2, w1=3, w2=6, kappa=3, xi=2, pooling_kind="ldconv"),
+            41, (0, 40), (5, 17, 30),
+        ),
+        # mix reads raw embeddings; three globals, two at the start
+        "mix": (
+            LayerConfig(d_model=4, n_heads=2, w1=2, w2=5, kappa=4, xi=3,
+                        pooling_kind="mean_ldconv", second_level_input="raw_embeddings"),
+            40, (0, 1, 39), (),
+        ),
+        # w2 < kappa: some rows see no segment center
+        "degenerate": (
+            LayerConfig(d_model=4, n_heads=1, w1=0, w2=1, kappa=5, xi=4, pooling_kind="max"),
+            38, (), (9,),
+        ),
+        # w1 large enough that the default block follows w1 (35 rows, not 32)
+        "wide_window": (
+            LayerConfig(d_model=8, n_heads=4, w1=70, w2=90, kappa=5, xi=4),
+            100, (0, 99), (50,),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("block_size", [1, 7, 64, "n"])
+    def test_output_and_gradients_independent_of_block_size(self, case, block_size):
+        cfg, n, globals_, padded = self.CASES[case]
+        emb = symmetric_uniform(81, n * cfg.d_model).reshape(n, cfg.d_model)
+        pad = np.ones(n, dtype=bool)
+        pad[list(padded)] = False
+        batch = SequenceBatch(emb, pad, globals_)
+        params = init_params(cfg, 82)
+        upstream = symmetric_uniform(83, n * cfg.d_model).reshape(n, cfg.d_model)
+
+        def run(bs):
+            out, trace = layer_forward(batch, params, cfg, block_size=bs)
+            return out, trace, layer_backward(trace, upstream)
+
+        out, trace, grads = run(None)
+        if case == "degenerate":
+            assert trace.degenerate_second.any()
+        out_b, trace_b, grads_b = run(n if block_size == "n" else block_size)
+        np.testing.assert_array_equal(trace_b.first_counts, trace.first_counts)
+        np.testing.assert_array_equal(trace_b.second_counts, trace.second_counts)
+        ref = _grad_groups(out, grads)
+        got = _grad_groups(out_b, grads_b)
+        assert ref.keys() == got.keys()
+        for name in ref:
+            assert relative_diff(got[name], ref[name]) <= 1e-12, name
+
+    def test_default_block_follows_w1(self):
+        assert block_rows(16384, 128) == 64
+        assert block_rows(8192, 16) == 32
+        assert block_rows(20, 128) == 20
+
+
+class TestStatsOnlyTrace:
+    CFG = LayerConfig(d_model=8, n_heads=2, w1=64, w2=128, kappa=5, xi=4, pooling_kind="ldconv")
+
+    def _trace(self, n):
+        batch = synth_batch(n, self.CFG.d_model, seed=85, global_count=2)
+        params = init_params(self.CFG, 86)
+        return layer_forward(batch, params, self.CFG)[1]
+
+    def test_trace_holds_two_floats_per_head_and_row(self):
+        cfg, n = self.CFG, 512
+        trace = self._trace(n)
+
+        def float_bytes(blocks):
+            return sum(
+                v.nbytes for b in blocks for v in vars(b).values()
+                if isinstance(v, np.ndarray) and v.dtype.kind == "f"
+            )
+
+        first = trace.first.blocks + [trace.first.global_block]
+        # row max and denominator per head and row, plus one block for the globals
+        bound = 2 * 8 * cfg.n_heads * (n + block_rows(n, cfg.w1))
+        assert float_bytes(first) <= bound
+        assert float_bytes(trace.second.blocks) <= bound
+
+    def test_replayed_probabilities_reproduce_forward_bitwise(self):
+        ft = self._trace(200).first
+        h = self.CFG.n_heads
+        qh, kh, vh = (_split_heads(m, h) for m in (ft.q, ft.k, ft.v))
+        y = np.empty_like(ft.y)
+        for b in ft.blocks + [ft.global_block]:
+            probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], self.CFG.alpha())
+            y[b.row_idx] = _merge_heads(np.matmul(probs, vh[:, b.col_idx]))
+        np.testing.assert_array_equal(y, ft.y)
+
+
+class TestOverflowErrors:
+    def _params(self, cfg, stage):
+        params = init_params(cfg, 88)
+        if stage == "project_qkv":
+            params.first.w_q[:] = 1.0  # four 1e308 terms per query entry
+        elif stage == "pool_grid":
+            # finite projections and scores; only the pooled mean overflows
+            for triple in (params.first, params.second):
+                for w in (triple.w_q, triple.w_k, triple.w_v):
+                    w[:] = 0.0
+            params.second.w_k[:] = np.eye(cfg.d_model)
+        return params
+
+    @pytest.mark.parametrize("stage, scale", [
+        ("project_qkv", 1e308),
+        ("first_level_forward", 1e200),  # projections finite, scores overflow
+        ("pool_grid", 1e308),
+    ])
+    def test_error_names_the_stage(self, stage, scale):
+        cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2,
+                          second_level_input="raw_embeddings")
+        emb = np.full((12, 4), scale)
+        params = self._params(cfg, stage)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=stage):
+            layer_forward(SequenceBatch.of(emb), params, cfg)

@@ -249,3 +249,29 @@ class TestPoolGridBackward:
 
             fd_wp = central_difference(loss, wp)
             assert max_rel_error(grad_wp, fd_wp) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n, kappa, xi", [(23, 5, 2), (24, 3, 1), (19, 4, 3), (3, 5, 4)])
+    def test_vectorized_prefix_matches_per_segment_backward(self, kind, n, kappa, xi):
+        # xi < kappa: overlapping full segments share rows; n=3 has no full segment
+        rng = np.random.default_rng(n * 10 + kappa)
+        d = 3
+        src = rng.standard_normal((n, d))
+        src[1] = src[2]  # ties: max routes to the first maximal row
+        op = make_op(kind, kappa, d, rng)
+        grid = build_pooled_grid(n, kappa, xi)
+        up = rng.standard_normal((len(grid), d))
+        grad_src, grad_wp = pool_grid_backward(op, src, grid, None, up)
+
+        ref_src = np.zeros_like(src)
+        ref_wp = None if op.w_p is None else np.zeros_like(op.w_p)
+        for j in range(len(grid)):
+            s = int(grid.segment_starts[j])
+            rows = slice(s, s + int(grid.segment_lens[j]))
+            g_block, g_wp = pool_segment_backward(op, src[rows], up[j])
+            ref_src[rows] += g_block
+            if g_wp is not None:
+                ref_wp += g_wp
+        assert max_rel_error(grad_src, ref_src) <= 1e-12
+        if ref_wp is not None:
+            assert max_rel_error(grad_wp, ref_wp) <= 1e-12
