@@ -87,10 +87,14 @@ def _merge_heads(mat: np.ndarray) -> np.ndarray:
 def _masked_scores(
     qr: np.ndarray, kc: np.ndarray, allowed: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Scaled scores (h, rows, cols) of block queries against key columns, -inf where masked."""
+    """Scaled scores (h, rows, cols) of block queries against key columns, -inf where masked.
+
+    The mask is added as a 0/-inf bias built from ``allowed`` on every call (an
+    additive bias is cheaper than a boolean fancy-index assignment).
+    """
     scores = np.matmul(qr, kc.transpose(0, 2, 1))
     scores *= alpha
-    scores[:, ~allowed] = -np.inf
+    scores += np.where(allowed, 0.0, -np.inf)
     return scores
 
 
@@ -287,8 +291,12 @@ def first_level_forward(
         row_glob = is_global[rows]
         allowed[row_glob] = False  # global rows attend in the full-width pass
         counts[rows] = allowed.sum(axis=1)
-        if np.any(row_pad & ~row_glob & (counts[rows] == 0)):
-            raise ValueError("malformed batch: a token's receptive field is entirely padding")
+        blind = row_pad & ~row_glob & (counts[rows] == 0)
+        if blind.any():
+            raise ValueError(
+                f"malformed batch: the receptive field of token {s + int(np.argmax(blind))} "
+                "is entirely padding"
+            )
         cols = slice(c0, c1) if extras.size == 0 else col_idx
         b, out = _block_attention(qh, kh, vh, slice(s, e), cols, allowed, alpha)
         y[s:e] = _merge_heads(out)

@@ -5,6 +5,10 @@ Four kinds: column-wise mean, column-wise max, and two dynamic-weight kinds
 row — the segment's center row for ldconv, the segment mean for mean_ldconv.
 Partial segments run the softmax over the first ``len`` logits only, so the
 weights stay a distribution over real rows.
+
+``pool_segment*`` pool one block (the reference for oracle and tests);
+``pool_grid*`` pool a whole stride grid, padding and partial tail included, by
+batched matmuls over strided windows forward and one strided add per offset back.
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ class PoolingOp:
         elif self.w_p is not None:
             raise ValueError(f"{self.kind} pooling takes no weight matrix")
 
-    @property
-    def kappa(self) -> int | None:
-        return None if self.w_p is None else self.w_p.shape[0]
-
 
 def _check_block(op: PoolingOp, block: np.ndarray) -> np.ndarray:
     block = np.asarray(block, dtype=np.float64)
@@ -60,10 +60,11 @@ def _check_block(op: PoolingOp, block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _dynamic_weights(op: PoolingOp, block: np.ndarray) -> np.ndarray:
+def _dynamic_weights(op: PoolingOp, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Context row and softmax weights of a block under an ldconv kind."""
     length = block.shape[0]
     ctx = block[length // 2] if op.kind == "ldconv" else block.mean(axis=0)
-    return softmax_row(op.w_p[:length] @ ctx)
+    return ctx, softmax_row(op.w_p[:length] @ ctx)
 
 
 def pool_segment(op: PoolingOp, block: np.ndarray) -> np.ndarray:
@@ -73,8 +74,7 @@ def pool_segment(op: PoolingOp, block: np.ndarray) -> np.ndarray:
         return block.mean(axis=0)
     if op.kind == "max":
         return block.max(axis=0)
-    delta = _dynamic_weights(op, block)
-    return delta @ block
+    return _dynamic_weights(op, block)[1] @ block
 
 
 def pool_segment_backward(
@@ -100,14 +100,12 @@ def pool_segment_backward(
         grad[np.argmax(block, axis=0), np.arange(d)] = upstream
         return grad, None
 
-    wp = op.w_p[:length]
-    ctx = block[length // 2] if op.kind == "ldconv" else block.mean(axis=0)
-    delta = softmax_row(wp @ ctx)
+    ctx, delta = _dynamic_weights(op, block)
     g_delta = block @ upstream
     g_logits = delta * (g_delta - delta @ g_delta)
     grad_wp = np.zeros_like(op.w_p)
     grad_wp[:length] = np.outer(g_logits, ctx)
-    g_ctx = wp.T @ g_logits
+    g_ctx = op.w_p[:length].T @ g_logits
     grad_block = np.outer(delta, upstream)
     if op.kind == "ldconv":
         grad_block[length // 2] += g_ctx
@@ -116,13 +114,88 @@ def pool_segment_backward(
     return grad_block, grad_wp
 
 
-def _segment_rows(grid: PooledGrid, j: int, pad_mask: np.ndarray | None) -> np.ndarray:
-    start = int(grid.segment_starts[j])
-    stop = start + int(grid.segment_lens[j])
-    rows = np.arange(start, stop, dtype=np.int64)
-    if pad_mask is None:
-        return rows
-    return rows[pad_mask[start:stop]]
+def _layout(grid: PooledGrid, source, pad_mask) -> tuple[np.ndarray, ...]:
+    """``(source, valid, lens, kept)`` over the undropped grid, a segment per stride step.
+
+    ``valid[r, j]``: row ``j * xi + r`` exists and is not padding.  ``lens``: valid
+    rows per segment, at least 1.  ``kept``: the grid's segments, None if all kept.
+    """
+    n, kappa, xi = grid.n, grid.kappa, grid.xi
+    source = np.asarray(source, dtype=np.float64)
+    if source.ndim != 2 or source.shape[0] != n:
+        raise ValueError(f"source must be ({n}, d), got shape {source.shape}")
+    rows = np.arange(kappa)[:, None] + np.arange(-(-n // xi)) * xi
+    valid = rows < n
+    if pad_mask is not None:
+        pad = np.asarray(pad_mask, dtype=bool)
+        if pad.shape != (n,):
+            raise ValueError(f"pad_mask has shape {pad.shape}, but the grid covers {n} rows")
+        valid &= pad[np.minimum(rows, n - 1)]
+    lens = valid.sum(axis=0)
+    kept = grid.segment_starts // xi
+    if not lens[kept].all():
+        j = np.argmin(lens[kept])  # the first segment without a real row
+        raise RuntimeError(f"segment {j} is entirely padding; the grid should have dropped it")
+    return source, valid, np.maximum(lens, 1), None if len(kept) == len(lens) else kept
+
+
+def _windows(source: np.ndarray, kappa: int, xi: int):
+    """Yield ``(segments, windows)``, (k, d, kappa) strided views of the undropped grid."""
+    (n, d), count = source.shape, -(-source.shape[0] // xi)
+    n_full = max(0, (n - kappa) // xi + 1)
+    # the few segments that run past the end view a zero-extended copy of their rows
+    tail = np.zeros(((count - n_full - 1) * xi + kappa, d))
+    tail[: n - n_full * xi] = source[n_full * xi :]
+    for seg, rows in ((slice(0, n_full), source), (slice(n_full, count), tail)):
+        if seg.stop > seg.start:
+            yield seg, sliding_window_view(rows, kappa, axis=0)[::xi]
+
+
+def _weighted_sum(source: np.ndarray, weights: np.ndarray, xi: int) -> np.ndarray:
+    """(count, d) sums over the undropped segments, row r of segment j scaled by weights[r, j]."""
+    out = np.empty((weights.shape[1], source.shape[1]))
+    for seg, win in _windows(source, len(weights), xi):
+        np.matmul(weights.T[seg, None, :], np.moveaxis(win, -1, 1), out=out[seg, None, :])
+    return out
+
+
+def _max_rows(source: np.ndarray, valid: np.ndarray, xi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column maxima over each segment's valid rows, and the offset of the first maximal row."""
+    best = np.full((valid.shape[1], source.shape[1]), -np.inf)
+    first = np.zeros(best.shape, dtype=np.intp)
+    for r in range(min(len(valid), len(source))):
+        rows = source[r::xi]  # offset r of every segment
+        cand = np.where(valid[r, : len(rows), None], rows, -np.inf)
+        better = cand > best[: len(rows)]
+        np.copyto(best[: len(rows)], cand, where=better)
+        np.copyto(first[: len(rows)], r, where=better)
+    return best, first
+
+
+def _softmax_weights(op: PoolingOp, source, valid, lens, xi: int) -> tuple[np.ndarray, ...]:
+    """``(ctx, center, rank, delta)`` of the ldconv kinds over the undropped grid.
+
+    A valid row's rank among its segment's valid rows selects its ``w_p`` row.  The
+    context is the valid row of rank ``len // 2`` (offset ``center``) for ldconv,
+    the valid rows' mean for mean_ldconv.  ``delta[r, j]`` is 0 at invalid offsets.
+    """
+    kappa_d = len(valid), source.shape[1]
+    if op.w_p.shape != kappa_d:
+        raise ValueError(f"pooling weights must be (kappa, d) = {kappa_d}, got {op.w_p.shape}")
+    rank = np.cumsum(valid, axis=0) - 1
+    center = None
+    if op.kind == "ldconv":
+        center = (valid & (rank == lens // 2)).argmax(axis=0)
+        ctx = source[np.arange(len(lens)) * xi + center]
+    else:
+        ctx = _weighted_sum(source, valid * 1.0, xi) / lens[:, None]
+    # an invalid offset gathers the logit of the last valid row before it (or
+    # of rank 0), so each segment's maximum is the maximum over its valid logits
+    logits = (op.w_p @ ctx.T)[np.maximum(rank, 0), np.arange(len(lens))]
+    delta = np.exp(logits - logits.max(axis=0)) * valid
+    # a kept segment's sum is >= 1 (its maximal term is 1); a dropped one's is 0
+    delta /= np.maximum(delta.sum(axis=0), 1.0)
+    return ctx, center, rank, delta
 
 
 def pool_grid(
@@ -133,122 +206,24 @@ def pool_grid(
 ) -> np.ndarray:
     """Pool every grid segment of an (n, d) source into an (n_seg, d) matrix.
 
-    Padding rows are excluded before pooling; the grid must already have
-    dropped segments that are entirely padding.  Without padding, the
-    full-kernel prefix of the grid is pooled in one vectorized pass (segments
-    stay independent, so results match per-segment pooling).
+    Padding rows (``pad_mask`` False) take weight 0, so they must be finite; the grid
+    must already have dropped all-padding segments.  Matches ``pool_segment`` calls.
     """
-    source = np.asarray(source, dtype=np.float64)
-    if source.ndim != 2 or source.shape[0] != grid.n:
-        raise ValueError(
-            f"source must be ({grid.n}, d), got shape {source.shape}"
-        )
-    out = np.empty((len(grid), source.shape[1]))
-    start = _pool_full_segments(op, source, grid, out) if pad_mask is None else 0
-    for j in range(start, len(grid)):
-        rows = _segment_rows(grid, j, pad_mask)
-        if rows.size == 0:
-            raise RuntimeError(
-                f"segment {j} is entirely padding; the grid should have dropped it"
-            )
-        out[j] = pool_segment(op, source[rows])
+    source, valid, lens, kept = _layout(grid, source, pad_mask)
+    if op.kind == "max":
+        out = _max_rows(source, valid, grid.xi)[0]
+    elif op.kind == "mean":
+        out = _weighted_sum(source, valid * 1.0, grid.xi)
+        out /= lens[:, None]
+    else:
+        delta = _softmax_weights(op, source, valid, lens, grid.xi)[-1]
+        out = _weighted_sum(source, delta, grid.xi)
+    out = out if kept is None else out[kept]
     if not np.isfinite(out).all():
         raise ValueError(
             f"pool_grid: non-finite pooled output; {op.kind} pooling overflows float64"
         )
     return out
-
-
-def _full_windows(source: np.ndarray, grid: PooledGrid) -> np.ndarray:
-    """(n_full, d, kappa) view of the full-kernel segment prefix, window axis last.
-
-    Segments of an unpadded grid are full until the tail, so the prefix is
-    every segment whose length equals kappa; segment j's row r is source row
-    j * xi + r.
-    """
-    n_full = int(np.searchsorted(-grid.segment_lens, -grid.kappa, side="right"))
-    if n_full == 0:  # also when n < kappa, where no window view exists
-        return np.empty((0, source.shape[1], grid.kappa))
-    return sliding_window_view(source, grid.kappa, axis=0)[:: grid.xi][:n_full]
-
-
-def _dynamic_weights_full(
-    op: PoolingOp, source: np.ndarray, grid: PooledGrid, win: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Context rows (n_full, d) and softmax weights (n_full, kappa) of the full prefix."""
-    if op.kind == "ldconv":
-        ctx = source[grid.centers[: len(win)]]
-    else:
-        ctx = win.mean(axis=-1)
-    delta = ctx @ op.w_p.T
-    delta -= delta.max(axis=1, keepdims=True)
-    np.exp(delta, out=delta)
-    delta /= delta.sum(axis=1, keepdims=True)
-    return ctx, delta
-
-
-def _pool_full_segments(
-    op: PoolingOp, source: np.ndarray, grid: PooledGrid, out: np.ndarray
-) -> int:
-    """Vectorized pooling of the full-kernel segment prefix; returns its length."""
-    win = _full_windows(source, grid)
-    n_full = len(win)
-    if n_full == 0:
-        return 0
-    if op.kind == "mean":
-        out[:n_full] = win.mean(axis=-1)
-    elif op.kind == "max":
-        out[:n_full] = win.max(axis=-1)
-    else:
-        _, delta = _dynamic_weights_full(op, source, grid, win)
-        out[:n_full] = np.einsum("sk,sdk->sd", delta, win)
-    return n_full
-
-
-def _pool_full_segments_backward(
-    op: PoolingOp,
-    source: np.ndarray,
-    grid: PooledGrid,
-    upstream: np.ndarray,
-    grad_source: np.ndarray,
-    grad_wp: np.ndarray | None,
-) -> int:
-    """Vectorized backward of the full-kernel prefix, accumulated in place; returns its length.
-
-    For one kernel offset r the segments' rows j * xi + r are distinct, so a
-    single strided add per offset never collides, even when segments overlap
-    (xi < kappa).  Offsets run from last to first so that every row sums its
-    segments in ascending order, as the per-segment loop does.
-    """
-    win = _full_windows(source, grid)
-    n_full = len(win)
-    if n_full == 0:
-        return 0
-    kappa, xi = grid.kappa, grid.xi
-    up = upstream[:n_full]
-    if op.kind == "mean":
-        share = up / kappa
-        parts = [share] * kappa
-    elif op.kind == "max":
-        first_max = win.argmax(axis=-1)  # first maximal row per column
-        parts = [np.where(first_max == r, up, 0.0) for r in range(kappa)]
-    else:
-        ctx, delta = _dynamic_weights_full(op, source, grid, win)
-        g_delta = np.einsum("sdk,sd->sk", win, up)
-        g_logits = delta * (g_delta - (delta * g_delta).sum(axis=1, keepdims=True))
-        grad_wp += g_logits.T @ ctx
-        g_ctx = g_logits @ op.w_p
-        parts = [delta[:, r, None] * up for r in range(kappa)]
-        if op.kind == "ldconv":
-            parts[kappa // 2] += g_ctx
-        else:
-            g_ctx /= kappa
-            for part in parts:
-                part += g_ctx
-    stop = xi * (n_full - 1) + 1
-    for r in reversed(range(kappa)):
-        grad_source[r : r + stop : xi] += parts[r]
-    return n_full
 
 
 def pool_grid_backward(
@@ -260,29 +235,53 @@ def pool_grid_backward(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Gradients of ``pool_grid`` w.r.t. the source rows and the pooling weights.
 
-    Overlapping segments (xi < kappa) accumulate into the same source rows.
-    Without padding, the full-kernel prefix of the grid is reversed in one
-    vectorized pass; the tail and padded grids go segment by segment.
+    Kernel offset r adds its part with one strided add into ``grad[r::xi]``,
+    which never collides, even when segments overlap (xi < kappa); offsets run
+    last to first, so every row sums its segments in ascending order.
     """
-    source = np.asarray(source, dtype=np.float64)
+    source, valid, lens, kept = _layout(grid, source, pad_mask)
+    xi, d = grid.xi, source.shape[1]
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (len(grid), source.shape[1]):
-        raise ValueError(
-            f"upstream must be ({len(grid)}, {source.shape[1]}), got {upstream.shape}"
-        )
-    grad_source = np.zeros_like(source)
-    grad_wp = np.zeros_like(op.w_p) if op.w_p is not None else None
-    start = 0
-    if pad_mask is None:
-        start = _pool_full_segments_backward(op, source, grid, upstream, grad_source, grad_wp)
-    for j in range(start, len(grid)):
-        rows = _segment_rows(grid, j, pad_mask)
-        if rows.size == 0:
-            raise RuntimeError(
-                f"segment {j} is entirely padding; the grid should have dropped it"
-            )
-        g_block, g_wp = pool_segment_backward(op, source[rows], upstream[j])
-        grad_source[rows] += g_block
-        if g_wp is not None:
-            grad_wp += g_wp
+    if upstream.shape != (len(grid), d):
+        raise ValueError(f"upstream must be ({len(grid)}, {d}), got {upstream.shape}")
+    up = upstream
+    if kept is not None:  # scatter onto the undropped grid
+        up = np.zeros((len(lens), d))
+        up[kept] = upstream
+    grad_wp = delta = share = center = None
+    if op.kind == "max":
+        first = _max_rows(source, valid, xi)[1]
+    elif op.kind == "mean":
+        share = up / grid.kappa  # then the segments with fewer rows
+        short = np.flatnonzero(lens < grid.kappa)
+        share[short] = up[short] / lens[short, None]
+    else:
+        ctx, center, rank, delta = _softmax_weights(op, source, valid, lens, xi)
+        g_delta = np.empty(delta.shape[::-1])  # segment-major: einsum writes it faster
+        for seg, win in _windows(source, grid.kappa, xi):
+            np.einsum("sdk,sd->sk", win, up[seg], out=g_delta[seg])
+        g_delta = g_delta.T
+        g_logits = delta * (g_delta - (delta * g_delta).sum(axis=0))
+        by_rank = np.zeros_like(g_logits)  # logit gradients indexed by w_p row
+        by_rank[rank[valid], np.nonzero(valid)[1]] = g_logits[valid]
+        grad_wp = by_rank @ ctx
+        g_ctx = by_rank.T @ op.w_p
+        share = g_ctx / lens[:, None] if op.kind == "mean_ldconv" else None
+    # row r of segment j: delta[r, j] * up[j] plus its share of the mean (mean)
+    # or of the context (ldconv kinds); padding rows are zeroed at the end
+    grad_source, buf = np.zeros_like(source), np.empty_like(up)
+    for r in reversed(range(min(grid.kappa, grid.n))):
+        grad_rows = grad_source[r::xi]
+        m = len(grad_rows)
+        if op.kind == "max":
+            grad_rows += np.where(first[:m] == r, up[:m], 0.0)
+        if delta is not None:
+            part = np.multiply(delta[r, :m, None], up[:m], out=buf[:m])
+            if center is not None:  # the ldconv context rows at offset r
+                np.add(part, g_ctx[:m], out=part, where=center[:m, None] == r)
+            grad_rows += part
+        if share is not None:
+            grad_rows += share[:m]
+    if pad_mask is not None:
+        grad_source[~np.asarray(pad_mask, dtype=bool)] = 0.0
     return grad_source, grad_wp

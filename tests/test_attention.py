@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import poolattn.attention as attention
 from poolattn.attention import (
+    _masked_scores,
     _merge_heads,
     _replay_probs,
     _split_heads,
@@ -36,7 +38,7 @@ from poolattn.oracle import (
     literal_pooling_attention,
     mask_from_config,
 )
-from poolattn.windowing import global_neighbor_set
+from poolattn.windowing import NeighborSpec, global_neighbor_set
 
 
 def windowed_reference(batch, params, config):
@@ -620,3 +622,33 @@ class TestOverflowErrors:
         params = self._params(cfg, stage)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=stage):
             layer_forward(SequenceBatch.of(emb), params, cfg)
+
+
+class TestMaskedScores:
+    def test_additive_mask_equals_where(self):
+        rng = np.random.default_rng(90)
+        qr, kc = rng.standard_normal((4, 64, 16)), rng.standard_normal((4, 320, 16))
+        allowed = rng.random((64, 320)) < 0.4
+        allowed[3] = False  # a row with nothing visible
+        scores = np.matmul(qr, kc.transpose(0, 2, 1)) * 0.25
+        expected = np.where(allowed, scores, -np.inf)
+        got = _masked_scores(qr, kc, allowed, 0.25)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestMalformedBatch:
+    def test_error_names_the_blind_token(self, monkeypatch):
+        # narrowing the second block's key union by one column leaves the
+        # block's first row, token `block`, without a visible key
+        block = block_rows(96, 0)
+        real = attention.neighbor_set
+
+        def narrowed(i, w, n):
+            base = real(i, w, n)
+            return NeighborSpec(i, base.lo + 1, base.hi) if i == block else base
+
+        monkeypatch.setattr(attention, "neighbor_set", narrowed)
+        cfg = LayerConfig(d_model=4, n_heads=2, w1=0, w2=4, kappa=2, xi=2)
+        batch = synth_batch(96, cfg.d_model, seed=93)
+        with pytest.raises(ValueError, match=rf"receptive field of token {block} is entirely"):
+            first_level_forward(batch, init_params(cfg, 94), cfg)

@@ -201,10 +201,8 @@ class TestRunners:
             run_gradcheck(rc)
 
     def test_gradcheck_catches_dropped_jacobian_term(self, monkeypatch):
-        true_backward = pooling.pool_segment_backward
-
         def corrupted(op, block, upstream):
-            grad_block, grad_wp = true_backward(op, block, upstream)
+            grad_block, grad_wp = pooling.pool_segment_backward(op, block, upstream)
             if op.kind == "ldconv" and block.shape[0] > 1:
                 # drop the logits' dependence on the center row
                 length = block.shape[0]
@@ -214,7 +212,19 @@ class TestRunners:
                 grad_block = np.outer(delta, upstream)
             return grad_block, grad_wp
 
-        monkeypatch.setattr(pooling, "pool_segment_backward", corrupted)
+        def corrupted_grid(op, source, grid, pad_mask, upstream):
+            # the layer's pooling backward, segment by segment through `corrupted`
+            grad_src, grad_wp = np.zeros_like(source), np.zeros_like(op.w_p)
+            for j, (s, length) in enumerate(zip(grid.segment_starts, grid.segment_lens)):
+                rows = np.arange(s, s + length)
+                if pad_mask is not None:
+                    rows = rows[pad_mask[rows]]
+                g_block, g_wp = corrupted(op, source[rows], upstream[j])
+                grad_src[rows] += g_block
+                grad_wp += g_wp
+            return grad_src, grad_wp
+
+        monkeypatch.setattr(attention, "pool_grid_backward", corrupted_grid)
         cfg = replace(GRAD_LAYER, pooling_kind="ldconv")
         errors = gradcheck_layer(cfg, 10, 41)
         assert max(errors.values()) > 1e-6

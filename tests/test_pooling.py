@@ -275,3 +275,103 @@ class TestPoolGridBackward:
         assert max_rel_error(grad_src, ref_src) <= 1e-12
         if ref_wp is not None:
             assert max_rel_error(grad_wp, ref_wp) <= 1e-12
+
+
+def segment_reference(op, src, grid, pad, up):
+    """Per-segment pool_segment/pool_segment_backward over the grid's real rows."""
+    out = np.empty((len(grid), src.shape[1]))
+    grad_src = np.zeros_like(src)
+    grad_wp = None if op.w_p is None else np.zeros_like(op.w_p)
+    for j in range(len(grid)):
+        s = int(grid.segment_starts[j])
+        rows = np.arange(s, s + int(grid.segment_lens[j]))
+        if pad is not None:
+            rows = rows[pad[rows]]
+        out[j] = pool_segment(op, src[rows])
+        g_block, g_wp = pool_segment_backward(op, src[rows], up[j])
+        grad_src[rows] += g_block
+        if g_wp is not None:
+            grad_wp += g_wp
+    return out, grad_src, grad_wp
+
+
+class TestPoolGridDifferential:
+    """pool_grid and its backward against per-segment pooling, padding included."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n, kappa, xi", [
+        (23, 5, 1),  # xi = 1
+        (23, 5, 2),  # xi < kappa, partial tail
+        (22, 4, 4),  # xi = kappa, partial tail
+        (24, 3, 3),  # xi = kappa, no tail
+        (3, 5, 2),   # n < kappa
+    ])
+    @pytest.mark.parametrize("pattern", ["none", "holes", "tail_and_holes"])
+    def test_matches_per_segment_pooling(self, kind, n, kappa, xi, pattern):
+        rng = np.random.default_rng(1000 * n + 10 * kappa + xi + len(pattern))
+        d = 3
+        src = rng.standard_normal((n, d))
+        src[min(2, n - 1)] = src[0]  # ties: max routes to the first maximal row
+        pad = None
+        if pattern != "none":
+            pad = rng.random(n) > 0.35  # interior holes
+            if pattern == "tail_and_holes":
+                pad[n - max(1, n // 4):] = False
+            pad[0] = True
+            # a padding row holds a column's maximum; pooling must ignore it
+            hole = int(np.flatnonzero(~pad)[0]) if not pad.all() else None
+            if hole is not None:
+                src[hole, 1] = 10.0 * np.abs(src).max()
+        op = make_op(kind, kappa, d, rng)
+        grid = build_pooled_grid(n, kappa, xi, pad)
+        up = rng.standard_normal((len(grid), d))
+        ref_out, ref_src, ref_wp = segment_reference(op, src, grid, pad, up)
+
+        np.testing.assert_allclose(pool_grid(op, src, grid, pad), ref_out, rtol=1e-12, atol=0)
+        grad_src, grad_wp = pool_grid_backward(op, src, grid, pad, up)
+        assert max_rel_error(grad_src, ref_src) <= 1e-12
+        if pad is not None:
+            assert not grad_src[~pad].any()  # padding rows get no gradient
+        if ref_wp is not None:
+            assert max_rel_error(grad_wp, ref_wp) <= 1e-12
+        else:
+            assert grad_wp is None
+
+    def test_grid_that_dropped_segments(self):
+        # rows 4..11 are padding: the grid drops segments 2..4 of the stride grid
+        rng = np.random.default_rng(5)
+        n, kappa, xi, d = 16, 3, 2, 2
+        src = rng.standard_normal((n, d))
+        pad = np.ones(n, dtype=bool)
+        pad[4:12] = False
+        grid = build_pooled_grid(n, kappa, xi, pad)
+        assert len(grid) < -(-n // xi)
+        for kind in ALL_KINDS:
+            op = make_op(kind, kappa, d, rng)
+            up = rng.standard_normal((len(grid), d))
+            ref_out, ref_src, ref_wp = segment_reference(op, src, grid, pad, up)
+            np.testing.assert_allclose(pool_grid(op, src, grid, pad), ref_out, rtol=1e-12)
+            grad_src, grad_wp = pool_grid_backward(op, src, grid, pad, up)
+            assert max_rel_error(grad_src, ref_src) <= 1e-12
+            if ref_wp is not None:
+                assert max_rel_error(grad_wp, ref_wp) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["ldconv", "mean_ldconv"])
+    def test_weights_must_match_the_grid(self, kind):
+        grid = build_pooled_grid(6, 3, 2)
+        op = PoolingOp(kind, np.ones((2, 2)))  # kappa 2, the grid's is 3
+        with pytest.raises(ValueError, match=r"\(kappa, d\) = \(3, 2\)"):
+            pool_grid(op, np.ones((6, 2)), grid)
+        with pytest.raises(ValueError, match=r"\(kappa, d\) = \(3, 2\)"):
+            pool_grid_backward(op, np.ones((6, 2)), grid, None, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("length", [5, 8])
+    def test_wrong_length_pad_mask_rejected(self, length):
+        src = np.ones((6, 2))
+        grid = build_pooled_grid(6, 2, 2)
+        pad = np.ones(length, dtype=bool)
+        op = PoolingOp("mean")
+        with pytest.raises(ValueError, match=rf"\({length},\).*6 rows"):
+            pool_grid(op, src, grid, pad)
+        with pytest.raises(ValueError, match=rf"\({length},\).*6 rows"):
+            pool_grid_backward(op, src, grid, pad, np.ones((3, 2)))
