@@ -12,7 +12,6 @@ from poolattn.core import (
     LayerParams,
     ProjectionTriple,
     SequenceBatch,
-    extend_positions,
     matrix,
     project_qkv,
     softmax_row,
@@ -82,7 +81,6 @@ __all__ = [
     "dense_first_level",
     "dense_layer_reference",
     "estimate_peak_bytes",
-    "extend_positions",
     "first_level_forward",
     "global_neighbor_set",
     "instrumented_report",

@@ -1,25 +1,30 @@
 """The two-level attention layer: forward passes, traces, and analytic backward.
 
-The fast path never materializes an n-by-n score matrix.  Tokens are processed
-in blocks whose size follows the first-level window (``block_rows``); each
-block scores its rows against the union of their windows (plus global
-columns), masks per-row, and runs a stable masked softmax.  Global tokens get
-a separate full-width pass.  Heads are contiguous slices of the projected
-d-model vectors, attended independently (one batched matmul over heads) and
-concatenated.
+The fast path never materializes an n-by-n score matrix.  Both levels run one
+banded driver (``_banded_attention``): each row sees an interval of keys
+(tokens within w1, or pooled segments centered within w2) plus, at the first
+level, the global columns.  Rows go in blocks whose size follows the
+first-level window (``block_rows``); each block scores its rows against the
+union of their intervals, masks per row, and runs a stable masked softmax.
+Global tokens get a separate full-width block.  Heads are contiguous slices of
+the projected d-model vectors, attended independently (one batched matmul over
+heads) and concatenated.
 
-Traces keep, per block, its rows, key columns, mask, and the softmax row
-maximum and denominator (two floats per head and row), never the
-probabilities.  The backward pass replays each block's probabilities from
-those statistics with the forward's own operations, so they are bitwise the
-forward's; every gradient is exact reverse-mode, with shared projections
-accumulating both levels' contributions.  All computations are pure functions
-of (batch, params, config), single-threaded, and deterministic.
+Traces keep, per block, its rows, key columns, and the softmax row maximum and
+denominator (two floats per head and row), never the mask or the
+probabilities.  The backward pass rebuilds each block's mask from its level's
+per-row bounds and replays its probabilities with the forward's own
+operations, so both are bitwise the forward's; every gradient is exact
+reverse-mode, with shared projections accumulating both levels'
+contributions.  All computations are pure functions of (batch, params,
+config), single-threaded, and deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +39,8 @@ from poolattn.pooling import PoolingOp, pool_grid, pool_grid_backward
 from poolattn.windowing import (
     PooledGrid,
     build_pooled_grid,
-    neighbor_set,
-    visible_segments,
+    segment_bounds,
+    window_bounds,
 )
 
 SCHEDULE_MODES = ("sliding_only", "two_level")
@@ -55,19 +60,35 @@ def block_rows(n: int, w1: int) -> int:
     return min(n, max(MIN_BLOCK, w1 // 2))
 
 
+@dataclass(frozen=True)
+class _Band:
+    """Which keys one level's rows see: per-row bounds, extra keys, and validity.
+
+    Row r sees key j if ``lo <= j < hi`` for ``lo, hi = bounds(r)`` (both
+    non-decreasing in r) or ``extra[j]``, and if ``row_ok[r]`` and ``key_ok[j]``
+    (None: every key valid, no extras).
+    """
+
+    bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    row_ok: np.ndarray
+    key_ok: np.ndarray | None = None
+    extra: np.ndarray | None = None
+
+
 @dataclass
 class _Block:
-    """One processed row block: its rows, key columns, mask, and softmax row statistics.
+    """One processed row block: its rows, key columns, band, and softmax row statistics.
 
     ``row_idx`` and ``col_idx`` index the token (or segment) axis: a slice for
-    a contiguous range, an index array otherwise.  ``rowmax`` and ``denom``
-    are the (n_heads, rows, 1) shift and normalizer of the forward softmax, so
-    ``_replay_probs`` rebuilds the block's probabilities bit for bit.
+    a contiguous range, an index array otherwise.  The mask is rebuilt from the
+    level's shared ``band``, and ``rowmax`` and ``denom`` are the (n_heads,
+    rows, 1) shift and normalizer of the forward softmax, so ``_replay_probs``
+    rebuilds the block's probabilities bit for bit.
     """
 
     row_idx: slice | np.ndarray
     col_idx: slice | np.ndarray
-    allowed: np.ndarray
+    band: _Band
     rowmax: np.ndarray
     denom: np.ndarray
 
@@ -84,39 +105,51 @@ def _merge_heads(mat: np.ndarray) -> np.ndarray:
     return mat.transpose(1, 0, 2).reshape(n, h * dh)
 
 
+def _block_mask(band: _Band, rows: slice | np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
+    """The (rows, cols) bool mask of a block: in bounds or extra, on valid rows and keys."""
+    # int32 comparisons take about half the time of int64 ones
+    keys = (np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols).astype(np.int32)
+    r = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
+    lo, hi = (x.astype(np.int32)[:, None] for x in band.bounds(r))
+    mask = (keys >= lo) & (keys < hi)
+    if band.extra is not None:
+        mask |= band.extra[cols]
+    if band.key_ok is not None:
+        mask &= band.key_ok[cols]
+    mask &= band.row_ok[rows, None]
+    return mask
+
+
 def _masked_scores(
-    qr: np.ndarray, kc: np.ndarray, allowed: np.ndarray, alpha: float
+    qr: np.ndarray, kc: np.ndarray, mask: np.ndarray, alpha: float
 ) -> np.ndarray:
     """Scaled scores (h, rows, cols) of block queries against key columns, -inf where masked.
 
-    The mask is added as a 0/-inf bias built from ``allowed`` on every call (an
-    additive bias is cheaper than a boolean fancy-index assignment).
+    The mask is added as a 0/-inf bias built on every call (an additive bias
+    is cheaper than a boolean fancy-index assignment).
     """
     scores = np.matmul(qr, kc.transpose(0, 2, 1))
     scores *= alpha
-    scores += np.where(allowed, 0.0, -np.inf)
+    scores += np.where(mask, 0.0, -np.inf)
     return scores
 
 
 def _block_attention(
-    qh: np.ndarray,
-    kh: np.ndarray,
-    vh: np.ndarray,
-    rows: slice | np.ndarray,
-    cols: slice | np.ndarray,
-    allowed: np.ndarray,
-    alpha: float,
-) -> tuple[_Block, np.ndarray]:
+    qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, band: _Band,
+    rows: slice | np.ndarray, cols: slice | np.ndarray, alpha: float,
+) -> tuple[_Block, np.ndarray, np.ndarray]:
     """Masked attention of a row block against selected key columns, all heads.
 
     Runs a stable softmax whose row maximum is taken over visible entries
     only; rows with nothing visible yield all-zero rows.  A row whose visible
     scores overflowed turns NaN rather than silently zero, so the level's
-    finiteness check reports it.  Returns the block record and the output
-    (h, rows, d/h).
+    finiteness check reports it.  Returns the block record, the output
+    (h, rows, d/h), and each row's count of visible keys.
     """
-    probs = _masked_scores(qh[:, rows], kh[:, cols], allowed, alpha)
-    empty = ~allowed.any(axis=1)
+    mask = _block_mask(band, rows, cols)
+    probs = _masked_scores(qh[:, rows], kh[:, cols], mask, alpha)
+    counts = mask.sum(axis=1)
+    empty = counts == 0
     rowmax = probs.max(axis=-1, keepdims=True)
     rowmax[:, empty] = 0.0
     probs -= rowmax
@@ -124,12 +157,51 @@ def _block_attention(
     denom = probs.sum(axis=-1, keepdims=True)
     denom[:, empty] = 1.0  # empty rows stay exactly zero
     probs /= denom
-    return _Block(rows, cols, allowed, rowmax, denom), np.matmul(probs, vh[:, cols])
+    return _Block(rows, cols, band, rowmax, denom), np.matmul(probs, vh[:, cols]), counts
+
+
+def _banded_attention(
+    qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, band: _Band,
+    config: LayerConfig, block_size: int | None, retain: bool,
+) -> tuple[np.ndarray, np.ndarray, list[_Block]]:
+    """Attention of every row under ``band``, one block of consecutive rows at a time.
+
+    A block scores against its rows' interval union plus the extras outside it
+    and is skipped if that is empty.  Returns the output (n, d), zero on rows
+    that see nothing, each row's count of visible keys, and the blocks kept.
+    """
+    n = band.row_ok.shape[0]
+    if block_size is not None and block_size < 1:
+        raise ValueError(f"block_size must be a positive number of rows, got {block_size}")
+    block = min(block_size or block_rows(n, config.w1), n)
+    alpha = config.alpha()
+    extra = np.flatnonzero(band.extra) if band.extra is not None else np.empty(0, np.int64)
+    # each block's key union: its first row's lo to its last row's hi
+    starts = np.arange(0, n, block)
+    c0s = band.bounds(starts)[0].tolist()
+    c1s = band.bounds(np.minimum(n, starts + block) - 1)[1].tolist()
+    out = np.zeros((n, qh.shape[0] * qh.shape[2]))
+    counts = np.zeros(n, dtype=np.int64)
+    blocks: list[_Block] = []
+    for s, c0, c1 in zip(starts.tolist(), c0s, c1s):
+        e = min(n, s + block)
+        outside = extra[(extra < c0) | (extra >= c1)]
+        if outside.size:
+            cols = np.concatenate([np.arange(c0, c1, dtype=np.int64), outside])
+        elif c1 > c0:
+            cols = slice(c0, c1)
+        else:
+            continue
+        b, o, counts[s:e] = _block_attention(qh, kh, vh, band, slice(s, e), cols, alpha)
+        out[s:e] = _merge_heads(o)
+        if retain:
+            blocks.append(b)
+    return out, counts, blocks
 
 
 def _replay_probs(b: _Block, qr: np.ndarray, kc: np.ndarray, alpha: float) -> np.ndarray:
     """A block's forward probabilities (h, rows, cols), recomputed by the forward's own ops."""
-    probs = _masked_scores(qr, kc, b.allowed, alpha)
+    probs = _masked_scores(qr, kc, _block_mask(b.band, b.row_idx, b.col_idx), alpha)
     probs -= b.rowmax
     np.exp(probs, out=probs)
     probs /= b.denom
@@ -146,12 +218,11 @@ class FirstLevelTrace:
     v: np.ndarray
     y: np.ndarray
     counts: np.ndarray
-    blocks: list[_Block] | None
-    global_block: _Block | None
+    blocks: list[_Block] | None  # the global rows' full-width block last
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token attention weights, ragged: token i -> (n_heads, |field(i)|)."""
-        return _ragged_rows(_first_blocks(self), self.q, self.k, self.config)
+        return _ragged_rows(self.blocks, self.q, self.k, self.config)
 
 
 @dataclass
@@ -174,7 +245,7 @@ class SecondLevelTrace:
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
-        return _ragged_rows(_require_blocks(self.blocks), self.q2, self.pooled_k, self.config)
+        return _ragged_rows(self.blocks, self.q2, self.pooled_k, self.config)
 
 
 @dataclass
@@ -220,23 +291,18 @@ def _require_blocks(blocks):
     return blocks
 
 
-def _first_blocks(ft: FirstLevelTrace) -> list[_Block]:
-    blocks = _require_blocks(ft.blocks)
-    return blocks if ft.global_block is None else blocks + [ft.global_block]
-
-
 def _ragged_rows(
-    blocks: list[_Block], q: np.ndarray, keys: np.ndarray, config: LayerConfig
+    blocks: list[_Block] | None, q: np.ndarray, keys: np.ndarray, config: LayerConfig
 ) -> list[np.ndarray]:
     qh, kh = (_split_heads(m, config.n_heads) for m in (q, keys))
     tokens = np.arange(q.shape[0])
     out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * q.shape[0]
-    for b in blocks:
+    for b in _require_blocks(blocks):
         probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], config.alpha())
+        mask = _block_mask(b.band, b.row_idx, b.col_idx)
         for r, tok in enumerate(tokens[b.row_idx]):
-            sel = b.allowed[r]
-            if sel.any():
-                out[int(tok)] = probs[:, r, sel]
+            if mask[r].any():
+                out[int(tok)] = probs[:, r, mask[r]]
     return out
 
 
@@ -263,54 +329,28 @@ def first_level_forward(
         raise ValueError(f"batch dimension {d} does not match config d_model {config.d_model}")
     q, k, v = project_qkv(x, params.first)
     qh, kh, vh = (_split_heads(m, config.n_heads) for m in (q, k, v))
-    w1, alpha = config.w1, config.alpha()
     g = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
     is_global[g] = True
-    block = min(block_size or block_rows(n, w1), n)
+    # global rows attend in the full-width block below
+    band = _Band(
+        partial(window_bounds, w=config.w1, n=n), row_ok=pad & ~is_global, key_ok=pad,
+        extra=is_global if g.size else None,
+    )
+    y, counts, blocks = _banded_attention(qh, kh, vh, band, config, block_size, retain)
+    blind = band.row_ok & (counts == 0)
+    if blind.any():
+        raise ValueError(
+            f"malformed batch: the receptive field of token {int(np.argmax(blind))} "
+            "is entirely padding"
+        )
 
-    y = np.empty((n, d))
-    counts = np.zeros(n, dtype=np.int64)
-    blocks: list[_Block] = []
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        # the block's key union: first row's window start to last row's window end
-        c0 = neighbor_set(s, w1, n).lo
-        c1 = neighbor_set(e - 1, w1, n).hi + 1
-        extras = g[(g < c0) | (g >= c1)]
-        col_idx = np.concatenate([np.arange(c0, c1, dtype=np.int64), extras])
-        rows = np.arange(s, e, dtype=np.int64)
-        lo = np.maximum(0, rows - w1)[:, None]
-        hi = np.minimum(n - 1, rows + w1)[:, None]
-        allowed = (col_idx[None, :] >= lo) & (col_idx[None, :] <= hi)
-        if g.size:
-            allowed |= is_global[col_idx][None, :]
-        allowed &= pad[col_idx][None, :]
-        row_pad = pad[rows]
-        allowed[~row_pad] = False
-        row_glob = is_global[rows]
-        allowed[row_glob] = False  # global rows attend in the full-width pass
-        counts[rows] = allowed.sum(axis=1)
-        blind = row_pad & ~row_glob & (counts[rows] == 0)
-        if blind.any():
-            raise ValueError(
-                f"malformed batch: the receptive field of token {s + int(np.argmax(blind))} "
-                "is entirely padding"
-            )
-        cols = slice(c0, c1) if extras.size == 0 else col_idx
-        b, out = _block_attention(qh, kh, vh, slice(s, e), cols, allowed, alpha)
-        y[s:e] = _merge_heads(out)
-        if retain:
-            blocks.append(b)
-
-    global_block = None
     if g.size:
-        allowed = np.tile(pad, (g.size, 1))
-        counts[g] = int(pad.sum())
-        b, out = _block_attention(qh, kh, vh, g, slice(None), allowed, alpha)
+        full = _Band(partial(window_bounds, w=n, n=n), row_ok=pad, key_ok=pad)
+        b, out, counts[g] = _block_attention(qh, kh, vh, full, g, slice(0, n), config.alpha())
         y[g] = _merge_heads(out)
         if retain:
-            global_block = b
+            blocks.append(b)
 
     y[~pad] = 0.0
     if not np.isfinite(y).all():
@@ -318,11 +358,9 @@ def first_level_forward(
             "first_level_forward: non-finite output; the scaled query-key scores "
             "overflow float64"
         )
-    trace = FirstLevelTrace(
-        batch, params, config, q, k, v, y, counts,
-        blocks if retain else None, global_block,
+    return y, FirstLevelTrace(
+        batch, params, config, q, k, v, y, counts, blocks if retain else None
     )
-    return y, trace
 
 
 def second_level_forward(
@@ -357,34 +395,10 @@ def second_level_forward(
     pooled_k = pool_grid(op_k, k2, grid, pad_arg)
     pooled_v = pool_grid(op_v, v2, grid, pad_arg)
 
-    w2, alpha = config.w2, config.alpha()
-    q2h = _split_heads(q2, config.n_heads)
-    pkh = _split_heads(pooled_k, config.n_heads)
-    pvh = _split_heads(pooled_v, config.n_heads)
-    centers = grid.centers
-    block = min(block_size or block_rows(n, config.w1), n)
-    z = np.zeros((n, d))
-    counts = np.zeros(n, dtype=np.int64)
-    degenerate = np.zeros(n, dtype=bool)
-    blocks: list[_Block] = []
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        rows = np.arange(s, e, dtype=np.int64)
-        # the block's segment union: first row's range start to last row's end
-        j0 = visible_segments(s, w2, grid).start
-        j1 = visible_segments(e - 1, w2, grid).stop
-        c = centers[j0:j1][None, :]
-        allowed = (c >= (rows - w2)[:, None]) & (c <= (rows + w2)[:, None])
-        allowed[~pad[rows]] = False
-        counts[rows] = allowed.sum(axis=1)
-        degenerate[rows] = pad[rows] & (counts[rows] == 0)
-        if j1 > j0:
-            b, out = _block_attention(
-                q2h, pkh, pvh, slice(s, e), slice(j0, j1), allowed, alpha
-            )
-            z[s:e] = _merge_heads(out)
-            if retain:
-                blocks.append(b)
+    q2h, pkh, pvh = (_split_heads(m, config.n_heads) for m in (q2, pooled_k, pooled_v))
+    band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad)
+    z, counts, blocks = _banded_attention(q2h, pkh, pvh, band, config, block_size, retain)
+    degenerate = pad & (counts == 0)
 
     if not np.isfinite(z).all():
         raise ValueError(
@@ -431,7 +445,7 @@ class LayerGrads:
 
 
 def _attention_backward(
-    blocks: list[_Block],
+    blocks: list[_Block] | None,
     upstream: np.ndarray,
     q: np.ndarray,
     keys: np.ndarray,
@@ -446,7 +460,7 @@ def _attention_backward(
     alpha = config.alpha()
     qh, kh, vh, uh = (_split_heads(m, config.n_heads) for m in (q, keys, values, upstream))
     d_qh, d_kh, d_vh = np.zeros_like(qh), np.zeros_like(kh), np.zeros_like(vh)
-    for b in blocks:
+    for b in _require_blocks(blocks):
         rows, cols = b.row_idx, b.col_idx
         qr, kc, vc, du = qh[:, rows], kh[:, cols], vh[:, cols], uh[:, rows]
         p = _replay_probs(b, qr, kc, alpha)
@@ -478,7 +492,7 @@ def _projection_backward(
 
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    d_q, d_k, d_v = _attention_backward(_first_blocks(ft), d_y, ft.q, ft.k, ft.v, ft.config)
+    d_q, d_k, d_v = _attention_backward(ft.blocks, d_y, ft.q, ft.k, ft.v, ft.config)
     return _projection_backward(ft.batch.embeddings, ft.params.first, d_q, d_k, d_v)
 
 
@@ -487,7 +501,7 @@ def _second_backward(
 ) -> tuple[np.ndarray, ProjectionTriple, np.ndarray | None, np.ndarray | None]:
     config = st.config
     d_q2, d_pooled_k, d_pooled_v = _attention_backward(
-        _require_blocks(st.blocks), d_z, st.q2, st.pooled_k, st.pooled_v, config
+        st.blocks, d_z, st.q2, st.pooled_k, st.pooled_v, config
     )
     op_k = PoolingOp(config.pooling_kind, st.params.w_p_key)
     op_v = PoolingOp(config.pooling_kind, st.params.w_p_value)

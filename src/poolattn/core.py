@@ -18,7 +18,6 @@ import numpy as np
 POOLING_KINDS = ("mean", "max", "ldconv", "mean_ldconv")
 LDCONV_KINDS = ("ldconv", "mean_ldconv")
 SECOND_LEVEL_INPUTS = ("first_level_output", "raw_embeddings")
-ALPHA_MODES = ("per_model", "per_head")
 
 
 def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -107,17 +106,6 @@ def project_qkv(x: np.ndarray, proj: ProjectionTriple) -> tuple[np.ndarray, np.n
     return q, k, v
 
 
-def extend_positions(pos_table: np.ndarray, target_len: int) -> np.ndarray:
-    """Loop-copy a position table to ``target_len`` rows (row i = row i mod m)."""
-    pos = matrix(pos_table)
-    if pos.shape[0] < 1:
-        raise ValueError("position table needs at least one row")
-    if target_len < 0:
-        raise ValueError("target_len must be non-negative")
-    idx = np.arange(target_len, dtype=np.int64) % pos.shape[0]
-    return pos[idx]
-
-
 @dataclass(frozen=True)
 class LayerConfig:
     """Hyperparameters of one two-level attention layer.
@@ -137,7 +125,6 @@ class LayerConfig:
     pooling_kind: str = "mean"
     second_level_input: str = "first_level_output"
     share_projections: bool = False
-    alpha_mode: str = "per_head"
 
     def __post_init__(self):
         if self.d_model < 1 or self.n_heads < 1:
@@ -158,8 +145,6 @@ class LayerConfig:
             raise ValueError(f"pooling_kind must be one of {POOLING_KINDS}")
         if self.second_level_input not in SECOND_LEVEL_INPUTS:
             raise ValueError(f"second_level_input must be one of {SECOND_LEVEL_INPUTS}")
-        if self.alpha_mode not in ALPHA_MODES:
-            raise ValueError(f"alpha_mode must be one of {ALPHA_MODES}")
 
     @property
     def head_dim(self) -> int:
@@ -174,9 +159,7 @@ class LayerConfig:
         return self.pooling_kind in LDCONV_KINDS
 
     def alpha(self) -> float:
-        """Score scale: 1/sqrt(d) per model, 1/sqrt(d/h) per head (equal at h=1)."""
-        if self.alpha_mode == "per_model":
-            return 1.0 / math.sqrt(self.d_model)
+        """Score scale 1/sqrt(d/h): each head's scaled dot-product."""
         return 1.0 / math.sqrt(self.head_dim)
 
 

@@ -271,13 +271,6 @@ def load_config(path: str | Path | None) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def kernel_for_compression_rate(rate: int) -> tuple[int, int]:
-    """(kappa, xi) realizing compression rate C: (C+1, C)."""
-    if rate < 1:
-        raise ValueError("compression rate must be >= 1")
-    return rate + 1, rate
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -644,10 +637,10 @@ def run_bench(
         batch = synth_batch(n, layer.d_model, rc.seed)
         params = init_params(layer, rc.seed + 1)
         mask = np.ones((n, n), dtype=bool)
-        # projections are pattern-independent; time the attention itself
-        q, k, v = project_qkv(batch.embeddings, params.first)
 
-        def dense_pass(q=q, k=k, v=v, mask=mask):
+        # projections included, as in the two-level pass
+        def dense_pass(batch=batch, params=params, mask=mask):
+            q, k, v = project_qkv(batch.embeddings, params.first)
             out = np.empty_like(q)
             for h in range(layer.n_heads):
                 cols = slice(h * dh, (h + 1) * dh)

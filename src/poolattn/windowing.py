@@ -2,8 +2,9 @@
 
 Everything here is pure integer arithmetic: clipped neighbor intervals,
 global-token receptive fields, the stride-pooled segment grid, and the range
-of pooled segments a token may attend to.  Windows clip at the sequence
-boundary (no wrap-around, no zero padding).
+of pooled segments a token may attend to, as half-open bounds over whole
+index arrays (``window_bounds``, ``segment_bounds``) or for one token.
+Windows clip at the sequence boundary (no wrap-around, no zero padding).
 """
 
 from __future__ import annotations
@@ -37,13 +38,19 @@ class NeighborSpec:
         return self.lo <= j <= self.hi or j in self.extra
 
 
+def window_bounds(i, w: int, n: int):
+    """Half-open windows ``[max(0, i - w), min(n, i + w + 1))`` around token(s) ``i``."""
+    if w < 0:
+        raise ValueError("window radius must be >= 0")
+    return np.maximum(0, i - w), np.minimum(n, i + w + 1)
+
+
 def neighbor_set(i: int, w: int, n: int) -> NeighborSpec:
     """Clipped window of radius ``w`` around token ``i`` in a length-``n`` sequence."""
     if not 0 <= i < n:
         raise ValueError(f"token index {i} out of range [0, {n})")
-    if w < 0:
-        raise ValueError("window radius must be >= 0")
-    return NeighborSpec(i, max(0, i - w), min(n - 1, i + w))
+    lo, hi = window_bounds(i, w, n)
+    return NeighborSpec(i, int(lo), int(hi) - 1)
 
 
 def global_neighbor_set(i: int, w: int, n: int, global_set) -> NeighborSpec:
@@ -109,14 +116,18 @@ def build_pooled_grid(n: int, kappa: int, xi: int, pad_mask: np.ndarray | None =
     return PooledGrid(n, kappa, xi, starts, lens, centers)
 
 
-def visible_segments(i: int, w2: int, grid: PooledGrid) -> range:
-    """Segments whose center lies within ``[i - w2, i + w2]``.
+def segment_bounds(i, w2: int, grid: PooledGrid):
+    """Half-open runs ``[lo, hi)`` of segments centered in ``[i - w2, i + w2]``, per token.
 
-    Contiguous because centers are non-decreasing; may be empty only for
-    degenerate windows (w2 < kappa) or heavily padded grids.
+    Contiguous because centers are non-decreasing; empty only for degenerate
+    windows (w2 < kappa) or heavily padded grids.
     """
     if w2 < 0:
         raise ValueError("w2 must be >= 0")
-    lo = int(np.searchsorted(grid.centers, i - w2, side="left"))
-    hi = int(np.searchsorted(grid.centers, i + w2, side="right"))
-    return range(lo, hi)
+    c = grid.centers
+    return np.searchsorted(c, i - w2, side="left"), np.searchsorted(c, i + w2, side="right")
+
+
+def visible_segments(i: int, w2: int, grid: PooledGrid) -> range:
+    """Segments whose center lies within ``[i - w2, i + w2]``."""
+    return range(*(int(b) for b in segment_bounds(i, w2, grid)))

@@ -38,7 +38,7 @@ from poolattn.oracle import (
     literal_pooling_attention,
     mask_from_config,
 )
-from poolattn.windowing import NeighborSpec, global_neighbor_set
+from poolattn.windowing import global_neighbor_set
 
 
 def windowed_reference(batch, params, config):
@@ -556,6 +556,22 @@ class TestBlockSizeInvariance:
         for name in ref:
             assert relative_diff(got[name], ref[name]) <= 1e-12, name
 
+    @pytest.mark.parametrize("block_size", [0, -3])
+    @pytest.mark.parametrize("level", ["first", "second", "layer"])
+    def test_non_positive_block_size_rejected(self, level, block_size):
+        cfg, n = self.CASES["padded_globals"][:2]
+        batch = synth_batch(n, cfg.d_model, seed=84, global_count=2)
+        params = init_params(cfg, 82)
+        forward = {
+            "first": lambda: first_level_forward(batch, params, cfg, block_size=block_size),
+            "second": lambda: second_level_forward(
+                batch, batch.embeddings, params, cfg, block_size=block_size
+            ),
+            "layer": lambda: layer_forward(batch, params, cfg, block_size=block_size),
+        }[level]
+        with pytest.raises(ValueError, match=rf"block_size .* got {block_size}"):
+            forward()
+
     def test_default_block_follows_w1(self):
         assert block_rows(16384, 128) == 64
         assert block_rows(8192, 16) == 32
@@ -570,6 +586,22 @@ class TestStatsOnlyTrace:
         params = init_params(self.CFG, 86)
         return layer_forward(batch, params, self.CFG)[1]
 
+    def test_blocks_hold_no_mask(self):
+        cfg, n = self.CFG, 512
+        trace = self._trace(n)
+        g = len(trace.batch.global_set)
+        block = block_rows(n, cfg.w1)
+        for blocks in (trace.first.blocks, trace.second.blocks):
+            held = [v for b in blocks for v in vars(b).values() if isinstance(v, np.ndarray)]
+            assert not any(v.dtype == bool for v in held)
+            # masks are rebuilt from the level's band (the first level's global
+            # rows have their own), not kept per block
+            assert len({id(b.band) for b in blocks}) <= 2
+            # at most one int64 per key column of each block's union (its rows,
+            # 2*w1 more, the out-of-union globals) and per global row
+            non_float = sum(v.nbytes for v in held if v.dtype.kind != "f")
+            assert non_float <= 8 * (-(-n // block) * (block + 2 * cfg.w1 + g) + g)
+
     def test_trace_holds_two_floats_per_head_and_row(self):
         cfg, n = self.CFG, 512
         trace = self._trace(n)
@@ -580,21 +612,27 @@ class TestStatsOnlyTrace:
                 if isinstance(v, np.ndarray) and v.dtype.kind == "f"
             )
 
-        first = trace.first.blocks + [trace.first.global_block]
+        first = trace.first.blocks
         # row max and denominator per head and row, plus one block for the globals
         bound = 2 * 8 * cfg.n_heads * (n + block_rows(n, cfg.w1))
         assert float_bytes(first) <= bound
         assert float_bytes(trace.second.blocks) <= bound
 
-    def test_replayed_probabilities_reproduce_forward_bitwise(self):
-        ft = self._trace(200).first
-        h = self.CFG.n_heads
-        qh, kh, vh = (_split_heads(m, h) for m in (ft.q, ft.k, ft.v))
-        y = np.empty_like(ft.y)
-        for b in ft.blocks + [ft.global_block]:
+    @pytest.mark.parametrize("level", ["first", "second"])
+    def test_replayed_probabilities_reproduce_forward_bitwise(self, level):
+        trace = self._trace(200)
+        if level == "first":
+            ft = trace.first
+            blocks, q, keys, values, out = ft.blocks, ft.q, ft.k, ft.v, ft.y
+        else:
+            st = trace.second
+            blocks, q, keys, values, out = st.blocks, st.q2, st.pooled_k, st.pooled_v, st.z
+        qh, kh, vh = (_split_heads(m, self.CFG.n_heads) for m in (q, keys, values))
+        replayed = np.zeros_like(out)
+        for b in blocks:
             probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], self.CFG.alpha())
-            y[b.row_idx] = _merge_heads(np.matmul(probs, vh[:, b.col_idx]))
-        np.testing.assert_array_equal(y, ft.y)
+            replayed[b.row_idx] = _merge_heads(np.matmul(probs, vh[:, b.col_idx]))
+        np.testing.assert_array_equal(replayed, out)
 
 
 class TestOverflowErrors:
@@ -638,16 +676,16 @@ class TestMaskedScores:
 
 class TestMalformedBatch:
     def test_error_names_the_blind_token(self, monkeypatch):
-        # narrowing the second block's key union by one column leaves the
-        # block's first row, token `block`, without a visible key
+        # moving the window start of token `block` (the second block's first
+        # row) one column right leaves it, at w1=0, without a visible key
         block = block_rows(96, 0)
-        real = attention.neighbor_set
+        real = attention.window_bounds
 
         def narrowed(i, w, n):
-            base = real(i, w, n)
-            return NeighborSpec(i, base.lo + 1, base.hi) if i == block else base
+            lo, hi = real(i, w, n)
+            return np.where(i == block, lo + 1, lo), hi
 
-        monkeypatch.setattr(attention, "neighbor_set", narrowed)
+        monkeypatch.setattr(attention, "window_bounds", narrowed)
         cfg = LayerConfig(d_model=4, n_heads=2, w1=0, w2=4, kappa=2, xi=2)
         batch = synth_batch(96, cfg.d_model, seed=93)
         with pytest.raises(ValueError, match=rf"receptive field of token {block} is entirely"):

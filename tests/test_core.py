@@ -9,7 +9,6 @@ from poolattn.core import (
     LayerParams,
     ProjectionTriple,
     SequenceBatch,
-    extend_positions,
     matrix,
     project_qkv,
     softmax_row,
@@ -139,29 +138,6 @@ class TestProjectQkv:
             project_qkv(np.zeros((2, 4)), proj)
 
 
-class TestExtendPositions:
-    def test_same_length_is_identity(self):
-        table = matrix(np.arange(8.0).reshape(4, 2))
-        np.testing.assert_array_equal(extend_positions(table, 4), table)
-
-    def test_cyclic_tiling(self):
-        a, b = [1.0, 0.0], [0.0, 1.0]
-        out = extend_positions(matrix([a, b]), 5)
-        np.testing.assert_array_equal(out, [a, b, a, b, a])
-
-    def test_pretrained_length_to_long_input(self):
-        # 512-row table looped to 4096 rows = 8 exact repetitions
-        rng = np.random.default_rng(1)
-        table = rng.standard_normal((512, 4))
-        out = extend_positions(table, 4096)
-        assert out.shape == (4096, 4)
-        np.testing.assert_array_equal(out, np.tile(table, (8, 1)))
-
-    def test_zero_target_is_empty(self):
-        out = extend_positions(matrix([[1.0, 2.0]]), 0)
-        assert out.shape == (0, 2)
-
-
 class TestLayerConfig:
     def test_defaults(self):
         cfg = LayerConfig()
@@ -178,19 +154,15 @@ class TestLayerConfig:
             dict(xi=0),
             dict(pooling_kind="conv"),
             dict(second_level_input="nope"),
-            dict(alpha_mode="nope"),
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LayerConfig(**kwargs)
 
-    def test_alpha_modes(self):
+    def test_alpha_is_per_head(self):
         cfg = LayerConfig(d_model=16, n_heads=4)
         assert cfg.alpha() == pytest.approx(1 / math.sqrt(4))
-        per_model = LayerConfig(d_model=16, n_heads=4, alpha_mode="per_model")
-        assert per_model.alpha() == pytest.approx(1 / math.sqrt(16))
-        # single head: both modes coincide with 1/sqrt(d)
         single = LayerConfig(d_model=16, n_heads=1)
         assert single.alpha() == pytest.approx(1 / math.sqrt(16))
 

@@ -14,11 +14,11 @@ from poolattn.costmodel import (
 )
 from poolattn.harness import init_params, synth_batch
 from poolattn.windowing import (
-    NeighborSpec,
     build_pooled_grid,
     global_neighbor_set,
-    neighbor_set,
+    segment_bounds,
     visible_segments,
+    window_bounds,
 )
 
 
@@ -213,10 +213,10 @@ class TestPerTokenBound:
 class TestMutationDetection:
     def test_neighbor_off_by_one_breaks_counter_equality(self, monkeypatch):
         def narrowed(i, w, n):
-            base = neighbor_set(i, w, n)
-            return NeighborSpec(base.token_index, base.lo, max(base.lo, base.hi - 1))
+            lo, hi = window_bounds(i, w, n)
+            return lo, np.maximum(lo + 1, hi - 1)
 
-        monkeypatch.setattr(attention, "neighbor_set", narrowed)
+        monkeypatch.setattr(attention, "window_bounds", narrowed)
         model = cost_two_level(64, 5, 12, 3, 2, 0)
         measured = instrumented_two_level(64, 5, 12, 3, 2, 0)
         check = verify_counts(model, measured)
@@ -225,10 +225,10 @@ class TestMutationDetection:
 
     def test_visible_segments_off_by_one_breaks_counter_equality(self, monkeypatch):
         def truncated(i, w2, grid):
-            base = visible_segments(i, w2, grid)
-            return range(base.start, max(base.start, base.stop - 1))
+            lo, hi = segment_bounds(i, w2, grid)
+            return lo, np.maximum(lo, hi - 1)
 
-        monkeypatch.setattr(attention, "visible_segments", truncated)
+        monkeypatch.setattr(attention, "segment_bounds", truncated)
         model = cost_two_level(64, 5, 12, 3, 2, 0)
         measured = instrumented_two_level(64, 5, 12, 3, 2, 0)
         assert not verify_counts(model, measured).ok

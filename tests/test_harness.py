@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 import poolattn.attention as attention
+import poolattn.harness as harness
 import poolattn.pooling as pooling
 from poolattn.cli import main as cli_main
-from poolattn.core import LayerConfig
+from poolattn.core import LayerConfig, project_qkv
 from poolattn.harness import (
     RunConfig,
     batch_checksum,
     central_difference,
     gradcheck_layer,
     init_params,
-    kernel_for_compression_rate,
     load_config,
     max_rel_error,
     parse_config,
@@ -29,7 +29,7 @@ from poolattn.harness import (
     synth_batch,
     unit_uniform,
 )
-from poolattn.windowing import visible_segments
+from poolattn.windowing import segment_bounds
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "synth_checksums.json").read_text()
@@ -143,12 +143,6 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key = value"):
             parse_config("just some text\n")
 
-    def test_compression_rate_mapping(self):
-        assert kernel_for_compression_rate(4) == (5, 4)
-        assert kernel_for_compression_rate(8) == (9, 8)
-        assert kernel_for_compression_rate(16) == (17, 16)
-
-
 class TestFiniteDifferences:
     def test_central_difference_on_quadratic(self):
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
@@ -180,10 +174,10 @@ class TestRunners:
 
     def test_oracle_diff_catches_window_mutation(self, monkeypatch):
         def truncated(i, w2, grid):
-            base = visible_segments(i, w2, grid)
-            return range(base.start, max(base.start, base.stop - 1))
+            lo, hi = segment_bounds(i, w2, grid)
+            return lo, np.maximum(lo, hi - 1)
 
-        monkeypatch.setattr(attention, "visible_segments", truncated)
+        monkeypatch.setattr(attention, "segment_bounds", truncated)
         rc = RunConfig(layer=SMALL_LAYER, n_list=(64,), seed=3, trials=3)
         rows, ok = run_oracle_diff(rc)
         assert not ok
@@ -250,6 +244,19 @@ class TestRunners:
         records, notices = run_bench(rc, dense_cap=2048, mem_guard_bytes=16 << 20)
         assert [r.pattern for r in records] == ["two_level"]
         assert any("dense" in note for note in notices)
+
+    def test_dense_point_projects_on_every_timed_trial(self, monkeypatch):
+        calls = []
+
+        def counting(x, proj):
+            calls.append(x.shape[0])
+            return project_qkv(x, proj)
+
+        monkeypatch.setattr(harness, "project_qkv", counting)
+        rc = RunConfig(layer=SMALL_LAYER, n_list=(64,), seed=1, trials=3)
+        records, _ = run_bench(rc, dense_cap=64)
+        assert ("dense", 64) in [(r.pattern, r.n) for r in records]
+        assert calls == [64] * (1 + rc.trials)  # the warm-up, then each timed trial
 
     def test_bench_validates_trials_and_order(self):
         with pytest.raises(ValueError, match="trials"):
@@ -319,10 +326,10 @@ class TestCli:
 
     def test_verification_failure_exits_one(self, tmp_path, monkeypatch):
         def truncated(i, w2, grid):
-            base = visible_segments(i, w2, grid)
-            return range(base.start, max(base.start, base.stop - 1))
+            lo, hi = segment_bounds(i, w2, grid)
+            return lo, np.maximum(lo, hi - 1)
 
-        monkeypatch.setattr(attention, "visible_segments", truncated)
+        monkeypatch.setattr(attention, "segment_bounds", truncated)
         cfg = write_config(tmp_path, SMALL_CFG_TEXT)
         out = tmp_path / "diff.csv"
         assert cli_main(["oracle-diff", "--config", str(cfg), "--out", str(out)]) == 1
