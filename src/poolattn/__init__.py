@@ -15,22 +15,13 @@ from poolattn.core import (
     matrix,
     project_qkv,
     softmax_row,
-    vector,
 )
-from poolattn.windowing import (
-    NeighborSpec,
-    PooledGrid,
-    build_pooled_grid,
-    global_neighbor_set,
-    neighbor_set,
-    visible_segments,
-)
+from poolattn.windowing import PooledGrid, build_pooled_grid
 from poolattn.pooling import (
     PoolingOp,
     pool_grid,
     pool_grid_backward,
     pool_segment,
-    pool_segment_backward,
 )
 from poolattn.attention import (
     AttentionTrace,
@@ -68,7 +59,6 @@ __all__ = [
     "LayerConfig",
     "LayerGrads",
     "LayerParams",
-    "NeighborSpec",
     "PooledGrid",
     "PoolingOp",
     "ProjectionTriple",
@@ -82,23 +72,18 @@ __all__ = [
     "dense_layer_reference",
     "estimate_peak_bytes",
     "first_level_forward",
-    "global_neighbor_set",
     "instrumented_report",
     "layer_backward",
     "layer_forward",
     "literal_pooling_attention",
     "mask_from_config",
     "matrix",
-    "neighbor_set",
     "pool_grid",
     "pool_grid_backward",
     "pool_segment",
-    "pool_segment_backward",
     "project_qkv",
     "second_level_forward",
     "softmax_row",
     "stack_forward",
-    "vector",
     "verify_counts",
-    "visible_segments",
 ]

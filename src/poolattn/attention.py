@@ -6,18 +6,22 @@ banded driver (``_banded_attention``): each row sees an interval of keys
 level, the global columns.  Rows go in blocks whose size follows the
 first-level window (``block_rows``); each block scores its rows against the
 union of their intervals, masks per row, and runs a stable masked softmax.
-Global tokens get a separate full-width block.  Heads are contiguous slices of
-the projected d-model vectors, attended independently (one batched matmul over
-heads) and concatenated.
+Global tokens get a separate full-width block.  Queries, keys and values are
+projected straight into head-split (n_heads, n, d/h) form
+(``core.project_heads``) and every head is attended by one batched matmul;
+heads are merged into (n, d) rows only in each level's output and where a
+projection's backward needs them.  Only the second level's unpooled keys and
+values stay (n, d), the layout pooling reads.
 
-Traces keep, per block, its rows, key columns, and the softmax row maximum and
-denominator (two floats per head and row), never the mask or the
-probabilities.  The backward pass rebuilds each block's mask from its level's
-per-row bounds and replays its probabilities with the forward's own
-operations, so both are bitwise the forward's; every gradient is exact
-reverse-mode, with shared projections accumulating both levels'
-contributions.  All computations are pure functions of (batch, params,
-config), single-threaded, and deterministic.
+Traces keep the head-split arrays (their ``q``, ``pooled_k``, ... attributes
+are read-only (rows, d) copies merged on access) and, per block, its rows,
+key columns, and the softmax row maximum and denominator (two floats per head
+and row), never the mask or the probabilities.  The backward pass rebuilds
+each block's mask from its level's per-row bounds and replays its
+probabilities with the forward's own operations, so both are bitwise the
+forward's; every gradient is exact reverse-mode, with shared projections
+accumulating both levels' contributions.  All computations are pure functions
+of (batch, params, config), single-threaded, and deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from poolattn.core import (
     LayerParams,
     ProjectionTriple,
     SequenceBatch,
-    project_qkv,
+    project_heads,
 )
 from poolattn.pooling import PoolingOp, pool_grid, pool_grid_backward
 from poolattn.windowing import (
@@ -208,44 +212,79 @@ def _replay_probs(b: _Block, qr: np.ndarray, kc: np.ndarray, alpha: float) -> np
     return probs
 
 
+def _merged(heads: np.ndarray | None, name: str) -> np.ndarray:
+    """A trace's head-split array as a read-only (rows, d) matrix."""
+    if heads is None:
+        raise ValueError(
+            f"layer_forward(retain=False) dropped the trace's {name}; "
+            "rerun the forward with retain=True"
+        )
+    out = _merge_heads(heads)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass
 class FirstLevelTrace:
+    """The first level's head-split projections, output, counts and blocks.
+
+    ``q``, ``k`` and ``v`` merge ``qh``, ``kh`` and ``vh`` into (n, d) on
+    access; ``layer_forward(retain=False)`` drops the head-split arrays (sets
+    them to None) once the first level is done.
+    """
+
     batch: SequenceBatch
     params: LayerParams
     config: LayerConfig
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
+    qh: np.ndarray | None
+    kh: np.ndarray | None
+    vh: np.ndarray | None
     y: np.ndarray
     counts: np.ndarray
     blocks: list[_Block] | None  # the global rows' full-width block last
 
+    q = property(lambda self: _merged(self.qh, "first-level q"))
+    k = property(lambda self: _merged(self.kh, "first-level k"))
+    v = property(lambda self: _merged(self.vh, "first-level v"))
+
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token attention weights, ragged: token i -> (n_heads, |field(i)|)."""
-        return _ragged_rows(self.blocks, self.q, self.k, self.config)
+        return _ragged_rows(self.blocks, self.qh, self.kh, self.config)
 
 
 @dataclass
 class SecondLevelTrace:
+    """The second level's projections, pooled grids, output, counts and blocks.
+
+    ``q2``, ``pooled_k`` and ``pooled_v`` merge the head-split ``q2h``,
+    ``pooled_kh`` and ``pooled_vh`` into (rows, d) on access; ``k2`` and
+    ``v2`` are stored (n, d), the layout pooling reads.  All five are None
+    once ``layer_forward(retain=False)`` dropped them.
+    """
+
     batch: SequenceBatch
     params: LayerParams
     config: LayerConfig
     source: np.ndarray
-    q2: np.ndarray
-    k2: np.ndarray
-    v2: np.ndarray
+    q2h: np.ndarray | None
+    k2: np.ndarray | None
+    v2: np.ndarray | None
     grid: PooledGrid
-    pooled_k: np.ndarray
-    pooled_v: np.ndarray
+    pooled_kh: np.ndarray | None
+    pooled_vh: np.ndarray | None
     z: np.ndarray
     counts: np.ndarray
     degenerate: np.ndarray
     blocks: list[_Block] | None
     _pad_arg: np.ndarray | None
 
+    q2 = property(lambda self: _merged(self.q2h, "second-level q2"))
+    pooled_k = property(lambda self: _merged(self.pooled_kh, "pooled keys"))
+    pooled_v = property(lambda self: _merged(self.pooled_vh, "pooled values"))
+
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
-        return _ragged_rows(self.blocks, self.q2, self.pooled_k, self.config)
+        return _ragged_rows(self.blocks, self.q2h, self.pooled_kh, self.config)
 
 
 @dataclass
@@ -292,12 +331,12 @@ def _require_blocks(blocks):
 
 
 def _ragged_rows(
-    blocks: list[_Block] | None, q: np.ndarray, keys: np.ndarray, config: LayerConfig
+    blocks: list[_Block] | None, qh: np.ndarray, kh: np.ndarray, config: LayerConfig
 ) -> list[np.ndarray]:
-    qh, kh = (_split_heads(m, config.n_heads) for m in (q, keys))
-    tokens = np.arange(q.shape[0])
-    out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * q.shape[0]
-    for b in _require_blocks(blocks):
+    blocks = _require_blocks(blocks)
+    tokens = np.arange(qh.shape[1])
+    out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * qh.shape[1]
+    for b in blocks:
         probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], config.alpha())
         mask = _block_mask(b.band, b.row_idx, b.col_idx)
         for r, tok in enumerate(tokens[b.row_idx]):
@@ -327,8 +366,7 @@ def first_level_forward(
         raise ValueError("sequence must have at least one token")
     if d != config.d_model:
         raise ValueError(f"batch dimension {d} does not match config d_model {config.d_model}")
-    q, k, v = project_qkv(x, params.first)
-    qh, kh, vh = (_split_heads(m, config.n_heads) for m in (q, k, v))
+    qh, kh, vh = (project_heads(x, w, b, config.n_heads) for w, b in params.first.pairs())
     g = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
     is_global[g] = True
@@ -359,7 +397,7 @@ def first_level_forward(
             "overflow float64"
         )
     return y, FirstLevelTrace(
-        batch, params, config, q, k, v, y, counts, blocks if retain else None
+        batch, params, config, qh, kh, vh, y, counts, blocks if retain else None
     )
 
 
@@ -386,16 +424,18 @@ def second_level_forward(
     if y.shape != (n, d):
         raise ValueError(f"y must be ({n}, {d}), got {y.shape}")
     src = batch.embeddings if config.mix else y
-    q2, k2, v2 = project_qkv(src, params.second)
+    h = config.n_heads
+    (w_q, b_q), *kv = params.second.pairs()
+    q2h = project_heads(src, w_q, b_q, h)
+    k2, v2 = (project_heads(src, w, b, 1)[0] for w, b in kv)
     pad = batch.pad_mask
     pad_arg = None if pad.all() else pad
     grid = build_pooled_grid(n, config.kappa, config.xi, pad_arg)
     op_k = PoolingOp(config.pooling_kind, params.w_p_key)
     op_v = PoolingOp(config.pooling_kind, params.w_p_value)
-    pooled_k = pool_grid(op_k, k2, grid, pad_arg)
-    pooled_v = pool_grid(op_v, v2, grid, pad_arg)
-
-    q2h, pkh, pvh = (_split_heads(m, config.n_heads) for m in (q2, pooled_k, pooled_v))
+    pkh, pvh = (
+        _split_heads(pool_grid(op, m, grid, pad_arg), h) for op, m in ((op_k, k2), (op_v, v2))
+    )
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad)
     z, counts, blocks = _banded_attention(q2h, pkh, pvh, band, config, block_size, retain)
     degenerate = pad & (counts == 0)
@@ -406,7 +446,7 @@ def second_level_forward(
             "overflow float64"
         )
     trace = SecondLevelTrace(
-        batch, params, config, src, q2, k2, v2, grid, pooled_k, pooled_v,
+        batch, params, config, src, q2h, k2, v2, grid, pkh, pvh,
         z, counts, degenerate, blocks if retain else None, pad_arg,
     )
     return z, trace
@@ -420,11 +460,20 @@ def layer_forward(
     retain: bool = True,
     block_size: int | None = None,
 ) -> tuple[np.ndarray, AttentionTrace]:
-    """Full layer: first level, second level, residual sum of the two outputs."""
+    """Full layer: first level, second level, residual sum of the two outputs.
+
+    With ``retain=False`` nothing reads a level's projections again once it is
+    done, so the trace drops them: the first level's before the second level
+    runs, the second level's (and its pooled grids) before the sum.
+    """
     y, first = first_level_forward(batch, params, config, retain=retain, block_size=block_size)
+    if not retain:
+        first.qh = first.kh = first.vh = None
     z, second = second_level_forward(
         batch, y, params, config, retain=retain, block_size=block_size
     )
+    if not retain:
+        second.q2h = second.k2 = second.v2 = second.pooled_kh = second.pooled_vh = None
     final = y + z
     return final, AttentionTrace(first, second, final)
 
@@ -447,20 +496,23 @@ class LayerGrads:
 def _attention_backward(
     blocks: list[_Block] | None,
     upstream: np.ndarray,
-    q: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
+    qh: np.ndarray,
+    kh: np.ndarray,
+    vh: np.ndarray,
     config: LayerConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse blocked softmax attention; returns (d_q, d_keys, d_values) as (rows, d).
+    """Reverse blocked softmax attention of head-split arrays.
 
-    Each block's probabilities are replayed from its row statistics, and all
-    heads go through one batched matmul per product, as in the forward.
+    Takes the (rows, d) upstream and returns the head-split (d_q, d_keys,
+    d_values).  Each block's probabilities are replayed from its row
+    statistics, and all heads go through one batched matmul per product, as
+    in the forward.
     """
+    blocks = _require_blocks(blocks)
     alpha = config.alpha()
-    qh, kh, vh, uh = (_split_heads(m, config.n_heads) for m in (q, keys, values, upstream))
+    uh = _split_heads(upstream, config.n_heads)
     d_qh, d_kh, d_vh = np.zeros_like(qh), np.zeros_like(kh), np.zeros_like(vh)
-    for b in _require_blocks(blocks):
+    for b in blocks:
         rows, cols = b.row_idx, b.col_idx
         qr, kc, vc, du = qh[:, rows], kh[:, cols], vh[:, cols], uh[:, rows]
         p = _replay_probs(b, qr, kc, alpha)
@@ -471,7 +523,7 @@ def _attention_backward(
         ds -= p  # p * (dp - rowsum(p * dp)), the softmax backward
         d_qh[:, rows] += alpha * np.matmul(ds, kc)
         d_kh[:, cols] += alpha * np.matmul(ds.transpose(0, 2, 1), qr)
-    return _merge_heads(d_qh), _merge_heads(d_kh), _merge_heads(d_vh)
+    return d_qh, d_kh, d_vh
 
 
 def _projection_backward(
@@ -492,16 +544,19 @@ def _projection_backward(
 
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    d_q, d_k, d_v = _attention_backward(ft.blocks, d_y, ft.q, ft.k, ft.v, ft.config)
-    return _projection_backward(ft.batch.embeddings, ft.params.first, d_q, d_k, d_v)
+    d_qkv = _attention_backward(ft.blocks, d_y, ft.qh, ft.kh, ft.vh, ft.config)
+    return _projection_backward(
+        ft.batch.embeddings, ft.params.first, *(_merge_heads(m) for m in d_qkv)
+    )
 
 
 def _second_backward(
     st: SecondLevelTrace, d_z: np.ndarray
 ) -> tuple[np.ndarray, ProjectionTriple, np.ndarray | None, np.ndarray | None]:
     config = st.config
-    d_q2, d_pooled_k, d_pooled_v = _attention_backward(
-        st.blocks, d_z, st.q2, st.pooled_k, st.pooled_v, config
+    d_q2, d_pooled_k, d_pooled_v = (
+        _merge_heads(m)
+        for m in _attention_backward(st.blocks, d_z, st.q2h, st.pooled_kh, st.pooled_vh, config)
     )
     op_k = PoolingOp(config.pooling_kind, st.params.w_p_key)
     op_v = PoolingOp(config.pooling_kind, st.params.w_p_value)

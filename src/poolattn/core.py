@@ -32,18 +32,6 @@ def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray
     return out
 
 
-def vector(data, size: int | None = None) -> np.ndarray:
-    """Validated 1-D float64 vector with finite entries."""
-    out = np.ascontiguousarray(data, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError(f"vector must be 1-D, got shape {out.shape}")
-    if size is not None and out.shape != (size,):
-        raise ValueError(f"expected vector length {size}, got {out.shape[0]}")
-    if not np.isfinite(out).all():
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    return out
-
-
 def softmax_row(scores) -> np.ndarray:
     """Numerically stable softmax of a single score vector.
 
@@ -70,17 +58,35 @@ class ProjectionTriple(NamedTuple):
     w_v: np.ndarray
     b_v: np.ndarray
 
+    def pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(weight, bias) of the query, key and value projections, in that order."""
+        return (self.w_q, self.b_q), (self.w_k, self.b_k), (self.w_v, self.b_v)
+
     def validate(self, d: int) -> "ProjectionTriple":
-        for name, w, b in (
-            ("q", self.w_q, self.b_q),
-            ("k", self.w_k, self.b_k),
-            ("v", self.w_v, self.b_v),
-        ):
+        for name, (w, b) in zip("qkv", self.pairs()):
             if w.shape != (d, d):
                 raise ValueError(f"w_{name} must be ({d}, {d}), got {w.shape}")
             if b.shape != (d,):
                 raise ValueError(f"b_{name} must have length {d}, got {b.shape}")
         return self
+
+
+def project_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, n_heads: int) -> np.ndarray:
+    """``x @ w.T + b`` as (n_heads, n, d/h): head i holds columns i*d/h to (i+1)*d/h.
+
+    One batched matmul against the head-split weights writes each head
+    contiguously, so no (n, d) product is copied into head order.  With one
+    head the result is the plain product, shaped (1, n, d).
+    """
+    d = w.shape[0]
+    out = np.matmul(x, w.T.reshape(d, n_heads, d // n_heads).transpose(1, 0, 2))
+    out += b.reshape(n_heads, 1, d // n_heads)
+    if not np.isfinite(out).all():
+        raise ValueError(
+            "project_qkv: non-finite query/key/value projection; the embeddings "
+            "overflow float64"
+        )
+    return out
 
 
 def project_qkv(x: np.ndarray, proj: ProjectionTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,17 +99,8 @@ def project_qkv(x: np.ndarray, proj: ProjectionTriple) -> tuple[np.ndarray, np.n
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"embeddings must be 2-D, got shape {x.shape}")
-    d = x.shape[1]
-    proj.validate(d)
-    q = x @ proj.w_q.T + proj.b_q
-    k = x @ proj.w_k.T + proj.b_k
-    v = x @ proj.w_v.T + proj.b_v
-    if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
-        raise ValueError(
-            "project_qkv: non-finite query/key/value projection; the embeddings "
-            "overflow float64"
-        )
-    return q, k, v
+    proj.validate(x.shape[1])
+    return tuple(project_heads(x, w, b, 1)[0] for w, b in proj.pairs())
 
 
 @dataclass(frozen=True)

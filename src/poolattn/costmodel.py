@@ -189,13 +189,18 @@ def estimate_peak_bytes(
     n_global: int = 0,
     block: int | None = None,
 ) -> int:
-    """Analytic peak live bytes of one forward pass (float64 arrays only).
+    """Analytic peak live bytes of one ``retain=False`` forward pass.
 
     Dense holds two n-by-n score-sized matrices plus projections.  The
-    windowed patterns hold O(n * d) projections and their head-split copies
-    plus the transient buffers of one row block at a time, whose key width is
-    the block's window union (or segment union).  No block's probabilities
-    outlive it: a retained trace adds only two floats per head and row.
+    windowed patterns hold O(n * d) arrays plus the transient buffers of one
+    row block at a time, sized by the block's key union (window or segment
+    union, or all n keys for the global rows).  The first level holds its
+    head-split q, k, v and its output y.  The second level runs after those
+    are freed and holds y, its head-split q2, the unpooled k2 and v2, the two
+    pooled grids and its output z; the peak is the larger of the two levels.
+    Per-token counts and the one-byte-per-entry finiteness check of each
+    level's output are included; fixed per-call overheads are not, so below
+    a few thousand tokens the estimate can fall a few percent short.
     ``block`` defaults to the layer's own ``block_rows(n, w1)``.
     """
     if pattern not in PATTERNS:
@@ -204,10 +209,18 @@ def estimate_peak_bytes(
     if pattern == "dense":
         return 8 * (2 * n * n + 5 * nd)
     b = block_rows(n, w1) if block is None else min(block, n)
-    if pattern == "single_window":
-        u = min(n, b + 2 * w1) + n_global
-        return 8 * (6 * nd + 3 * b * u)
-    n_seg = -(-n // xi)
+
+    def block_floats(rows: int, cols: int) -> int:
+        # four heads' scores and the mask bias, the bool mask, the block's output
+        return 5 * rows * cols + rows * cols // 8 + rows * d_model
+
     u1 = min(n, b + 2 * w1) + n_global
+    # a block with globals outside its union copies its keys and values
+    block1 = block_floats(b, u1) + (2 * u1 * d_model if n_global else 0)
+    first = 4 * nd + n + max(block1, block_floats(n_global, n))
+    if pattern == "single_window":
+        return 8 * first + nd
+    n_seg = -(-n // xi)
     u2 = min(n_seg, (b + 2 * w2) // max(xi, 1) + 2)
-    return 8 * (11 * nd + 2 * n_seg * d_model + 3 * b * max(u1, u2))
+    second = 5 * nd + 2 * n_seg * d_model + 3 * n_seg + 2 * n + block_floats(b, u2)
+    return 8 * max(first, second) + nd

@@ -9,10 +9,11 @@ benchmark wall times are the only nondeterministic outputs.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import statistics
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from poolattn.oracle import (
 
 try:
     from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - optional, for timing stability only
+except ImportError:  # optional; OpenBLAS is pinned through ctypes without it
     threadpool_limits = None
 
 SCHEMA_VERSION = 1
@@ -584,6 +585,54 @@ def _interleaved_medians(points: list[tuple[str, object]], trials: int) -> dict[
     return {key: int(statistics.median(times)) for key, times in samples.items()}
 
 
+def _openblas_thread_calls():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None if not found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:  # no /proc: not Linux
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin BLAS to one thread inside the block; yields the thread count in effect.
+
+    Uses threadpoolctl when installed, else OpenBLAS's own thread-count calls
+    through ctypes, restoring the previous count on exit.  Yields None when
+    the count cannot be read: no threadpoolctl and no OpenBLAS found.
+    """
+    calls = _openblas_thread_calls()
+    if threadpool_limits is not None:
+        with threadpool_limits(limits=1):
+            # threadpoolctl pins every BLAS it knows, OpenBLAS or not
+            yield calls[0]() if calls else 1
+    elif calls is None:
+        yield None
+    else:
+        get, put = calls
+        before = get()
+        put(1)
+        try:
+            yield get()
+        finally:
+            put(before)
+
+
 def run_bench(
     rc: RunConfig,
     dense_cap: int = DEFAULT_DENSE_CAP,
@@ -594,8 +643,9 @@ def run_bench(
 
     Sequence lengths must be ascending; at least 3 timed trials per point (one
     extra warmup trial is discarded).  Points whose analytic peak-memory
-    estimate exceeds the guard are skipped with a notice.  BLAS thread pools
-    are pinned to one thread during timing when threadpoolctl is available.
+    estimate exceeds the guard are skipped with a notice.  BLAS is pinned to
+    one thread during timing (``_one_blas_thread``); if that fails, a notice
+    names the thread count the timings ran with.
     """
     if list(rc.n_list) != sorted(set(rc.n_list)):
         raise ValueError("bench requires strictly ascending n values")
@@ -653,9 +703,13 @@ def run_bench(
         points.append((key, dense_pass))
         meta.append((key, "dense", n, n * n, est))
 
-    limits = threadpool_limits(limits=1) if threadpool_limits is not None else nullcontext()
-    with limits:
+    with _one_blas_thread() as threads:
         medians = _interleaved_medians(points, rc.trials)
+    if points and threads != 1:
+        notices.append(
+            f"timed with {threads} BLAS threads: pinning to one failed" if threads
+            else "timed with an unknown BLAS thread count: no threadpoolctl and no OpenBLAS found"
+        )
     return [
         BenchRecord(pattern, n, rc.trials, medians[key], medians[key] / n, score, est)
         for key, pattern, n, score, est in meta

@@ -12,7 +12,6 @@ from poolattn.core import (
     matrix,
     project_qkv,
     softmax_row,
-    vector,
     zeros_params,
     zeros_projection,
 )
@@ -24,10 +23,6 @@ class TestMatrixValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             matrix([[1.0, float("nan")]])
-
-    def test_rejects_inf_vector(self):
-        with pytest.raises(ValueError, match="finite"):
-            vector([float("inf")])
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import poolattn.attention as attention
 from poolattn.attention import first_level_forward, layer_forward
-from poolattn.core import LayerConfig
+from poolattn.core import LayerConfig, SequenceBatch
 from poolattn.costmodel import (
     cost_dense,
     cost_single_window,
@@ -246,6 +249,38 @@ class TestPeakBytes:
         small = estimate_peak_bytes("two_level", 4096, 64, 128, 512, 5, 4)
         big = estimate_peak_bytes("two_level", 16384, 64, 128, 512, 5, 4)
         assert big < 4.5 * small
+
+    # the benchmark workloads' layers: (config, globals, padded share of the tail)
+    WORKLOAD_LAYERS = {
+        "infer_long": (LayerConfig(), 8, 0.0),
+        "train_ldconv": (LayerConfig(pooling_kind="ldconv"), 8, 0.0),
+        "padded_wide": (
+            LayerConfig(w1=16, w2=1024, kappa=4, xi=2, pooling_kind="mean_ldconv",
+                        second_level_input="raw_embeddings"),
+            4, 0.25,
+        ),
+    }
+
+    @pytest.mark.parametrize("workload", WORKLOAD_LAYERS)
+    def test_estimate_bounds_measured_inference_peak(self, workload):
+        cfg, g, pad_share = self.WORKLOAD_LAYERS[workload]
+        n = 4096
+        batch = synth_batch(n, cfg.d_model, seed=61, global_count=g)
+        pad = np.ones(n, dtype=bool)
+        pad[n - int(pad_share * n):] = False
+        batch = SequenceBatch(batch.embeddings, pad, batch.global_set)
+        params = init_params(cfg, 62)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            layer_forward(batch, params, cfg, retain=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        est = estimate_peak_bytes(
+            "two_level", n, cfg.d_model, cfg.w1, cfg.w2, cfg.kappa, cfg.xi, n_global=g
+        )
+        assert peak <= est <= 1.25 * peak, f"peak {peak}, estimate {est}"
 
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError):

@@ -258,6 +258,39 @@ class TestRunners:
         assert ("dense", 64) in [(r.pattern, r.n) for r in records]
         assert calls == [64] * (1 + rc.trials)  # the warm-up, then each timed trial
 
+    def test_bench_pins_openblas_without_threadpoolctl(self, monkeypatch):
+        calls = harness._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get, put = calls
+        monkeypatch.setattr(harness, "threadpool_limits", None)
+        seen = []
+        real = harness._interleaved_medians
+
+        def recording(points, trials):
+            seen.append(get())
+            return real(points, trials)
+
+        monkeypatch.setattr(harness, "_interleaved_medians", recording)
+        before = get()
+        try:
+            _, notices = run_bench(RunConfig(layer=SMALL_LAYER, n_list=(64,), trials=3), 64)
+            assert get() == before  # the previous count is restored
+        finally:
+            put(before)
+        assert seen == [1]
+        assert not notices
+
+    @pytest.mark.parametrize("calls, notice", [
+        (None, "timed with an unknown BLAS thread count"),
+        ((lambda: 2, lambda k: None), "timed with 2 BLAS threads"),
+    ])
+    def test_bench_notices_unpinned_blas(self, monkeypatch, calls, notice):
+        monkeypatch.setattr(harness, "threadpool_limits", None)
+        monkeypatch.setattr(harness, "_openblas_thread_calls", lambda: calls)
+        _, notices = run_bench(RunConfig(layer=SMALL_LAYER, n_list=(64,), trials=3), 64)
+        assert len(notices) == 1 and notices[0].startswith(notice)
+
     def test_bench_validates_trials_and_order(self):
         with pytest.raises(ValueError, match="trials"):
             run_bench(RunConfig(layer=SMALL_LAYER, n_list=(64,), trials=2))
