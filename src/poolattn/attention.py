@@ -166,7 +166,7 @@ def _block_attention(
 
 def _banded_attention(
     qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, band: _Band,
-    config: LayerConfig, block_size: int | None, retain: bool,
+    config: LayerConfig, retain: bool,
 ) -> tuple[np.ndarray, np.ndarray, list[_Block]]:
     """Attention of every row under ``band``, one block of consecutive rows at a time.
 
@@ -175,9 +175,7 @@ def _banded_attention(
     that see nothing, each row's count of visible keys, and the blocks kept.
     """
     n = band.row_ok.shape[0]
-    if block_size is not None and block_size < 1:
-        raise ValueError(f"block_size must be a positive number of rows, got {block_size}")
-    block = min(block_size or block_rows(n, config.w1), n)
+    block = block_rows(n, config.w1)
     alpha = config.alpha()
     extra = np.flatnonzero(band.extra) if band.extra is not None else np.empty(0, np.int64)
     # each block's key union: its first row's lo to its last row's hi
@@ -351,7 +349,6 @@ def first_level_forward(
     config: LayerConfig,
     *,
     retain: bool = True,
-    block_size: int | None = None,
 ) -> tuple[np.ndarray, FirstLevelTrace]:
     """Sliding-window attention with global tokens (the first level).
 
@@ -375,7 +372,7 @@ def first_level_forward(
         partial(window_bounds, w=config.w1, n=n), row_ok=pad & ~is_global, key_ok=pad,
         extra=is_global if g.size else None,
     )
-    y, counts, blocks = _banded_attention(qh, kh, vh, band, config, block_size, retain)
+    y, counts, blocks = _banded_attention(qh, kh, vh, band, config, retain)
     blind = band.row_ok & (counts == 0)
     if blind.any():
         raise ValueError(
@@ -408,7 +405,6 @@ def second_level_forward(
     config: LayerConfig,
     *,
     retain: bool = True,
-    block_size: int | None = None,
 ) -> tuple[np.ndarray, SecondLevelTrace]:
     """Attention over pooled key/value grids (the second level).
 
@@ -437,7 +433,7 @@ def second_level_forward(
         _split_heads(pool_grid(op, m, grid, pad_arg), h) for op, m in ((op_k, k2), (op_v, v2))
     )
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad)
-    z, counts, blocks = _banded_attention(q2h, pkh, pvh, band, config, block_size, retain)
+    z, counts, blocks = _banded_attention(q2h, pkh, pvh, band, config, retain)
     degenerate = pad & (counts == 0)
 
     if not np.isfinite(z).all():
@@ -458,7 +454,6 @@ def layer_forward(
     config: LayerConfig,
     *,
     retain: bool = True,
-    block_size: int | None = None,
 ) -> tuple[np.ndarray, AttentionTrace]:
     """Full layer: first level, second level, residual sum of the two outputs.
 
@@ -466,12 +461,10 @@ def layer_forward(
     done, so the trace drops them: the first level's before the second level
     runs, the second level's (and its pooled grids) before the sum.
     """
-    y, first = first_level_forward(batch, params, config, retain=retain, block_size=block_size)
+    y, first = first_level_forward(batch, params, config, retain=retain)
     if not retain:
         first.qh = first.kh = first.vh = None
-    z, second = second_level_forward(
-        batch, y, params, config, retain=retain, block_size=block_size
-    )
+    z, second = second_level_forward(batch, y, params, config, retain=retain)
     if not retain:
         second.q2h = second.k2 = second.v2 = second.pooled_kh = second.pooled_vh = None
     final = y + z

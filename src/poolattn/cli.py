@@ -41,7 +41,6 @@ def main(argv=None) -> int:
     out = args.out or Path(f"{args.command}.csv")
     try:
         rc = harness.load_config(args.config)
-        rc = replace(rc, command=args.command, out=str(out))
         if args.seed is not None:
             rc = replace(rc, seed=args.seed & ((1 << 64) - 1))
 
@@ -77,10 +76,7 @@ def main(argv=None) -> int:
             print(f"bench: {len(records)} points -> {out}")
             return 0
         raise AssertionError(args.command)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

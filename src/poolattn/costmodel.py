@@ -187,7 +187,6 @@ def estimate_peak_bytes(
     kappa: int = 1,
     xi: int = 1,
     n_global: int = 0,
-    block: int | None = None,
 ) -> int:
     """Analytic peak live bytes of one ``retain=False`` forward pass.
 
@@ -201,14 +200,14 @@ def estimate_peak_bytes(
     Per-token counts and the one-byte-per-entry finiteness check of each
     level's output are included; fixed per-call overheads are not, so below
     a few thousand tokens the estimate can fall a few percent short.
-    ``block`` defaults to the layer's own ``block_rows(n, w1)``.
+    Blocks are the layer's own ``block_rows(n, w1)`` rows.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"pattern must be one of {PATTERNS}")
     nd = n * d_model
     if pattern == "dense":
         return 8 * (2 * n * n + 5 * nd)
-    b = block_rows(n, w1) if block is None else min(block, n)
+    b = block_rows(n, w1)
 
     def block_floats(rows: int, cols: int) -> int:
         # four heads' scores and the mask bias, the bool mask, the block's output

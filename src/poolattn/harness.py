@@ -14,12 +14,14 @@ import hashlib
 import statistics
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from poolattn.attention import (
+    LayerGrads,
     first_level_forward,
     layer_backward,
     layer_forward,
@@ -40,10 +42,11 @@ from poolattn.costmodel import (
     estimate_peak_bytes,
 )
 from poolattn.oracle import (
-    dense_attention,
+    LITERAL_ORACLE_MAX_N,
     dense_first_level,
     dense_layer_reference,
     literal_pooling_attention,
+    per_head_dense,
 )
 
 try:
@@ -56,7 +59,6 @@ SCHEMA_VERSION = 1
 ORACLE_DIFF_THRESHOLD = 1e-10
 GRADCHECK_THRESHOLD = 1e-6
 GRADCHECK_STEP = 1e-5
-ORACLE_DIFF_MAX_N = 512
 GRADCHECK_MAX_N = 64
 DEFAULT_DENSE_CAP = 2048
 DEFAULT_MEM_GUARD = 2 << 30
@@ -149,51 +151,65 @@ def batch_checksum(arr: np.ndarray) -> str:
 # config files
 
 
-CONFIG_KEYS = (
-    "d_model", "n_heads", "w1", "w2", "kappa", "xi",
-    "pooling", "mix", "share_projections", "n_list", "seed", "trials",
-)
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return raw.lower() == "true"
 
-_INT_KEYS = {"d_model", "n_heads", "w1", "w2", "kappa", "xi", "seed", "trials"}
-_BOOL_KEYS = {"mix", "share_projections"}
+
+def _show_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _parse_pooling(raw: str) -> str:
+    if raw not in POOLING_KINDS:
+        raise ValueError(f"expected one of {', '.join(POOLING_KINDS)}")
+    return raw
+
+
+def _parse_n_list(raw: str) -> tuple[int, ...]:
+    values = tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+    if not values or any(v < 1 for v in values):
+        raise ValueError("expected a comma-separated list of positive ints")
+    return values
+
+
+class _Key(NamedTuple):
+    parse: Callable[[str], object]
+    show: Callable[[object], str]
+    field: str  # "layer.<LayerConfig field>" or a RunConfig field
+
+
+# every config key, in canonical order: parsing, serializing and the
+# unknown-key check all read this table
+CONFIG_KEYS = {
+    "d_model": _Key(int, str, "layer.d_model"),
+    "n_heads": _Key(int, str, "layer.n_heads"),
+    "w1": _Key(int, str, "layer.w1"),
+    "w2": _Key(int, str, "layer.w2"),
+    "kappa": _Key(int, str, "layer.kappa"),
+    "xi": _Key(int, str, "layer.xi"),
+    "pooling": _Key(_parse_pooling, str, "layer.pooling_kind"),
+    "mix": _Key(
+        lambda raw: "raw_embeddings" if _parse_bool(raw) else "first_level_output",
+        lambda value: _show_bool(value == "raw_embeddings"),
+        "layer.second_level_input",
+    ),
+    "share_projections": _Key(_parse_bool, _show_bool, "layer.share_projections"),
+    "n_list": _Key(_parse_n_list, lambda values: ", ".join(map(str, values)), "n_list"),
+    "seed": _Key(lambda raw: int(raw) & _MASK64, str, "seed"),
+    "trials": _Key(int, str, "trials"),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One harness run: the layer settings plus sweep/seed/trial controls.
-
-    ``command`` and ``out`` are filled in by the CLI, not by the config file.
-    """
+    """One harness run: the layer settings plus sweep/seed/trial controls."""
 
     layer: LayerConfig = LayerConfig()
     n_list: tuple[int, ...] = (4096, 8192, 16384)
     seed: int = 1
     trials: int = 7
-    command: str | None = None
-    out: str | None = None
-
-
-def _parse_value(key: str, raw: str, lineno: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered in ("true", "false"):
-                return lowered == "true"
-            raise ValueError("expected true or false")
-        if key == "pooling":
-            if raw not in POOLING_KINDS:
-                raise ValueError(f"expected one of {', '.join(POOLING_KINDS)}")
-            return raw
-        if key == "n_list":
-            values = tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-            if not values or any(v < 1 for v in values):
-                raise ValueError("expected a comma-separated list of positive ints")
-            return values
-    except ValueError as err:
-        raise ValueError(f"line {lineno}: bad value for '{key}': {err}") from None
-    raise AssertionError(key)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -203,7 +219,8 @@ def parse_config(text: str) -> RunConfig:
     constraint violations (for example xi > kappa) surface the layer
     validation message.
     """
-    seen: dict[str, object] = {}
+    layer_kwargs: dict[str, object] = {}
+    run_kwargs: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -214,55 +231,31 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         if key not in CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key '{key}'")
-        if key in seen:
+        owner, _, name = CONFIG_KEYS[key].field.rpartition(".")
+        kwargs = layer_kwargs if owner else run_kwargs
+        if name in kwargs:
             raise ValueError(f"line {lineno}: duplicate key '{key}'")
-        seen[key] = _parse_value(key, value, lineno)
+        try:
+            kwargs[name] = CONFIG_KEYS[key].parse(value)
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: bad value for '{key}': {err}") from None
 
-    base = RunConfig()
-    layer_kwargs = {
-        "d_model": seen.get("d_model", base.layer.d_model),
-        "n_heads": seen.get("n_heads", base.layer.n_heads),
-        "w1": seen.get("w1", base.layer.w1),
-        "w2": seen.get("w2", base.layer.w2),
-        "kappa": seen.get("kappa", base.layer.kappa),
-        "xi": seen.get("xi", base.layer.xi),
-        "pooling_kind": seen.get("pooling", base.layer.pooling_kind),
-        "second_level_input": (
-            "raw_embeddings" if seen.get("mix", base.layer.mix) else "first_level_output"
-        ),
-        "share_projections": seen.get("share_projections", base.layer.share_projections),
-    }
     try:
         layer = LayerConfig(**layer_kwargs)
     except ValueError as err:
         raise ValueError(f"config invalid: {err}") from None
-    trials = int(seen.get("trials", base.trials))
-    if trials < 1:
+    rc = RunConfig(layer, **run_kwargs)
+    if rc.trials < 1:
         raise ValueError("config invalid: trials must be >= 1")
-    return RunConfig(
-        layer=layer,
-        n_list=tuple(seen.get("n_list", base.n_list)),
-        seed=int(seen.get("seed", base.seed)) & _MASK64,
-        trials=trials,
-    )
+    return rc
 
 
 def serialize_config(rc: RunConfig) -> str:
     """Canonical config text; ``parse_config(serialize_config(rc)) == rc``."""
-    lines = [
-        f"d_model = {rc.layer.d_model}",
-        f"n_heads = {rc.layer.n_heads}",
-        f"w1 = {rc.layer.w1}",
-        f"w2 = {rc.layer.w2}",
-        f"kappa = {rc.layer.kappa}",
-        f"xi = {rc.layer.xi}",
-        f"pooling = {rc.layer.pooling_kind}",
-        f"mix = {'true' if rc.layer.mix else 'false'}",
-        f"share_projections = {'true' if rc.layer.share_projections else 'false'}",
-        "n_list = " + ", ".join(str(v) for v in rc.n_list),
-        f"seed = {rc.seed}",
-        f"trials = {rc.trials}",
-    ]
+    lines = []
+    for key, entry in CONFIG_KEYS.items():
+        owner, _, name = entry.field.rpartition(".")
+        lines.append(f"{key} = {entry.show(getattr(rc.layer if owner else rc, name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -315,34 +308,22 @@ def relative_diff(a: np.ndarray, b: np.ndarray) -> float:
     return diff / scale if scale > 0.0 else diff
 
 
-_TRIPLE_FIELDS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v")
+def _named_arrays(tree: LayerParams | LayerGrads) -> dict[str, np.ndarray]:
+    """Every array of a LayerParams or LayerGrads by name, in field order.
 
-
-def _param_entries(params: LayerParams, config: LayerConfig) -> list[str]:
-    names = [f"first.{f}" for f in _TRIPLE_FIELDS]
-    if not config.share_projections:
-        names += [f"second.{f}" for f in _TRIPLE_FIELDS]
-    if config.needs_pool_weights:
-        names += ["w_p_key", "w_p_value"]
-    return names
-
-
-def _get_param(params: LayerParams, name: str) -> np.ndarray:
-    if name.startswith("first."):
-        return getattr(params.first, name.split(".", 1)[1])
-    if name.startswith("second."):
-        return getattr(params.second, name.split(".", 1)[1])
-    return getattr(params, name)
-
-
-def _copy_params(params: LayerParams, config: LayerConfig) -> LayerParams:
-    first = ProjectionTriple(*(a.copy() for a in params.first))
-    second = first if config.share_projections else ProjectionTriple(
-        *(a.copy() for a in params.second)
-    )
-    wpk = None if params.w_p_key is None else params.w_p_key.copy()
-    wpv = None if params.w_p_value is None else params.w_p_value.copy()
-    return LayerParams(first, second, wpk, wpv)
+    Triple entries are named ``first.w_q`` and so on; a ``second`` triple that
+    aliases ``first`` (shared projections) and absent pooling weights are left out.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    for f in fields(tree):
+        value = getattr(tree, f.name)
+        if isinstance(value, ProjectionTriple):
+            if f.name == "second" and value is tree.first:
+                continue
+            arrays.update((f"{f.name}.{k}", a) for k, a in value._asdict().items())
+        elif value is not None:
+            arrays[f.name] = value
+    return arrays
 
 
 def gradcheck_layer(
@@ -350,13 +331,12 @@ def gradcheck_layer(
     n: int,
     seed: int,
     global_count: int = 1,
-    eps: float = GRADCHECK_STEP,
 ) -> dict[str, float]:
     """Check every parameter gradient (and the input gradient) of one layer.
 
-    Runs the analytic backward once, then compares each parameter against a
-    central finite difference of the scalar loss sum(upstream * output).
-    Returns the max relative error per parameter name.
+    Runs the analytic backward once, then compares each parameter and the
+    embeddings against a central finite difference of the scalar loss
+    sum(upstream * output).  Returns the max relative error per name.
     """
     if n > GRADCHECK_MAX_N:
         raise ValueError(f"gradcheck is limited to n <= {GRADCHECK_MAX_N}")
@@ -365,32 +345,19 @@ def gradcheck_layer(
     upstream = symmetric_uniform(seed + 2, n * config.d_model).reshape(n, config.d_model)
 
     _, trace = layer_forward(batch, params, config)
-    grads = layer_backward(trace, upstream)
+    grads = _named_arrays(layer_backward(trace, upstream))
 
-    work = _copy_params(params, config)
-
-    def loss(_=None) -> float:
-        out, _ = layer_forward(batch, work, config, retain=False)
+    # central_difference perturbs each entry in place and restores it exactly,
+    # so the loss reads this call's own parameters and embeddings
+    def loss(_) -> float:
+        out, _ = layer_forward(batch, params, config, retain=False)
         return float(np.sum(upstream * out))
 
-    errors: dict[str, float] = {}
-    for name in _param_entries(params, config):
-        target = _get_param(work, name)
-        fd = central_difference(lambda _: loss(), target, eps)
-        errors[name] = max_rel_error(_get_param(grads, name), fd)
-
-    emb = batch.embeddings.copy()
-
-    def emb_loss(_=None) -> float:
-        out, _ = layer_forward(
-            SequenceBatch(emb, batch.pad_mask, batch.global_set), params, config,
-            retain=False,
-        )
-        return float(np.sum(upstream * out))
-
-    fd = central_difference(lambda _: emb_loss(), emb, eps)
-    errors["embeddings"] = max_rel_error(grads.embeddings, fd)
-    return errors
+    targets = _named_arrays(params) | {"embeddings": batch.embeddings}
+    return {
+        name: max_rel_error(grads[name], central_difference(loss, target))
+        for name, target in targets.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +438,8 @@ def run_oracle_diff(rc: RunConfig) -> tuple[list[tuple], bool]:
     at the configured (smaller) w2 is reported as an informational row.
     """
     for n in rc.n_list:
-        if n > ORACLE_DIFF_MAX_N:
-            raise ValueError(f"oracle-diff is limited to n <= {ORACLE_DIFF_MAX_N}")
+        if n > LITERAL_ORACLE_MAX_N:
+            raise ValueError(f"oracle-diff is limited to n <= {LITERAL_ORACLE_MAX_N}")
     rows: list[tuple] = []
     ok = True
 
@@ -543,8 +510,7 @@ def run_gradcheck(rc: RunConfig) -> tuple[list[tuple], bool]:
                 ok = ok and passed
                 rows.append((
                     SCHEMA_VERSION, n, kind,
-                    "true" if layer.mix else "false",
-                    "true" if layer.share_projections else "false",
+                    _show_bool(layer.mix), _show_bool(layer.share_projections),
                     name, repr(float(err)), repr(GRADCHECK_THRESHOLD),
                     "pass" if passed else "FAIL",
                 ))
@@ -568,7 +534,7 @@ class BenchRecord:
         )
 
 
-def _interleaved_medians(points: list[tuple[str, object]], trials: int) -> dict[str, int]:
+def _interleaved_medians(points: list[tuple[tuple, object]], trials: int) -> dict[tuple, int]:
     """Median wall time per point, timing all points round-robin.
 
     Interleaving rounds keeps allocator and cache temperature comparable
@@ -576,7 +542,7 @@ def _interleaved_medians(points: list[tuple[str, object]], trials: int) -> dict[
     """
     for _, fn in points:
         fn()  # warmup, discarded
-    samples: dict[str, list[int]] = {key: [] for key, _ in points}
+    samples: dict[tuple, list[int]] = {key: [] for key, _ in points}
     for _ in range(trials):
         for key, fn in points:
             t0 = time.perf_counter_ns()
@@ -641,6 +607,8 @@ def run_bench(
     """Median-of-trials forward timings: the two-level path over n_list plus a
     dense baseline up to ``dense_cap``.
 
+    The dense baseline runs at every n <= ``dense_cap``; if there is none, at
+    ``dense_cap`` // 4, // 2 and itself, so ``dense_cap`` must then be >= 4.
     Sequence lengths must be ascending; at least 3 timed trials per point (one
     extra warmup trial is discarded).  Points whose analytic peak-memory
     estimate exceeds the guard are skipped with a notice.  BLAS is pinned to
@@ -651,57 +619,40 @@ def run_bench(
         raise ValueError("bench requires strictly ascending n values")
     if rc.trials < 3:
         raise ValueError("bench requires at least 3 trials")
-    layer = rc.layer
-    notices: list[str] = []
-    points: list[tuple[str, object]] = []
-    meta: list[tuple[str, str, int, int, int]] = []  # key, pattern, n, score_evals, est
-
-    for n in rc.n_list:
-        est = estimate_peak_bytes(
-            "two_level", n, layer.d_model, layer.w1, layer.w2, layer.kappa, layer.xi
-        )
-        if est > mem_guard_bytes:
-            notices.append(f"skipped two_level n={n}: estimated {est} bytes over guard")
-            continue
-        batch = synth_batch(n, layer.d_model, rc.seed)
-        params = init_params(layer, rc.seed + 1)
-        _, trace = layer_forward(batch, params, layer, retain=False)
-        score_evals = int(trace.first_counts.sum() + trace.second_counts.sum())
-
-        def two_level_pass(batch=batch, params=params):
-            return layer_forward(batch, params, layer, retain=False)
-
-        key = f"two_level/{n}"
-        points.append((key, two_level_pass))
-        meta.append((key, "two_level", n, score_evals, est))
-
     dense_ns = [n for n in rc.n_list if n <= dense_cap]
     if not dense_ns:
+        if dense_cap < 4:
+            raise ValueError(
+                f"dense_cap must be >= 4 when no n in n_list is <= it, got dense_cap={dense_cap}"
+            )
         dense_ns = [dense_cap // 4, dense_cap // 2, dense_cap]
-    dh, alpha = layer.head_dim, layer.alpha()
-    for n in dense_ns:
-        est = estimate_peak_bytes("dense", n, layer.d_model)
-        if est > mem_guard_bytes:
-            notices.append(f"skipped dense n={n}: estimated {est} bytes over guard")
-            continue
-        batch = synth_batch(n, layer.d_model, rc.seed)
-        params = init_params(layer, rc.seed + 1)
-        mask = np.ones((n, n), dtype=bool)
+    layer = rc.layer
+    notices: list[str] = []
+    points: list[tuple[tuple, object]] = []  # ((pattern, n, score_evals, est), pass)
 
-        # projections included, as in the two-level pass
-        def dense_pass(batch=batch, params=params, mask=mask):
-            q, k, v = project_qkv(batch.embeddings, params.first)
-            out = np.empty_like(q)
-            for h in range(layer.n_heads):
-                cols = slice(h * dh, (h + 1) * dh)
-                out[:, cols] = dense_attention(
-                    q[:, cols], k[:, cols], v[:, cols], mask, alpha
-                )
-            return out
+    for pattern, ns in (("two_level", rc.n_list), ("dense", dense_ns)):
+        for n in ns:
+            est = estimate_peak_bytes(
+                pattern, n, layer.d_model, layer.w1, layer.w2, layer.kappa, layer.xi
+            )
+            if est > mem_guard_bytes:
+                notices.append(f"skipped {pattern} n={n}: estimated {est} bytes over guard")
+                continue
+            batch = synth_batch(n, layer.d_model, rc.seed)
+            params = init_params(layer, rc.seed + 1)
+            if pattern == "two_level":
+                def run(batch=batch, params=params):
+                    return layer_forward(batch, params, layer, retain=False)
 
-        key = f"dense/{n}"
-        points.append((key, dense_pass))
-        meta.append((key, "dense", n, n * n, est))
+                trace = run()[1]
+                score_evals = int(trace.first_counts.sum() + trace.second_counts.sum())
+            else:
+                # projections included, as in the two-level pass
+                def run(batch=batch, params=params, mask=np.ones((n, n), dtype=bool)):
+                    return per_head_dense(*project_qkv(batch.embeddings, params.first), mask, layer)
+
+                score_evals = n * n
+            points.append(((pattern, n, score_evals, est), run))
 
     with _one_blas_thread() as threads:
         medians = _interleaved_medians(points, rc.trials)
@@ -711,8 +662,8 @@ def run_bench(
             else "timed with an unknown BLAS thread count: no threadpoolctl and no OpenBLAS found"
         )
     return [
-        BenchRecord(pattern, n, rc.trials, medians[key], medians[key] / n, score, est)
-        for key, pattern, n, score, est in meta
+        BenchRecord(pattern, n, rc.trials, median, median / n, score, est)
+        for (pattern, n, score, est), median in medians.items()
     ], notices
 
 

@@ -80,7 +80,7 @@ def dense_first_level(
         raise ValueError("dense first-level reference requires an unpadded batch")
     q, k, v = project_qkv(batch.embeddings, params.first)
     mask = mask_from_config(batch.n, config.w1, batch.global_set)
-    return _per_head_dense(q, k, v, mask, config)
+    return per_head_dense(q, k, v, mask, config)
 
 
 def dense_layer_reference(
@@ -99,11 +99,12 @@ def dense_layer_reference(
     src = batch.embeddings if config.mix else y
     q2, k2, v2 = project_qkv(src, params.second)
     band = mask_from_config(batch.n, config.w2)
-    z = _per_head_dense(q2, k2, v2, band, config)
+    z = per_head_dense(q2, k2, v2, band, config)
     return y + z
 
 
-def _per_head_dense(q, k, v, mask, config: LayerConfig) -> np.ndarray:
+def per_head_dense(q, k, v, mask, config: LayerConfig) -> np.ndarray:
+    """``dense_attention`` of each head's columns of the (n, d) q, k, v under one mask."""
     out = np.empty_like(q)
     dh = config.head_dim
     for h in range(config.n_heads):

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -310,6 +311,9 @@ SMALL_CFG_TEXT = (
 )
 
 
+GRAD_CFG_TEXT = "d_model = 4\nn_heads = 2\nw1 = 1\nw2 = 4\nkappa = 3\nxi = 2\nn_list = 6\nseed = 5\n"
+
+
 class TestCli:
     def test_cost_exit_zero_and_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG_TEXT)
@@ -326,6 +330,29 @@ class TestCli:
         assert cli_main(["oracle-diff", "--config", str(cfg), "--out", str(out1)]) == 0
         assert cli_main(["oracle-diff", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("text, pooling, params", [
+        (
+            "share_projections = true\n", "ldconv",
+            ["first.w_q", "first.b_q", "first.w_k", "first.b_k", "first.w_v", "first.b_v",
+             "w_p_key", "w_p_value", "embeddings"],
+        ),
+        (
+            "", "mean",
+            ["first.w_q", "first.b_q", "first.w_k", "first.b_k", "first.w_v", "first.b_v",
+             "second.w_q", "second.b_q", "second.w_k", "second.b_k", "second.w_v", "second.b_v",
+             "embeddings"],
+        ),
+    ], ids=["shared_ldconv", "plain_mean"])
+    def test_gradcheck_byte_identical_and_param_names(self, tmp_path, text, pooling, params):
+        cfg = write_config(tmp_path, GRAD_CFG_TEXT + text)
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli_main(["gradcheck", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert cli_main(["gradcheck", "--config", str(cfg), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        with open(out1, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["param"] for r in rows if r["pooling"] == pooling] == params
 
     def test_forward_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG_TEXT)
@@ -376,6 +403,17 @@ class TestCli:
         big = write_config(tmp_path, "n_list = 4096\n", name="big.cfg")
         assert cli_main(["oracle-diff", "--config", str(big), "--out",
                          str(tmp_path / "x.csv")]) == 2
+
+    def test_bench_dense_cap_too_small_exits_two(self, tmp_path, capsys):
+        # no n in n_list is <= 3, and the fallback lengths 3 // 4 ... would be 0
+        cfg = write_config(tmp_path, SMALL_CFG_TEXT.replace("n_list = 48", "n_list = 64"))
+        out = tmp_path / "bench.csv"
+        for cap in ("0", "3"):
+            assert cli_main(["bench", "--config", str(cfg), "--out", str(out),
+                             "--dense-cap", cap]) == 2
+            assert f"dense_cap must be >= 4 when no n in n_list is <= it, got dense_cap={cap}" \
+                in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
