@@ -144,6 +144,35 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key = value"):
             parse_config("just some text\n")
 
+    # one non-default value per key, each valid against the other defaults;
+    # a round trip alone cannot see two keys that swap fields symmetrically
+    ONE_KEY = {
+        "d_model": ("32", {"layer": {"d_model": 32}}),
+        "n_heads": ("8", {"layer": {"n_heads": 8}}),
+        "w1": ("16", {"layer": {"w1": 16}}),
+        "w2": ("600", {"layer": {"w2": 600}}),
+        "kappa": ("9", {"layer": {"kappa": 9}}),
+        "xi": ("2", {"layer": {"xi": 2}}),
+        "pooling": ("mean_ldconv", {"layer": {"pooling_kind": "mean_ldconv"}}),
+        "mix": ("true", {"layer": {"second_level_input": "raw_embeddings"}}),
+        "share_projections": ("true", {"layer": {"share_projections": True}}),
+        "n_list": ("64, 128", {"n_list": (64, 128)}),
+        "seed": ("77", {"seed": 77}),
+        "trials": ("3", {"trials": 3}),
+    }
+
+    @pytest.mark.parametrize("key", list(harness.CONFIG_KEYS))
+    def test_each_key_sets_only_its_field(self, key):
+        value, fields = self.ONE_KEY[key]
+        expected = replace(
+            RunConfig(),
+            layer=replace(LayerConfig(), **fields.get("layer", {})),
+            **{name: v for name, v in fields.items() if name != "layer"},
+        )
+        rc = parse_config(f"{key} = {value}\n")
+        assert rc == expected
+        assert f"{key} = {value}" in serialize_config(rc).splitlines()
+
 class TestFiniteDifferences:
     def test_central_difference_on_quadratic(self):
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
