@@ -269,20 +269,20 @@ def load_config(path: str | Path | None) -> RunConfig:
 # finite differences
 
 
-def central_difference(f, x: np.ndarray, eps: float = GRADCHECK_STEP) -> np.ndarray:
-    """Gradient of scalar ``f`` at ``x`` by central differences, entry by entry."""
+def central_difference(f, x: np.ndarray) -> np.ndarray:
+    """Gradient of scalar ``f`` at ``x`` by central differences of step GRADCHECK_STEP."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + GRADCHECK_STEP
         hi = f(x)
-        flat[i] = orig - eps
+        flat[i] = orig - GRADCHECK_STEP
         lo = f(x)
         flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
+        gflat[i] = (hi - lo) / (2.0 * GRADCHECK_STEP)
     return grad
 
 

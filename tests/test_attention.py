@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -691,6 +693,63 @@ class TestHeadSplitTrace:
         _, kept = layer_forward(batch, params, cfg, retain=True)
         assert kept.first.q.shape == (batch.n, cfg.d_model)
         assert kept.second.pooled_v.shape == (len(kept.second.grid), cfg.d_model)
+
+
+def _reachable_arrays(obj, path: str, seen: set | None = None) -> dict[str, np.ndarray]:
+    """Every ndarray reachable from ``obj`` through fields, sequences and partials, by path."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return {}
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return {path: obj}
+    if isinstance(obj, partial):
+        children = {"args": obj.args, "keywords": obj.keywords}
+    elif isinstance(obj, dict):
+        children = obj
+    elif isinstance(obj, (list, tuple)):
+        children = dict(enumerate(obj))
+    elif hasattr(obj, "__dict__"):
+        children = vars(obj)
+    else:
+        return {}
+    found = {}
+    for key, child in children.items():
+        found.update(_reachable_arrays(child, f"{path}.{key}", seen))
+    return found
+
+
+def _assert_bitwise_equal(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key, a in got.items():
+        b = want[key]
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+
+
+class TestBackwardPurity:
+    """``layer_backward`` adds into its own masked upstream and consumes gradient lists.
+
+    Neither may reach the caller's arrays: the trace, its output and the
+    upstream stay bitwise unchanged, so a second backward on the same trace
+    returns bitwise-equal gradients.
+    """
+
+    CASES = TestHeadSplitTrace.CASES
+    _inputs = TestHeadSplitTrace._inputs
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_backward_leaves_trace_and_upstream_unchanged(self, case):
+        cfg, batch, params = self._inputs(case)
+        _, trace = layer_forward(batch, params, cfg)
+        upstream = symmetric_uniform(97, batch.n * cfg.d_model).reshape(batch.n, cfg.d_model)
+        arrays = _reachable_arrays(trace, "trace")
+        arrays["upstream"] = upstream
+        assert {"trace.final", "trace.first.qh", "trace.second.pooled_vh"} <= arrays.keys()
+        before = {key: a.copy() for key, a in arrays.items()}
+
+        grads = _reachable_arrays(layer_backward(trace, upstream), "grads")
+        _assert_bitwise_equal(arrays, before)
+        _assert_bitwise_equal(_reachable_arrays(layer_backward(trace, upstream), "grads"), grads)
 
 
 class TestOverflowErrors:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import poolattn.attention as attention
-from poolattn.attention import first_level_forward, layer_forward
+from poolattn.attention import first_level_forward, layer_backward, layer_forward
 from poolattn.core import LayerConfig, SequenceBatch
 from poolattn.costmodel import (
     cost_dense,
@@ -15,7 +15,7 @@ from poolattn.costmodel import (
     instrumented_report,
     verify_counts,
 )
-from poolattn.harness import init_params, synth_batch
+from poolattn.harness import init_params, symmetric_uniform, synth_batch
 from poolattn.windowing import (
     build_pooled_grid,
     global_neighbor_set,
@@ -281,6 +281,66 @@ class TestPeakBytes:
             "two_level", n, cfg.d_model, cfg.w1, cfg.w2, cfg.kappa, cfg.xi, n_global=g
         )
         assert peak <= est <= 1.25 * peak, f"peak {peak}, estimate {est}"
+
+    @pytest.mark.parametrize("workload", WORKLOAD_LAYERS)
+    def test_training_backward_holds_one_level_of_gradients(self, workload):
+        """The backward's peak above the retained trace and output stays within the design.
+
+        The bound is the largest of the design's live sets, counted in float64
+        arrays.  Throughout, the backward holds the masked upstream (n, d) and,
+        in the mix setting, the second level's input gradient from the end of
+        the second level on.  On top of that, at most:
+        - a level's attention backward: its three q/k/v gradient accumulators,
+          each at most (n, d), and one row block's transients, three
+          (heads, rows, cols) arrays (scores and their mask bias, then the
+          probabilities and their gradient) and one (cols, d) product.  The
+          first level's global rows form a block whose columns are every token,
+          so that product can be a whole (n, d) array;
+        - a projection backward: two head-split gradients not yet consumed, the
+          merged one, the input gradient and one ``g @ w`` product;
+        - the values' ``pool_grid_backward``: the second level's q gradient and
+          the keys' unpooled gradient, the pooled value gradient head-split and
+          merged, the unpooled output, and six (segments, d) arrays of scratch
+          over the undropped ceil(n / xi)-segment grid (the scattered upstream,
+          the context and its gradient, the mean share, the product buffer,
+          and one more for the (kappa, segments) weight arrays).
+        """
+        cfg, g, pad_share = self.WORKLOAD_LAYERS[workload]
+        n = 4096
+        batch = synth_batch(n, cfg.d_model, seed=63, global_count=g)
+        pad = np.ones(n, dtype=bool)
+        pad[n - int(pad_share * n):] = False
+        batch = SequenceBatch(batch.embeddings, pad, batch.global_set)
+        params = init_params(cfg, 64)
+        upstream = symmetric_uniform(65, n * cfg.d_model).reshape(n, cfg.d_model)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, trace = layer_forward(batch, params, cfg)
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            layer_backward(trace, upstream)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+
+        def size(idx):
+            return idx.stop - idx.start if isinstance(idx, slice) else len(idx)
+
+        array = 8 * n * cfg.d_model
+        block = max(
+            8 * (3 * cfg.n_heads * size(b.row_idx) + cfg.d_model) * size(b.col_idx)
+            for b in trace.first.blocks + trace.second.blocks
+        )
+        pooled = 8 * len(trace.second.grid) * cfg.d_model
+        scratch = 6 * 8 * -(-n // cfg.xi) * cfg.d_model
+        held = (1 + cfg.mix) * array
+        bound = max(
+            held + 3 * array + block,
+            held + 4 * array,
+            array + 3 * array + 2 * pooled + scratch,  # before the mix setting's gradient
+        )
+        assert peak <= bound, f"peak {peak / array:.2f} (n, d) arrays, bound {bound / array:.2f}"
 
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError):
