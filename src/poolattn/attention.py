@@ -10,20 +10,23 @@ Global tokens get a separate full-width block.  Queries, keys and values are
 projected straight into head-split (n_heads, n, d/h) form
 (``core.project_heads``) and every head is attended by one batched matmul;
 heads are merged into (n, d) rows only in each level's output and where a
-projection's backward needs them.  Only the second level's unpooled keys and
-values stay (n, d), the layout pooling reads.
+projection's backward needs them.  The second level's unpooled keys and
+values are (n, d), the layout pooling reads, and live one at a time: each is
+projected, pooled and dropped before the next, and the backward re-projects
+each only for its own pooling backward.
 
 Traces keep the head-split arrays (their ``q``, ``pooled_k``, ... attributes
-are read-only (rows, d) copies merged on access) and, per block, its rows,
-key columns, and the softmax row maximum and denominator (two floats per head
-and row), never the mask or the probabilities.  The backward pass rebuilds
-each block's mask from its level's per-row bounds and replays its
-probabilities with the forward's own operations, so both are bitwise the
-forward's; every gradient is exact reverse-mode, with shared projections
-accumulating both levels' contributions.  A training step holds the trace
-plus one level's gradients: each projection's gradient is merged, used and
-dropped in turn, which took the ``train_ldconv`` benchmark step (n = 8192)
-from an 87.9 to a 63.8 MiB tracemalloc peak.  All computations are pure
+are read-only (rows, d) copies merged on access, ``k2`` and ``v2`` read-only
+re-projections) and, per block, its rows, key columns, and the softmax row
+maximum and denominator (two floats per head and row), never the mask or the
+probabilities.  The backward pass rebuilds each block's mask from its level's
+per-row bounds and replays its probabilities with the forward's own
+operations, so both are bitwise the forward's; every gradient is exact
+reverse-mode, with shared projections accumulating both levels'
+contributions.  A training step holds the trace plus one level's gradients:
+each projection's gradient is merged, used and dropped in turn.  On the
+``train_ldconv`` benchmark step (n = 8192) the tracemalloc peak is 55.8 MiB,
+of which the trace and output are 31.7 MiB.  All computations are pure
 functions of (batch, params, config), single-threaded, and deterministic.
 """
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -225,6 +228,13 @@ def _merged(heads: np.ndarray | None, name: str) -> np.ndarray:
     return out
 
 
+def _unpooled(source: np.ndarray, pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Unpooled second-level keys or values: ``source`` projected as one head, read-only (n, d)."""
+    out = project_heads(source, *pair, 1)[0]
+    out.flags.writeable = False
+    return out
+
+
 @dataclass
 class FirstLevelTrace:
     """The first level's head-split projections, output, counts and blocks.
@@ -258,9 +268,10 @@ class SecondLevelTrace:
     """The second level's projections, pooled grids, output, counts and blocks.
 
     ``q2``, ``pooled_k`` and ``pooled_v`` merge the head-split ``q2h``,
-    ``pooled_kh`` and ``pooled_vh`` into (rows, d) on access; ``k2`` and
-    ``v2`` are stored (n, d), the layout pooling reads.  All five are None
-    once ``layer_forward(retain=False)`` dropped them.
+    ``pooled_kh`` and ``pooled_vh`` into (rows, d) on access; the arrays are
+    None once ``layer_forward(retain=False)`` dropped them.  The unpooled
+    ``k2`` and ``v2`` are not kept: each access re-projects ``source``, so
+    they stay readable after ``retain=False``.
     """
 
     batch: SequenceBatch
@@ -268,8 +279,6 @@ class SecondLevelTrace:
     config: LayerConfig
     source: np.ndarray
     q2h: np.ndarray | None
-    k2: np.ndarray | None
-    v2: np.ndarray | None
     grid: PooledGrid
     pooled_kh: np.ndarray | None
     pooled_vh: np.ndarray | None
@@ -282,6 +291,8 @@ class SecondLevelTrace:
     q2 = property(lambda self: _merged(self.q2h, "second-level q2"))
     pooled_k = property(lambda self: _merged(self.pooled_kh, "pooled keys"))
     pooled_v = property(lambda self: _merged(self.pooled_vh, "pooled values"))
+    k2 = property(lambda self: _unpooled(self.source, self.params.second.pairs()[1]))
+    v2 = property(lambda self: _unpooled(self.source, self.params.second.pairs()[2]))
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
@@ -370,7 +381,13 @@ def first_level_forward(
     g = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
     is_global[g] = True
-    # global rows attend in the full-width block below
+    if g.size:
+        # the global rows' full-width block runs before the banded pass
+        # allocates y, so its (heads, globals, n) transients never sit on top of y
+        full = _Band(partial(window_bounds, w=n, n=n), row_ok=pad, key_ok=pad)
+        global_block, global_out, global_counts = _block_attention(
+            qh, kh, vh, full, g, slice(0, n), config.alpha()
+        )
     band = _Band(
         partial(window_bounds, w=config.w1, n=n), row_ok=pad & ~is_global, key_ok=pad,
         extra=is_global if g.size else None,
@@ -384,11 +401,10 @@ def first_level_forward(
         )
 
     if g.size:
-        full = _Band(partial(window_bounds, w=n, n=n), row_ok=pad, key_ok=pad)
-        b, out, counts[g] = _block_attention(qh, kh, vh, full, g, slice(0, n), config.alpha())
-        y[g] = _merge_heads(out)
+        y[g] = _merge_heads(global_out)
+        counts[g] = global_counts
         if retain:
-            blocks.append(b)
+            blocks.append(global_block)
 
     y[~pad] = 0.0
     if not np.isfinite(y).all():
@@ -424,17 +440,19 @@ def second_level_forward(
         raise ValueError(f"y must be ({n}, {d}), got {y.shape}")
     src = batch.embeddings if config.mix else y
     h = config.n_heads
-    (w_q, b_q), *kv = params.second.pairs()
-    q2h = project_heads(src, w_q, b_q, h)
-    k2, v2 = (project_heads(src, w, b, 1)[0] for w, b in kv)
     pad = batch.pad_mask
     pad_arg = None if pad.all() else pad
     grid = build_pooled_grid(n, config.kappa, config.xi, pad_arg)
-    op_k = PoolingOp(config.pooling_kind, params.w_p_key)
-    op_v = PoolingOp(config.pooling_kind, params.w_p_value)
+    (w_q, b_q), *kv = params.second.pairs()
+    # project, pool and drop one unpooled grid at a time, both before q2, so
+    # at most one (n, d) projection sits next to y
     pkh, pvh = (
-        _split_heads(pool_grid(op, m, grid, pad_arg), h) for op, m in ((op_k, k2), (op_v, v2))
+        _split_heads(
+            pool_grid(PoolingOp(config.pooling_kind, w_p), _unpooled(src, pair), grid, pad_arg), h
+        )
+        for pair, w_p in zip(kv, (params.w_p_key, params.w_p_value))
     )
+    q2h = project_heads(src, w_q, b_q, h)
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad)
     z, counts, blocks = _banded_attention(q2h, pkh, pvh, band, config, retain)
     degenerate = pad & (counts == 0)
@@ -445,7 +463,7 @@ def second_level_forward(
             "overflow float64"
         )
     trace = SecondLevelTrace(
-        batch, params, config, src, q2h, k2, v2, grid, pkh, pvh,
+        batch, params, config, src, q2h, grid, pkh, pvh,
         z, counts, degenerate, blocks if retain else None, pad_arg,
     )
     return z, trace
@@ -462,14 +480,16 @@ def layer_forward(
 
     With ``retain=False`` nothing reads a level's projections again once it is
     done, so the trace drops them: the first level's before the second level
-    runs, the second level's (and its pooled grids) before the sum.
+    runs, the second level's q2 and pooled grids before the sum.  Neither
+    setting keeps the second level's unpooled keys and values; the trace's
+    ``second.k2`` and ``second.v2`` re-project them when read.
     """
     y, first = first_level_forward(batch, params, config, retain=retain)
     if not retain:
         first.qh = first.kh = first.vh = None
     z, second = second_level_forward(batch, y, params, config, retain=retain)
     if not retain:
-        second.q2h = second.k2 = second.v2 = second.pooled_kh = second.pooled_vh = None
+        second.q2h = second.pooled_kh = second.pooled_vh = None
     final = y + z
     return final, AttentionTrace(first, second, final)
 
@@ -501,9 +521,9 @@ def _attention_backward(
 
     Reads the (rows, d) upstream through a head-split view, without a copy,
     and returns ``[d_qh, d_kh, d_vh]``, each head-split like its input, as a
-    list that ``_projection_backward`` consumes.  Each block's probabilities
-    are replayed from its row statistics, and all heads go through one
-    batched matmul per product, as in the forward.
+    list whose items ``_projection_backward`` consumes one at a time.  Each
+    block's probabilities are replayed from its row statistics, and all heads
+    go through one batched matmul per product, as in the forward.
     """
     blocks = _require_blocks(blocks)
     alpha = config.alpha()
@@ -525,20 +545,21 @@ def _attention_backward(
 
 
 def _projection_backward(
-    source: np.ndarray, triple: ProjectionTriple, d_qkv: list[np.ndarray]
+    source: np.ndarray, triple: ProjectionTriple, d_qkv: Iterator[np.ndarray]
 ) -> tuple[np.ndarray, ProjectionTriple]:
     """Backward of the q/k/v projections of ``source``: returns (d_source, gradient triple).
 
-    ``d_qkv`` holds the head-split (heads, n, d/heads) gradients of q, k and
-    v, in that order; the head count may differ between them.  The list is
-    consumed: each gradient is taken out, merged into (n, d) rows, and dropped
-    once its weight and bias gradients and its ``g @ w`` term are taken, so
-    one merged gradient is alive at a time.  The terms are added in q, k, v
-    order, as in ``d_q @ w_q + d_k @ w_k + d_v @ w_v``.
+    ``d_qkv`` yields the head-split (heads, n, d/heads) gradients of q, k and
+    v, in that order; the head count may differ between them.  Each gradient
+    is merged into (n, d) rows and dropped once its weight and bias gradients
+    and its ``g @ w`` term are taken, before the next is drawn, so one merged
+    gradient is alive at a time if the iterator keeps none of what it
+    yielded.  The terms are added in q, k, v order, as in
+    ``d_q @ w_q + d_k @ w_k + d_v @ w_v``.
     """
     grads, d_source = [], None
     for w in (triple.w_q, triple.w_k, triple.w_v):
-        g = _merge_heads(d_qkv.pop(0))
+        g = _merge_heads(next(d_qkv))
         grads += [g.T @ source, g.sum(axis=0)]
         if d_source is None:
             d_source = g @ w
@@ -550,7 +571,9 @@ def _projection_backward(
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
     d_qkv = _attention_backward(ft.blocks, d_y, ft.qh, ft.kh, ft.vh, ft.config)
-    return _projection_backward(ft.batch.embeddings, ft.params.first, d_qkv)
+    # popped, not iterated: a list iterator would keep all three alive
+    drained = (d_qkv.pop(0) for _ in range(3))
+    return _projection_backward(ft.batch.embeddings, ft.params.first, drained)
 
 
 def _second_backward(
@@ -559,14 +582,22 @@ def _second_backward(
     config = st.config
     d_qkv = _attention_backward(st.blocks, d_z, st.q2h, st.pooled_kh, st.pooled_vh, config)
     d_wp = []
-    for i, w_p, unpooled in ((1, st.params.w_p_key, st.k2), (2, st.params.w_p_value, st.v2)):
-        op = PoolingOp(config.pooling_kind, w_p)
-        d_unpooled, d_w = pool_grid_backward(
-            op, unpooled, st.grid, st._pad_arg, _merge_heads(d_qkv[i])
-        )
-        d_qkv[i] = d_unpooled[None]  # k2 and v2 are projected as one head
-        d_wp.append(d_w)
-    d_src, grads = _projection_backward(st.source, st.params.second, d_qkv)
+
+    def d_projections() -> Iterator[np.ndarray]:
+        # the q gradient, then each unpooled gradient in turn; an unpooled grid
+        # is re-projected only for its own pooling backward
+        yield d_qkv.pop(0)
+        _, *kv = st.params.second.pairs()
+        for pair, w_p in zip(kv, (st.params.w_p_key, st.params.w_p_value)):
+            d_unpooled, d_w = pool_grid_backward(
+                PoolingOp(config.pooling_kind, w_p), _unpooled(st.source, pair), st.grid,
+                st._pad_arg, _merge_heads(d_qkv.pop(0)),
+            )
+            d_wp.append(d_w)
+            yield d_unpooled[None]  # k2 and v2 are projected as one head
+            del d_unpooled  # consumed; free it before the next grid is projected
+
+    d_src, grads = _projection_backward(st.source, st.params.second, d_projections())
     return d_src, grads, *d_wp
 
 

@@ -194,13 +194,17 @@ def estimate_peak_bytes(
     windowed patterns hold O(n * d) arrays plus the transient buffers of one
     row block at a time, sized by the block's key union (window or segment
     union, or all n keys for the global rows).  The first level holds its
-    head-split q, k, v and its output y.  The second level runs after those
-    are freed and holds y, its head-split q2, the unpooled k2 and v2, the two
-    pooled grids and its output z; the peak is the larger of the two levels.
-    Per-token counts and the one-byte-per-entry finiteness check of each
-    level's output are included; fixed per-call overheads are not, so below
-    a few thousand tokens the estimate can fall a few percent short.
-    Blocks are the layer's own ``block_rows(n, w1)`` rows.
+    head-split q, k, v and either the global rows' full-width block, which
+    runs before y exists, or y, its counts and one banded row block.  The
+    second level runs after q, k and v are freed.  While it pools it holds y,
+    one unpooled key or value grid and the pooled grids; then y, its
+    head-split q2, the pooled grids, its output z and one row block.  The
+    latter holds one (n, d) array more than the former, so it is the second
+    level's peak, and the layer's is the larger of the two levels'.  Per-token
+    counts and the one-byte-per-entry finiteness check of each level's output
+    are included; fixed per-call overheads are not, so below a few thousand
+    tokens the estimate can fall a few percent short.  Blocks are the layer's
+    own ``block_rows(n, w1)`` rows.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"pattern must be one of {PATTERNS}")
@@ -216,10 +220,10 @@ def estimate_peak_bytes(
     u1 = min(n, b + 2 * w1) + n_global
     # a block with globals outside its union copies its keys and values
     block1 = block_floats(b, u1) + (2 * u1 * d_model if n_global else 0)
-    first = 4 * nd + n + max(block1, block_floats(n_global, n))
+    first = 3 * nd + max(block_floats(n_global, n), nd + n + block1)
     if pattern == "single_window":
         return 8 * first + nd
     n_seg = -(-n // xi)
     u2 = min(n_seg, (b + 2 * w2) // max(xi, 1) + 2)
-    second = 5 * nd + 2 * n_seg * d_model + 3 * n_seg + 2 * n + block_floats(b, u2)
+    second = 3 * nd + 2 * n_seg * d_model + 3 * n_seg + 2 * n + block_floats(b, u2)
     return 8 * max(first, second) + nd

@@ -679,7 +679,7 @@ class TestHeadSplitTrace:
         fresh = (*project_qkv(batch.embeddings, params.first), q2, k2, v2, *pooled)
         for got, want in zip(views, fresh):
             np.testing.assert_array_equal(got, want)
-        for view in (first.q, first.k, first.v, second.q2, second.pooled_k, second.pooled_v):
+        for view in views:
             assert not view.flags.writeable
 
     def test_layer_trace_without_retain_drops_projections(self):
@@ -689,10 +689,32 @@ class TestHeadSplitTrace:
                             ("second", "q2"), ("second", "pooled_k"), ("second", "pooled_v")]:
             with pytest.raises(ValueError, match=r"retain=False"):
                 getattr(getattr(trace, level), name)
-        assert trace.second.k2 is None and trace.second.v2 is None
+        # the unpooled keys and values are re-projected from the kept source
+        _, k2, v2 = project_qkv(trace.second.source, params.second)
+        for view, want in ((trace.second.k2, k2), (trace.second.v2, v2)):
+            np.testing.assert_array_equal(view, want)
+            assert not view.flags.writeable
         _, kept = layer_forward(batch, params, cfg, retain=True)
         assert kept.first.q.shape == (batch.n, cfg.d_model)
         assert kept.second.pooled_v.shape == (len(kept.second.grid), cfg.d_model)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_retained_trace_holds_no_unpooled_projection(self, case):
+        """A retained second level holds q2, the pooled grids, z, counts and block statistics.
+
+        Its unpooled keys and values are re-projected from ``source`` when read,
+        never kept (the batch, the parameters and ``source`` are the caller's).
+        """
+        cfg, batch, params = self._inputs(case)
+        _, trace = layer_forward(batch, params, cfg)
+        st, n = trace.second, batch.n
+        skip = {id(st.batch), id(st.params), id(st.source), id(batch.pad_mask)}
+        held = sum(a.nbytes for a in _reachable_arrays(st, "second", skip).values())
+        design = sum(a.nbytes for a in (st.q2h, st.pooled_kh, st.pooled_vh, st.z, st.counts,
+                                        st.degenerate))
+        design += 2 * 8 * cfg.n_heads * (n + block_rows(n, cfg.w1))  # row maxima and denominators
+        design += 3 * 8 * len(st.grid)  # segment starts, lengths and centers
+        assert held <= design, f"held {held} bytes, design {design}"
 
 
 def _reachable_arrays(obj, path: str, seen: set | None = None) -> dict[str, np.ndarray]:
