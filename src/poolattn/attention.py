@@ -12,22 +12,25 @@ projected straight into head-split (n_heads, n, d/h) form
 heads are merged into (n, d) rows only in each level's output and where a
 projection's backward needs them.  The second level's unpooled keys and
 values are (n, d), the layout pooling reads, and live one at a time: each is
-projected, pooled and dropped before the next, and the backward re-projects
-each only for its own pooling backward.
+projected, pooled and dropped before the next.
 
-Traces keep the head-split arrays (their ``q``, ``pooled_k``, ... attributes
-are read-only (rows, d) copies merged on access, ``k2`` and ``v2`` read-only
-re-projections) and, per block, its rows, key columns, and the softmax row
-maximum and denominator (two floats per head and row), never the mask or the
-probabilities.  The backward pass rebuilds each block's mask from its level's
-per-row bounds and replays its probabilities with the forward's own
-operations, so both are bitwise the forward's; every gradient is exact
-reverse-mode, with shared projections accumulating both levels'
-contributions.  A training step holds the trace plus one level's gradients:
-each projection's gradient is merged, used and dropped in turn.  On the
-``train_ldconv`` benchmark step (n = 8192) the tracemalloc peak is 55.8 MiB,
-of which the trace and output are 31.7 MiB.  All computations are pure
-functions of (batch, params, config), single-threaded, and deterministic.
+Traces keep each level's output and counts and, per block, its rows, key
+columns and softmax row maximum and denominator (two floats per head and
+row), never a projection, a mask or the probabilities.  One function per
+level (``_first_inputs``, ``_second_inputs``) builds the level's inputs from
+the trace's batch, params and second-level source, and the forward, the
+read-only views (``q``, ``pooled_k``, ...), ``attention_rows`` and the
+backward all call it, so every reader sees the forward's bits.  The backward
+rebuilds a level's inputs just before its attention backward and drops them
+after it, rebuilds each block's mask from the level's per-row bounds and
+replays its probabilities with the forward's own operations; every gradient
+is exact reverse-mode, shared projections accumulating both levels'
+contributions.  A training step holds the trace, one level's inputs and its
+gradients, each merged, used and dropped in turn: 49.8 MiB on the
+``train_ldconv`` benchmark step (n = 8192).  ``retain`` decides only whether
+a trace keeps the block statistics, without which ``layer_backward`` and
+``attention_rows`` raise.  All computations are pure functions of (batch,
+params, config), single-threaded, and deterministic.
 """
 
 from __future__ import annotations
@@ -216,13 +219,8 @@ def _replay_probs(b: _Block, qr: np.ndarray, kc: np.ndarray, alpha: float) -> np
     return probs
 
 
-def _merged(heads: np.ndarray | None, name: str) -> np.ndarray:
-    """A trace's head-split array as a read-only (rows, d) matrix."""
-    if heads is None:
-        raise ValueError(
-            f"layer_forward(retain=False) dropped the trace's {name}; "
-            "rerun the forward with retain=True"
-        )
+def _view(heads: np.ndarray) -> np.ndarray:
+    """A head-split array as a read-only (rows, d) matrix."""
     out = _merge_heads(heads)
     out.flags.writeable = False
     return out
@@ -235,68 +233,88 @@ def _unpooled(source: np.ndarray, pair: tuple[np.ndarray, np.ndarray]) -> np.nda
     return out
 
 
+def _first_inputs(batch: SequenceBatch, params: LayerParams, config: LayerConfig) -> tuple:
+    """The first level's head-split q, k and v: the embeddings through ``params.first``."""
+    x, h = batch.embeddings, config.n_heads
+    return tuple(project_heads(x, w, b, h) for w, b in params.first.pairs())
+
+
+def _second_inputs(
+    source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg
+) -> tuple:
+    """The second level's head-split q2 and pooled keys and values, built from ``source``.
+
+    Keys, then values, are projected, pooled and dropped before q2 is
+    projected, so at most one (n, d) projection sits next to ``source``.
+    """
+    h = config.n_heads
+    (w_q, b_q), *kv = params.second.pairs()
+    pkh, pvh = (
+        _split_heads(
+            pool_grid(PoolingOp(config.pooling_kind, w_p), _unpooled(source, pair), grid, pad_arg),
+            h,
+        )
+        for pair, w_p in zip(kv, (params.w_p_key, params.w_p_value))
+    )
+    return project_heads(source, w_q, b_q, h), pkh, pvh
+
+
 @dataclass
 class FirstLevelTrace:
-    """The first level's head-split projections, output, counts and blocks.
-
-    ``q``, ``k`` and ``v`` merge ``qh``, ``kh`` and ``vh`` into (n, d) on
-    access; ``layer_forward(retain=False)`` drops the head-split arrays (sets
-    them to None) once the first level is done.
-    """
+    """The first level's output, counts and blocks; ``q``, ``k``, ``v`` re-project on access."""
 
     batch: SequenceBatch
     params: LayerParams
     config: LayerConfig
-    qh: np.ndarray | None
-    kh: np.ndarray | None
-    vh: np.ndarray | None
     y: np.ndarray
     counts: np.ndarray
     blocks: list[_Block] | None  # the global rows' full-width block last
 
-    q = property(lambda self: _merged(self.qh, "first-level q"))
-    k = property(lambda self: _merged(self.kh, "first-level k"))
-    v = property(lambda self: _merged(self.vh, "first-level v"))
+    def _inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _first_inputs(self.batch, self.params, self.config)
+
+    q = property(lambda self: _view(self._inputs()[0]))
+    k = property(lambda self: _view(self._inputs()[1]))
+    v = property(lambda self: _view(self._inputs()[2]))
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token attention weights, ragged: token i -> (n_heads, |field(i)|)."""
-        return _ragged_rows(self.blocks, self.qh, self.kh, self.config)
+        blocks = _require_blocks(self.blocks, "first")
+        return _ragged_rows(blocks, *self._inputs()[:2], self.config)
 
 
 @dataclass
 class SecondLevelTrace:
-    """The second level's projections, pooled grids, output, counts and blocks.
+    """The second level's source, grid, output, counts and blocks.
 
-    ``q2``, ``pooled_k`` and ``pooled_v`` merge the head-split ``q2h``,
-    ``pooled_kh`` and ``pooled_vh`` into (rows, d) on access; the arrays are
-    None once ``layer_forward(retain=False)`` dropped them.  The unpooled
-    ``k2`` and ``v2`` are not kept: each access re-projects ``source``, so
-    they stay readable after ``retain=False``.
+    Every view re-projects ``source`` on access; ``k2`` and ``v2`` are its
+    unpooled keys and values.
     """
 
     batch: SequenceBatch
     params: LayerParams
     config: LayerConfig
     source: np.ndarray
-    q2h: np.ndarray | None
     grid: PooledGrid
-    pooled_kh: np.ndarray | None
-    pooled_vh: np.ndarray | None
     z: np.ndarray
     counts: np.ndarray
     degenerate: np.ndarray
     blocks: list[_Block] | None
     _pad_arg: np.ndarray | None
 
-    q2 = property(lambda self: _merged(self.q2h, "second-level q2"))
-    pooled_k = property(lambda self: _merged(self.pooled_kh, "pooled keys"))
-    pooled_v = property(lambda self: _merged(self.pooled_vh, "pooled values"))
+    def _inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _second_inputs(self.source, self.params, self.config, self.grid, self._pad_arg)
+
+    q2 = property(lambda self: _view(self._inputs()[0]))
+    pooled_k = property(lambda self: _view(self._inputs()[1]))
+    pooled_v = property(lambda self: _view(self._inputs()[2]))
     k2 = property(lambda self: _unpooled(self.source, self.params.second.pairs()[1]))
     v2 = property(lambda self: _unpooled(self.source, self.params.second.pairs()[2]))
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
-        return _ragged_rows(self.blocks, self.q2h, self.pooled_kh, self.config)
+        blocks = _require_blocks(self.blocks, "second")
+        return _ragged_rows(blocks, *self._inputs()[:2], self.config)
 
 
 @dataclass
@@ -336,16 +354,16 @@ class AttentionTrace:
         return self.second.degenerate
 
 
-def _require_blocks(blocks):
+def _require_blocks(blocks: list[_Block] | None, level: str) -> list[_Block]:
     if blocks is None:
-        raise ValueError("trace was built with retain=False; rerun the forward with retain=True")
+        raise ValueError(f"the {level} level's trace was built with retain=False and "
+                         "holds no block statistics; rerun the forward with retain=True")
     return blocks
 
 
 def _ragged_rows(
-    blocks: list[_Block] | None, qh: np.ndarray, kh: np.ndarray, config: LayerConfig
+    blocks: list[_Block], qh: np.ndarray, kh: np.ndarray, config: LayerConfig
 ) -> list[np.ndarray]:
-    blocks = _require_blocks(blocks)
     tokens = np.arange(qh.shape[1])
     out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * qh.shape[1]
     for b in blocks:
@@ -377,7 +395,7 @@ def first_level_forward(
         raise ValueError("sequence must have at least one token")
     if d != config.d_model:
         raise ValueError(f"batch dimension {d} does not match config d_model {config.d_model}")
-    qh, kh, vh = (project_heads(x, w, b, config.n_heads) for w, b in params.first.pairs())
+    qh, kh, vh = _first_inputs(batch, params, config)
     g = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
     is_global[g] = True
@@ -412,9 +430,7 @@ def first_level_forward(
             "first_level_forward: non-finite output; the scaled query-key scores "
             "overflow float64"
         )
-    return y, FirstLevelTrace(
-        batch, params, config, qh, kh, vh, y, counts, blocks if retain else None
-    )
+    return y, FirstLevelTrace(batch, params, config, y, counts, blocks if retain else None)
 
 
 def second_level_forward(
@@ -439,20 +455,10 @@ def second_level_forward(
     if y.shape != (n, d):
         raise ValueError(f"y must be ({n}, {d}), got {y.shape}")
     src = batch.embeddings if config.mix else y
-    h = config.n_heads
     pad = batch.pad_mask
     pad_arg = None if pad.all() else pad
     grid = build_pooled_grid(n, config.kappa, config.xi, pad_arg)
-    (w_q, b_q), *kv = params.second.pairs()
-    # project, pool and drop one unpooled grid at a time, both before q2, so
-    # at most one (n, d) projection sits next to y
-    pkh, pvh = (
-        _split_heads(
-            pool_grid(PoolingOp(config.pooling_kind, w_p), _unpooled(src, pair), grid, pad_arg), h
-        )
-        for pair, w_p in zip(kv, (params.w_p_key, params.w_p_value))
-    )
-    q2h = project_heads(src, w_q, b_q, h)
+    q2h, pkh, pvh = _second_inputs(src, params, config, grid, pad_arg)
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad)
     z, counts, blocks = _banded_attention(q2h, pkh, pvh, band, config, retain)
     degenerate = pad & (counts == 0)
@@ -463,8 +469,8 @@ def second_level_forward(
             "overflow float64"
         )
     trace = SecondLevelTrace(
-        batch, params, config, src, q2h, grid, pkh, pvh,
-        z, counts, degenerate, blocks if retain else None, pad_arg,
+        batch, params, config, src, grid, z, counts, degenerate,
+        blocks if retain else None, pad_arg,
     )
     return z, trace
 
@@ -478,18 +484,10 @@ def layer_forward(
 ) -> tuple[np.ndarray, AttentionTrace]:
     """Full layer: first level, second level, residual sum of the two outputs.
 
-    With ``retain=False`` nothing reads a level's projections again once it is
-    done, so the trace drops them: the first level's before the second level
-    runs, the second level's q2 and pooled grids before the sum.  Neither
-    setting keeps the second level's unpooled keys and values; the trace's
-    ``second.k2`` and ``second.v2`` re-project them when read.
+    Each level frees its projections and pooled grids when it returns.
     """
     y, first = first_level_forward(batch, params, config, retain=retain)
-    if not retain:
-        first.qh = first.kh = first.vh = None
     z, second = second_level_forward(batch, y, params, config, retain=retain)
-    if not retain:
-        second.q2h = second.pooled_kh = second.pooled_vh = None
     final = y + z
     return final, AttentionTrace(first, second, final)
 
@@ -510,7 +508,7 @@ class LayerGrads:
 
 
 def _attention_backward(
-    blocks: list[_Block] | None,
+    blocks: list[_Block],
     upstream: np.ndarray,
     qh: np.ndarray,
     kh: np.ndarray,
@@ -525,7 +523,6 @@ def _attention_backward(
     block's probabilities are replayed from its row statistics, and all heads
     go through one batched matmul per product, as in the forward.
     """
-    blocks = _require_blocks(blocks)
     alpha = config.alpha()
     n, d = upstream.shape
     uh = upstream.reshape(n, config.n_heads, d // config.n_heads).transpose(1, 0, 2)
@@ -570,7 +567,7 @@ def _projection_backward(
 
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    d_qkv = _attention_backward(ft.blocks, d_y, ft.qh, ft.kh, ft.vh, ft.config)
+    d_qkv = _attention_backward(ft.blocks, d_y, *ft._inputs(), ft.config)
     # popped, not iterated: a list iterator would keep all three alive
     drained = (d_qkv.pop(0) for _ in range(3))
     return _projection_backward(ft.batch.embeddings, ft.params.first, drained)
@@ -580,7 +577,7 @@ def _second_backward(
     st: SecondLevelTrace, d_z: np.ndarray
 ) -> tuple[np.ndarray, ProjectionTriple, np.ndarray | None, np.ndarray | None]:
     config = st.config
-    d_qkv = _attention_backward(st.blocks, d_z, st.q2h, st.pooled_kh, st.pooled_vh, config)
+    d_qkv = _attention_backward(st.blocks, d_z, *st._inputs(), config)
     d_wp = []
 
     def d_projections() -> Iterator[np.ndarray]:
@@ -610,6 +607,8 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
     Neither the trace nor ``upstream`` is modified.
     """
     ft, st = trace.first, trace.second
+    for level, lt in (("first", ft), ("second", st)):
+        _require_blocks(lt.blocks, level)
     config, batch = ft.config, ft.batch
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != trace.final.shape:

@@ -188,10 +188,11 @@ def estimate_peak_bytes(
     xi: int = 1,
     n_global: int = 0,
 ) -> int:
-    """Analytic peak live bytes of one ``retain=False`` forward pass.
+    """Analytic peak live bytes of one forward pass, with either ``retain`` setting.
 
-    Dense holds two n-by-n score-sized matrices plus projections.  The
-    windowed patterns hold O(n * d) arrays plus the transient buffers of one
+    Left out are the block statistics a ``retain=True`` trace keeps.  Dense
+    holds two n-by-n score-sized matrices plus projections.  The windowed
+    patterns hold O(n * d) arrays plus the transient buffers of one
     row block at a time, sized by the block's key union (window or segment
     union, or all n keys for the global rows).  The first level holds its
     head-split q, k, v and either the global rows' full-width block, which

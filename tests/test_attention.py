@@ -5,6 +5,7 @@ import pytest
 
 import poolattn.attention as attention
 from poolattn.attention import (
+    AttentionTrace,
     _masked_scores,
     _merge_heads,
     _replay_probs,
@@ -362,13 +363,23 @@ class TestLayerBackward:
                     grads.embeddings):
             np.testing.assert_array_equal(arr, 0.0)
 
-    def test_requires_retained_trace(self):
+    def test_requires_retained_trace(self, monkeypatch):
         cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
         batch = synth_batch(8, 4, seed=45)
         params = init_params(cfg, 46)
-        _, trace = layer_forward(batch, params, cfg, retain=False)
-        with pytest.raises(ValueError, match="retain"):
-            layer_backward(trace, np.zeros((8, 4)))
+        _, dropped = layer_forward(batch, params, cfg, retain=False)
+        y, first = first_level_forward(batch, params, cfg)
+        _, second = second_level_forward(batch, y, params, cfg, retain=False)
+        half = AttentionTrace(first, second, dropped.final)
+
+        def refused(*args):
+            raise AssertionError("re-projected before checking for block statistics")
+
+        # the check comes before any level's inputs are rebuilt
+        monkeypatch.setattr(attention, "project_heads", refused)
+        for trace, level in ((dropped, "first"), (half, "second")):
+            with pytest.raises(ValueError, match=rf"the {level} level's trace .* retain=False"):
+                layer_backward(trace, np.zeros((8, 4)))
 
     def test_upstream_shape_checked(self):
         cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
@@ -614,12 +625,10 @@ class TestStatsOnlyTrace:
     @pytest.mark.parametrize("level", ["first", "second"])
     def test_replayed_probabilities_reproduce_forward_bitwise(self, level):
         trace = self._trace(200)
-        if level == "first":
-            ft = trace.first
-            blocks, qh, kh, vh, out = ft.blocks, ft.qh, ft.kh, ft.vh, ft.y
-        else:
-            st = trace.second
-            blocks, qh, kh, vh, out = st.blocks, st.q2h, st.pooled_kh, st.pooled_vh, st.z
+        lt = getattr(trace, level)
+        # the inputs each level's backward rebuilds from what the trace holds
+        qh, kh, vh = lt._inputs()
+        blocks, out = lt.blocks, trace.y if level == "first" else trace.z
         replayed = np.zeros_like(out)
         for b in blocks:
             probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], self.CFG.alpha())
@@ -628,7 +637,7 @@ class TestStatsOnlyTrace:
 
 
 class TestHeadSplitTrace:
-    """Projections go straight into heads; trace attributes merge them back on access.
+    """Projections go straight into heads; trace views re-project and merge them on access.
 
     Equality of a head's column block with the full product is BLAS
     behaviour: OpenBLAS's small-matrix kernel breaks it in the last bit for
@@ -666,8 +675,8 @@ class TestHeadSplitTrace:
     @pytest.mark.parametrize("case", CASES)
     def test_trace_views_equal_fresh_stages_bitwise(self, case, retain):
         cfg, batch, params = self._inputs(case)
-        y, first = first_level_forward(batch, params, cfg, retain=retain)
-        _, second = second_level_forward(batch, y, params, cfg, retain=retain)
+        _, trace = layer_forward(batch, params, cfg, retain=retain)
+        first, second, y = trace.first, trace.second, trace.y
         pad_arg = None if batch.pad_mask.all() else batch.pad_mask
         src = batch.embeddings if cfg.mix else y
         q2, k2, v2 = project_qkv(src, params.second)
@@ -682,38 +691,25 @@ class TestHeadSplitTrace:
         for view in views:
             assert not view.flags.writeable
 
-    def test_layer_trace_without_retain_drops_projections(self):
-        cfg, batch, params = self._inputs("padded_mix")
-        _, trace = layer_forward(batch, params, cfg, retain=False)
-        for level, name in [("first", "q"), ("first", "k"), ("first", "v"),
-                            ("second", "q2"), ("second", "pooled_k"), ("second", "pooled_v")]:
-            with pytest.raises(ValueError, match=r"retain=False"):
-                getattr(getattr(trace, level), name)
-        # the unpooled keys and values are re-projected from the kept source
-        _, k2, v2 = project_qkv(trace.second.source, params.second)
-        for view, want in ((trace.second.k2, k2), (trace.second.v2, v2)):
-            np.testing.assert_array_equal(view, want)
-            assert not view.flags.writeable
-        _, kept = layer_forward(batch, params, cfg, retain=True)
-        assert kept.first.q.shape == (batch.n, cfg.d_model)
-        assert kept.second.pooled_v.shape == (len(kept.second.grid), cfg.d_model)
-
     @pytest.mark.parametrize("case", CASES)
-    def test_retained_trace_holds_no_unpooled_projection(self, case):
-        """A retained second level holds q2, the pooled grids, z, counts and block statistics.
+    def test_trace_holds_no_projection(self, case):
+        """A retained trace holds y, z, the output, counts, block statistics and the grid.
 
-        Its unpooled keys and values are re-projected from ``source`` when read,
-        never kept (the batch, the parameters and ``source`` are the caller's).
+        No projection or pooled grid is kept: every reader re-projects from the
+        batch, the parameters and ``source`` (the embeddings, or y).
         """
         cfg, batch, params = self._inputs(case)
         _, trace = layer_forward(batch, params, cfg)
-        st, n = trace.second, batch.n
-        skip = {id(st.batch), id(st.params), id(st.source), id(batch.pad_mask)}
-        held = sum(a.nbytes for a in _reachable_arrays(st, "second", skip).values())
-        design = sum(a.nbytes for a in (st.q2h, st.pooled_kh, st.pooled_vh, st.z, st.counts,
-                                        st.degenerate))
-        design += 2 * 8 * cfg.n_heads * (n + block_rows(n, cfg.w1))  # row maxima and denominators
-        design += 3 * 8 * len(st.grid)  # segment starts, lengths and centers
+        n, g = batch.n, len(batch.global_set)
+        skip = {id(batch), id(params), id(batch.embeddings), id(batch.pad_mask)}
+        held = sum(a.nbytes for a in _reachable_arrays(trace, "trace", skip).values())
+        design = sum(a.nbytes for a in (trace.y, trace.z, trace.final))
+        design += 2 * 8 * n + n  # counts of both levels and the degenerate flags
+        # row maxima and denominators of both levels, plus the global rows' block
+        design += 2 * 2 * 8 * cfg.n_heads * (n + block_rows(n, cfg.w1))
+        design += 8 * (-(-n // block_rows(n, cfg.w1)) * g + g)  # out-of-union global columns
+        design += 2 * n  # the first level's row validity and global flags
+        design += 3 * 8 * len(trace.second.grid)  # segment starts, lengths and centers
         assert held <= design, f"held {held} bytes, design {design}"
 
 
@@ -766,7 +762,13 @@ class TestBackwardPurity:
         upstream = symmetric_uniform(97, batch.n * cfg.d_model).reshape(batch.n, cfg.d_model)
         arrays = _reachable_arrays(trace, "trace")
         arrays["upstream"] = upstream
-        assert {"trace.final", "trace.first.qh", "trace.second.pooled_vh"} <= arrays.keys()
+        # what the trace holds, by field; nothing the backward rebuilds
+        fields = {".".join(key.split(".")[:3]) for key in arrays}
+        assert fields == {
+            "trace.first.batch", "trace.first.params", "trace.first.y", "trace.first.counts",
+            "trace.first.blocks", "trace.second.grid", "trace.second.z", "trace.second.counts",
+            "trace.second.degenerate", "trace.second.blocks", "trace.final", "upstream",
+        }
         before = {key: a.copy() for key, a in arrays.items()}
 
         grads = _reachable_arrays(layer_backward(trace, upstream), "grads")
