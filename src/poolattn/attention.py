@@ -17,20 +17,23 @@ projected, pooled and dropped before the next.
 Traces keep each level's output and counts and, per block, its rows, key
 columns and softmax row maximum and denominator (two floats per head and
 row), never a projection, a mask or the probabilities.  One function per
-level (``_first_inputs``, ``_second_inputs``) builds the level's inputs from
-the trace's batch, params and second-level source, and the forward, the
-read-only views (``q``, ``pooled_k``, ...), ``attention_rows`` and the
-backward all call it, so every reader sees the forward's bits.  The backward
-rebuilds a level's inputs just before its attention backward and drops them
-after it, rebuilds each block's mask from the level's per-row bounds and
-replays its probabilities with the forward's own operations; every gradient
-is exact reverse-mode, shared projections accumulating both levels'
-contributions.  A training step holds the trace, one level's inputs and its
-gradients, each merged, used and dropped in turn: 49.8 MiB on the
-``train_ldconv`` benchmark step (n = 8192).  ``retain`` decides only whether
-a trace keeps the block statistics, without which ``layer_backward`` and
-``attention_rows`` raise.  All computations are pure functions of (batch,
-params, config), single-threaded, and deterministic.
+level (``_first_input``, ``_second_input``) builds any one of the level's
+inputs from the trace's batch, params and second-level source with the
+forward's own code: the forwards build all three with it, the backward just
+before the level's attention backward, dropping them after it, and each
+read-only view (``q``, ``pooled_k``, ...) and ``attention_rows`` only what
+they read, so every reader sees the forward's bits.  The second level's
+backward keeps the unpooled keys and values it pools (``_pooled_heads``)
+until their pooling backwards.  The backward rebuilds each block's mask from
+the level's per-row bounds and replays its probabilities with the forward's
+own operations; every gradient is exact reverse-mode, shared projections
+accumulating both levels' contributions.  A training step holds the trace,
+one level's inputs and its gradients, each merged, used and dropped in turn:
+49.8 MiB on the ``train_ldconv`` benchmark step (n = 8192).  Every trace
+keeps its statistics, so every trace can be differentiated; the forwards'
+``retain`` keyword is accepted for existing callers and has no effect.  All
+computations are pure functions of (batch, params, config), single-threaded,
+and deterministic.
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def _block_attention(
 
 def _banded_attention(
     qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, band: _Band,
-    config: LayerConfig, retain: bool,
+    config: LayerConfig,
 ) -> tuple[np.ndarray, np.ndarray, list[_Block]]:
     """Attention of every row under ``band``, one block of consecutive rows at a time.
 
@@ -205,8 +208,7 @@ def _banded_attention(
             continue
         b, o, counts[s:e] = _block_attention(qh, kh, vh, band, slice(s, e), cols, alpha)
         out[s:e] = _merge_heads(o)
-        if retain:
-            blocks.append(b)
+        blocks.append(b)
     return out, counts, blocks
 
 
@@ -233,30 +235,31 @@ def _unpooled(source: np.ndarray, pair: tuple[np.ndarray, np.ndarray]) -> np.nda
     return out
 
 
-def _first_inputs(batch: SequenceBatch, params: LayerParams, config: LayerConfig) -> tuple:
-    """The first level's head-split q, k and v: the embeddings through ``params.first``."""
-    x, h = batch.embeddings, config.n_heads
-    return tuple(project_heads(x, w, b, h) for w, b in params.first.pairs())
+def _first_input(
+    batch: SequenceBatch, params: LayerParams, config: LayerConfig, i: int
+) -> np.ndarray:
+    """The first level's head-split q (i=0), k (1) or v (2): the embeddings projected."""
+    return project_heads(batch.embeddings, *params.first.pairs()[i], config.n_heads)
 
 
-def _second_inputs(
-    source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg
-) -> tuple:
-    """The second level's head-split q2 and pooled keys and values, built from ``source``.
+def _second_input(
+    source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg,
+    i: int,
+) -> np.ndarray:
+    """The second level's head-split q2 (i=0), pooled keys (1) or values (2) from ``source``."""
+    if i == 0:
+        return project_heads(source, *params.second.pairs()[0], config.n_heads)
+    unpooled = _unpooled(source, params.second.pairs()[i])
+    return _pooled_heads(unpooled, params, config, grid, pad_arg, i)
 
-    Keys, then values, are projected, pooled and dropped before q2 is
-    projected, so at most one (n, d) projection sits next to ``source``.
-    """
-    h = config.n_heads
-    (w_q, b_q), *kv = params.second.pairs()
-    pkh, pvh = (
-        _split_heads(
-            pool_grid(PoolingOp(config.pooling_kind, w_p), _unpooled(source, pair), grid, pad_arg),
-            h,
-        )
-        for pair, w_p in zip(kv, (params.w_p_key, params.w_p_value))
-    )
-    return project_heads(source, w_q, b_q, h), pkh, pvh
+
+def _pooled_heads(
+    unpooled: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg,
+    i: int,
+) -> np.ndarray:
+    """Unpooled keys (i=1) or values (2) pooled over ``grid`` and split into heads."""
+    op = PoolingOp(config.pooling_kind, (params.w_p_key, params.w_p_value)[i - 1])
+    return _split_heads(pool_grid(op, unpooled, grid, pad_arg), config.n_heads)
 
 
 @dataclass
@@ -268,19 +271,18 @@ class FirstLevelTrace:
     config: LayerConfig
     y: np.ndarray
     counts: np.ndarray
-    blocks: list[_Block] | None  # the global rows' full-width block last
+    blocks: list[_Block]  # the global rows' full-width block last
 
-    def _inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _first_inputs(self.batch, self.params, self.config)
+    def _input(self, i: int) -> np.ndarray:
+        return _first_input(self.batch, self.params, self.config, i)
 
-    q = property(lambda self: _view(self._inputs()[0]))
-    k = property(lambda self: _view(self._inputs()[1]))
-    v = property(lambda self: _view(self._inputs()[2]))
+    q = property(lambda self: _view(self._input(0)))
+    k = property(lambda self: _view(self._input(1)))
+    v = property(lambda self: _view(self._input(2)))
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token attention weights, ragged: token i -> (n_heads, |field(i)|)."""
-        blocks = _require_blocks(self.blocks, "first")
-        return _ragged_rows(blocks, *self._inputs()[:2], self.config)
+        return _ragged_rows(self.blocks, self._input(0), self._input(1), self.config)
 
 
 @dataclass
@@ -299,22 +301,21 @@ class SecondLevelTrace:
     z: np.ndarray
     counts: np.ndarray
     degenerate: np.ndarray
-    blocks: list[_Block] | None
+    blocks: list[_Block]
     _pad_arg: np.ndarray | None
 
-    def _inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _second_inputs(self.source, self.params, self.config, self.grid, self._pad_arg)
+    def _input(self, i: int) -> np.ndarray:
+        return _second_input(self.source, self.params, self.config, self.grid, self._pad_arg, i)
 
-    q2 = property(lambda self: _view(self._inputs()[0]))
-    pooled_k = property(lambda self: _view(self._inputs()[1]))
-    pooled_v = property(lambda self: _view(self._inputs()[2]))
+    q2 = property(lambda self: _view(self._input(0)))
+    pooled_k = property(lambda self: _view(self._input(1)))
+    pooled_v = property(lambda self: _view(self._input(2)))
     k2 = property(lambda self: _unpooled(self.source, self.params.second.pairs()[1]))
     v2 = property(lambda self: _unpooled(self.source, self.params.second.pairs()[2]))
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
-        blocks = _require_blocks(self.blocks, "second")
-        return _ragged_rows(blocks, *self._inputs()[:2], self.config)
+        return _ragged_rows(self.blocks, self._input(0), self._input(1), self.config)
 
 
 @dataclass
@@ -354,13 +355,6 @@ class AttentionTrace:
         return self.second.degenerate
 
 
-def _require_blocks(blocks: list[_Block] | None, level: str) -> list[_Block]:
-    if blocks is None:
-        raise ValueError(f"the {level} level's trace was built with retain=False and "
-                         "holds no block statistics; rerun the forward with retain=True")
-    return blocks
-
-
 def _ragged_rows(
     blocks: list[_Block], qh: np.ndarray, kh: np.ndarray, config: LayerConfig
 ) -> list[np.ndarray]:
@@ -395,7 +389,7 @@ def first_level_forward(
         raise ValueError("sequence must have at least one token")
     if d != config.d_model:
         raise ValueError(f"batch dimension {d} does not match config d_model {config.d_model}")
-    qh, kh, vh = _first_inputs(batch, params, config)
+    qh, kh, vh = (_first_input(batch, params, config, i) for i in range(3))
     g = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
     is_global[g] = True
@@ -410,7 +404,7 @@ def first_level_forward(
         partial(window_bounds, w=config.w1, n=n), row_ok=pad & ~is_global, key_ok=pad,
         extra=is_global if g.size else None,
     )
-    y, counts, blocks = _banded_attention(qh, kh, vh, band, config, retain)
+    y, counts, blocks = _banded_attention(qh, kh, vh, band, config)
     blind = band.row_ok & (counts == 0)
     if blind.any():
         raise ValueError(
@@ -421,8 +415,7 @@ def first_level_forward(
     if g.size:
         y[g] = _merge_heads(global_out)
         counts[g] = global_counts
-        if retain:
-            blocks.append(global_block)
+        blocks.append(global_block)
 
     y[~pad] = 0.0
     if not np.isfinite(y).all():
@@ -430,7 +423,7 @@ def first_level_forward(
             "first_level_forward: non-finite output; the scaled query-key scores "
             "overflow float64"
         )
-    return y, FirstLevelTrace(batch, params, config, y, counts, blocks if retain else None)
+    return y, FirstLevelTrace(batch, params, config, y, counts, blocks)
 
 
 def second_level_forward(
@@ -458,9 +451,13 @@ def second_level_forward(
     pad = batch.pad_mask
     pad_arg = None if pad.all() else pad
     grid = build_pooled_grid(n, config.kappa, config.xi, pad_arg)
-    q2h, pkh, pvh = _second_inputs(src, params, config, grid, pad_arg)
+    # keys, then values, are projected, pooled and dropped before q2 is
+    # projected, so at most one (n, d) projection sits next to ``src``
+    build = partial(_second_input, src, params, config, grid, pad_arg)
+    pkh, pvh = build(1), build(2)
+    q2h = build(0)
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad)
-    z, counts, blocks = _banded_attention(q2h, pkh, pvh, band, config, retain)
+    z, counts, blocks = _banded_attention(q2h, pkh, pvh, band, config)
     degenerate = pad & (counts == 0)
 
     if not np.isfinite(z).all():
@@ -468,11 +465,9 @@ def second_level_forward(
             "second_level_forward: non-finite output; the scaled query-segment scores "
             "overflow float64"
         )
-    trace = SecondLevelTrace(
-        batch, params, config, src, grid, z, counts, degenerate,
-        blocks if retain else None, pad_arg,
+    return z, SecondLevelTrace(
+        batch, params, config, src, grid, z, counts, degenerate, blocks, pad_arg
     )
-    return z, trace
 
 
 def layer_forward(
@@ -486,8 +481,8 @@ def layer_forward(
 
     Each level frees its projections and pooled grids when it returns.
     """
-    y, first = first_level_forward(batch, params, config, retain=retain)
-    z, second = second_level_forward(batch, y, params, config, retain=retain)
+    y, first = first_level_forward(batch, params, config)
+    z, second = second_level_forward(batch, y, params, config)
     final = y + z
     return final, AttentionTrace(first, second, final)
 
@@ -567,7 +562,7 @@ def _projection_backward(
 
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    d_qkv = _attention_backward(ft.blocks, d_y, *ft._inputs(), ft.config)
+    d_qkv = _attention_backward(ft.blocks, d_y, *map(ft._input, range(3)), ft.config)
     # popped, not iterated: a list iterator would keep all three alive
     drained = (d_qkv.pop(0) for _ in range(3))
     return _projection_backward(ft.batch.embeddings, ft.params.first, drained)
@@ -577,22 +572,26 @@ def _second_backward(
     st: SecondLevelTrace, d_z: np.ndarray
 ) -> tuple[np.ndarray, ProjectionTriple, np.ndarray | None, np.ndarray | None]:
     config = st.config
-    d_qkv = _attention_backward(st.blocks, d_z, *st._inputs(), config)
+    # kept for the pooling backwards: even with them, this attention backward
+    # holds fewer (n, d) arrays than the first level's
+    unpooled = [_unpooled(st.source, pair) for pair in st.params.second.pairs()[1:]]
+    pooled = [_pooled_heads(m, st.params, config, st.grid, st._pad_arg, i)
+              for i, m in enumerate(unpooled, 1)]
+    d_qkv = _attention_backward(st.blocks, d_z, st._input(0), *pooled, config)
+    del pooled
     d_wp = []
 
     def d_projections() -> Iterator[np.ndarray]:
-        # the q gradient, then each unpooled gradient in turn; an unpooled grid
-        # is re-projected only for its own pooling backward
+        # the q gradient, then each unpooled gradient in turn
         yield d_qkv.pop(0)
-        _, *kv = st.params.second.pairs()
-        for pair, w_p in zip(kv, (st.params.w_p_key, st.params.w_p_value)):
+        for w_p in (st.params.w_p_key, st.params.w_p_value):
             d_unpooled, d_w = pool_grid_backward(
-                PoolingOp(config.pooling_kind, w_p), _unpooled(st.source, pair), st.grid,
-                st._pad_arg, _merge_heads(d_qkv.pop(0)),
+                PoolingOp(config.pooling_kind, w_p), unpooled.pop(0), st.grid, st._pad_arg,
+                _merge_heads(d_qkv.pop(0)),
             )
             d_wp.append(d_w)
             yield d_unpooled[None]  # k2 and v2 are projected as one head
-            del d_unpooled  # consumed; free it before the next grid is projected
+            del d_unpooled  # consumed; free it before the next is taken
 
     d_src, grads = _projection_backward(st.source, st.params.second, d_projections())
     return d_src, grads, *d_wp
@@ -607,8 +606,6 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
     Neither the trace nor ``upstream`` is modified.
     """
     ft, st = trace.first, trace.second
-    for level, lt in (("first", ft), ("second", st)):
-        _require_blocks(lt.blocks, level)
     config, batch = ft.config, ft.batch
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != trace.final.shape:
@@ -659,7 +656,7 @@ def stack_forward(batch: SequenceBatch, layers, schedule) -> np.ndarray:
             raise ValueError(f"schedule mode must be one of {SCHEDULE_MODES}, got {mode!r}")
         current = SequenceBatch(x, batch.pad_mask, batch.global_set)
         if mode == "sliding_only":
-            x, _ = first_level_forward(current, params, config, retain=False)
+            x, _ = first_level_forward(current, params, config)
         else:
-            x, _ = layer_forward(current, params, config, retain=False)
+            x, _ = layer_forward(current, params, config)
     return x

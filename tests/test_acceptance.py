@@ -173,7 +173,7 @@ def test_complexity_counters_match_model_exactly():
         cfg = LayerConfig(d_model=4, n_heads=2, w1=w1, w2=w2, kappa=kappa, xi=xi)
         batch = synth_batch(n, 4, n + w1, g)
         params = init_params(cfg, n + w1 + 1)
-        _, trace = layer_forward(batch, params, cfg, retain=False)
+        _, trace = layer_forward(batch, params, cfg)
         measured = instrumented_report(
             "two_level", n, trace.first_counts, trace.second_counts,
             w1=w1, w2=w2, kappa=kappa, xi=xi, n_global=g,
@@ -189,7 +189,7 @@ def test_complexity_counters_match_model_exactly():
     cfg = LayerConfig()
     batch = synth_batch(4096, cfg.d_model, 7)
     params = init_params(cfg, 8)
-    _, trace = layer_forward(batch, params, cfg, retain=False)
+    _, trace = layer_forward(batch, params, cfg)
     assert trace.first_counts[514] + trace.second_counts[514] == expected
     print(f"\nPASS complexity counters: 20 exact configs; default interior token = {expected}")
 

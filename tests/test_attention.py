@@ -42,8 +42,8 @@ from poolattn.oracle import (
     literal_pooling_attention,
     mask_from_config,
 )
-from poolattn.pooling import PoolingOp, pool_grid
-from poolattn.windowing import build_pooled_grid, global_neighbor_set
+from poolattn.windowing import global_neighbor_set
+from trace_reference import fresh_stages, trace_views
 
 
 def windowed_reference(batch, params, config):
@@ -256,7 +256,7 @@ class TestLayerForward:
         cfg = LayerConfig()
         batch = synth_batch(4096, cfg.d_model, seed=29)
         params = init_params(cfg, 30)
-        out, trace = layer_forward(batch, params, cfg, retain=False)
+        out, trace = layer_forward(batch, params, cfg)
         assert out.shape == (4096, cfg.d_model)
         assert not trace.degenerate_second.any()
 
@@ -363,23 +363,22 @@ class TestLayerBackward:
                     grads.embeddings):
             np.testing.assert_array_equal(arr, 0.0)
 
-    def test_requires_retained_trace(self, monkeypatch):
+    def test_retain_has_no_effect(self):
+        """Every trace keeps its block statistics, so ``retain=False`` traces differentiate too."""
         cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
         batch = synth_batch(8, 4, seed=45)
         params = init_params(cfg, 46)
+        upstream = symmetric_uniform(45, 32).reshape(8, 4)
+        _, kept = layer_forward(batch, params, cfg)
         _, dropped = layer_forward(batch, params, cfg, retain=False)
         y, first = first_level_forward(batch, params, cfg)
         _, second = second_level_forward(batch, y, params, cfg, retain=False)
-        half = AttentionTrace(first, second, dropped.final)
-
-        def refused(*args):
-            raise AssertionError("re-projected before checking for block statistics")
-
-        # the check comes before any level's inputs are rebuilt
-        monkeypatch.setattr(attention, "project_heads", refused)
-        for trace, level in ((dropped, "first"), (half, "second")):
-            with pytest.raises(ValueError, match=rf"the {level} level's trace .* retain=False"):
-                layer_backward(trace, np.zeros((8, 4)))
+        held = _reachable_arrays(kept, "trace")
+        grads = _reachable_arrays(layer_backward(kept, upstream), "grads")
+        for trace in (dropped, AttentionTrace(first, second, dropped.final)):
+            _assert_bitwise_equal(_reachable_arrays(trace, "trace"), held)
+            got = _reachable_arrays(layer_backward(trace, upstream), "grads")
+            _assert_bitwise_equal(got, grads)
 
     def test_upstream_shape_checked(self):
         cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
@@ -405,9 +404,7 @@ class TestLayerBackward:
         emb_work = emb.copy()
 
         def loss(_):
-            out, _ = layer_forward(
-                SequenceBatch(emb_work, pad, (0,)), params, cfg, retain=False
-            )
+            out, _ = layer_forward(SequenceBatch(emb_work, pad, (0,)), params, cfg)
             return float(np.sum(upstream * out))
 
         fd = central_difference(lambda _: loss(None), emb_work)
@@ -627,7 +624,7 @@ class TestStatsOnlyTrace:
         trace = self._trace(200)
         lt = getattr(trace, level)
         # the inputs each level's backward rebuilds from what the trace holds
-        qh, kh, vh = lt._inputs()
+        qh, kh, vh = map(lt._input, range(3))
         blocks, out = lt.blocks, trace.y if level == "first" else trace.z
         replayed = np.zeros_like(out)
         for b in blocks:
@@ -676,24 +673,15 @@ class TestHeadSplitTrace:
     def test_trace_views_equal_fresh_stages_bitwise(self, case, retain):
         cfg, batch, params = self._inputs(case)
         _, trace = layer_forward(batch, params, cfg, retain=retain)
-        first, second, y = trace.first, trace.second, trace.y
-        pad_arg = None if batch.pad_mask.all() else batch.pad_mask
-        src = batch.embeddings if cfg.mix else y
-        q2, k2, v2 = project_qkv(src, params.second)
-        grid = build_pooled_grid(batch.n, cfg.kappa, cfg.xi, pad_arg)
-        pooled = [pool_grid(PoolingOp(cfg.pooling_kind, w), m, grid, pad_arg)
-                  for w, m in ((params.w_p_key, k2), (params.w_p_value, v2))]
-        views = (first.q, first.k, first.v, second.q2, second.k2, second.v2,
-                 second.pooled_k, second.pooled_v)
-        fresh = (*project_qkv(batch.embeddings, params.first), q2, k2, v2, *pooled)
-        for got, want in zip(views, fresh):
+        views = trace_views(trace)
+        for got, want in zip(views, fresh_stages(batch, params, cfg, trace.y)):
             np.testing.assert_array_equal(got, want)
         for view in views:
             assert not view.flags.writeable
 
     @pytest.mark.parametrize("case", CASES)
     def test_trace_holds_no_projection(self, case):
-        """A retained trace holds y, z, the output, counts, block statistics and the grid.
+        """A trace holds y, z, the output, counts, block statistics and the grid.
 
         No projection or pooled grid is kept: every reader re-projects from the
         batch, the parameters and ``source`` (the embeddings, or y).

@@ -30,8 +30,9 @@ from poolattn.harness import (
     symmetric_uniform,
 )
 from poolattn.oracle import literal_pooling_attention, mask_from_config, per_head_dense
-from poolattn.pooling import PoolingOp, pool_grid, pool_segment
+from poolattn.pooling import PoolingOp, pool_segment
 from poolattn.windowing import build_pooled_grid
+from trace_reference import fresh_stages, trace_views
 
 D, TOLERANCE = 4, 1e-12
 GRADCHECK_MAX_N = 12  # finite differences cost two forwards per entry
@@ -133,7 +134,7 @@ def _gradcheck(batch, params, cfg, trace) -> None:
 
     # central_difference perturbs each entry in place and restores it exactly
     def loss(_) -> float:
-        return float(np.sum(upstream * layer_forward(batch, params, cfg, retain=False)[0]))
+        return float(np.sum(upstream * layer_forward(batch, params, cfg)[0]))
 
     for name, target in (_named_arrays(params) | {"embeddings": batch.embeddings}).items():
         err = max_rel_error(grads[name], central_difference(loss, target))
@@ -142,17 +143,8 @@ def _gradcheck(batch, params, cfg, trace) -> None:
 
 def _check_views(batch, params, cfg, y) -> None:
     """A ``retain=False`` trace's views are bitwise the stages they stand for."""
-    _, dropped = layer_forward(batch, params, cfg, retain=False)
-    pad_arg = None if batch.pad_mask.all() else batch.pad_mask
-    q2, k2, v2 = project_qkv(batch.embeddings if cfg.mix else y, params.second)
-    grid = build_pooled_grid(batch.n, cfg.kappa, cfg.xi, pad_arg)
-    pooled = [pool_grid(PoolingOp(cfg.pooling_kind, w), m, grid, pad_arg)
-              for w, m in ((params.w_p_key, k2), (params.w_p_value, v2))]
-    first, second = dropped.first, dropped.second
-    views = (first.q, first.k, first.v, second.q2, second.k2, second.v2,
-             second.pooled_k, second.pooled_v)
-    fresh = (*project_qkv(batch.embeddings, params.first), q2, k2, v2, *pooled)
-    for got, want in zip(views, fresh):
+    _, trace = layer_forward(batch, params, cfg, retain=False)
+    for got, want in zip(trace_views(trace), fresh_stages(batch, params, cfg, y)):
         np.testing.assert_array_equal(got, want)
 
 
