@@ -6,13 +6,15 @@ banded driver (``_banded_attention``): each row sees an interval of keys
 level, the global columns.  Rows go in blocks whose size follows the
 first-level window (``block_rows``); each block scores its rows against the
 union of their intervals, masks per row, and runs a stable masked softmax.
-Global tokens get a separate full-width block.  Queries, keys and values are
-projected straight into head-split (n_heads, n, d/h) form
-(``core.project_heads``) and every head is attended by one batched matmul;
-heads are merged into (n, d) rows only in each level's output and where a
-projection's backward needs them.  The second level's unpooled keys and
-values are (n, d), the layout pooling reads, and live one at a time: each is
-projected, pooled and dropped before the next.
+Global tokens get a separate full-width block.  Every array the layer
+builds is a row matrix: queries, keys and values (n, d), pooled grids
+(segments, d), each level's output and every gradient.  Heads are strided
+column blocks of those rows: ``_heads`` views them as (n_heads, rows, d/h)
+without a copy, every head is attended by one batched matmul reading through
+such views, and block outputs and gradients are written through them.
+Queries, keys and values come from one projection routine (``core.project``),
+the one ``project_qkv`` uses.  The second level's unpooled keys and values
+live one at a time: each is projected, pooled and dropped before the next.
 
 Traces keep each level's output and counts and, per block, its rows, key
 columns and softmax row maximum and denominator (two floats per head and
@@ -23,15 +25,15 @@ forward's own code: the forwards build all three with it, the backward just
 before the level's attention backward, dropping them after it, and each
 read-only view (``q``, ``pooled_k``, ...) and ``attention_rows`` only what
 they read, so every reader sees the forward's bits.  The second level's
-backward keeps the unpooled keys and values it pools (``_pooled_heads``)
-until their pooling backwards.  The backward rebuilds each block's mask from
-the level's per-row bounds and replays its probabilities with the forward's
-own operations; every gradient is exact reverse-mode, shared projections
-accumulating both levels' contributions.  A training step holds the trace,
-one level's inputs and its gradients, each merged, used and dropped in turn:
-49.8 MiB on the ``train_ldconv`` benchmark step (n = 8192).  Every trace
-keeps its statistics, so every trace can be differentiated; the forwards'
-``retain`` keyword is accepted for existing callers and has no effect.  All
+backward keeps the unpooled keys and values it pools until their pooling
+backwards.  The backward rebuilds each block's mask from the level's per-row
+bounds and replays its probabilities with the forward's own operations;
+every gradient is exact reverse-mode, shared projections accumulating both
+levels' contributions.  A training step holds the trace, one level's inputs
+and its gradients, each used and dropped in turn: 49.9 MiB on the
+``train_ldconv`` benchmark step (n = 8192).  Every trace keeps its
+statistics, so every trace can be differentiated; the forwards' ``retain``
+keyword is accepted for existing callers and has no effect.  All
 computations are pure functions of (batch, params, config), single-threaded,
 and deterministic.
 """
@@ -49,7 +51,7 @@ from poolattn.core import (
     LayerParams,
     ProjectionTriple,
     SequenceBatch,
-    project_heads,
+    project,
 )
 from poolattn.pooling import PoolingOp, pool_grid, pool_grid_backward
 from poolattn.windowing import (
@@ -109,16 +111,14 @@ class _Block:
     denom: np.ndarray
 
 
-def _split_heads(mat: np.ndarray, n_heads: int) -> np.ndarray:
-    """(n, d) -> contiguous (n_heads, n, d/h) for batched per-head matmuls."""
+def _heads(mat: np.ndarray, n_heads: int) -> np.ndarray:
+    """(n, d) rows as an (n_heads, n, d/h) strided view: head i is columns i*d/h to (i+1)*d/h.
+
+    Of a C-contiguous ``mat`` it is a view, not a copy: batched matmuls read
+    the heads through it, and writes through it land in ``mat``.
+    """
     n, d = mat.shape
-    return np.ascontiguousarray(mat.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2))
-
-
-def _merge_heads(mat: np.ndarray) -> np.ndarray:
-    """(n_heads, n, d/h) -> (n, d)."""
-    h, n, dh = mat.shape
-    return mat.transpose(1, 0, 2).reshape(n, h * dh)
+    return mat.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
 
 
 def _block_mask(band: _Band, rows: slice | np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
@@ -177,10 +177,9 @@ def _block_attention(
 
 
 def _banded_attention(
-    qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, band: _Band,
-    config: LayerConfig,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, band: _Band, config: LayerConfig
 ) -> tuple[np.ndarray, np.ndarray, list[_Block]]:
-    """Attention of every row under ``band``, one block of consecutive rows at a time.
+    """Attention of every row of q under ``band``, one block of consecutive rows at a time.
 
     A block scores against its rows' interval union plus the extras outside it
     and is skipped if that is empty.  Returns the output (n, d), zero on rows
@@ -194,7 +193,8 @@ def _banded_attention(
     starts = np.arange(0, n, block)
     c0s = band.bounds(starts)[0].tolist()
     c1s = band.bounds(np.minimum(n, starts + block) - 1)[1].tolist()
-    out = np.zeros((n, qh.shape[0] * qh.shape[2]))
+    out = np.zeros((n, config.d_model))
+    qh, kh, vh, out_h = (_heads(m, config.n_heads) for m in (q, k, v, out))
     counts = np.zeros(n, dtype=np.int64)
     blocks: list[_Block] = []
     for s, c0, c1 in zip(starts.tolist(), c0s, c1s):
@@ -206,8 +206,9 @@ def _banded_attention(
             cols = slice(c0, c1)
         else:
             continue
-        b, o, counts[s:e] = _block_attention(qh, kh, vh, band, slice(s, e), cols, alpha)
-        out[s:e] = _merge_heads(o)
+        b, out_h[:, s:e], counts[s:e] = _block_attention(
+            qh, kh, vh, band, slice(s, e), cols, alpha
+        )
         blocks.append(b)
     return out, counts, blocks
 
@@ -221,45 +222,31 @@ def _replay_probs(b: _Block, qr: np.ndarray, kc: np.ndarray, alpha: float) -> np
     return probs
 
 
-def _view(heads: np.ndarray) -> np.ndarray:
-    """A head-split array as a read-only (rows, d) matrix."""
-    out = _merge_heads(heads)
-    out.flags.writeable = False
-    return out
+def _view(mat: np.ndarray) -> np.ndarray:
+    """A freshly built (rows, d) input, marked read-only."""
+    mat.flags.writeable = False
+    return mat
 
 
-def _unpooled(source: np.ndarray, pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Unpooled second-level keys or values: ``source`` projected as one head, read-only (n, d)."""
-    out = project_heads(source, *pair, 1)[0]
-    out.flags.writeable = False
-    return out
+def _first_input(batch: SequenceBatch, params: LayerParams, i: int) -> np.ndarray:
+    """The first level's q (i=0), k (1) or v (2): the embeddings projected."""
+    return project(batch.embeddings, *params.first.pairs()[i])
 
 
-def _first_input(
-    batch: SequenceBatch, params: LayerParams, config: LayerConfig, i: int
-) -> np.ndarray:
-    """The first level's head-split q (i=0), k (1) or v (2): the embeddings projected."""
-    return project_heads(batch.embeddings, *params.first.pairs()[i], config.n_heads)
+def _pooling_op(params: LayerParams, config: LayerConfig, i: int) -> PoolingOp:
+    """The pooling of the second level's keys (i=1) or values (2)."""
+    return PoolingOp(config.pooling_kind, (params.w_p_key, params.w_p_value)[i - 1])
 
 
 def _second_input(
     source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg,
     i: int,
 ) -> np.ndarray:
-    """The second level's head-split q2 (i=0), pooled keys (1) or values (2) from ``source``."""
+    """The second level's q2 (i=0), pooled keys (1) or pooled values (2) from ``source``."""
+    projected = project(source, *params.second.pairs()[i])
     if i == 0:
-        return project_heads(source, *params.second.pairs()[0], config.n_heads)
-    unpooled = _unpooled(source, params.second.pairs()[i])
-    return _pooled_heads(unpooled, params, config, grid, pad_arg, i)
-
-
-def _pooled_heads(
-    unpooled: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg,
-    i: int,
-) -> np.ndarray:
-    """Unpooled keys (i=1) or values (2) pooled over ``grid`` and split into heads."""
-    op = PoolingOp(config.pooling_kind, (params.w_p_key, params.w_p_value)[i - 1])
-    return _split_heads(pool_grid(op, unpooled, grid, pad_arg), config.n_heads)
+        return projected
+    return pool_grid(_pooling_op(params, config, i), projected, grid, pad_arg)
 
 
 @dataclass
@@ -274,7 +261,7 @@ class FirstLevelTrace:
     blocks: list[_Block]  # the global rows' full-width block last
 
     def _input(self, i: int) -> np.ndarray:
-        return _first_input(self.batch, self.params, self.config, i)
+        return _first_input(self.batch, self.params, i)
 
     q = property(lambda self: _view(self._input(0)))
     k = property(lambda self: _view(self._input(1)))
@@ -310,8 +297,8 @@ class SecondLevelTrace:
     q2 = property(lambda self: _view(self._input(0)))
     pooled_k = property(lambda self: _view(self._input(1)))
     pooled_v = property(lambda self: _view(self._input(2)))
-    k2 = property(lambda self: _unpooled(self.source, self.params.second.pairs()[1]))
-    v2 = property(lambda self: _unpooled(self.source, self.params.second.pairs()[2]))
+    k2 = property(lambda self: _view(project(self.source, *self.params.second.pairs()[1])))
+    v2 = property(lambda self: _view(project(self.source, *self.params.second.pairs()[2])))
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
@@ -325,10 +312,6 @@ class AttentionTrace:
     first: FirstLevelTrace
     second: SecondLevelTrace
     final: np.ndarray
-
-    @property
-    def config(self) -> LayerConfig:
-        return self.first.config
 
     @property
     def batch(self) -> SequenceBatch:
@@ -356,10 +339,11 @@ class AttentionTrace:
 
 
 def _ragged_rows(
-    blocks: list[_Block], qh: np.ndarray, kh: np.ndarray, config: LayerConfig
+    blocks: list[_Block], q: np.ndarray, k: np.ndarray, config: LayerConfig
 ) -> list[np.ndarray]:
-    tokens = np.arange(qh.shape[1])
-    out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * qh.shape[1]
+    qh, kh = _heads(q, config.n_heads), _heads(k, config.n_heads)
+    tokens = np.arange(len(q))
+    out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * len(q)
     for b in blocks:
         probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], config.alpha())
         mask = _block_mask(b.band, b.row_idx, b.col_idx)
@@ -389,7 +373,7 @@ def first_level_forward(
         raise ValueError("sequence must have at least one token")
     if d != config.d_model:
         raise ValueError(f"batch dimension {d} does not match config d_model {config.d_model}")
-    qh, kh, vh = (_first_input(batch, params, config, i) for i in range(3))
+    q, k, v = (_first_input(batch, params, i) for i in range(3))
     g = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
     is_global[g] = True
@@ -398,13 +382,14 @@ def first_level_forward(
         # allocates y, so its (heads, globals, n) transients never sit on top of y
         full = _Band(partial(window_bounds, w=n, n=n), row_ok=pad, key_ok=pad)
         global_block, global_out, global_counts = _block_attention(
-            qh, kh, vh, full, g, slice(0, n), config.alpha()
+            *(_heads(m, config.n_heads) for m in (q, k, v)), full, g, slice(0, n),
+            config.alpha(),
         )
     band = _Band(
         partial(window_bounds, w=config.w1, n=n), row_ok=pad & ~is_global, key_ok=pad,
         extra=is_global if g.size else None,
     )
-    y, counts, blocks = _banded_attention(qh, kh, vh, band, config)
+    y, counts, blocks = _banded_attention(q, k, v, band, config)
     blind = band.row_ok & (counts == 0)
     if blind.any():
         raise ValueError(
@@ -413,7 +398,7 @@ def first_level_forward(
         )
 
     if g.size:
-        y[g] = _merge_heads(global_out)
+        _heads(y, config.n_heads)[:, g] = global_out
         counts[g] = global_counts
         blocks.append(global_block)
 
@@ -454,10 +439,10 @@ def second_level_forward(
     # keys, then values, are projected, pooled and dropped before q2 is
     # projected, so at most one (n, d) projection sits next to ``src``
     build = partial(_second_input, src, params, config, grid, pad_arg)
-    pkh, pvh = build(1), build(2)
-    q2h = build(0)
+    pooled_k, pooled_v = build(1), build(2)
+    q2 = build(0)
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad)
-    z, counts, blocks = _banded_attention(q2h, pkh, pvh, band, config)
+    z, counts, blocks = _banded_attention(q2, pooled_k, pooled_v, band, config)
     degenerate = pad & (counts == 0)
 
     if not np.isfinite(z).all():
@@ -505,23 +490,25 @@ class LayerGrads:
 def _attention_backward(
     blocks: list[_Block],
     upstream: np.ndarray,
-    qh: np.ndarray,
-    kh: np.ndarray,
-    vh: np.ndarray,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
     config: LayerConfig,
 ) -> list[np.ndarray]:
-    """Reverse blocked softmax attention of head-split arrays.
+    """Reverse blocked softmax attention of (rows, d) inputs.
 
-    Reads the (rows, d) upstream through a head-split view, without a copy,
-    and returns ``[d_qh, d_kh, d_vh]``, each head-split like its input, as a
-    list whose items ``_projection_backward`` consumes one at a time.  Each
-    block's probabilities are replayed from its row statistics, and all heads
-    go through one batched matmul per product, as in the forward.
+    Returns ``[d_q, d_k, d_v]``, (rows, d) like the inputs, as a list whose
+    items ``_projection_backward`` consumes one at a time.  The upstream, the
+    inputs and the gradient accumulators are all read and written through
+    head views.  Each block's probabilities are replayed from its row
+    statistics, and all heads go through one batched matmul per product, as
+    in the forward.
     """
     alpha = config.alpha()
-    n, d = upstream.shape
-    uh = upstream.reshape(n, config.n_heads, d // config.n_heads).transpose(1, 0, 2)
-    d_qh, d_kh, d_vh = np.zeros_like(qh), np.zeros_like(kh), np.zeros_like(vh)
+    grads = [np.zeros(m.shape) for m in (q, k, v)]
+    qh, kh, vh, uh, d_qh, d_kh, d_vh = (
+        _heads(m, config.n_heads) for m in (q, k, v, upstream, *grads)
+    )
     for b in blocks:
         rows, cols = b.row_idx, b.col_idx
         qr, kc, vc, du = qh[:, rows], kh[:, cols], vh[:, cols], uh[:, rows]
@@ -533,7 +520,7 @@ def _attention_backward(
         ds -= p  # p * (dp - rowsum(p * dp)), the softmax backward
         d_qh[:, rows] += alpha * np.matmul(ds, kc)
         d_kh[:, cols] += alpha * np.matmul(ds.transpose(0, 2, 1), qr)
-    return [d_qh, d_kh, d_vh]
+    return grads
 
 
 def _projection_backward(
@@ -541,17 +528,15 @@ def _projection_backward(
 ) -> tuple[np.ndarray, ProjectionTriple]:
     """Backward of the q/k/v projections of ``source``: returns (d_source, gradient triple).
 
-    ``d_qkv`` yields the head-split (heads, n, d/heads) gradients of q, k and
-    v, in that order; the head count may differ between them.  Each gradient
-    is merged into (n, d) rows and dropped once its weight and bias gradients
-    and its ``g @ w`` term are taken, before the next is drawn, so one merged
-    gradient is alive at a time if the iterator keeps none of what it
-    yielded.  The terms are added in q, k, v order, as in
-    ``d_q @ w_q + d_k @ w_k + d_v @ w_v``.
+    ``d_qkv`` yields the (n, d) gradients of q, k and v, in that order.  Each
+    is dropped once its weight and bias gradients and its ``g @ w`` term are
+    taken, before the next is drawn, so one gradient is alive at a time if
+    the iterator keeps none of what it yielded.  The terms are added in q, k,
+    v order, as in ``d_q @ w_q + d_k @ w_k + d_v @ w_v``.
     """
     grads, d_source = [], None
     for w in (triple.w_q, triple.w_k, triple.w_v):
-        g = _merge_heads(next(d_qkv))
+        g = next(d_qkv)
         grads += [g.T @ source, g.sum(axis=0)]
         if d_source is None:
             d_source = g @ w
@@ -572,11 +557,11 @@ def _second_backward(
     st: SecondLevelTrace, d_z: np.ndarray
 ) -> tuple[np.ndarray, ProjectionTriple, np.ndarray | None, np.ndarray | None]:
     config = st.config
+    ops = [_pooling_op(st.params, config, i) for i in (1, 2)]
     # kept for the pooling backwards: even with them, this attention backward
     # holds fewer (n, d) arrays than the first level's
-    unpooled = [_unpooled(st.source, pair) for pair in st.params.second.pairs()[1:]]
-    pooled = [_pooled_heads(m, st.params, config, st.grid, st._pad_arg, i)
-              for i, m in enumerate(unpooled, 1)]
+    unpooled = [project(st.source, *pair) for pair in st.params.second.pairs()[1:]]
+    pooled = [pool_grid(op, m, st.grid, st._pad_arg) for op, m in zip(ops, unpooled)]
     d_qkv = _attention_backward(st.blocks, d_z, st._input(0), *pooled, config)
     del pooled
     d_wp = []
@@ -584,13 +569,12 @@ def _second_backward(
     def d_projections() -> Iterator[np.ndarray]:
         # the q gradient, then each unpooled gradient in turn
         yield d_qkv.pop(0)
-        for w_p in (st.params.w_p_key, st.params.w_p_value):
+        for op in ops:
             d_unpooled, d_w = pool_grid_backward(
-                PoolingOp(config.pooling_kind, w_p), unpooled.pop(0), st.grid, st._pad_arg,
-                _merge_heads(d_qkv.pop(0)),
+                op, unpooled.pop(0), st.grid, st._pad_arg, d_qkv.pop(0)
             )
             d_wp.append(d_w)
-            yield d_unpooled[None]  # k2 and v2 are projected as one head
+            yield d_unpooled
             del d_unpooled  # consumed; free it before the next is taken
 
     d_src, grads = _projection_backward(st.source, st.params.second, d_projections())

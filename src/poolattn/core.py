@@ -71,16 +71,14 @@ class ProjectionTriple(NamedTuple):
         return self
 
 
-def project_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, n_heads: int) -> np.ndarray:
-    """``x @ w.T + b`` as (n_heads, n, d/h): head i holds columns i*d/h to (i+1)*d/h.
+def project(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w.T + b`` as (n, d) rows: the one projection of queries, keys and values.
 
-    One batched matmul against the head-split weights writes each head
-    contiguously, so no (n, d) product is copied into head order.  With one
-    head the result is the plain product, shaped (1, n, d).
+    Heads are strided column blocks of the result (head i is columns i*d/h to
+    (i+1)*d/h), read through views, so every consumer sees the same product.
     """
-    d = w.shape[0]
-    out = np.matmul(x, w.T.reshape(d, n_heads, d // n_heads).transpose(1, 0, 2))
-    out += b.reshape(n_heads, 1, d // n_heads)
+    out = x @ w.T
+    out += b
     if not np.isfinite(out).all():
         raise ValueError(
             "project_qkv: non-finite query/key/value projection; the embeddings "
@@ -94,13 +92,13 @@ def project_qkv(x: np.ndarray, proj: ProjectionTriple) -> tuple[np.ndarray, np.n
 
     ``x`` is (n, d) with tokens as rows; each output row is ``w @ x_i + b``
     written in row convention as ``x @ w.T + b`` with the bias broadcast over
-    tokens.
+    tokens, by ``project``, the routine the layer itself projects with.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"embeddings must be 2-D, got shape {x.shape}")
     proj.validate(x.shape[1])
-    return tuple(project_heads(x, w, b, 1)[0] for w, b in proj.pairs())
+    return tuple(project(x, w, b) for w, b in proj.pairs())
 
 
 @dataclass(frozen=True)

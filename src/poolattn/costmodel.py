@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from poolattn.attention import block_rows
+from poolattn.core import LayerConfig
 
 PATTERNS = ("dense", "single_window", "two_level")
 
@@ -187,25 +188,27 @@ def estimate_peak_bytes(
     kappa: int = 1,
     xi: int = 1,
     n_global: int = 0,
+    n_heads: int = LayerConfig().n_heads,
 ) -> int:
     """Analytic peak live bytes of one forward pass.
 
     Dense holds two n-by-n score-sized matrices plus projections.  The
     windowed patterns hold O(n * d) arrays plus the transient buffers of one
     row block at a time, sized by the block's key union (window or segment
-    union, or all n keys for the global rows).  The first level holds its
-    head-split q, k, v and either the global rows' full-width block, which
-    runs before y exists, or y, its counts, its block statistics and one
-    banded row block.  The second level runs after q, k and v are freed.
-    While it pools it holds y, one unpooled key or value grid and the pooled
-    grids; then y, its head-split q2, the pooled grids, its output z, both
-    levels' statistics and one row block.  The latter holds one (n, d) array
-    more than the former, so it is the second level's peak, and the layer's
-    is the larger of the two levels'.  Per-token counts, the block statistics
-    (two floats per head and row) and the one-byte-per-entry finiteness check
-    of each level's output are included; fixed per-call overheads are not, so
-    below a few thousand tokens the estimate can fall a few percent short.
-    Blocks are the layer's own ``block_rows(n, w1)`` rows.
+    union, or all n keys for the global rows), whose scores are one
+    (rows, cols) matrix per head.  The first level holds its q, k, v and
+    either the global rows' full-width block, which runs before y exists, or
+    y, its counts, its block statistics and one banded row block.  The second
+    level runs after q, k and v are freed.  While it pools it holds y, one
+    unpooled key or value grid and the pooled grids; then y, its q2, the
+    pooled grids, its output z, both levels' statistics and one row block.
+    The latter holds one (n, d) array more than the former, so it is the
+    second level's peak, and the layer's is the larger of the two levels'.
+    Per-token counts, the block statistics (two floats per head and row) and
+    the one-byte-per-entry finiteness check of each level's output are
+    included; fixed per-call overheads are not, so below a few thousand
+    tokens the estimate can fall a few percent short.  Blocks are the layer's
+    own ``block_rows(n, w1)`` rows; ``n_heads`` defaults to ``LayerConfig``'s.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"pattern must be one of {PATTERNS}")
@@ -215,13 +218,13 @@ def estimate_peak_bytes(
     b = block_rows(n, w1)
 
     def block_floats(rows: int, cols: int) -> int:
-        # four heads' scores and the mask bias, the bool mask, the block's output
-        return 5 * rows * cols + rows * cols // 8 + rows * d_model
+        # every head's scores and the mask bias, the bool mask, the block's output
+        return (n_heads + 1) * rows * cols + rows * cols // 8 + rows * d_model
 
     u1 = min(n, b + 2 * w1) + n_global
     # a block with globals outside its union copies its keys and values
     block1 = block_floats(b, u1) + (2 * u1 * d_model if n_global else 0)
-    stats = 2 * 4 * n  # one level's row maxima and denominators, four heads
+    stats = 2 * n_heads * n  # one level's row maxima and denominators
     first = 3 * nd + max(block_floats(n_global, n), nd + n + stats + block1)
     if pattern == "single_window":
         return 8 * first + nd

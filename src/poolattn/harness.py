@@ -633,7 +633,8 @@ def run_bench(
     for pattern, ns in (("two_level", rc.n_list), ("dense", dense_ns)):
         for n in ns:
             est = estimate_peak_bytes(
-                pattern, n, layer.d_model, layer.w1, layer.w2, layer.kappa, layer.xi
+                pattern, n, layer.d_model, layer.w1, layer.w2, layer.kappa, layer.xi,
+                n_heads=layer.n_heads,
             )
             if est > mem_guard_bytes:
                 notices.append(f"skipped {pattern} n={n}: estimated {est} bytes over guard")

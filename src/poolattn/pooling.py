@@ -252,9 +252,7 @@ def pool_grid_backward(
     if op.kind == "max":
         first = _max_rows(source, valid, xi)[1]
     elif op.kind == "mean":
-        share = up / grid.kappa  # then the segments with fewer rows
-        short = np.flatnonzero(lens < grid.kappa)
-        share[short] = up[short] / lens[short, None]
+        share = up / lens[:, None]
     else:
         ctx, center, rank, delta = _softmax_weights(op, source, valid, lens, xi)
         g_delta = np.empty(delta.shape[::-1])  # segment-major: einsum writes it faster

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,10 +262,16 @@ class TestPeakBytes:
         ),
     }
 
+    @pytest.mark.parametrize("heads", [4, 8, 16])
     @pytest.mark.parametrize("workload", WORKLOAD_LAYERS)
-    def test_estimate_bounds_measured_inference_peak(self, workload):
-        """The estimate bounds a forward's peak, the trace's block statistics included."""
+    def test_estimate_bounds_measured_inference_peak(self, workload, heads):
+        """The estimate bounds a forward's peak, the trace's block statistics included.
+
+        Each head scores every block on its own, so the estimate takes the
+        head count.
+        """
         cfg, g, pad_share = self.WORKLOAD_LAYERS[workload]
+        cfg = replace(cfg, n_heads=heads)
         n = 4096
         batch = synth_batch(n, cfg.d_model, seed=61, global_count=g)
         pad = np.ones(n, dtype=bool)
@@ -279,7 +286,8 @@ class TestPeakBytes:
         finally:
             tracemalloc.stop()
         est = estimate_peak_bytes(
-            "two_level", n, cfg.d_model, cfg.w1, cfg.w2, cfg.kappa, cfg.xi, n_global=g
+            "two_level", n, cfg.d_model, cfg.w1, cfg.w2, cfg.kappa, cfg.xi, n_global=g,
+            n_heads=heads,
         )
         assert peak <= est <= 1.25 * peak, f"peak {peak}, estimate {est}"
 
@@ -302,14 +310,14 @@ class TestPeakBytes:
           gradient and four pooled grids, plus the unpooled keys and values it
           pooled them from: the trace holds no unpooled grid, so the backward
           projects both here and keeps each until its own pooling backward;
-        - a projection backward: two head-split gradients not yet consumed, the
-          merged one, the input gradient and one ``g @ w`` product, and at the
+        - a projection backward: the gradient it consumes and the two not yet
+          consumed, the input gradient and one ``g @ w`` product, and at the
           second level the two unpooled grids;
         - a ``pool_grid_backward``: two (n, d) projection gradients (the
           second level's q gradient, the keys' unpooled gradient or the input
-          gradient they are added into), the pooled value gradient head-split
-          and merged, the unpooled output, both unpooled grids (the values'
-          waits while the keys' is read), and six (segments, d) arrays of
+          gradient they are added into), the pooled value gradient, the
+          unpooled output, both unpooled grids (the values' waits while the
+          keys' is read), and six (segments, d) arrays of
           scratch over the undropped ceil(n / xi)-segment grid (the scattered
           upstream, the context and its gradient, the mean share, the product
           buffer, and one more for the (kappa, segments) weight arrays).
