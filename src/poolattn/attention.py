@@ -182,8 +182,9 @@ def _banded_attention(
     """Attention of every row of q under ``band``, one block of consecutive rows at a time.
 
     A block scores against its rows' interval union plus the extras outside it
-    and is skipped if that is empty.  Returns the output (n, d), zero on rows
-    that see nothing, each row's count of visible keys, and the blocks kept.
+    and is skipped if that is empty or none of its rows is valid.  Returns the
+    output (n, d), zero on rows that see nothing, each row's count of visible
+    keys, and the blocks kept.
     """
     n = band.row_ok.shape[0]
     block = block_rows(n, config.w1)
@@ -199,6 +200,8 @@ def _banded_attention(
     blocks: list[_Block] = []
     for s, c0, c1 in zip(starts.tolist(), c0s, c1s):
         e = min(n, s + block)
+        if not band.row_ok[s:e].any():
+            continue
         outside = extra[(extra < c0) | (extra >= c1)]
         if outside.size:
             cols = np.concatenate([np.arange(c0, c1, dtype=np.int64), outside])
@@ -498,7 +501,7 @@ def _attention_backward(
     """Reverse blocked softmax attention of (rows, d) inputs.
 
     Returns ``[d_q, d_k, d_v]``, (rows, d) like the inputs, as a list whose
-    items ``_projection_backward`` consumes one at a time.  The upstream, the
+    items a caller can pop and drop one at a time.  The upstream, the
     inputs and the gradient accumulators are all read and written through
     head views.  Each block's probabilities are replayed from its row
     statistics, and all heads go through one batched matmul per product, as
@@ -548,9 +551,7 @@ def _projection_backward(
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
     d_qkv = _attention_backward(ft.blocks, d_y, *map(ft._input, range(3)), ft.config)
-    # popped, not iterated: a list iterator would keep all three alive
-    drained = (d_qkv.pop(0) for _ in range(3))
-    return _projection_backward(ft.batch.embeddings, ft.params.first, drained)
+    return _projection_backward(ft.batch.embeddings, ft.params.first, iter(d_qkv))
 
 
 def _second_backward(

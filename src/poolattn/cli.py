@@ -13,7 +13,15 @@ from pathlib import Path
 
 from poolattn import harness
 
-_COMMANDS = ("forward", "oracle-diff", "gradcheck", "bench", "cost")
+# the commands that run, write their rows and print a summary the same way:
+# runner, row type, and what a row counts
+_RUNS = {
+    "forward": (harness.run_forward, harness.ForwardRow, "rows"),
+    "oracle-diff": (harness.run_oracle_diff, harness.OracleDiffRow, "checks"),
+    "gradcheck": (harness.run_gradcheck, harness.GradcheckRow, "parameters"),
+    "cost": (harness.run_cost, harness.CostRow, "rows"),
+}
+_COMMANDS = (*_RUNS, "bench")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="flat key=value config file (defaults apply if omitted)")
         cmd.add_argument("--out", type=Path, default=None,
                          help=f"output CSV path (default: {name}.csv)")
-        cmd.add_argument("--seed", type=int, default=None,
+        cmd.add_argument("--seed", type=harness.CONFIG_KEYS["seed"].parse, default=None,
                          help="override the config seed")
         if name == "bench":
             cmd.add_argument("--dense-cap", type=int, default=harness.DEFAULT_DENSE_CAP,
@@ -42,40 +50,26 @@ def main(argv=None) -> int:
     try:
         rc = harness.load_config(args.config)
         if args.seed is not None:
-            rc = replace(rc, seed=args.seed & ((1 << 64) - 1))
+            rc = replace(rc, seed=args.seed)
 
-        if args.command == "forward":
-            rows = harness.run_forward(rc)
-            harness.write_csv(out, harness.FORWARD_HEADER, rows)
-            print(f"forward: {len(rows)} rows -> {out}")
-            return 0
-        if args.command == "cost":
-            rows = harness.run_cost(rc)
-            harness.write_csv(out, harness.COST_HEADER, rows)
-            print(f"cost: {len(rows)} rows -> {out}")
-            return 0
-        if args.command == "oracle-diff":
-            rows, ok = harness.run_oracle_diff(rc)
-            harness.write_csv(out, harness.ORACLE_DIFF_HEADER, rows)
-            failures = sum(1 for r in rows if r[-1] == "FAIL")
-            print(f"oracle-diff: {len(rows)} checks, {failures} failures -> {out}")
-            return 0 if ok else 1
-        if args.command == "gradcheck":
-            rows, ok = harness.run_gradcheck(rc)
-            harness.write_csv(out, harness.GRADCHECK_HEADER, rows)
-            failures = sum(1 for r in rows if r[-1] == "FAIL")
-            print(f"gradcheck: {len(rows)} parameters, {failures} failures -> {out}")
-            return 0 if ok else 1
         if args.command == "bench":
             records, notices = harness.run_bench(rc, dense_cap=args.dense_cap)
             for notice in notices:
                 print(notice, file=sys.stderr)
-            harness.write_csv(out, harness.BENCH_HEADER, [r.row() for r in records])
+            harness.write_csv(out, harness.BenchRecord, records)
             for rec in records:
                 print(f"{rec.pattern:12s} n={rec.n:<6d} median={rec.median_ns / 1e6:10.3f} ms")
             print(f"bench: {len(records)} points -> {out}")
             return 0
-        raise AssertionError(args.command)
+        run, row_type, unit = _RUNS[args.command]
+        rows = run(rc)
+        harness.write_csv(out, row_type, rows)
+        summary, failures = f"{args.command}: {len(rows)} {unit}", 0
+        if "status" in row_type._fields:
+            failures = sum(r.status == "FAIL" for r in rows)
+            summary += f", {failures} failures"
+        print(f"{summary} -> {out}")
+        return 1 if failures else 0
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

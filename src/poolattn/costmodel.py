@@ -190,10 +190,10 @@ def estimate_peak_bytes(
     n_global: int = 0,
     n_heads: int = LayerConfig().n_heads,
 ) -> int:
-    """Analytic peak live bytes of one forward pass.
+    """Analytic peak live bytes of one forward pass of the "dense" or "two_level" pattern.
 
     Dense holds two n-by-n score-sized matrices plus projections.  The
-    windowed patterns hold O(n * d) arrays plus the transient buffers of one
+    two-level pattern holds O(n * d) arrays plus the transient buffers of one
     row block at a time, sized by the block's key union (window or segment
     union, or all n keys for the global rows), whose scores are one
     (rows, cols) matrix per head.  The first level holds its q, k, v and
@@ -210,8 +210,8 @@ def estimate_peak_bytes(
     tokens the estimate can fall a few percent short.  Blocks are the layer's
     own ``block_rows(n, w1)`` rows; ``n_heads`` defaults to ``LayerConfig``'s.
     """
-    if pattern not in PATTERNS:
-        raise ValueError(f"pattern must be one of {PATTERNS}")
+    if pattern not in ("dense", "two_level"):
+        raise ValueError(f"pattern must be dense or two_level, got {pattern!r}")
     nd = n * d_model
     if pattern == "dense":
         return 8 * (2 * n * n + 5 * nd)
@@ -226,8 +226,6 @@ def estimate_peak_bytes(
     block1 = block_floats(b, u1) + (2 * u1 * d_model if n_global else 0)
     stats = 2 * n_heads * n  # one level's row maxima and denominators
     first = 3 * nd + max(block_floats(n_global, n), nd + n + stats + block1)
-    if pattern == "single_window":
-        return 8 * first + nd
     n_seg = -(-n // xi)
     u2 = min(n_seg, (b + 2 * w2) // max(xi, 1) + 2)
     second = 3 * nd + 2 * n_seg * d_model + 3 * n_seg + 2 * n + 2 * stats + block_floats(b, u2)

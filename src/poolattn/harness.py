@@ -2,8 +2,12 @@
 
 The PRNG is SplitMix64 driving a 53-bit uniform mapper, fixed exactly so that
 golden fixtures are portable.  Config files are flat ``key = value`` text with
-``#`` comments.  Every runner is deterministic given (config text, seed);
-benchmark wall times are the only nondeterministic outputs.
+``#`` comments.  Each runner returns rows of its CLI table's row type, a
+namedtuple whose fields are the CSV columns after ``schema``; ``write_csv``
+writes the header from those fields and the schema version on every row.  A
+check's verdict is only its row's ``status``.  Every runner is deterministic
+given (config text, seed); benchmark wall times are the only nondeterministic
+outputs.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import ctypes
 import hashlib
 import statistics
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -36,6 +41,7 @@ from poolattn.core import (
     project_qkv,
 )
 from poolattn.costmodel import (
+    CostReport,
     cost_dense,
     cost_single_window,
     cost_two_level,
@@ -364,44 +370,39 @@ def gradcheck_layer(
 # runners
 
 
-FORWARD_HEADER = (
-    "schema", "n", "d_model", "n_heads", "pooling", "checksum",
-    "first_score_evals", "second_score_evals", "degenerate_rows",
+# one row type per CLI table: its fields are the CSV columns after ``schema``
+ForwardRow = namedtuple(
+    "ForwardRow", "n d_model n_heads pooling checksum first_score_evals second_score_evals "
+    "degenerate_rows",
 )
-COST_HEADER = (
-    "schema", "pattern", "n", "w1", "w2", "kappa", "xi", "n_global",
-    "score_evals", "value_accums", "pool_ops", "bytes_touched",
+# the cost columns are CostReport's, less the per-token counts
+CostRow = namedtuple("CostRow", [f.name for f in fields(CostReport) if f.name != "per_token"])
+# status is "pass" or "FAIL", or "info" (with no threshold) on informational rows
+OracleDiffRow = namedtuple("OracleDiffRow", "check pooling variant n max_rel_err threshold status")
+GradcheckRow = namedtuple(
+    "GradcheckRow", "n pooling mix share_projections param max_rel_err threshold status"
 )
-ORACLE_DIFF_HEADER = (
-    "schema", "check", "pooling", "variant", "n", "max_rel_err", "threshold", "status",
-)
-GRADCHECK_HEADER = (
-    "schema", "n", "pooling", "mix", "share_projections", "param", "max_rel_err",
-    "threshold", "status",
-)
-BENCH_HEADER = (
-    "schema", "pattern", "n", "trials", "median_ns", "per_token_ns",
-    "score_evals", "est_peak_bytes",
+BenchRecord = namedtuple(
+    "BenchRecord", "pattern n trials median_ns per_token_ns score_evals est_peak_bytes"
 )
 
 
-def run_forward(rc: RunConfig) -> list[tuple]:
+def run_forward(rc: RunConfig) -> list[ForwardRow]:
     """Forward the configured layer over each n; report checksums and counters."""
     rows = []
     for n in rc.n_list:
         batch = synth_batch(n, rc.layer.d_model, rc.seed)
         params = init_params(rc.layer, rc.seed + 1)
         out, trace = layer_forward(batch, params, rc.layer)
-        rows.append((
-            SCHEMA_VERSION, n, rc.layer.d_model, rc.layer.n_heads,
-            rc.layer.pooling_kind, batch_checksum(out),
-            int(trace.first_counts.sum()), int(trace.second_counts.sum()),
-            int(trace.degenerate_second.sum()),
+        rows.append(ForwardRow(
+            n, rc.layer.d_model, rc.layer.n_heads, rc.layer.pooling_kind,
+            batch_checksum(out), int(trace.first_counts.sum()),
+            int(trace.second_counts.sum()), int(trace.degenerate_second.sum()),
         ))
     return rows
 
 
-def run_cost(rc: RunConfig) -> list[tuple]:
+def run_cost(rc: RunConfig) -> list[CostRow]:
     """Analytic cost table: dense, single-window, and two-level per n."""
     layer = rc.layer
     rows = []
@@ -413,12 +414,7 @@ def run_cost(rc: RunConfig) -> list[tuple]:
                 n, layer.w1, layer.w2, layer.kappa, layer.xi, d_model=layer.d_model
             ),
         )
-        for rep in reports:
-            rows.append((
-                SCHEMA_VERSION, rep.pattern, rep.n, rep.w1, rep.w2, rep.kappa,
-                rep.xi, rep.n_global, rep.score_evals, rep.value_accums,
-                rep.pool_ops, rep.bytes_touched,
-            ))
+        rows += [CostRow(*(getattr(rep, name) for name in CostRow._fields)) for rep in reports]
     return rows
 
 
@@ -428,7 +424,7 @@ def _oracle_variants(layer: LayerConfig):
     yield "share", replace(layer, second_level_input="first_level_output", share_projections=True)
 
 
-def run_oracle_diff(rc: RunConfig) -> tuple[list[tuple], bool]:
+def run_oracle_diff(rc: RunConfig) -> list[OracleDiffRow]:
     """Compare the fast path against every applicable oracle.
 
     Per n and pooling kind (plain / mix / weight-sharing variants): the first
@@ -440,20 +436,11 @@ def run_oracle_diff(rc: RunConfig) -> tuple[list[tuple], bool]:
     for n in rc.n_list:
         if n > LITERAL_ORACLE_MAX_N:
             raise ValueError(f"oracle-diff is limited to n <= {LITERAL_ORACLE_MAX_N}")
-    rows: list[tuple] = []
-    ok = True
+    rows: list[OracleDiffRow] = []
 
-    def record(check, pooling, variant, n, err, informational=False):
-        nonlocal ok
-        if informational:
-            rows.append((SCHEMA_VERSION, check, pooling, variant, n,
-                         repr(float(err)), "", "info"))
-            return
-        passed = err <= ORACLE_DIFF_THRESHOLD
-        ok = ok and passed
-        rows.append((SCHEMA_VERSION, check, pooling, variant, n,
-                     repr(float(err)), repr(ORACLE_DIFF_THRESHOLD),
-                     "pass" if passed else "FAIL"))
+    def record(check, pooling, variant, n, err):
+        rows.append(OracleDiffRow(check, pooling, variant, n, err, ORACLE_DIFF_THRESHOLD,
+                                  "pass" if err <= ORACLE_DIFF_THRESHOLD else "FAIL"))
 
     case = 0
     for n in rc.n_list:
@@ -489,49 +476,26 @@ def run_oracle_diff(rc: RunConfig) -> tuple[list[tuple], bool]:
                 if wide.w2 != layer.w2:
                     z_s, _ = second_level_forward(batch, y, params, layer)
                     z_l = literal_pooling_attention(batch, y, params, layer)
-                    record("shared_vs_literal_gap", kind, variant, n,
-                           relative_diff(z_s, z_l), informational=True)
-    return rows, ok
+                    rows.append(OracleDiffRow("shared_vs_literal_gap", kind, variant, n,
+                                              relative_diff(z_s, z_l), "", "info"))
+    return rows
 
 
-def run_gradcheck(rc: RunConfig) -> tuple[list[tuple], bool]:
+def run_gradcheck(rc: RunConfig) -> list[GradcheckRow]:
     """Finite-difference check of all parameters for every pooling kind."""
     for n in rc.n_list:
         if n > GRADCHECK_MAX_N:
             raise ValueError(f"gradcheck is limited to n <= {GRADCHECK_MAX_N}")
-    rows: list[tuple] = []
-    ok = True
+    rows: list[GradcheckRow] = []
     for n in rc.n_list:
         for kind in POOLING_KINDS:
             layer = replace(rc.layer, pooling_kind=kind)
-            errors = gradcheck_layer(layer, n, rc.seed)
-            for name, err in errors.items():
-                passed = err <= GRADCHECK_THRESHOLD
-                ok = ok and passed
-                rows.append((
-                    SCHEMA_VERSION, n, kind,
-                    _show_bool(layer.mix), _show_bool(layer.share_projections),
-                    name, repr(float(err)), repr(GRADCHECK_THRESHOLD),
-                    "pass" if passed else "FAIL",
+            for name, err in gradcheck_layer(layer, n, rc.seed).items():
+                rows.append(GradcheckRow(
+                    n, kind, _show_bool(layer.mix), _show_bool(layer.share_projections), name,
+                    err, GRADCHECK_THRESHOLD, "pass" if err <= GRADCHECK_THRESHOLD else "FAIL",
                 ))
-    return rows, ok
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    pattern: str
-    n: int
-    trials: int
-    median_ns: int
-    per_token_ns: float
-    score_evals: int
-    est_peak_bytes: int
-
-    def row(self) -> tuple:
-        return (
-            SCHEMA_VERSION, self.pattern, self.n, self.trials, self.median_ns,
-            repr(self.per_token_ns), self.score_evals, self.est_peak_bytes,
-        )
+    return rows
 
 
 def _interleaved_medians(points: list[tuple[tuple, object]], trials: int) -> dict[tuple, int]:
@@ -668,9 +632,13 @@ def run_bench(
     ], notices
 
 
-def write_csv(path: str | Path, header: tuple, rows) -> None:
-    """RFC-4180-style CSV (CRLF, quoted as needed), schema column first."""
+def write_csv(path: str | Path, row_type: type, rows) -> None:
+    """RFC-4180-style CSV (CRLF, quoted as needed) of ``row_type`` rows.
+
+    The header is ``schema`` and the row type's fields; every row starts with
+    SCHEMA_VERSION.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(("schema", *row_type._fields))
+        writer.writerows((SCHEMA_VERSION, *row) for row in rows)

@@ -263,8 +263,10 @@ def pool_grid_backward(
         by_rank = np.zeros_like(g_logits)  # logit gradients indexed by w_p row
         by_rank[rank[valid], np.nonzero(valid)[1]] = g_logits[valid]
         grad_wp = by_rank @ ctx
+        del ctx  # read only by the weight gradient
         g_ctx = by_rank.T @ op.w_p
-        share = g_ctx / lens[:, None] if op.kind == "mean_ldconv" else None
+        if op.kind == "mean_ldconv":  # the mean's share, formed in place
+            share = np.divide(g_ctx, lens[:, None], out=g_ctx)
     # row r of segment j: delta[r, j] * up[j] plus its share of the mean (mean)
     # or of the context (ldconv kinds); padding rows are zeroed at the end
     grad_source, buf = np.zeros_like(source), np.empty_like(up)

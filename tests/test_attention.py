@@ -632,6 +632,29 @@ class TestStatsOnlyTrace:
         np.testing.assert_array_equal(replayed, out)
 
 
+class TestPaddedBlocks:
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_no_kept_block_is_all_padding(self, mix):
+        """A row block whose rows are all padding is skipped at both levels."""
+        cfg = LayerConfig(d_model=8, n_heads=2, w1=64, w2=128, kappa=4, xi=2,
+                          pooling_kind="mean_ldconv",
+                          second_level_input="raw_embeddings" if mix else "first_level_output")
+        n = 512
+        batch = synth_batch(n, cfg.d_model, seed=87, global_count=2)
+        pad = np.ones(n, dtype=bool)
+        pad[n - n // 4:] = False  # four whole blocks of padding, and a padded row mid-block
+        pad[100] = False
+        batch = SequenceBatch(batch.embeddings, pad, batch.global_set)
+        trace = layer_forward(batch, init_params(cfg, 88), cfg)[1]
+        for level in (trace.first, trace.second):
+            assert all(b.band.row_ok[b.row_idx].any() for b in level.blocks)
+            kept = np.zeros(n, dtype=bool)
+            for b in level.blocks:
+                kept[b.row_idx] = True
+            # every valid row is still in a kept block
+            assert kept[pad].all()
+
+
 class TestRowLayoutTrace:
     """Every level's inputs are (n, d) rows; trace views re-project them on access.
 

@@ -317,10 +317,11 @@ class TestPeakBytes:
           second level's q gradient, the keys' unpooled gradient or the input
           gradient they are added into), the pooled value gradient, the
           unpooled output, both unpooled grids (the values' waits while the
-          keys' is read), and six (segments, d) arrays of
+          keys' is read), and four (segments, d) arrays of
           scratch over the undropped ceil(n / xi)-segment grid (the scattered
-          upstream, the context and its gradient, the mean share, the product
-          buffer, and one more for the (kappa, segments) weight arrays).
+          upstream, the context or its gradient, which is also the mean share,
+          the product buffer, and one more for the (kappa, segments) weight
+          arrays).
 
         The whole step, the trace plus the backward's peak, stays
         within the trace's design plus that bound.  The trace holds three
@@ -359,7 +360,7 @@ class TestPeakBytes:
             for b in trace.first.blocks + trace.second.blocks
         )
         pooled = 8 * len(trace.second.grid) * cfg.d_model
-        scratch = 6 * 8 * -(-n // cfg.xi) * cfg.d_model
+        scratch = 4 * 8 * -(-n // cfg.xi) * cfg.d_model
         held = (1 + cfg.mix) * array
         bound = max(
             held + 6 * array + block,  # also bounds any projection backward
@@ -370,6 +371,7 @@ class TestPeakBytes:
         step = 3 * array + array // 2 + bound
         assert whole <= step, f"step {whole / array:.2f} (n, d) arrays, bound {step / array:.2f}"
 
-    def test_unknown_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_peak_bytes("banded", 10, 4)
+    @pytest.mark.parametrize("pattern", ["banded", "single_window"])
+    def test_unknown_pattern_rejected(self, pattern):
+        with pytest.raises(ValueError, match="dense or two_level"):
+            estimate_peak_bytes(pattern, 10, 4)

@@ -187,14 +187,14 @@ class TestFiniteDifferences:
 class TestRunners:
     def test_oracle_diff_passes_on_scaled_down_defaults(self):
         rc = RunConfig(layer=SMALL_LAYER, n_list=(64,), seed=3, trials=3)
-        rows, ok = run_oracle_diff(rc)
-        assert ok
-        checks = {r[1] for r in rows}
+        rows = run_oracle_diff(rc)
+        assert all(r.status != "FAIL" for r in rows)
+        checks = {r.check for r in rows}
         assert checks == {
             "first_level_vs_masked_dense", "second_level_vs_literal",
             "layer_vs_dense", "shared_vs_literal_gap",
         }
-        variants = {r[3] for r in rows}
+        variants = {r.variant for r in rows}
         assert variants == {"plain", "mix", "share"}
 
     def test_oracle_diff_rejects_large_n(self):
@@ -209,14 +209,14 @@ class TestRunners:
 
         monkeypatch.setattr(attention, "segment_bounds", truncated)
         rc = RunConfig(layer=SMALL_LAYER, n_list=(64,), seed=3, trials=3)
-        rows, ok = run_oracle_diff(rc)
-        assert not ok
+        rows = run_oracle_diff(rc)
+        assert any(r.status == "FAIL" for r in rows)
 
     def test_gradcheck_passes_at_n10(self):
         rc = RunConfig(layer=GRAD_LAYER, n_list=(10,), seed=41, trials=3)
-        rows, ok = run_gradcheck(rc)
-        assert ok
-        kinds = {r[2] for r in rows}
+        rows = run_gradcheck(rc)
+        assert all(r.status != "FAIL" for r in rows)
+        kinds = {r.pooling for r in rows}
         assert kinds == {"mean", "max", "ldconv", "mean_ldconv"}
 
     def test_gradcheck_rejects_large_n(self):
@@ -343,15 +343,33 @@ SMALL_CFG_TEXT = (
 GRAD_CFG_TEXT = "d_model = 4\nn_heads = 2\nw1 = 1\nw2 = 4\nkappa = 3\nxi = 2\nn_list = 6\nseed = 5\n"
 
 
+def readme_headers() -> dict[str, str]:
+    """Each command's CSV header as README's "Output" block lists it."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("### Output", 1)[1].split("```")[1]
+    return dict(line.split() for line in block.strip().splitlines())
+
+
 class TestCli:
+    @pytest.mark.parametrize("command, text, extra", [
+        ("forward", SMALL_CFG_TEXT, []),
+        ("cost", SMALL_CFG_TEXT, []),
+        ("oracle-diff", SMALL_CFG_TEXT, []),
+        ("gradcheck", GRAD_CFG_TEXT, []),
+        ("bench", SMALL_CFG_TEXT.replace("n_list = 48", "n_list = 64"), ["--dense-cap", "64"]),
+    ])
+    def test_csv_header_is_documented(self, tmp_path, command, text, extra):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out.csv"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+        assert out.read_text().splitlines()[0] == readme_headers()[command]
+
     def test_cost_exit_zero_and_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG_TEXT)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli_main(["cost", "--config", str(cfg), "--out", str(out1)]) == 0
         assert cli_main(["cost", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-        header = out1.read_text().splitlines()[0]
-        assert header.startswith("schema,pattern,n")
 
     def test_oracle_diff_exit_zero_and_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG_TEXT)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +277,35 @@ class TestPoolGridBackward:
         assert max_rel_error(grad_src, ref_src) <= 1e-12
         if ref_wp is not None:
             assert max_rel_error(grad_wp, ref_wp) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["ldconv", "mean_ldconv"])
+    @pytest.mark.parametrize("kappa, xi", [(3, 1), (4, 2)])
+    def test_ldconv_scratch_on_padded_grids(self, kind, kappa, xi):
+        """Scratch above the (n, d) output stays under four (segments, d) arrays.
+
+        Over the undropped grid of ceil(n / xi) segments the backward holds the
+        scattered upstream, the context gradient (divided in place into the
+        mean's share for mean_ldconv) and the product buffer; the context is
+        freed once the weight gradient is taken, and the (kappa, segments)
+        weight arrays add well under one more.
+        """
+        n, d = 4096, 64
+        rng = np.random.default_rng(kappa * 10 + xi)
+        pad = np.ones(n, dtype=bool)
+        pad[3 * n // 4:] = False
+        grid = build_pooled_grid(n, kappa, xi, pad)
+        src = rng.standard_normal((n, d))
+        up = rng.standard_normal((len(grid), d))
+        op = PoolingOp(kind, 0.1 * rng.standard_normal((kappa, d)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pool_grid_backward(op, src, grid, pad, up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = (peak - 8 * n * d) / (8 * -(-n // xi) * d)
+        assert scratch <= 4.0, f"scratch {scratch:.2f} (segments, d) arrays"
 
 
 def segment_reference(op, src, grid, pad, up):
