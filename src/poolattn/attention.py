@@ -5,8 +5,10 @@ banded driver (``_banded_attention``): each row sees an interval of keys
 (tokens within w1, or pooled segments centered within w2) plus, at the first
 level, the global columns.  Rows go in blocks whose size follows the
 first-level window (``block_rows``); each block scores its rows against the
-union of their intervals, masks per row, and runs a stable masked softmax.
-Global tokens get a separate full-width block.  Every array the layer
+union of their intervals plus a 0/-inf mask bias (``_block_bias``, one per run
+of interior blocks) and runs a stable softmax that divides its (rows, d/h)
+output, not its probabilities, by the denominator, as FlashAttention does
+(arXiv 2205.14135).  Global tokens get a separate full-width block.  Every array the layer
 builds is a row matrix: queries, keys and values (n, d), pooled grids
 (segments, d), each level's output and every gradient.  Heads are strided
 column blocks of those rows: ``_heads`` views them as (n_heads, rows, d/h)
@@ -26,11 +28,11 @@ before the level's attention backward, dropping them after it, and each
 read-only view (``q``, ``pooled_k``, ...) and ``attention_rows`` only what
 they read, so every reader sees the forward's bits.  The second level's
 backward keeps the unpooled keys and values it pools until their pooling
-backwards.  The backward rebuilds each block's mask from the level's per-row
-bounds and replays its probabilities with the forward's own operations;
-every gradient is exact reverse-mode, shared projections accumulating both
-levels' contributions.  A training step holds the trace, one level's inputs
-and its gradients, each used and dropped in turn: 49.9 MiB on the
+backwards.  The backward replays each block's unnormalized probabilities with
+the forward's own operations and takes FlashAttention-2's ``D = rowsum(dO *
+O)`` from the kept output; every gradient is exact reverse-mode, shared
+projections accumulating both levels' contributions.  A training step holds the trace, one level's inputs
+and its gradients, each used and dropped in turn: 50.0 MiB on the
 ``train_ldconv`` benchmark step (n = 8192).  Every trace keeps its
 statistics, so every trace can be differentiated; the forwards' ``retain``
 keyword is accepted for existing callers and has no effect.  All
@@ -78,13 +80,13 @@ def block_rows(n: int, w1: int) -> int:
     return min(n, max(MIN_BLOCK, w1 // 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Band:
     """Which keys one level's rows see: per-row bounds, extra keys, and validity.
 
     Row r sees key j if ``lo <= j < hi`` for ``lo, hi = bounds(r)`` (both
     non-decreasing in r) or ``extra[j]``, and if ``row_ok[r]`` and ``key_ok[j]``
-    (None: every key valid, no extras).
+    (None: every key valid, no extras).  Bands compare and hash by identity.
     """
 
     bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -101,7 +103,7 @@ class _Block:
     a contiguous range, an index array otherwise.  The mask is rebuilt from the
     level's shared ``band``, and ``rowmax`` and ``denom`` are the (n_heads,
     rows, 1) shift and normalizer of the forward softmax, so ``_replay_probs``
-    rebuilds the block's probabilities bit for bit.
+    rebuilds the block's unnormalized probabilities bit for bit.
     """
 
     row_idx: slice | np.ndarray
@@ -136,44 +138,63 @@ def _block_mask(band: _Band, rows: slice | np.ndarray, cols: slice | np.ndarray)
     return mask
 
 
-def _masked_scores(
-    qr: np.ndarray, kc: np.ndarray, mask: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Scaled scores (h, rows, cols) of block queries against key columns, -inf where masked.
+def _block_bias(
+    band: _Band, rows: slice | np.ndarray, cols: slice | np.ndarray, memo: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block's 0/-inf mask bias (rows, cols) and each row's count of visible keys.
 
-    The mask is added as a 0/-inf bias built on every call (an additive bias
-    is cheaper than a boolean fancy-index assignment).
+    Over valid rows and keys the mask is fixed by the rows' bounds as offsets
+    from the first column, the width and ``extra[cols]``: such blocks share
+    one bias through ``memo``, a one-entry dict owned by one pass.
     """
-    scores = np.matmul(qr, kc.transpose(0, 2, 1))
-    scores *= alpha
-    scores += np.where(mask, 0.0, -np.inf)
+    key = None
+    keys_ok = band.key_ok is None or band.key_ok[cols].all()
+    if isinstance(rows, slice) and keys_ok and band.row_ok[rows].all():
+        keys = np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols
+        lo, hi = (x - keys[0] for x in band.bounds(np.arange(rows.start, rows.stop)))
+        extra = b"" if band.extra is None else band.extra[cols].tobytes()
+        key = (band, keys.size, lo.tobytes(), hi.tobytes(), extra)
+        if key in memo:
+            return memo[key]
+    mask = _block_mask(band, rows, cols)
+    found = np.where(mask, 0.0, -np.inf), mask.sum(axis=1)
+    if key is not None:
+        memo.clear()
+        memo[key] = found
+    return found
+
+
+def _masked_scores(qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, alpha: float) -> np.ndarray:
+    """Scores (h, rows, cols) of alpha-scaled block queries against key columns, plus ``bias``."""
+    scores = np.matmul(qr * alpha, kc.transpose(0, 2, 1))
+    scores += bias
     return scores
 
 
 def _block_attention(
     qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, band: _Band,
-    rows: slice | np.ndarray, cols: slice | np.ndarray, alpha: float,
+    rows: slice | np.ndarray, cols: slice | np.ndarray, alpha: float, memo: dict,
 ) -> tuple[_Block, np.ndarray, np.ndarray]:
     """Masked attention of a row block against selected key columns, all heads.
 
     Runs a stable softmax whose row maximum is taken over visible entries
-    only; rows with nothing visible yield all-zero rows.  A row whose visible
-    scores overflowed turns NaN rather than silently zero, so the level's
-    finiteness check reports it.  Returns the block record, the output
-    (h, rows, d/h), and each row's count of visible keys.
+    only and divides the output, not the probabilities, by the denominator;
+    rows with nothing visible yield all-zero rows, and a row whose visible
+    scores overflowed turns NaN, which the level's finiteness check reports.
+    Returns the block record, the output (h, rows, d/h), and the row counts.
     """
-    mask = _block_mask(band, rows, cols)
-    probs = _masked_scores(qh[:, rows], kh[:, cols], mask, alpha)
-    counts = mask.sum(axis=1)
+    bias, counts = _block_bias(band, rows, cols, memo)
+    e = _masked_scores(qh[:, rows], kh[:, cols], bias, alpha)
     empty = counts == 0
-    rowmax = probs.max(axis=-1, keepdims=True)
+    rowmax = e.max(axis=-1, keepdims=True)
     rowmax[:, empty] = 0.0
-    probs -= rowmax
-    np.exp(probs, out=probs)
-    denom = probs.sum(axis=-1, keepdims=True)
+    e -= rowmax
+    np.exp(e, out=e)
+    denom = e.sum(axis=-1, keepdims=True)
     denom[:, empty] = 1.0  # empty rows stay exactly zero
-    probs /= denom
-    return _Block(rows, cols, band, rowmax, denom), np.matmul(probs, vh[:, cols]), counts
+    out = np.matmul(e, vh[:, cols])
+    out /= denom
+    return _Block(rows, cols, band, rowmax, denom), out, counts
 
 
 def _banded_attention(
@@ -198,6 +219,7 @@ def _banded_attention(
     qh, kh, vh, out_h = (_heads(m, config.n_heads) for m in (q, k, v, out))
     counts = np.zeros(n, dtype=np.int64)
     blocks: list[_Block] = []
+    memo: dict = {}
     for s, c0, c1 in zip(starts.tolist(), c0s, c1s):
         e = min(n, s + block)
         if not band.row_ok[s:e].any():
@@ -210,19 +232,23 @@ def _banded_attention(
         else:
             continue
         b, out_h[:, s:e], counts[s:e] = _block_attention(
-            qh, kh, vh, band, slice(s, e), cols, alpha
+            qh, kh, vh, band, slice(s, e), cols, alpha, memo
         )
         blocks.append(b)
     return out, counts, blocks
 
 
-def _replay_probs(b: _Block, qr: np.ndarray, kc: np.ndarray, alpha: float) -> np.ndarray:
-    """A block's forward probabilities (h, rows, cols), recomputed by the forward's own ops."""
-    probs = _masked_scores(qr, kc, _block_mask(b.band, b.row_idx, b.col_idx), alpha)
-    probs -= b.rowmax
-    np.exp(probs, out=probs)
-    probs /= b.denom
-    return probs
+def _replay_probs(
+    b: _Block, qr: np.ndarray, kc: np.ndarray, alpha: float, memo: dict
+) -> np.ndarray:
+    """A block's forward ``exp(scores + bias - rowmax)`` (h, rows, cols), by the forward's ops.
+
+    Unnormalized: divided by ``b.denom`` they are the block's probabilities.
+    """
+    e = _masked_scores(qr, kc, _block_bias(b.band, b.row_idx, b.col_idx, memo)[0], alpha)
+    e -= b.rowmax
+    np.exp(e, out=e)
+    return e
 
 
 def _view(mat: np.ndarray) -> np.ndarray:
@@ -347,8 +373,9 @@ def _ragged_rows(
     qh, kh = _heads(q, config.n_heads), _heads(k, config.n_heads)
     tokens = np.arange(len(q))
     out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * len(q)
+    memo: dict = {}
     for b in blocks:
-        probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], config.alpha())
+        probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], config.alpha(), memo) / b.denom
         mask = _block_mask(b.band, b.row_idx, b.col_idx)
         for r, tok in enumerate(tokens[b.row_idx]):
             if mask[r].any():
@@ -386,7 +413,7 @@ def first_level_forward(
         full = _Band(partial(window_bounds, w=n, n=n), row_ok=pad, key_ok=pad)
         global_block, global_out, global_counts = _block_attention(
             *(_heads(m, config.n_heads) for m in (q, k, v)), full, g, slice(0, n),
-            config.alpha(),
+            config.alpha(), {},
         )
     band = _Band(
         partial(window_bounds, w=config.w1, n=n), row_ok=pad & ~is_global, key_ok=pad,
@@ -491,36 +518,34 @@ class LayerGrads:
 
 
 def _attention_backward(
-    blocks: list[_Block],
-    upstream: np.ndarray,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    config: LayerConfig,
+    blocks: list[_Block], upstream: np.ndarray, out: np.ndarray,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, config: LayerConfig,
 ) -> list[np.ndarray]:
-    """Reverse blocked softmax attention of (rows, d) inputs.
+    """Reverse blocked softmax attention of (rows, d) inputs whose output was ``out``.
 
     Returns ``[d_q, d_k, d_v]``, (rows, d) like the inputs, as a list whose
     items a caller can pop and drop one at a time.  The upstream, the
     inputs and the gradient accumulators are all read and written through
-    head views.  Each block's probabilities are replayed from its row
-    statistics, and all heads go through one batched matmul per product, as
-    in the forward.
+    head views.  Each block replays its unnormalized probabilities ``e`` from
+    its row statistics, and all heads go through one batched matmul per
+    product, as in the forward.  With FlashAttention-2's ``D = rowsum(dO * O)``
+    per head and row, the softmax backward is ``e * (dO v^T - D) / denom``.
     """
     alpha = config.alpha()
     grads = [np.zeros(m.shape) for m in (q, k, v)]
-    qh, kh, vh, uh, d_qh, d_kh, d_vh = (
-        _heads(m, config.n_heads) for m in (q, k, v, upstream, *grads)
+    qh, kh, vh, uh, oh, d_qh, d_kh, d_vh = (
+        _heads(m, config.n_heads) for m in (q, k, v, upstream, out, *grads)
     )
+    memo: dict = {}
     for b in blocks:
         rows, cols = b.row_idx, b.col_idx
-        qr, kc, vc, du = qh[:, rows], kh[:, cols], vh[:, cols], uh[:, rows]
-        p = _replay_probs(b, qr, kc, alpha)
-        d_vh[:, cols] += np.matmul(p.transpose(0, 2, 1), du)
+        qr, kc, vc = qh[:, rows], kh[:, cols], vh[:, cols]
+        e = _replay_probs(b, qr, kc, alpha, memo)
+        du = uh[:, rows] / b.denom
+        d_vh[:, cols] += np.matmul(e.transpose(0, 2, 1), du)
         ds = np.matmul(du, vc.transpose(0, 2, 1))
-        ds *= p
-        p *= ds.sum(axis=-1, keepdims=True)
-        ds -= p  # p * (dp - rowsum(p * dp)), the softmax backward
+        ds -= np.einsum("hrc,hrc->hr", du, oh[:, rows])[..., None]  # D / denom
+        ds *= e
         d_qh[:, rows] += alpha * np.matmul(ds, kc)
         d_kh[:, cols] += alpha * np.matmul(ds.transpose(0, 2, 1), qr)
     return grads
@@ -550,7 +575,7 @@ def _projection_backward(
 
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    d_qkv = _attention_backward(ft.blocks, d_y, *map(ft._input, range(3)), ft.config)
+    d_qkv = _attention_backward(ft.blocks, d_y, ft.y, *map(ft._input, range(3)), ft.config)
     return _projection_backward(ft.batch.embeddings, ft.params.first, iter(d_qkv))
 
 
@@ -563,7 +588,7 @@ def _second_backward(
     # holds fewer (n, d) arrays than the first level's
     unpooled = [project(st.source, *pair) for pair in st.params.second.pairs()[1:]]
     pooled = [pool_grid(op, m, st.grid, st._pad_arg) for op, m in zip(ops, unpooled)]
-    d_qkv = _attention_backward(st.blocks, d_z, st._input(0), *pooled, config)
+    d_qkv = _attention_backward(st.blocks, d_z, st.z, st._input(0), *pooled, config)
     del pooled
     d_wp = []
 

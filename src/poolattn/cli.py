@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="flat key=value config file (defaults apply if omitted)")
         cmd.add_argument("--out", type=Path, default=None,
                          help=f"output CSV path (default: {name}.csv)")
-        cmd.add_argument("--seed", type=harness.CONFIG_KEYS["seed"].parse, default=None,
+        cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
         if name == "bench":
             cmd.add_argument("--dense-cap", type=int, default=harness.DEFAULT_DENSE_CAP,
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     try:
         rc = harness.load_config(args.config)
         if args.seed is not None:
-            rc = replace(rc, seed=args.seed)
+            rc = replace(rc, seed=harness.CONFIG_KEYS["seed"].parse(args.seed))
 
         if args.command == "bench":
             records, notices = harness.run_bench(rc, dense_cap=args.dense_cap)

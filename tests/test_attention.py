@@ -1,4 +1,6 @@
+from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,9 @@ import pytest
 import poolattn.attention as attention
 from poolattn.attention import (
     AttentionTrace,
+    _attention_backward,
+    _block_bias,
+    _block_mask,
     _heads,
     _masked_scores,
     _replay_probs,
@@ -41,7 +46,7 @@ from poolattn.oracle import (
     mask_from_config,
 )
 from poolattn.windowing import global_neighbor_set
-from trace_reference import fresh_stages, trace_views
+from trace_reference import check_block_biases, fresh_stages, trace_views
 
 
 def windowed_reference(batch, params, config):
@@ -626,10 +631,115 @@ class TestStatsOnlyTrace:
         blocks, out = lt.blocks, trace.y if level == "first" else trace.z
         replayed = np.zeros_like(out)
         replayed_h = _heads(replayed, self.CFG.n_heads)
+        memo = {}
         for b in blocks:
-            probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], self.CFG.alpha())
-            replayed_h[:, b.row_idx] = np.matmul(probs, vh[:, b.col_idx])
+            e = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], self.CFG.alpha(), memo)
+            # the replay is unnormalized: the forward divides its output by denom
+            replayed_h[:, b.row_idx] = np.matmul(e, vh[:, b.col_idx]) / b.denom
         np.testing.assert_array_equal(replayed, out)
+
+
+class TestBlockBias:
+    """Runs of like blocks share one mask bias, and sharing never changes a block's bias."""
+
+    # (config, n, globals, padded tail, patched block rows, whether most blocks share)
+    CASES = {
+        # leading globals, xi = kappa: every interior block looks alike
+        "plain": (LayerConfig(d_model=8, n_heads=2, w1=64, w2=128, kappa=4, xi=4),
+                  1024, (0, 1), 0, None, True),
+        # a padded tail, mix and shared projections; xi = 1
+        "padded_mix_share": (LayerConfig(d_model=8, n_heads=2, w1=64, w2=96, kappa=3, xi=1,
+                                         pooling_kind="mean_ldconv", share_projections=True,
+                                         second_level_input="raw_embeddings"),
+                             1024, (0, 1), 200, None, True),
+        # globals inside the sequence: neighbouring blocks whose unions hold
+        # one differ only in extra[cols]
+        "inner_globals": (LayerConfig(d_model=8, n_heads=2, w1=64, w2=128, kappa=4, xi=4),
+                          512, (0, 300, 400), 0, None, False),
+        # a patched row block dividing neither n, the window nor the stride
+        "patched_block": (LayerConfig(d_model=4, n_heads=1, w1=8, w2=20, kappa=5, xi=5,
+                                      pooling_kind="max"), 300, (7,), 30, 13, False),
+    }
+
+    def _trace(self, case, monkeypatch):
+        cfg, n, globals_, padded, block, _ = self.CASES[case]
+        if block is not None:
+            monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, block))
+        pad = np.ones(n, dtype=bool)
+        pad[n - padded:] = False
+        emb = synth_batch(n, cfg.d_model, seed=98).embeddings
+        return layer_forward(SequenceBatch(emb, pad, globals_), init_params(cfg, 99), cfg)[1]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_shared_bias_equals_block_mask(self, case, monkeypatch):
+        trace = self._trace(case, monkeypatch)
+        for blocks in (trace.first.blocks, trace.second.blocks):
+            misses = check_block_biases(blocks)
+            if self.CASES[case][-1]:
+                assert len(blocks) >= 8
+                assert len(blocks) - misses > misses
+
+    def test_memo_is_keyed_by_band(self, monkeypatch):
+        """An interior block under a copy of its band misses: the memo never crosses bands."""
+        b = self._trace("plain", monkeypatch).first.blocks[8]
+        memo = {}
+        with mock.patch.object(attention, "_block_mask", wraps=_block_mask) as built:
+            for band in (b.band, b.band, replace(b.band)):
+                _block_bias(band, b.row_idx, b.col_idx, memo)
+        assert built.call_count == 2
+
+
+def _explicit_backward(blocks, upstream, q, k, v, cfg):
+    """The softmax backward ``p * (dp - rowsum(p * dp))`` over the blocks' masks, densely."""
+    mask = np.zeros((len(q), len(k)), dtype=bool)
+    for b in blocks:
+        rows, cols = np.arange(len(q))[b.row_idx], np.arange(len(k))[b.col_idx]
+        mask[np.ix_(rows, cols)] |= _block_mask(b.band, b.row_idx, b.col_idx)
+    grads = [np.zeros_like(m) for m in (q, k, v)]
+    dh, alpha = cfg.head_dim, cfg.alpha()
+    for h in range(cfg.n_heads):
+        c = slice(h * dh, (h + 1) * dh)
+        s = np.where(mask, alpha * q[:, c] @ k[:, c].T, -np.inf)
+        rowmax = np.where(mask.any(axis=1, keepdims=True), s.max(axis=1, keepdims=True), 0.0)
+        p = np.exp(s - rowmax)
+        total = p.sum(axis=1, keepdims=True)
+        p /= np.where(total == 0.0, 1.0, total)
+        du = upstream[:, c]
+        dp = du @ v[:, c].T
+        ds = p * (dp - (p * dp).sum(axis=1, keepdims=True))
+        grads[0][:, c] = alpha * ds @ k[:, c]
+        grads[1][:, c] = alpha * ds.T @ q[:, c]
+        grads[2][:, c] = p.T @ du
+    return grads
+
+
+class TestBackwardDForm:
+    """The backward's ``D = rowsum(dO * O)`` form equals the explicit softmax backward."""
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_matches_explicit_softmax_backward(self, mix):
+        cfg = LayerConfig(d_model=8, n_heads=2, w1=4, w2=12, kappa=3, xi=2,
+                          pooling_kind="ldconv",
+                          second_level_input="raw_embeddings" if mix else "first_level_output")
+        n = 60
+        pad = np.ones(n, dtype=bool)
+        pad[n - 9:] = False
+        pad[20] = False
+        batch = SequenceBatch(synth_batch(n, cfg.d_model, seed=100).embeddings, pad, (0, 1, 30))
+        _, trace = layer_forward(batch, init_params(cfg, 101), cfg)
+        upstream = symmetric_uniform(102, n * cfg.d_model).reshape(n, cfg.d_model)
+        # the first level's D for global rows comes from the global block's rows of y
+        for level, out in ((trace.first, trace.y), (trace.second, trace.z)):
+            q, k, v = map(level._input, range(3))
+            qh, kh = _heads(q, cfg.n_heads), _heads(k, cfg.n_heads)
+            memo = {}
+            for b in level.blocks:
+                e = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], cfg.alpha(), memo)
+                assert not e[:, ~b.band.row_ok[b.row_idx]].any()  # padding rows: e = 0
+            got = _attention_backward(level.blocks, upstream, out, q, k, v, cfg)
+            want = _explicit_backward(level.blocks, upstream, q, k, v, cfg)
+            for name, g, w in zip("qkv", got, want):
+                assert relative_diff(g, w) <= 1e-12, name
 
 
 class TestPaddedBlocks:
@@ -810,9 +920,10 @@ class TestMaskedScores:
         qr, kc = rng.standard_normal((4, 64, 16)), rng.standard_normal((4, 320, 16))
         allowed = rng.random((64, 320)) < 0.4
         allowed[3] = False  # a row with nothing visible
-        scores = np.matmul(qr, kc.transpose(0, 2, 1)) * 0.25
+        # alpha scales the queries, not the scores
+        scores = np.matmul(qr * 0.25, kc.transpose(0, 2, 1))
         expected = np.where(allowed, scores, -np.inf)
-        got = _masked_scores(qr, kc, allowed, 0.25)
+        got = _masked_scores(qr, kc, np.where(allowed, 0.0, -np.inf), 0.25)
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 

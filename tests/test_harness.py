@@ -462,6 +462,12 @@ class TestCli:
                 in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_seed_names_an_int(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["forward", "--seed", "x"])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["frobnicate"])

@@ -5,7 +5,8 @@ pooling kind, the mix and sharing settings, a padding pattern, the global
 tokens and the row-block partition, and compares the fast path with the
 masked-dense first-level oracle, a token-by-token second level on the shared
 grid (the literal-pooling oracle where the window covers the sequence) and
-the per-token count model.  Small cases also run a finite-difference
+the per-token count model, and checks every kept block's shared mask bias
+against its own mask.  Small cases also run a finite-difference
 gradcheck on the padded batch and read the views of a ``retain=False``
 trace.  The examples are fixed (tests/conftest.py) and bounded in number.
 """
@@ -32,7 +33,7 @@ from poolattn.harness import (
 from poolattn.oracle import literal_pooling_attention, mask_from_config, per_head_dense
 from poolattn.pooling import PoolingOp, pool_segment
 from poolattn.windowing import build_pooled_grid
-from trace_reference import fresh_stages, trace_views
+from trace_reference import check_block_biases, fresh_stages, trace_views
 
 D, TOLERANCE = 4, 1e-12
 GRADCHECK_MAX_N = 12  # finite differences cost two forwards per entry
@@ -192,6 +193,8 @@ def test_layer_matches_oracles(case):
         degenerate = batch.pad_mask & (second_counts == 0)
         np.testing.assert_array_equal(trace.degenerate_second, degenerate)
         np.testing.assert_array_equal(out, trace.y + trace.z)
+        check_block_biases(trace.first.blocks)
+        check_block_biases(trace.second.blocks)
         if case.w2 >= case.n - 1:
             z_lit = literal_pooling_attention(batch, trace.y, params, cfg)
             assert relative_diff(trace.z, z_lit) <= TOLERANCE

@@ -1,10 +1,16 @@
-"""What a layer trace's eight views stand for, built from the stages directly.
+"""What a layer trace's eight views and its blocks' biases stand for, built directly.
 
 ``trace_views`` reads a trace's views; ``fresh_stages`` builds the same
 arrays, in the same order, from ``project_qkv``, ``build_pooled_grid`` and
-``pool_grid``, for tests that compare the two bitwise.
+``pool_grid``, for tests that compare the two bitwise.  ``check_block_biases``
+compares each block's shared bias with one built from its own mask.
 """
 
+from unittest import mock
+
+import numpy as np
+
+import poolattn.attention as attention
 from poolattn.core import project_qkv
 from poolattn.pooling import PoolingOp, pool_grid
 from poolattn.windowing import build_pooled_grid
@@ -28,3 +34,32 @@ def fresh_stages(batch, params, cfg, y) -> tuple:
     pooled = [pool_grid(PoolingOp(cfg.pooling_kind, w), m, grid, pad_arg)
               for w, m in ((params.w_p_key, k2), (params.w_p_value, v2))]
     return (*project_qkv(batch.embeddings, params.first), q2, k2, v2, *pooled)
+
+
+def check_block_biases(blocks) -> int:
+    """Run ``blocks`` through one ``_block_bias`` memo, as a pass does; return its misses.
+
+    Every bias and count must equal ``np.where(mask, 0, -inf)`` and
+    ``mask.sum(1)`` of the block's own ``_block_mask``.  Then each block goes
+    through the memo again, followed by the same rows over one column fewer,
+    which a memo keyed without the width would answer with the wider bias.
+    """
+    block_mask = attention._block_mask
+
+    def check(b, cols, memo):
+        bias, counts = attention._block_bias(b.band, b.row_idx, cols, memo)
+        mask = block_mask(b.band, b.row_idx, cols)
+        np.testing.assert_array_equal(bias, np.where(mask, 0.0, -np.inf))
+        np.testing.assert_array_equal(counts, mask.sum(axis=1))
+
+    memo: dict = {}
+    with mock.patch.object(attention, "_block_mask", wraps=block_mask) as built:
+        for b in blocks:
+            check(b, b.col_idx, memo)
+    for b in blocks:
+        cols = b.col_idx
+        keys = np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols
+        check(b, cols, memo)
+        if keys.size > 1:
+            check(b, keys[:-1], memo)
+    return built.call_count
