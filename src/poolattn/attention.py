@@ -3,13 +3,16 @@
 The fast path never materializes an n-by-n score matrix.  Both levels run one
 banded driver (``_banded_attention``): each row sees an interval of keys
 (tokens within w1, or pooled segments centered within w2) plus, at the first
-level, the global columns.  Rows go in blocks whose size follows the
-first-level window (``block_rows``); each block scores its rows against the
-union of their intervals plus a 0/-inf mask bias (``_block_bias``, one per run
-of interior blocks) and runs a stable softmax that divides its (rows, d/h)
-output, not its probabilities, by the denominator, as FlashAttention does
-(arXiv 2205.14135).  Global tokens get a separate full-width block.  Every array the layer
-builds is a row matrix: queries, keys and values (n, d), pooled grids
+level, the global columns; a global row sees every valid key.  One generator
+(``_blocks``) yields a band's blocks for the forward, the backward and
+``attention_rows``: the global rows first, as one block against every key,
+then slices of consecutive rows whose size follows the first-level window
+(``block_rows``), cut around each global row.  Each block scores its rows
+against the union of their intervals plus a 0/-inf mask bias
+(``_block_bias``, one per run of interior blocks) and runs a stable softmax
+that divides its (rows, d/h) output, not its probabilities, by the
+denominator, as FlashAttention does (arXiv 2205.14135).  Every array the
+layer builds is a row matrix: queries, keys and values (n, d), pooled grids
 (segments, d), each level's output and every gradient.  Heads are strided
 column blocks of those rows: ``_heads`` views them as (n_heads, rows, d/h)
 without a copy, every head is attended by one batched matmul reading through
@@ -18,26 +21,28 @@ Queries, keys and values come from one projection routine (``core.project``),
 the one ``project_qkv`` uses.  The second level's unpooled keys and values
 live one at a time: each is projected, pooled and dropped before the next.
 
-Traces keep each level's output and counts and, per block, its rows, key
-columns and softmax row maximum and denominator (two floats per head and
-row), never a projection, a mask or the probabilities.  One function per
-level (``_first_input``, ``_second_input``) builds any one of the level's
-inputs from the trace's batch, params and second-level source with the
-forward's own code: the forwards build all three with it, the backward just
-before the level's attention backward, dropping them after it, and each
-read-only view (``q``, ``pooled_k``, ...) and ``attention_rows`` only what
-they read, so every reader sees the forward's bits.  The second level's
-backward keeps the unpooled keys and values it pools until their pooling
-backwards.  The backward replays each block's unnormalized probabilities with
-the forward's own operations and takes FlashAttention-2's ``D = rowsum(dO *
-O)`` from the kept output; every gradient is exact reverse-mode, shared
-projections accumulating both levels' contributions.  A training step holds the trace, one level's inputs
-and its gradients, each used and dropped in turn: 50.0 MiB on the
-``train_ldconv`` benchmark step (n = 8192).  Every trace keeps its
-statistics, so every trace can be differentiated; the forwards' ``retain``
-keyword is accepted for existing callers and has no effect.  All
-computations are pure functions of (batch, params, config), single-threaded,
-and deterministic.
+Traces keep each level's output, counts and band and, per head and row, the
+softmax row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1)
+each), never a projection, a mask, a block's key columns or the
+probabilities.  The statistics are per row, so they do not depend on the
+block partition that made them.  One function per level (``_first_input``,
+``_second_input``) builds any one of the level's inputs from the trace's
+batch, params and second-level source with the forward's own code: the
+forwards build all three with it, the backward just before the level's
+attention backward, dropping them after it, and each read-only view (``q``,
+``pooled_k``, ...) and ``attention_rows`` only what they read, so every
+reader sees the forward's bits.  The second level's backward keeps the
+unpooled keys and values it pools until their pooling backwards.  The
+backward replays each block's unnormalized probabilities from the rows'
+statistics with the forward's own operations and takes FlashAttention-2's
+``D = rowsum(dO * O)`` from the kept output; every gradient is exact
+reverse-mode, shared projections accumulating both levels' contributions.  A
+training step holds the trace, one level's inputs and its gradients, each
+used and dropped in turn: 49.4 MiB on the ``train_ldconv`` benchmark step
+(n = 8192).  Every trace keeps its statistics, so every trace can be
+differentiated; the forwards' ``retain`` keyword is accepted for existing
+callers and has no effect.  All computations are pure functions of (batch,
+params, config), single-threaded, and deterministic.
 """
 
 from __future__ import annotations
@@ -86,31 +91,14 @@ class _Band:
 
     Row r sees key j if ``lo <= j < hi`` for ``lo, hi = bounds(r)`` (both
     non-decreasing in r) or ``extra[j]``, and if ``row_ok[r]`` and ``key_ok[j]``
-    (None: every key valid, no extras).  Bands compare and hash by identity.
+    (None: every key valid, no extras).  An extra key's own row sees every
+    valid key.  Bands compare and hash by identity.
     """
 
     bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     row_ok: np.ndarray
     key_ok: np.ndarray | None = None
     extra: np.ndarray | None = None
-
-
-@dataclass
-class _Block:
-    """One processed row block: its rows, key columns, band, and softmax row statistics.
-
-    ``row_idx`` and ``col_idx`` index the token (or segment) axis: a slice for
-    a contiguous range, an index array otherwise.  The mask is rebuilt from the
-    level's shared ``band``, and ``rowmax`` and ``denom`` are the (n_heads,
-    rows, 1) shift and normalizer of the forward softmax, so ``_replay_probs``
-    rebuilds the block's unnormalized probabilities bit for bit.
-    """
-
-    row_idx: slice | np.ndarray
-    col_idx: slice | np.ndarray
-    band: _Band
-    rowmax: np.ndarray
-    denom: np.ndarray
 
 
 def _heads(mat: np.ndarray, n_heads: int) -> np.ndarray:
@@ -132,6 +120,7 @@ def _block_mask(band: _Band, rows: slice | np.ndarray, cols: slice | np.ndarray)
     mask = (keys >= lo) & (keys < hi)
     if band.extra is not None:
         mask |= band.extra[cols]
+        mask |= band.extra[rows, None]
     if band.key_ok is not None:
         mask &= band.key_ok[cols]
     mask &= band.row_ok[rows, None]
@@ -143,9 +132,10 @@ def _block_bias(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A block's 0/-inf mask bias (rows, cols) and each row's count of visible keys.
 
-    Over valid rows and keys the mask is fixed by the rows' bounds as offsets
-    from the first column, the width and ``extra[cols]``: such blocks share
-    one bias through ``memo``, a one-entry dict owned by one pass.
+    Over valid rows and keys, in a run of consecutive rows holding no extra
+    row (as ``_blocks`` cuts them), the mask is fixed by the rows' bounds as
+    offsets from the first column, the width and ``extra[cols]``: such blocks
+    share one bias through ``memo``, a one-entry dict owned by one pass.
     """
     key = None
     keys_ok = band.key_ok is None or band.key_ok[cols].all()
@@ -171,82 +161,96 @@ def _masked_scores(qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, alpha: floa
     return scores
 
 
-def _block_attention(
-    qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, band: _Band,
-    rows: slice | np.ndarray, cols: slice | np.ndarray, alpha: float, memo: dict,
-) -> tuple[_Block, np.ndarray, np.ndarray]:
-    """Masked attention of a row block against selected key columns, all heads.
+def _blocks(
+    band: _Band, block: int
+) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray]]:
+    """A pass's blocks over ``band``, in pass order: (rows, key columns).
 
-    Runs a stable softmax whose row maximum is taken over visible entries
-    only and divides the output, not the probabilities, by the denominator;
-    rows with nothing visible yield all-zero rows, and a row whose visible
-    scores overflowed turns NaN, which the level's finiteness check reports.
-    Returns the block record, the output (h, rows, d/h), and the row counts.
-    """
-    bias, counts = _block_bias(band, rows, cols, memo)
-    e = _masked_scores(qh[:, rows], kh[:, cols], bias, alpha)
-    empty = counts == 0
-    rowmax = e.max(axis=-1, keepdims=True)
-    rowmax[:, empty] = 0.0
-    e -= rowmax
-    np.exp(e, out=e)
-    denom = e.sum(axis=-1, keepdims=True)
-    denom[:, empty] = 1.0  # empty rows stay exactly zero
-    out = np.matmul(e, vh[:, cols])
-    out /= denom
-    return _Block(rows, cols, band, rowmax, denom), out, counts
-
-
-def _banded_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, band: _Band, config: LayerConfig
-) -> tuple[np.ndarray, np.ndarray, list[_Block]]:
-    """Attention of every row of q under ``band``, one block of consecutive rows at a time.
-
-    A block scores against its rows' interval union plus the extras outside it
-    and is skipped if that is empty or none of its rows is valid.  Returns the
-    output (n, d), zero on rows that see nothing, each row's count of visible
-    keys, and the blocks kept.
+    The extra rows come first, as one block (an index array) against every
+    key.  The other rows go in slices of at most ``block`` consecutive rows:
+    the grid of ``block`` rows, cut around each extra row.  A slice scores
+    against its rows' interval union plus the extras outside it, and is
+    skipped if that is empty or none of its rows is valid.
     """
     n = band.row_ok.shape[0]
-    block = block_rows(n, config.w1)
-    alpha = config.alpha()
     extra = np.flatnonzero(band.extra) if band.extra is not None else np.empty(0, np.int64)
+    if extra.size:
+        yield extra, slice(0, n)
+    # the grid's and each extra row's bounds
+    edge = np.zeros(n + 1, dtype=bool)
+    edge[:n:block] = edge[extra] = edge[extra + 1] = edge[n] = True
+    edges = np.flatnonzero(edge)
+    starts, stops = edges[:-1], edges[1:]
+    if extra.size:
+        banded = ~band.extra[starts]
+        starts, stops = starts[banded], stops[banded]
     # each block's key union: its first row's lo to its last row's hi
-    starts = np.arange(0, n, block)
     c0s = band.bounds(starts)[0].tolist()
-    c1s = band.bounds(np.minimum(n, starts + block) - 1)[1].tolist()
-    out = np.zeros((n, config.d_model))
-    qh, kh, vh, out_h = (_heads(m, config.n_heads) for m in (q, k, v, out))
-    counts = np.zeros(n, dtype=np.int64)
-    blocks: list[_Block] = []
-    memo: dict = {}
-    for s, c0, c1 in zip(starts.tolist(), c0s, c1s):
-        e = min(n, s + block)
+    c1s = band.bounds(stops - 1)[1].tolist()
+    for s, e, c0, c1 in zip(starts.tolist(), stops.tolist(), c0s, c1s):
         if not band.row_ok[s:e].any():
             continue
         outside = extra[(extra < c0) | (extra >= c1)]
         if outside.size:
-            cols = np.concatenate([np.arange(c0, c1, dtype=np.int64), outside])
+            yield slice(s, e), np.concatenate([np.arange(c0, c1, dtype=np.int64), outside])
         elif c1 > c0:
-            cols = slice(c0, c1)
-        else:
-            continue
-        b, out_h[:, s:e], counts[s:e] = _block_attention(
-            qh, kh, vh, band, slice(s, e), cols, alpha, memo
-        )
-        blocks.append(b)
-    return out, counts, blocks
+            yield slice(s, e), slice(c0, c1)
+
+
+def _banded_attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, band: _Band, config: LayerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Masked attention of every row of q under ``band``, block by block (``_blocks``).
+
+    Each block runs a stable softmax whose row maximum is taken over visible
+    entries only and divides the output, not the probabilities, by the
+    denominator; a row whose visible scores overflowed turns NaN, which the
+    level's finiteness check reports.  Returns the output (n, d), zero on
+    rows that see nothing, each row's count of visible keys, and the softmax
+    row maximum and denominator, (n_heads, n, 1) each, 0 and 1 on rows that
+    see nothing.
+    """
+    n, n_heads = band.row_ok.shape[0], config.n_heads
+    alpha = config.alpha()
+    qh, kh, vh = (_heads(m, n_heads) for m in (q, k, v))
+    counts = np.zeros(n, dtype=np.int64)
+    rowmax, denom = np.zeros((n_heads, n, 1)), np.ones((n_heads, n, 1))
+    out = None
+    memo: dict = {}
+    for rows, cols in _blocks(band, block_rows(n, config.w1)):
+        bias, counts[rows] = _block_bias(band, rows, cols, memo)
+        e = _masked_scores(qh[:, rows], kh[:, cols], bias, alpha)
+        empty = counts[rows] == 0
+        m = e.max(axis=-1, keepdims=True)
+        m[:, empty] = 0.0
+        e -= m
+        np.exp(e, out=e)
+        total = e.sum(axis=-1, keepdims=True)
+        total[:, empty] = 1.0  # empty rows stay exactly zero
+        rowmax[:, rows], denom[:, rows] = m, total
+        e = np.matmul(e, vh[:, cols])  # the block's output; the scores go
+        e /= total
+        if out is None:
+            # allocated after the first block, so the global rows' (heads,
+            # globals, n) transients never sit on top of it
+            out = np.zeros((n, config.d_model))
+            out_h = _heads(out, n_heads)
+        out_h[:, rows] = e
+    if out is None:
+        out = np.zeros((n, config.d_model))
+    return out, counts, rowmax, denom
 
 
 def _replay_probs(
-    b: _Block, qr: np.ndarray, kc: np.ndarray, alpha: float, memo: dict
+    qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, rowmax: np.ndarray, alpha: float
 ) -> np.ndarray:
     """A block's forward ``exp(scores + bias - rowmax)`` (h, rows, cols), by the forward's ops.
 
-    Unnormalized: divided by ``b.denom`` they are the block's probabilities.
+    Unnormalized: divided by the rows' ``denom`` they are the block's
+    probabilities.
     """
-    e = _masked_scores(qr, kc, _block_bias(b.band, b.row_idx, b.col_idx, memo)[0], alpha)
-    e -= b.rowmax
+    e = _masked_scores(qr, kc, bias, alpha)
+    e -= rowmax
     np.exp(e, out=e)
     return e
 
@@ -280,14 +284,16 @@ def _second_input(
 
 @dataclass
 class FirstLevelTrace:
-    """The first level's output, counts and blocks; ``q``, ``k``, ``v`` re-project on access."""
+    """The first level's output, counts, band and statistics; ``q``, ``k``, ``v`` re-project."""
 
     batch: SequenceBatch
     params: LayerParams
     config: LayerConfig
     y: np.ndarray
     counts: np.ndarray
-    blocks: list[_Block]  # the global rows' full-width block last
+    band: _Band
+    rowmax: np.ndarray
+    denom: np.ndarray
 
     def _input(self, i: int) -> np.ndarray:
         return _first_input(self.batch, self.params, i)
@@ -298,12 +304,12 @@ class FirstLevelTrace:
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token attention weights, ragged: token i -> (n_heads, |field(i)|)."""
-        return _ragged_rows(self.blocks, self._input(0), self._input(1), self.config)
+        return _ragged_rows(self, self._input(0), self._input(1))
 
 
 @dataclass
 class SecondLevelTrace:
-    """The second level's source, grid, output, counts and blocks.
+    """The second level's source, grid, output, counts, band and row statistics.
 
     Every view re-projects ``source`` on access; ``k2`` and ``v2`` are its
     unpooled keys and values.
@@ -317,7 +323,9 @@ class SecondLevelTrace:
     z: np.ndarray
     counts: np.ndarray
     degenerate: np.ndarray
-    blocks: list[_Block]
+    band: _Band
+    rowmax: np.ndarray
+    denom: np.ndarray
     _pad_arg: np.ndarray | None
 
     def _input(self, i: int) -> np.ndarray:
@@ -331,7 +339,7 @@ class SecondLevelTrace:
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
-        return _ragged_rows(self.blocks, self._input(0), self._input(1), self.config)
+        return _ragged_rows(self, self._input(0), self._input(1))
 
 
 @dataclass
@@ -368,18 +376,22 @@ class AttentionTrace:
 
 
 def _ragged_rows(
-    blocks: list[_Block], q: np.ndarray, k: np.ndarray, config: LayerConfig
+    level: FirstLevelTrace | SecondLevelTrace, q: np.ndarray, k: np.ndarray
 ) -> list[np.ndarray]:
+    config, band = level.config, level.band
+    alpha = config.alpha()
     qh, kh = _heads(q, config.n_heads), _heads(k, config.n_heads)
     tokens = np.arange(len(q))
     out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * len(q)
     memo: dict = {}
-    for b in blocks:
-        probs = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], config.alpha(), memo) / b.denom
-        mask = _block_mask(b.band, b.row_idx, b.col_idx)
-        for r, tok in enumerate(tokens[b.row_idx]):
-            if mask[r].any():
-                out[int(tok)] = probs[:, r, mask[r]]
+    for rows, cols in _blocks(band, block_rows(len(q), config.w1)):
+        bias = _block_bias(band, rows, cols, memo)[0]
+        probs = _replay_probs(qh[:, rows], kh[:, cols], bias, level.rowmax[:, rows], alpha)
+        probs /= level.denom[:, rows]
+        visible = bias == 0.0
+        for r, tok in enumerate(tokens[rows]):
+            if visible[r].any():
+                out[int(tok)] = probs[:, r, visible[r]]
     return out
 
 
@@ -404,22 +416,13 @@ def first_level_forward(
     if d != config.d_model:
         raise ValueError(f"batch dimension {d} does not match config d_model {config.d_model}")
     q, k, v = (_first_input(batch, params, i) for i in range(3))
-    g = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
-    is_global[g] = True
-    if g.size:
-        # the global rows' full-width block runs before the banded pass
-        # allocates y, so its (heads, globals, n) transients never sit on top of y
-        full = _Band(partial(window_bounds, w=n, n=n), row_ok=pad, key_ok=pad)
-        global_block, global_out, global_counts = _block_attention(
-            *(_heads(m, config.n_heads) for m in (q, k, v)), full, g, slice(0, n),
-            config.alpha(), {},
-        )
+    is_global[np.asarray(batch.global_set, dtype=np.int64)] = True
     band = _Band(
-        partial(window_bounds, w=config.w1, n=n), row_ok=pad & ~is_global, key_ok=pad,
-        extra=is_global if g.size else None,
+        partial(window_bounds, w=config.w1, n=n), row_ok=pad, key_ok=pad,
+        extra=is_global if is_global.any() else None,
     )
-    y, counts, blocks = _banded_attention(q, k, v, band, config)
+    y, counts, rowmax, denom = _banded_attention(q, k, v, band, config)
     blind = band.row_ok & (counts == 0)
     if blind.any():
         raise ValueError(
@@ -427,18 +430,13 @@ def first_level_forward(
             "is entirely padding"
         )
 
-    if g.size:
-        _heads(y, config.n_heads)[:, g] = global_out
-        counts[g] = global_counts
-        blocks.append(global_block)
-
     y[~pad] = 0.0
     if not np.isfinite(y).all():
         raise ValueError(
             "first_level_forward: non-finite output; the scaled query-key scores "
             "overflow float64"
         )
-    return y, FirstLevelTrace(batch, params, config, y, counts, blocks)
+    return y, FirstLevelTrace(batch, params, config, y, counts, band, rowmax, denom)
 
 
 def second_level_forward(
@@ -472,7 +470,7 @@ def second_level_forward(
     pooled_k, pooled_v = build(1), build(2)
     q2 = build(0)
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad)
-    z, counts, blocks = _banded_attention(q2, pooled_k, pooled_v, band, config)
+    z, counts, rowmax, denom = _banded_attention(q2, pooled_k, pooled_v, band, config)
     degenerate = pad & (counts == 0)
 
     if not np.isfinite(z).all():
@@ -481,7 +479,7 @@ def second_level_forward(
             "overflow float64"
         )
     return z, SecondLevelTrace(
-        batch, params, config, src, grid, z, counts, degenerate, blocks, pad_arg
+        batch, params, config, src, grid, z, counts, degenerate, band, rowmax, denom, pad_arg
     )
 
 
@@ -518,30 +516,32 @@ class LayerGrads:
 
 
 def _attention_backward(
-    blocks: list[_Block], upstream: np.ndarray, out: np.ndarray,
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, config: LayerConfig,
+    level: FirstLevelTrace | SecondLevelTrace, upstream: np.ndarray, out: np.ndarray,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray,
 ) -> list[np.ndarray]:
     """Reverse blocked softmax attention of (rows, d) inputs whose output was ``out``.
 
     Returns ``[d_q, d_k, d_v]``, (rows, d) like the inputs, as a list whose
     items a caller can pop and drop one at a time.  The upstream, the
     inputs and the gradient accumulators are all read and written through
-    head views.  Each block replays its unnormalized probabilities ``e`` from
-    its row statistics, and all heads go through one batched matmul per
+    head views.  Each block of the level's ``_blocks`` replays its
+    unnormalized probabilities ``e`` from the trace's row statistics, whatever
+    partition the forward ran, and all heads go through one batched matmul per
     product, as in the forward.  With FlashAttention-2's ``D = rowsum(dO * O)``
     per head and row, the softmax backward is ``e * (dO v^T - D) / denom``.
     """
+    config, band = level.config, level.band
     alpha = config.alpha()
     grads = [np.zeros(m.shape) for m in (q, k, v)]
     qh, kh, vh, uh, oh, d_qh, d_kh, d_vh = (
         _heads(m, config.n_heads) for m in (q, k, v, upstream, out, *grads)
     )
     memo: dict = {}
-    for b in blocks:
-        rows, cols = b.row_idx, b.col_idx
+    for rows, cols in _blocks(band, block_rows(len(q), config.w1)):
         qr, kc, vc = qh[:, rows], kh[:, cols], vh[:, cols]
-        e = _replay_probs(b, qr, kc, alpha, memo)
-        du = uh[:, rows] / b.denom
+        bias = _block_bias(band, rows, cols, memo)[0]
+        e = _replay_probs(qr, kc, bias, level.rowmax[:, rows], alpha)
+        du = uh[:, rows] / level.denom[:, rows]
         d_vh[:, cols] += np.matmul(e.transpose(0, 2, 1), du)
         ds = np.matmul(du, vc.transpose(0, 2, 1))
         ds -= np.einsum("hrc,hrc->hr", du, oh[:, rows])[..., None]  # D / denom
@@ -575,7 +575,7 @@ def _projection_backward(
 
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    d_qkv = _attention_backward(ft.blocks, d_y, ft.y, *map(ft._input, range(3)), ft.config)
+    d_qkv = _attention_backward(ft, d_y, ft.y, *map(ft._input, range(3)))
     return _projection_backward(ft.batch.embeddings, ft.params.first, iter(d_qkv))
 
 
@@ -588,7 +588,7 @@ def _second_backward(
     # holds fewer (n, d) arrays than the first level's
     unpooled = [project(st.source, *pair) for pair in st.params.second.pairs()[1:]]
     pooled = [pool_grid(op, m, st.grid, st._pad_arg) for op, m in zip(ops, unpooled)]
-    d_qkv = _attention_backward(st.blocks, d_z, st.z, st._input(0), *pooled, config)
+    d_qkv = _attention_backward(st, d_z, st.z, st._input(0), *pooled)
     del pooled
     d_wp = []
 
@@ -630,11 +630,9 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
     if not config.mix:
         d_y += d_src2  # d_y is now the first level's whole upstream
         d_src2 = None
-    d_x_first, first_grads = _first_backward(ft, d_y)
-    d_x = np.zeros_like(batch.embeddings)
+    d_x, first_grads = _first_backward(ft, d_y)
     if config.mix:
         d_x += d_src2
-    d_x += d_x_first
     d_x *= batch.pad_mask[:, None]
 
     if config.share_projections:

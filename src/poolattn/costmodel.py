@@ -198,13 +198,13 @@ def estimate_peak_bytes(
     union, or all n keys for the global rows), whose scores are one
     (rows, cols) matrix per head.  The first level holds its q, k, v and
     either the global rows' full-width block, which runs before y exists, or
-    y, its counts, its block statistics and one banded row block.  The second
+    y, its counts, its row statistics and one banded row block.  The second
     level runs after q, k and v are freed.  While it pools it holds y, one
     unpooled key or value grid and the pooled grids; then y, its q2, the
     pooled grids, its output z, both levels' statistics and one row block.
     The latter holds one (n, d) array more than the former, so it is the
     second level's peak, and the layer's is the larger of the two levels'.
-    Per-token counts, the block statistics (two floats per head and row) and
+    Per-token counts, the softmax row statistics (two floats per head and row) and
     the one-byte-per-entry finiteness check of each level's output are
     included; fixed per-call overheads are not, so below a few thousand
     tokens the estimate can fall a few percent short.  Blocks are the layer's

@@ -566,7 +566,6 @@ def _one_blas_thread():
 def run_bench(
     rc: RunConfig,
     dense_cap: int = DEFAULT_DENSE_CAP,
-    mem_guard_bytes: int = DEFAULT_MEM_GUARD,
 ) -> tuple[list[BenchRecord], list[str]]:
     """Median-of-trials forward timings: the two-level path over n_list plus a
     dense baseline up to ``dense_cap``.
@@ -575,7 +574,7 @@ def run_bench(
     ``dense_cap`` // 4, // 2 and itself, so ``dense_cap`` must then be >= 4.
     Sequence lengths must be ascending; at least 3 timed trials per point (one
     extra warmup trial is discarded).  Points whose analytic peak-memory
-    estimate exceeds the guard are skipped with a notice.  BLAS is pinned to
+    estimate exceeds ``DEFAULT_MEM_GUARD`` are skipped with a notice.  BLAS is pinned to
     one thread during timing (``_one_blas_thread``); if that fails, a notice
     names the thread count the timings ran with.
     """
@@ -600,7 +599,7 @@ def run_bench(
                 pattern, n, layer.d_model, layer.w1, layer.w2, layer.kappa, layer.xi,
                 n_heads=layer.n_heads,
             )
-            if est > mem_guard_bytes:
+            if est > DEFAULT_MEM_GUARD:
                 notices.append(f"skipped {pattern} n={n}: estimated {est} bytes over guard")
                 continue
             batch = synth_batch(n, layer.d_model, rc.seed)

@@ -46,7 +46,7 @@ from poolattn.oracle import (
     mask_from_config,
 )
 from poolattn.windowing import global_neighbor_set
-from trace_reference import check_block_biases, fresh_stages, trace_views
+from trace_reference import check_block_biases, fresh_stages, plan, trace_views
 
 
 def windowed_reference(batch, params, config):
@@ -544,16 +544,19 @@ class TestBlockSizeInvariance:
         ),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("block_size", [1, 7, 64, "n"])
-    def test_output_and_gradients_independent_of_block_size(self, case, block_size, monkeypatch):
+    def _inputs(self, case):
         cfg, n, globals_, padded = self.CASES[case]
         emb = symmetric_uniform(81, n * cfg.d_model).reshape(n, cfg.d_model)
         pad = np.ones(n, dtype=bool)
         pad[list(padded)] = False
         batch = SequenceBatch(emb, pad, globals_)
-        params = init_params(cfg, 82)
         upstream = symmetric_uniform(83, n * cfg.d_model).reshape(n, cfg.d_model)
+        return cfg, n, batch, init_params(cfg, 82), upstream
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("block_size", [1, 7, 64, "n"])
+    def test_output_and_gradients_independent_of_block_size(self, case, block_size, monkeypatch):
+        cfg, n, batch, params, upstream = self._inputs(case)
 
         def run():
             out, trace = layer_forward(batch, params, cfg)
@@ -565,9 +568,12 @@ class TestBlockSizeInvariance:
         # the row-block partition is the driver's block_rows(n, w1), patched here
         rows = n if block_size == "n" else block_size
         monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, rows))
-        out_b, trace_b, grads_b = run()
-        spans = [b.row_idx for b in trace_b.first.blocks + trace_b.second.blocks]
-        assert max(s.stop - s.start for s in spans if isinstance(s, slice)) == min(n, rows)
+        with mock.patch.object(attention, "_blocks", wraps=attention._blocks) as passes:
+            out_b, trace_b, grads_b = run()
+        # two forward and two backward passes, each over the patched partition
+        assert [c.args[1] for c in passes.call_args_list] == [min(n, rows)] * 4
+        spans = [r for level in (trace_b.first, trace_b.second) for r, _ in plan(level)]
+        assert max(s.stop - s.start for s in spans if isinstance(s, slice)) <= min(n, rows)
         np.testing.assert_array_equal(trace_b.first_counts, trace.first_counts)
         np.testing.assert_array_equal(trace_b.second_counts, trace.second_counts)
         ref = _grad_groups(out, grads)
@@ -576,10 +582,47 @@ class TestBlockSizeInvariance:
         for name in ref:
             assert relative_diff(got[name], ref[name]) <= 1e-12, name
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_backward_reads_statistics_of_any_partition(self, case, monkeypatch):
+        """The trace keeps statistics per row, not per block: a backward under
+        another partition than its forward's agrees with one under the same."""
+        cfg, n, batch, params, upstream = self._inputs(case)
+        monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 7))
+        out, trace = layer_forward(batch, params, cfg)
+        same = _grad_groups(out, layer_backward(trace, upstream))
+        monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 64))
+        other = _grad_groups(out, layer_backward(trace, upstream))
+        assert same.keys() == other.keys()
+        for name in same:
+            assert relative_diff(other[name], same[name]) <= 1e-12, name
+
     def test_default_block_follows_w1(self):
         assert block_rows(16384, 128) == 64
         assert block_rows(8192, 16) == 32
         assert block_rows(20, 128) == 20
+
+
+class TestBlockPlan:
+    CFG = LayerConfig(d_model=4, n_heads=2, w1=8, w2=20, kappa=3, xi=2)
+
+    @pytest.mark.parametrize("globals_", [(0, 1, 2), (45, 46, 70), (0, 33, 99)])
+    def test_global_rows_come_first_and_in_no_banded_block(self, globals_):
+        """The global rows' block comes first; the banded blocks are cut around them."""
+        n = 100
+        batch = SequenceBatch(synth_batch(n, self.CFG.d_model, seed=95).embeddings,
+                              np.ones(n, dtype=bool), globals_)
+        _, trace = first_level_forward(batch, init_params(self.CFG, 96), self.CFG)
+        (rows, cols), *banded = plan(trace)
+        np.testing.assert_array_equal(rows, globals_)
+        assert cols == slice(0, n)
+        held = np.zeros(n, dtype=np.int64)
+        held[list(globals_)] += 1
+        for rows, _ in banded:
+            assert isinstance(rows, slice)
+            assert rows.stop - rows.start <= block_rows(n, self.CFG.w1)
+            assert not trace.band.extra[rows].any()
+            held[rows] += 1
+        np.testing.assert_array_equal(held, 1)  # every row in exactly one block
 
 
 class TestStatsOnlyTrace:
@@ -590,37 +633,36 @@ class TestStatsOnlyTrace:
         params = init_params(self.CFG, 86)
         return layer_forward(batch, params, self.CFG)[1]
 
+    def _held(self, level):
+        """The arrays a level trace holds besides its inputs, output and pooled grid."""
+        skip = {"batch", "params", "config", "source", "grid", "y", "z", "_pad_arg"}
+        seen: set = set()  # what the skipped fields reach, the band's grid too
+        for name in skip & vars(level).keys():
+            _reachable_arrays(getattr(level, name), name, seen)
+        return {
+            key: a for name, value in vars(level).items() if name not in skip
+            for key, a in _reachable_arrays(value, name, seen).items()
+        }
+
     def test_blocks_hold_no_mask(self):
-        cfg, n = self.CFG, 512
+        """No mask and no key column array: masks are rebuilt from the level's band."""
+        n = 512
         trace = self._trace(n)
-        g = len(trace.batch.global_set)
-        block = block_rows(n, cfg.w1)
-        for blocks in (trace.first.blocks, trace.second.blocks):
-            held = [v for b in blocks for v in vars(b).values() if isinstance(v, np.ndarray)]
-            assert not any(v.dtype == bool for v in held)
-            # masks are rebuilt from the level's band (the first level's global
-            # rows have their own), not kept per block
-            assert len({id(b.band) for b in blocks}) <= 2
-            # at most one int64 per key column of each block's union (its rows,
-            # 2*w1 more, the out-of-union globals) and per global row
-            non_float = sum(v.nbytes for v in held if v.dtype.kind != "f")
-            assert non_float <= 8 * (-(-n // block) * (block + 2 * cfg.w1 + g) + g)
+        for level in (trace.first, trace.second):
+            held = self._held(level)
+            # the band's per-row and per-key flags, each one entry per token
+            assert all(a.ndim == 1 and a.size == n for a in held.values() if a.dtype == bool)
+            # the counts are the only integers: one int64 per row
+            assert sum(a.nbytes for a in held.values() if a.dtype.kind in "iu") == 8 * n
 
     def test_trace_holds_two_floats_per_head_and_row(self):
         cfg, n = self.CFG, 512
         trace = self._trace(n)
-
-        def float_bytes(blocks):
-            return sum(
-                v.nbytes for b in blocks for v in vars(b).values()
-                if isinstance(v, np.ndarray) and v.dtype.kind == "f"
-            )
-
-        first = trace.first.blocks
-        # row max and denominator per head and row, plus one block for the globals
-        bound = 2 * 8 * cfg.n_heads * (n + block_rows(n, cfg.w1))
-        assert float_bytes(first) <= bound
-        assert float_bytes(trace.second.blocks) <= bound
+        for level in (trace.first, trace.second):
+            floats = [a for a in self._held(level).values() if a.dtype.kind == "f"]
+            # row max and denominator per head and row, whatever the partition
+            assert level.rowmax.shape == level.denom.shape == (cfg.n_heads, n, 1)
+            assert sum(a.nbytes for a in floats) == 2 * 8 * cfg.n_heads * n
 
     @pytest.mark.parametrize("level", ["first", "second"])
     def test_replayed_probabilities_reproduce_forward_bitwise(self, level):
@@ -628,14 +670,15 @@ class TestStatsOnlyTrace:
         lt = getattr(trace, level)
         # the inputs each level's backward rebuilds from what the trace holds
         qh, kh, vh = (_heads(m, self.CFG.n_heads) for m in map(lt._input, range(3)))
-        blocks, out = lt.blocks, trace.y if level == "first" else trace.z
+        out = trace.y if level == "first" else trace.z
         replayed = np.zeros_like(out)
         replayed_h = _heads(replayed, self.CFG.n_heads)
         memo = {}
-        for b in blocks:
-            e = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], self.CFG.alpha(), memo)
+        for rows, cols in plan(lt):
+            bias = _block_bias(lt.band, rows, cols, memo)[0]
+            e = _replay_probs(qh[:, rows], kh[:, cols], bias, lt.rowmax[:, rows], self.CFG.alpha())
             # the replay is unnormalized: the forward divides its output by denom
-            replayed_h[:, b.row_idx] = np.matmul(e, vh[:, b.col_idx]) / b.denom
+            replayed_h[:, rows] = np.matmul(e, vh[:, cols]) / lt.denom[:, rows]
         np.testing.assert_array_equal(replayed, out)
 
 
@@ -673,28 +716,30 @@ class TestBlockBias:
     @pytest.mark.parametrize("case", CASES)
     def test_shared_bias_equals_block_mask(self, case, monkeypatch):
         trace = self._trace(case, monkeypatch)
-        for blocks in (trace.first.blocks, trace.second.blocks):
-            misses = check_block_biases(blocks)
+        for level in (trace.first, trace.second):
+            blocks = plan(level)
+            misses = check_block_biases(level.band, blocks)
             if self.CASES[case][-1]:
                 assert len(blocks) >= 8
                 assert len(blocks) - misses > misses
 
     def test_memo_is_keyed_by_band(self, monkeypatch):
         """An interior block under a copy of its band misses: the memo never crosses bands."""
-        b = self._trace("plain", monkeypatch).first.blocks[8]
+        first = self._trace("plain", monkeypatch).first
+        rows, cols = plan(first)[8]
         memo = {}
         with mock.patch.object(attention, "_block_mask", wraps=_block_mask) as built:
-            for band in (b.band, b.band, replace(b.band)):
-                _block_bias(band, b.row_idx, b.col_idx, memo)
+            for band in (first.band, first.band, replace(first.band)):
+                _block_bias(band, rows, cols, memo)
         assert built.call_count == 2
 
 
-def _explicit_backward(blocks, upstream, q, k, v, cfg):
-    """The softmax backward ``p * (dp - rowsum(p * dp))`` over the blocks' masks, densely."""
+def _explicit_backward(level, upstream, q, k, v, cfg):
+    """The softmax backward ``p * (dp - rowsum(p * dp))`` over the level's block masks, densely."""
     mask = np.zeros((len(q), len(k)), dtype=bool)
-    for b in blocks:
-        rows, cols = np.arange(len(q))[b.row_idx], np.arange(len(k))[b.col_idx]
-        mask[np.ix_(rows, cols)] |= _block_mask(b.band, b.row_idx, b.col_idx)
+    for rows, cols in plan(level):
+        r, c = np.arange(len(q))[rows], np.arange(len(k))[cols]
+        mask[np.ix_(r, c)] |= _block_mask(level.band, rows, cols)
     grads = [np.zeros_like(m) for m in (q, k, v)]
     dh, alpha = cfg.head_dim, cfg.alpha()
     for h in range(cfg.n_heads):
@@ -733,11 +778,13 @@ class TestBackwardDForm:
             q, k, v = map(level._input, range(3))
             qh, kh = _heads(q, cfg.n_heads), _heads(k, cfg.n_heads)
             memo = {}
-            for b in level.blocks:
-                e = _replay_probs(b, qh[:, b.row_idx], kh[:, b.col_idx], cfg.alpha(), memo)
-                assert not e[:, ~b.band.row_ok[b.row_idx]].any()  # padding rows: e = 0
-            got = _attention_backward(level.blocks, upstream, out, q, k, v, cfg)
-            want = _explicit_backward(level.blocks, upstream, q, k, v, cfg)
+            for rows, cols in plan(level):
+                bias = _block_bias(level.band, rows, cols, memo)[0]
+                rowmax = level.rowmax[:, rows]
+                e = _replay_probs(qh[:, rows], kh[:, cols], bias, rowmax, cfg.alpha())
+                assert not e[:, ~level.band.row_ok[rows]].any()  # padding rows: e = 0
+            got = _attention_backward(level, upstream, out, q, k, v)
+            want = _explicit_backward(level, upstream, q, k, v, cfg)
             for name, g, w in zip("qkv", got, want):
                 assert relative_diff(g, w) <= 1e-12, name
 
@@ -757,10 +804,11 @@ class TestPaddedBlocks:
         batch = SequenceBatch(batch.embeddings, pad, batch.global_set)
         trace = layer_forward(batch, init_params(cfg, 88), cfg)[1]
         for level in (trace.first, trace.second):
-            assert all(b.band.row_ok[b.row_idx].any() for b in level.blocks)
+            blocks = plan(level)
+            assert all(level.band.row_ok[rows].any() for rows, _ in blocks)
             kept = np.zeros(n, dtype=bool)
-            for b in level.blocks:
-                kept[b.row_idx] = True
+            for rows, _ in blocks:
+                kept[rows] = True
             # every valid row is still in a kept block
             assert kept[pad].all()
 
@@ -873,12 +921,14 @@ class TestBackwardPurity:
         upstream = symmetric_uniform(97, batch.n * cfg.d_model).reshape(batch.n, cfg.d_model)
         arrays = _reachable_arrays(trace, "trace")
         arrays["upstream"] = upstream
-        # what the trace holds, by field; nothing the backward rebuilds
+        # what the trace holds, by field; nothing the backward rebuilds (the
+        # second level's band holds only the pad mask and the grid, reached first)
         fields = {".".join(key.split(".")[:3]) for key in arrays}
         assert fields == {
             "trace.first.batch", "trace.first.params", "trace.first.y", "trace.first.counts",
-            "trace.first.blocks", "trace.second.grid", "trace.second.z", "trace.second.counts",
-            "trace.second.degenerate", "trace.second.blocks", "trace.final", "upstream",
+            "trace.first.band", "trace.first.rowmax", "trace.first.denom", "trace.second.grid",
+            "trace.second.z", "trace.second.counts", "trace.second.degenerate",
+            "trace.second.rowmax", "trace.second.denom", "trace.final", "upstream",
         }
         before = {key: a.copy() for key, a in arrays.items()}
 

@@ -24,6 +24,7 @@ from poolattn.windowing import (
     visible_segments,
     window_bounds,
 )
+from trace_reference import plan
 
 
 def instrumented_two_level(n, w1, w2, kappa, xi, g, seed=1):
@@ -328,7 +329,7 @@ class TestPeakBytes:
         (n, d) arrays (the first level's output y, the second level's output
         z, the layer output) and no projection or pooled grid.  Everything
         else it holds, the row maximum and denominator of every head, row and
-        level, the counts, the key indices and the grid, is at most half an
+        level, the counts, the band and the grid, is at most half an
         (n, d) array more.
         """
         cfg, g, pad_share = self.WORKLOAD_LAYERS[workload]
@@ -356,8 +357,8 @@ class TestPeakBytes:
 
         array = 8 * n * cfg.d_model
         block = max(
-            8 * (3 * cfg.n_heads * size(b.row_idx) + cfg.d_model) * size(b.col_idx)
-            for b in trace.first.blocks + trace.second.blocks
+            8 * (3 * cfg.n_heads * size(rows) + cfg.d_model) * size(cols)
+            for rows, cols in plan(trace.first) + plan(trace.second)
         )
         pooled = 8 * len(trace.second.grid) * cfg.d_model
         scratch = 4 * 8 * -(-n // cfg.xi) * cfg.d_model

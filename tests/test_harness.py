@@ -257,21 +257,23 @@ class TestRunners:
         rc = RunConfig(layer=SMALL_LAYER, n_list=(48, 64), seed=9, trials=3)
         assert run_forward(rc) == run_forward(rc)
 
-    def test_bench_smoke_and_guard(self):
+    def test_bench_smoke_and_guard(self, monkeypatch):
         rc = RunConfig(layer=SMALL_LAYER, n_list=(128, 256), seed=1, trials=3)
         records, notices = run_bench(rc, dense_cap=256)
         patterns = [(r.pattern, r.n) for r in records]
         assert ("two_level", 128) in patterns and ("dense", 256) in patterns
         assert all(r.median_ns > 0 for r in records)
         # a tiny memory guard skips everything, with notices
-        records2, notices2 = run_bench(rc, dense_cap=256, mem_guard_bytes=1)
+        monkeypatch.setattr(harness, "DEFAULT_MEM_GUARD", 1)
+        records2, notices2 = run_bench(rc, dense_cap=256)
         assert not records2
         assert len(notices2) == 4
 
-    def test_bench_equal_memory_budget_excludes_dense(self):
+    def test_bench_equal_memory_budget_excludes_dense(self, monkeypatch):
         # at a budget the two-level path fits, the dense pattern is skipped
+        monkeypatch.setattr(harness, "DEFAULT_MEM_GUARD", 16 << 20)
         rc = RunConfig(layer=LayerConfig(), n_list=(2048,), seed=1, trials=3)
-        records, notices = run_bench(rc, dense_cap=2048, mem_guard_bytes=16 << 20)
+        records, notices = run_bench(rc, dense_cap=2048)
         assert [r.pattern for r in records] == ["two_level"]
         assert any("dense" in note for note in notices)
 

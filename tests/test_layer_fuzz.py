@@ -33,7 +33,7 @@ from poolattn.harness import (
 from poolattn.oracle import literal_pooling_attention, mask_from_config, per_head_dense
 from poolattn.pooling import PoolingOp, pool_segment
 from poolattn.windowing import build_pooled_grid
-from trace_reference import check_block_biases, fresh_stages, trace_views
+from trace_reference import check_block_biases, fresh_stages, plan, trace_views
 
 D, TOLERANCE = 4, 1e-12
 GRADCHECK_MAX_N = 12  # finite differences cost two forwards per entry
@@ -193,8 +193,8 @@ def test_layer_matches_oracles(case):
         degenerate = batch.pad_mask & (second_counts == 0)
         np.testing.assert_array_equal(trace.degenerate_second, degenerate)
         np.testing.assert_array_equal(out, trace.y + trace.z)
-        check_block_biases(trace.first.blocks)
-        check_block_biases(trace.second.blocks)
+        for level in (trace.first, trace.second):
+            check_block_biases(level.band, plan(level))
         if case.w2 >= case.n - 1:
             z_lit = literal_pooling_attention(batch, trace.y, params, cfg)
             assert relative_diff(trace.z, z_lit) <= TOLERANCE

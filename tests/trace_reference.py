@@ -2,8 +2,9 @@
 
 ``trace_views`` reads a trace's views; ``fresh_stages`` builds the same
 arrays, in the same order, from ``project_qkv``, ``build_pooled_grid`` and
-``pool_grid``, for tests that compare the two bitwise.  ``check_block_biases``
-compares each block's shared bias with one built from its own mask.
+``pool_grid``, for tests that compare the two bitwise.  ``plan`` lists the
+blocks a level's passes run, and ``check_block_biases`` compares each
+block's shared bias with one built from its own mask.
 """
 
 from unittest import mock
@@ -36,9 +37,16 @@ def fresh_stages(batch, params, cfg, y) -> tuple:
     return (*project_qkv(batch.embeddings, params.first), q2, k2, v2, *pooled)
 
 
-def check_block_biases(blocks) -> int:
-    """Run ``blocks`` through one ``_block_bias`` memo, as a pass does; return its misses.
+def plan(level) -> list:
+    """The (rows, key columns) blocks each pass over a level trace's band runs."""
+    band = level.band
+    return list(attention._blocks(band, attention.block_rows(len(band.row_ok), level.config.w1)))
 
+
+def check_block_biases(band, blocks) -> int:
+    """Run ``blocks`` of ``band`` through one ``_block_bias`` memo, as a pass does.
+
+    Returns the memo's misses.
     Every bias and count must equal ``np.where(mask, 0, -inf)`` and
     ``mask.sum(1)`` of the block's own ``_block_mask``.  Then each block goes
     through the memo again, followed by the same rows over one column fewer,
@@ -46,20 +54,19 @@ def check_block_biases(blocks) -> int:
     """
     block_mask = attention._block_mask
 
-    def check(b, cols, memo):
-        bias, counts = attention._block_bias(b.band, b.row_idx, cols, memo)
-        mask = block_mask(b.band, b.row_idx, cols)
+    def check(rows, cols, memo):
+        bias, counts = attention._block_bias(band, rows, cols, memo)
+        mask = block_mask(band, rows, cols)
         np.testing.assert_array_equal(bias, np.where(mask, 0.0, -np.inf))
         np.testing.assert_array_equal(counts, mask.sum(axis=1))
 
     memo: dict = {}
     with mock.patch.object(attention, "_block_mask", wraps=block_mask) as built:
-        for b in blocks:
-            check(b, b.col_idx, memo)
-    for b in blocks:
-        cols = b.col_idx
+        for rows, cols in blocks:
+            check(rows, cols, memo)
+    for rows, cols in blocks:
         keys = np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols
-        check(b, cols, memo)
+        check(rows, cols, memo)
         if keys.size > 1:
-            check(b, keys[:-1], memo)
+            check(rows, keys[:-1], memo)
     return built.call_count
