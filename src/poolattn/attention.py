@@ -134,12 +134,14 @@ def _block_bias(
 
     Over valid rows and keys, in a run of consecutive rows holding no extra
     row (as ``_blocks`` cuts them), the mask is fixed by the rows' bounds as
-    offsets from the first column, the width and ``extra[cols]``: such blocks
-    share one bias through ``memo``, a one-entry dict owned by one pass.
+    offsets from the first column, the width and ``extra[cols]``: such blocks,
+    and only they, share one bias through ``memo``, a one-entry dict owned by
+    one pass.
     """
     key = None
     keys_ok = band.key_ok is None or band.key_ok[cols].all()
-    if isinstance(rows, slice) and keys_ok and band.row_ok[rows].all():
+    no_extra_row = band.extra is None or not band.extra[rows].any()
+    if isinstance(rows, slice) and keys_ok and no_extra_row and band.row_ok[rows].all():
         keys = np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols
         lo, hi = (x - keys[0] for x in band.bounds(np.arange(rows.start, rows.stop)))
         extra = b"" if band.extra is None else band.extra[cols].tobytes()
@@ -162,17 +164,18 @@ def _masked_scores(qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, alpha: floa
 
 
 def _blocks(
-    band: _Band, block: int
+    band: _Band, w1: int
 ) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray]]:
     """A pass's blocks over ``band``, in pass order: (rows, key columns).
 
     The extra rows come first, as one block (an index array) against every
-    key.  The other rows go in slices of at most ``block`` consecutive rows:
-    the grid of ``block`` rows, cut around each extra row.  A slice scores
+    key.  The other rows go in slices of at most ``block_rows(n, w1)``
+    consecutive rows: that grid, cut around each extra row.  A slice scores
     against its rows' interval union plus the extras outside it, and is
     skipped if that is empty or none of its rows is valid.
     """
     n = band.row_ok.shape[0]
+    block = block_rows(n, w1)
     extra = np.flatnonzero(band.extra) if band.extra is not None else np.empty(0, np.int64)
     if extra.size:
         yield extra, slice(0, n)
@@ -217,7 +220,7 @@ def _banded_attention(
     rowmax, denom = np.zeros((n_heads, n, 1)), np.ones((n_heads, n, 1))
     out = None
     memo: dict = {}
-    for rows, cols in _blocks(band, block_rows(n, config.w1)):
+    for rows, cols in _blocks(band, config.w1):
         bias, counts[rows] = _block_bias(band, rows, cols, memo)
         e = _masked_scores(qh[:, rows], kh[:, cols], bias, alpha)
         empty = counts[rows] == 0
@@ -230,15 +233,10 @@ def _banded_attention(
         rowmax[:, rows], denom[:, rows] = m, total
         e = np.matmul(e, vh[:, cols])  # the block's output; the scores go
         e /= total
-        if out is None:
-            # allocated after the first block, so the global rows' (heads,
-            # globals, n) transients never sit on top of it
-            out = np.zeros((n, config.d_model))
-            out_h = _heads(out, n_heads)
+        if out is None:  # after the first block, whose (h, globals, n) scores are gone
+            out_h = _heads(out := np.zeros((n, config.d_model)), n_heads)
         out_h[:, rows] = e
-    if out is None:
-        out = np.zeros((n, config.d_model))
-    return out, counts, rowmax, denom
+    return np.zeros((n, config.d_model)) if out is None else out, counts, rowmax, denom
 
 
 def _replay_probs(
@@ -384,7 +382,7 @@ def _ragged_rows(
     tokens = np.arange(len(q))
     out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * len(q)
     memo: dict = {}
-    for rows, cols in _blocks(band, block_rows(len(q), config.w1)):
+    for rows, cols in _blocks(band, config.w1):
         bias = _block_bias(band, rows, cols, memo)[0]
         probs = _replay_probs(qh[:, rows], kh[:, cols], bias, level.rowmax[:, rows], alpha)
         probs /= level.denom[:, rows]
@@ -537,7 +535,7 @@ def _attention_backward(
         _heads(m, config.n_heads) for m in (q, k, v, upstream, out, *grads)
     )
     memo: dict = {}
-    for rows, cols in _blocks(band, block_rows(len(q), config.w1)):
+    for rows, cols in _blocks(band, config.w1):
         qr, kc, vc = qh[:, rows], kh[:, cols], vh[:, cols]
         bias = _block_bias(band, rows, cols, memo)[0]
         e = _replay_probs(qr, kc, bias, level.rowmax[:, rows], alpha)

@@ -9,6 +9,7 @@ import poolattn.attention as attention
 from poolattn.attention import (
     AttentionTrace,
     _attention_backward,
+    _Band,
     _block_bias,
     _block_mask,
     _heads,
@@ -570,10 +571,15 @@ class TestBlockSizeInvariance:
         monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, rows))
         with mock.patch.object(attention, "_blocks", wraps=attention._blocks) as passes:
             out_b, trace_b, grads_b = run()
-        # two forward and two backward passes, each over the patched partition
-        assert [c.args[1] for c in passes.call_args_list] == [min(n, rows)] * 4
+        # two forward and two backward passes, each over the layer's w1
+        assert [c.args[1] for c in passes.call_args_list] == [cfg.w1] * 4
+        # each pass's slices fill the patched grid: none leaves its grid cell,
+        # and the largest is a full one
+        block = min(n, rows)
         spans = [r for level in (trace_b.first, trace_b.second) for r, _ in plan(level)]
-        assert max(s.stop - s.start for s in spans if isinstance(s, slice)) <= min(n, rows)
+        spans = [s for s in spans if isinstance(s, slice)]
+        assert all(s.start // block == (s.stop - 1) // block for s in spans)
+        assert max(s.stop - s.start for s in spans) == block
         np.testing.assert_array_equal(trace_b.first_counts, trace.first_counts)
         np.testing.assert_array_equal(trace_b.second_counts, trace.second_counts)
         ref = _grad_groups(out, grads)
@@ -732,6 +738,21 @@ class TestBlockBias:
             for band in (first.band, first.band, replace(first.band)):
                 _block_bias(band, rows, cols, memo)
         assert built.call_count == 2
+
+    def test_block_holding_an_extra_row_never_shares(self):
+        """A slice holding an extra row gets its own mask, even after a block of like offsets."""
+        n = 16
+        extra = np.zeros(n, dtype=bool)
+        extra[10] = True
+        # every row sees keys 0 to 3 and the extra key 10; row 10 sees every key
+        band = _Band(lambda r: (np.zeros_like(r), np.full_like(r, 4)), np.ones(n, dtype=bool),
+                     extra=extra)
+        memo = {}
+        for rows in (slice(0, 4), slice(8, 12)):
+            bias, counts = _block_bias(band, rows, slice(0, n), memo)
+            mask = _block_mask(band, rows, slice(0, n))
+            np.testing.assert_array_equal(bias, np.where(mask, 0.0, -np.inf))
+        np.testing.assert_array_equal(counts, [5, 5, 16, 5])
 
 
 def _explicit_backward(level, upstream, q, k, v, cfg):

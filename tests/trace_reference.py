@@ -39,8 +39,7 @@ def fresh_stages(batch, params, cfg, y) -> tuple:
 
 def plan(level) -> list:
     """The (rows, key columns) blocks each pass over a level trace's band runs."""
-    band = level.band
-    return list(attention._blocks(band, attention.block_rows(len(band.row_ok), level.config.w1)))
+    return list(attention._blocks(level.band, level.config.w1))
 
 
 def check_block_biases(band, blocks) -> int:
