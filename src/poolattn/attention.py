@@ -4,14 +4,17 @@ The fast path never materializes an n-by-n score matrix.  Both levels run one
 banded driver (``_banded_attention``): each row sees an interval of keys
 (tokens within w1, or pooled segments centered within w2) plus, at the first
 level, the global columns; a global row sees every valid key.  One generator
-(``_blocks``) yields a band's blocks for the forward, the backward and
-``attention_rows``: the global rows first, as one block against every key,
-then slices of consecutive rows whose size follows the first-level window
-(``block_rows``), cut around each global row.  Each block scores its rows
-against the union of their intervals plus a 0/-inf mask bias
-(``_block_bias``, one per run of interior blocks) and runs a stable softmax
-that divides its (rows, d/h) output, not its probabilities, by the
-denominator, as FlashAttention does (arXiv 2205.14135).  Every array the
+(``_blocks``) yields a band's blocks, each with its 0/-inf mask bias and
+visible-key counts, for the forward, the backward and ``attention_rows``: the
+global rows first, as one block against every key with one bias row over the
+valid keys, then slices of consecutive rows whose size follows the
+first-level window (``block_rows``, a multiple of the pooling stride at the
+second level), cut around each global row.  A slice's bias comes from its own
+mask (``_block_mask``), or is shared by a run of slices with like bound
+offsets.  Each block scores its rows against the union of their intervals
+plus that bias and runs a stable softmax that divides its (rows, d/h)
+output, not its probabilities, by the denominator, as FlashAttention does
+(arXiv 2205.14135).  Every array the
 layer builds is a row matrix: queries, keys and values (n, d), pooled grids
 (segments, d), each level's output and every gradient.  Heads are strided
 column blocks of those rows: ``_heads`` views them as (n_heads, rows, d/h)
@@ -85,20 +88,23 @@ def block_rows(n: int, w1: int) -> int:
     return min(n, max(MIN_BLOCK, w1 // 2))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _Band:
-    """Which keys one level's rows see: per-row bounds, extra keys, and validity.
+    """Which keys one level's rows see: per-row bounds, extra keys, validity and a row step.
 
     Row r sees key j if ``lo <= j < hi`` for ``lo, hi = bounds(r)`` (both
     non-decreasing in r) or ``extra[j]``, and if ``row_ok[r]`` and ``key_ok[j]``
-    (None: every key valid, no extras).  An extra key's own row sees every
-    valid key.  Bands compare and hash by identity.
+    (None: every key valid; a band with extras has ``key_ok``).  An extra
+    key's own row sees every valid key.  The bounds' offsets repeat every
+    ``step`` rows (the pooling stride at the second level), so ``_blocks``
+    sizes its slices in multiples of it.
     """
 
     bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     row_ok: np.ndarray
     key_ok: np.ndarray | None = None
     extra: np.ndarray | None = None
+    step: int = 1
 
 
 def _heads(mat: np.ndarray, n_heads: int) -> np.ndarray:
@@ -111,49 +117,18 @@ def _heads(mat: np.ndarray, n_heads: int) -> np.ndarray:
     return mat.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
 
 
-def _block_mask(band: _Band, rows: slice | np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
-    """The (rows, cols) bool mask of a block: in bounds or extra, on valid rows and keys."""
+def _block_mask(band: _Band, rows: slice, cols: slice | np.ndarray) -> np.ndarray:
+    """The (rows, cols) bool mask of a row slice: in bounds or extra, on valid rows and keys."""
     # int32 comparisons take about half the time of int64 ones
     keys = (np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols).astype(np.int32)
-    r = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
-    lo, hi = (x.astype(np.int32)[:, None] for x in band.bounds(r))
+    lo, hi = (x.astype(np.int32)[:, None] for x in band.bounds(np.arange(rows.start, rows.stop)))
     mask = (keys >= lo) & (keys < hi)
     if band.extra is not None:
         mask |= band.extra[cols]
-        mask |= band.extra[rows, None]
     if band.key_ok is not None:
         mask &= band.key_ok[cols]
     mask &= band.row_ok[rows, None]
     return mask
-
-
-def _block_bias(
-    band: _Band, rows: slice | np.ndarray, cols: slice | np.ndarray, memo: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """A block's 0/-inf mask bias (rows, cols) and each row's count of visible keys.
-
-    Over valid rows and keys, in a run of consecutive rows holding no extra
-    row (as ``_blocks`` cuts them), the mask is fixed by the rows' bounds as
-    offsets from the first column, the width and ``extra[cols]``: such blocks,
-    and only they, share one bias through ``memo``, a one-entry dict owned by
-    one pass.
-    """
-    key = None
-    keys_ok = band.key_ok is None or band.key_ok[cols].all()
-    no_extra_row = band.extra is None or not band.extra[rows].any()
-    if isinstance(rows, slice) and keys_ok and no_extra_row and band.row_ok[rows].all():
-        keys = np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols
-        lo, hi = (x - keys[0] for x in band.bounds(np.arange(rows.start, rows.stop)))
-        extra = b"" if band.extra is None else band.extra[cols].tobytes()
-        key = (band, keys.size, lo.tobytes(), hi.tobytes(), extra)
-        if key in memo:
-            return memo[key]
-    mask = _block_mask(band, rows, cols)
-    found = np.where(mask, 0.0, -np.inf), mask.sum(axis=1)
-    if key is not None:
-        memo.clear()
-        memo[key] = found
-    return found
 
 
 def _masked_scores(qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, alpha: float) -> np.ndarray:
@@ -165,20 +140,27 @@ def _masked_scores(qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, alpha: floa
 
 def _blocks(
     band: _Band, w1: int
-) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray]]:
-    """A pass's blocks over ``band``, in pass order: (rows, key columns).
+) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray, np.ndarray, np.ndarray]]:
+    """A pass's blocks over ``band``, in pass order: (rows, key columns, bias, counts).
 
-    The extra rows come first, as one block (an index array) against every
-    key.  The other rows go in slices of at most ``block_rows(n, w1)``
-    consecutive rows: that grid, cut around each extra row.  A slice scores
+    ``bias`` is the block's 0/-inf mask bias, broadcastable to (rows, cols),
+    and ``counts`` each row's number of visible keys.  The extra rows come
+    first, as one block (an index array) against every key, with a (1, n)
+    bias over the valid keys and their count, one number for every row.  The
+    other rows go in slices of at most
+    ``block_rows(n, w1)`` consecutive rows, rounded down to a multiple of
+    ``band.step``: that grid, cut around each extra row.  A slice scores
     against its rows' interval union plus the extras outside it, and is
-    skipped if that is empty or none of its rows is valid.
+    skipped if that is empty or none of its rows is valid.  A slice whose
+    rows and keys are all valid has its mask fixed by its rows' bound
+    offsets from its first column and ``extra[cols]``, so a run of such
+    slices shares one bias and counts, built once.
     """
     n = band.row_ok.shape[0]
-    block = block_rows(n, w1)
+    block = max(band.step, block_rows(n, w1) // band.step * band.step)
     extra = np.flatnonzero(band.extra) if band.extra is not None else np.empty(0, np.int64)
     if extra.size:
-        yield extra, slice(0, n)
+        yield extra, slice(0, n), np.where(band.key_ok, 0.0, -np.inf)[None], band.key_ok.sum()
     # the grid's and each extra row's bounds
     edge = np.zeros(n + 1, dtype=bool)
     edge[:n:block] = edge[extra] = edge[extra + 1] = edge[n] = True
@@ -190,14 +172,30 @@ def _blocks(
     # each block's key union: its first row's lo to its last row's hi
     c0s = band.bounds(starts)[0].tolist()
     c1s = band.bounds(stops - 1)[1].tolist()
+    shared_key = None
     for s, e, c0, c1 in zip(starts.tolist(), stops.tolist(), c0s, c1s):
-        if not band.row_ok[s:e].any():
+        rows = slice(s, e)
+        if not band.row_ok[rows].any():
             continue
         outside = extra[(extra < c0) | (extra >= c1)]
         if outside.size:
-            yield slice(s, e), np.concatenate([np.arange(c0, c1, dtype=np.int64), outside])
+            cols = np.concatenate([np.arange(c0, c1, dtype=np.int64), outside])
         elif c1 > c0:
-            yield slice(s, e), slice(c0, c1)
+            cols = slice(c0, c1)
+        else:
+            continue
+        key = None
+        if band.row_ok[rows].all() and (band.key_ok is None or band.key_ok[cols].all()):
+            # no width: it is the last row's hi offset plus the extras outside
+            # the union, one byte each of extra[cols]
+            lo, hi = (x - c0 for x in band.bounds(np.arange(s, e)))
+            extra_cols = b"" if band.extra is None else band.extra[cols].tobytes()
+            key = lo.tobytes(), hi.tobytes(), extra_cols
+        if key is None or key != shared_key:
+            mask = _block_mask(band, rows, cols)
+            shared_key, shared = key, (np.where(mask, 0.0, -np.inf), mask.sum(axis=1))
+            del mask  # not held while the block is scored
+        yield rows, cols, *shared
 
 
 def _banded_attention(
@@ -219,9 +217,8 @@ def _banded_attention(
     counts = np.zeros(n, dtype=np.int64)
     rowmax, denom = np.zeros((n_heads, n, 1)), np.ones((n_heads, n, 1))
     out = None
-    memo: dict = {}
-    for rows, cols in _blocks(band, config.w1):
-        bias, counts[rows] = _block_bias(band, rows, cols, memo)
+    for rows, cols, bias, seen in _blocks(band, config.w1):
+        counts[rows] = seen
         e = _masked_scores(qh[:, rows], kh[:, cols], bias, alpha)
         empty = counts[rows] == 0
         m = e.max(axis=-1, keepdims=True)
@@ -381,12 +378,10 @@ def _ragged_rows(
     qh, kh = _heads(q, config.n_heads), _heads(k, config.n_heads)
     tokens = np.arange(len(q))
     out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * len(q)
-    memo: dict = {}
-    for rows, cols in _blocks(band, config.w1):
-        bias = _block_bias(band, rows, cols, memo)[0]
+    for rows, cols, bias, _ in _blocks(band, config.w1):
         probs = _replay_probs(qh[:, rows], kh[:, cols], bias, level.rowmax[:, rows], alpha)
         probs /= level.denom[:, rows]
-        visible = bias == 0.0
+        visible = np.broadcast_to(bias == 0.0, probs.shape[1:])
         for r, tok in enumerate(tokens[rows]):
             if visible[r].any():
                 out[int(tok)] = probs[:, r, visible[r]]
@@ -430,9 +425,10 @@ def first_level_forward(
 
     y[~pad] = 0.0
     if not np.isfinite(y).all():
+        token = np.argwhere(~np.isfinite(y))[0, 0]
         raise ValueError(
             "first_level_forward: non-finite output; the scaled query-key scores "
-            "overflow float64"
+            f"overflow float64, first at token {token}"
         )
     return y, FirstLevelTrace(batch, params, config, y, counts, band, rowmax, denom)
 
@@ -467,14 +463,15 @@ def second_level_forward(
     build = partial(_second_input, src, params, config, grid, pad_arg)
     pooled_k, pooled_v = build(1), build(2)
     q2 = build(0)
-    band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad)
+    band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad, step=config.xi)
     z, counts, rowmax, denom = _banded_attention(q2, pooled_k, pooled_v, band, config)
     degenerate = pad & (counts == 0)
 
     if not np.isfinite(z).all():
+        token = np.argwhere(~np.isfinite(z))[0, 0]
         raise ValueError(
             "second_level_forward: non-finite output; the scaled query-segment scores "
-            "overflow float64"
+            f"overflow float64, first at token {token}"
         )
     return z, SecondLevelTrace(
         batch, params, config, src, grid, z, counts, degenerate, band, rowmax, denom, pad_arg
@@ -534,10 +531,8 @@ def _attention_backward(
     qh, kh, vh, uh, oh, d_qh, d_kh, d_vh = (
         _heads(m, config.n_heads) for m in (q, k, v, upstream, out, *grads)
     )
-    memo: dict = {}
-    for rows, cols in _blocks(band, config.w1):
+    for rows, cols, bias, _ in _blocks(band, config.w1):
         qr, kc, vc = qh[:, rows], kh[:, cols], vh[:, cols]
-        bias = _block_bias(band, rows, cols, memo)[0]
         e = _replay_probs(qr, kc, bias, level.rowmax[:, rows], alpha)
         du = uh[:, rows] / level.denom[:, rows]
         d_vh[:, cols] += np.matmul(e.transpose(0, 2, 1), du)
@@ -621,7 +616,8 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
             f"upstream must have shape {trace.final.shape}, got {upstream.shape}"
         )
     if not np.isfinite(upstream).all():
-        raise ValueError("upstream gradient must be finite")
+        row, col = np.argwhere(~np.isfinite(upstream))[0]
+        raise ValueError(f"upstream gradient must be finite; first at row {row}, column {col}")
     d_y = upstream * batch.pad_mask[:, None]
 
     d_src2, second_grads, d_wp_k, d_wp_v = _second_backward(st, d_y)
@@ -645,6 +641,7 @@ def stack_forward(batch: SequenceBatch, layers, schedule) -> np.ndarray:
     ``layers`` is a sequence of (config, params) pairs and ``schedule`` a
     same-length sequence of "sliding_only" / "two_level".  Sliding-only layers
     skip the second level entirely (their second-level parameters are unused).
+    Every layer's mode and width are checked before any layer runs.
     """
     layers = list(layers)
     schedule = list(schedule)
@@ -652,14 +649,15 @@ def stack_forward(batch: SequenceBatch, layers, schedule) -> np.ndarray:
         raise ValueError(
             f"schedule length {len(schedule)} does not match layer count {len(layers)}"
         )
-    x = batch.embeddings
-    for depth, ((config, params), mode) in enumerate(zip(layers, schedule)):
+    for depth, ((config, _), mode) in enumerate(zip(layers, schedule)):
         if config.d_model != batch.d:
             raise ValueError(
                 f"layer {depth} d_model {config.d_model} does not match batch width {batch.d}"
             )
         if mode not in SCHEDULE_MODES:
             raise ValueError(f"schedule mode must be one of {SCHEDULE_MODES}, got {mode!r}")
+    x = batch.embeddings
+    for (config, params), mode in zip(layers, schedule):
         current = SequenceBatch(x, batch.pad_mask, batch.global_set)
         if mode == "sliding_only":
             x, _ = first_level_forward(current, params, config)

@@ -28,7 +28,10 @@ def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if rows is not None and out.shape != (rows, cols):
         raise ValueError(f"expected matrix shape {(rows, cols)}, got {out.shape}")
     if not np.isfinite(out).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        row, col = np.argwhere(~np.isfinite(out))[0]
+        raise ValueError(
+            f"matrix entries must be finite (no NaN/Inf); first at row {row}, column {col}"
+        )
     return out
 
 
@@ -80,9 +83,10 @@ def project(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = x @ w.T
     out += b
     if not np.isfinite(out).all():
+        token = np.argwhere(~np.isfinite(out))[0, 0]
         raise ValueError(
             "project_qkv: non-finite query/key/value projection; the embeddings "
-            "overflow float64"
+            f"overflow float64, first at token {token}"
         )
     return out
 

@@ -220,8 +220,10 @@ def pool_grid(
         out = _weighted_sum(source, delta, grid.xi)
     out = out if kept is None else out[kept]
     if not np.isfinite(out).all():
+        segment = np.argwhere(~np.isfinite(out))[0, 0]
         raise ValueError(
-            f"pool_grid: non-finite pooled output; {op.kind} pooling overflows float64"
+            f"pool_grid: non-finite pooled output; {op.kind} pooling overflows float64, "
+            f"first at segment {segment}"
         )
     return out
 

@@ -1,5 +1,5 @@
-from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,7 +10,6 @@ from poolattn.attention import (
     AttentionTrace,
     _attention_backward,
     _Band,
-    _block_bias,
     _block_mask,
     _heads,
     _masked_scores,
@@ -27,6 +26,7 @@ from poolattn.core import (
     LayerParams,
     ProjectionTriple,
     SequenceBatch,
+    matrix,
     project_qkv,
     softmax_row,
     zeros_params,
@@ -488,6 +488,23 @@ class TestStackForward:
         with pytest.raises(ValueError, match="d_model"):
             stack_forward(batch, [(cfg, params)], ["sliding_only"])
 
+    @pytest.mark.parametrize("bad", ["mode", "width"])
+    def test_last_layer_checked_before_any_layer_runs(self, bad):
+        cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
+        wide = LayerConfig(d_model=6, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
+        batch = synth_batch(8, 4, seed=77)
+        layers = [(cfg, init_params(cfg, 78))] * 2
+        schedule = ["two_level", "sliding_only"]
+        if bad == "mode":
+            schedule[-1] = "dense"
+        else:
+            layers[-1] = (wide, init_params(wide, 79))
+        with mock.patch.object(attention, "first_level_forward") as first, \
+                mock.patch.object(attention, "layer_forward") as layer, \
+                pytest.raises(ValueError, match="mode" if bad == "mode" else "layer 1 d_model"):
+            stack_forward(batch, layers, schedule)
+        assert first.call_count == layer.call_count == 0
+
 
 class TestDenseLayerEquivalence:
     @pytest.mark.parametrize("mix", [False, True])
@@ -573,13 +590,17 @@ class TestBlockSizeInvariance:
             out_b, trace_b, grads_b = run()
         # two forward and two backward passes, each over the layer's w1
         assert [c.args[1] for c in passes.call_args_list] == [cfg.w1] * 4
-        # each pass's slices fill the patched grid: none leaves its grid cell,
-        # and the largest is a full one
-        block = min(n, rows)
-        spans = [r for level in (trace_b.first, trace_b.second) for r, _ in plan(level)]
-        spans = [s for s in spans if isinstance(s, slice)]
-        assert all(s.start // block == (s.stop - 1) // block for s in spans)
-        assert max(s.stop - s.start for s in spans) == block
+        # each pass's slices fill the patched grid, rounded down to a multiple
+        # of the level's step: none leaves its grid cell, and the largest is a
+        # full one wherever a cell holds no global row
+        for level in (trace_b.first, trace_b.second):
+            step = level.band.step
+            block = max(step, min(n, rows) // step * step)
+            spans = [r for r, *_ in plan(level) if isinstance(r, slice)]
+            assert all(s.start // block == (s.stop - 1) // block for s in spans)
+            extra = np.zeros(n, dtype=bool) if level.band.extra is None else level.band.extra
+            if not all(extra[c:c + block].any() for c in range(0, n, block)):
+                assert max(s.stop - s.start for s in spans) == min(n, block)
         np.testing.assert_array_equal(trace_b.first_counts, trace.first_counts)
         np.testing.assert_array_equal(trace_b.second_counts, trace.second_counts)
         ref = _grad_groups(out, grads)
@@ -618,12 +639,12 @@ class TestBlockPlan:
         batch = SequenceBatch(synth_batch(n, self.CFG.d_model, seed=95).embeddings,
                               np.ones(n, dtype=bool), globals_)
         _, trace = first_level_forward(batch, init_params(self.CFG, 96), self.CFG)
-        (rows, cols), *banded = plan(trace)
+        (rows, cols, *_), *banded = plan(trace)
         np.testing.assert_array_equal(rows, globals_)
         assert cols == slice(0, n)
         held = np.zeros(n, dtype=np.int64)
         held[list(globals_)] += 1
-        for rows, _ in banded:
+        for rows, *_ in banded:
             assert isinstance(rows, slice)
             assert rows.stop - rows.start <= block_rows(n, self.CFG.w1)
             assert not trace.band.extra[rows].any()
@@ -679,9 +700,7 @@ class TestStatsOnlyTrace:
         out = trace.y if level == "first" else trace.z
         replayed = np.zeros_like(out)
         replayed_h = _heads(replayed, self.CFG.n_heads)
-        memo = {}
-        for rows, cols in plan(lt):
-            bias = _block_bias(lt.band, rows, cols, memo)[0]
+        for rows, cols, bias, _ in plan(lt):
             e = _replay_probs(qh[:, rows], kh[:, cols], bias, lt.rowmax[:, rows], self.CFG.alpha())
             # the replay is unnormalized: the forward divides its output by denom
             replayed_h[:, rows] = np.matmul(e, vh[:, cols]) / lt.denom[:, rows]
@@ -724,43 +743,49 @@ class TestBlockBias:
         trace = self._trace(case, monkeypatch)
         for level in (trace.first, trace.second):
             blocks = plan(level)
-            misses = check_block_biases(level.band, blocks)
+            misses = check_block_biases(level)
             if self.CASES[case][-1]:
                 assert len(blocks) >= 8
                 assert len(blocks) - misses > misses
 
-    def test_memo_is_keyed_by_band(self, monkeypatch):
-        """An interior block under a copy of its band misses: the memo never crosses bands."""
-        first = self._trace("plain", monkeypatch).first
-        rows, cols = plan(first)[8]
-        memo = {}
-        with mock.patch.object(attention, "_block_mask", wraps=_block_mask) as built:
-            for band in (first.band, first.band, replace(first.band)):
-                _block_bias(band, rows, cols, memo)
-        assert built.call_count == 2
-
-    def test_block_holding_an_extra_row_never_shares(self):
-        """A slice holding an extra row gets its own mask, even after a block of like offsets."""
+    def test_blocks_around_an_extra_row(self, monkeypatch):
+        """The extra row sees every valid key; each slice around it, its band and the extra."""
         n = 16
         extra = np.zeros(n, dtype=bool)
         extra[10] = True
-        # every row sees keys 0 to 3 and the extra key 10; row 10 sees every key
+        key_ok = np.ones(n, dtype=bool)
+        key_ok[14] = False
+        # every row sees keys 0 to 3 and the extra key 10, outside the union
         band = _Band(lambda r: (np.zeros_like(r), np.full_like(r, 4)), np.ones(n, dtype=bool),
-                     extra=extra)
-        memo = {}
-        for rows in (slice(0, 4), slice(8, 12)):
-            bias, counts = _block_bias(band, rows, slice(0, n), memo)
-            mask = _block_mask(band, rows, slice(0, n))
-            np.testing.assert_array_equal(bias, np.where(mask, 0.0, -np.inf))
-        np.testing.assert_array_equal(counts, [5, 5, 16, 5])
+                     key_ok, extra)
+        monkeypatch.setattr(attention, "block_rows", lambda n, w1: 4)
+        level = SimpleNamespace(band=band, config=LayerConfig(w1=0, w2=0))
+        # the two full slices before the extra row share one mask
+        assert check_block_biases(level) == 4
+        counts = np.zeros(n, dtype=np.int64)
+        for rows, _, _, seen in plan(level):
+            counts[rows] = seen
+        np.testing.assert_array_equal(counts, np.where(extra, n - 1, 5))
+
+    def test_second_level_slices_follow_the_stride(self):
+        """Slices are a multiple of xi rows, so interior blocks share a mask
+        even where ``block_rows`` (64) is not one."""
+        cfg, n = LayerConfig(xi=3), 4096
+        batch = synth_batch(n, cfg.d_model, seed=97)
+        with mock.patch.object(attention, "_block_mask", wraps=_block_mask) as built:
+            _, trace = layer_forward(batch, init_params(cfg, 98), cfg)
+        assert built.call_count == 25
+        sizes = [rows.stop - rows.start for rows, *_ in plan(trace.second)]
+        assert max(sizes) == 63
+        assert all(size % cfg.xi == 0 for size in sizes[:-1])
 
 
 def _explicit_backward(level, upstream, q, k, v, cfg):
     """The softmax backward ``p * (dp - rowsum(p * dp))`` over the level's block masks, densely."""
     mask = np.zeros((len(q), len(k)), dtype=bool)
-    for rows, cols in plan(level):
+    for rows, cols, bias, _ in plan(level):
         r, c = np.arange(len(q))[rows], np.arange(len(k))[cols]
-        mask[np.ix_(r, c)] |= _block_mask(level.band, rows, cols)
+        mask[np.ix_(r, c)] |= bias == 0.0
     grads = [np.zeros_like(m) for m in (q, k, v)]
     dh, alpha = cfg.head_dim, cfg.alpha()
     for h in range(cfg.n_heads):
@@ -798,9 +823,7 @@ class TestBackwardDForm:
         for level, out in ((trace.first, trace.y), (trace.second, trace.z)):
             q, k, v = map(level._input, range(3))
             qh, kh = _heads(q, cfg.n_heads), _heads(k, cfg.n_heads)
-            memo = {}
-            for rows, cols in plan(level):
-                bias = _block_bias(level.band, rows, cols, memo)[0]
+            for rows, cols, bias, _ in plan(level):
                 rowmax = level.rowmax[:, rows]
                 e = _replay_probs(qh[:, rows], kh[:, cols], bias, rowmax, cfg.alpha())
                 assert not e[:, ~level.band.row_ok[rows]].any()  # padding rows: e = 0
@@ -826,9 +849,9 @@ class TestPaddedBlocks:
         trace = layer_forward(batch, init_params(cfg, 88), cfg)[1]
         for level in (trace.first, trace.second):
             blocks = plan(level)
-            assert all(level.band.row_ok[rows].any() for rows, _ in blocks)
+            assert all(level.band.row_ok[rows].any() for rows, *_ in blocks)
             kept = np.zeros(n, dtype=bool)
-            for rows, _ in blocks:
+            for rows, *_ in blocks:
                 kept[rows] = True
             # every valid row is still in a kept block
             assert kept[pad].all()
@@ -959,30 +982,54 @@ class TestBackwardPurity:
 
 
 class TestOverflowErrors:
+    """Each stage's non-finite error names the stage and the first token or segment."""
+
     def _params(self, cfg, stage):
         params = init_params(cfg, 88)
         if stage == "project_qkv":
-            params.first.w_q[:] = 1.0  # four 1e308 terms per query entry
-        elif stage == "pool_grid":
-            # finite projections and scores; only the pooled mean overflows
-            for triple in (params.first, params.second):
-                for w in (triple.w_q, triple.w_k, triple.w_v):
-                    w[:] = 0.0
+            params.first.w_q[:] = 1.0  # four 1e308 terms per hot query entry
+            return params
+        # finite projections; positive scores between hot rows
+        for triple in (params.first, params.second):
+            for w in (triple.w_q, triple.w_k, triple.w_v):
+                w[:] = 0.0
+        if stage == "first_level_forward":
+            params.first.w_q[:] = params.first.w_k[:] = np.eye(cfg.d_model)
+        elif stage == "second_level_forward":
+            params.second.w_q[:] = params.second.w_k[:] = np.eye(cfg.d_model)
+        else:  # only the pooled mean of the two hot rows overflows
             params.second.w_k[:] = np.eye(cfg.d_model)
         return params
 
-    @pytest.mark.parametrize("stage, scale", [
-        ("project_qkv", 1e308),
-        ("first_level_forward", 1e200),  # projections finite, scores overflow
-        ("pool_grid", 1e308),
+    @pytest.mark.parametrize("stage, scale, hot, where", [
+        ("project_qkv", 1e308, (5,), "token 5"),
+        ("first_level_forward", 1e200, (5,), "token 5"),  # projections finite, scores overflow
+        ("second_level_forward", 1e200, (7,), "token 7"),
+        ("pool_grid", 1e308, (4, 5), "segment 2"),  # segment 2 pools rows 4 to 6
     ])
-    def test_error_names_the_stage(self, stage, scale):
+    def test_error_names_the_stage_and_index(self, stage, scale, hot, where):
         cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2,
                           second_level_input="raw_embeddings")
-        emb = np.full((12, 4), scale)
+        emb = np.ones((12, 4))
+        emb[list(hot)] = scale
         params = self._params(cfg, stage)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match=stage):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=rf"^{stage}: .*{where}$"):
             layer_forward(SequenceBatch.of(emb), params, cfg)
+
+    def test_matrix_error_names_row_and_column(self):
+        data = np.zeros((3, 4))
+        data[2, 1] = np.inf
+        data[2, 3] = np.nan
+        with pytest.raises(ValueError, match=r"must be finite .*row 2, column 1$"):
+            matrix(data)
+
+    def test_upstream_error_names_row_and_column(self):
+        cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
+        _, trace = layer_forward(synth_batch(12, 4, seed=89), init_params(cfg, 90), cfg)
+        upstream = np.zeros((12, 4))
+        upstream[6, 3] = np.nan
+        with pytest.raises(ValueError, match=r"must be finite; first at row 6, column 3$"):
+            layer_backward(trace, upstream)
 
 
 class TestMaskedScores:

@@ -358,7 +358,7 @@ class TestPeakBytes:
         array = 8 * n * cfg.d_model
         block = max(
             8 * (3 * cfg.n_heads * size(rows) + cfg.d_model) * size(cols)
-            for rows, cols in plan(trace.first) + plan(trace.second)
+            for rows, cols, *_ in plan(trace.first) + plan(trace.second)
         )
         pooled = 8 * len(trace.second.grid) * cfg.d_model
         scratch = 4 * 8 * -(-n // cfg.xi) * cfg.d_model

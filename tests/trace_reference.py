@@ -4,7 +4,7 @@
 arrays, in the same order, from ``project_qkv``, ``build_pooled_grid`` and
 ``pool_grid``, for tests that compare the two bitwise.  ``plan`` lists the
 blocks a level's passes run, and ``check_block_biases`` compares each
-block's shared bias with one built from its own mask.
+block's bias and counts with ones built from its own mask.
 """
 
 from unittest import mock
@@ -38,34 +38,28 @@ def fresh_stages(batch, params, cfg, y) -> tuple:
 
 
 def plan(level) -> list:
-    """The (rows, key columns) blocks each pass over a level trace's band runs."""
+    """The (rows, key columns, bias, counts) blocks each pass over a level trace's band runs."""
     return list(attention._blocks(level.band, level.config.w1))
 
 
-def check_block_biases(band, blocks) -> int:
-    """Run ``blocks`` of ``band`` through one ``_block_bias`` memo, as a pass does.
+def check_block_biases(level) -> int:
+    """Check every bias and count a pass over ``level``'s band is handed.
 
-    Returns the memo's misses.
-    Every bias and count must equal ``np.where(mask, 0, -inf)`` and
-    ``mask.sum(1)`` of the block's own ``_block_mask``.  Then each block goes
-    through the memo again, followed by the same rows over one column fewer,
-    which a memo keyed without the width would answer with the wider bias.
+    Returns the masks the pass built.  A slice's bias and counts must equal
+    ``np.where(mask, 0, -inf)`` and ``mask.sum(1)`` of its own
+    ``_block_mask``, shared or not; the extra rows' block must see exactly
+    the valid keys.
     """
-    block_mask = attention._block_mask
-
-    def check(rows, cols, memo):
-        bias, counts = attention._block_bias(band, rows, cols, memo)
-        mask = block_mask(band, rows, cols)
-        np.testing.assert_array_equal(bias, np.where(mask, 0.0, -np.inf))
-        np.testing.assert_array_equal(counts, mask.sum(axis=1))
-
-    memo: dict = {}
+    band, block_mask = level.band, attention._block_mask
     with mock.patch.object(attention, "_block_mask", wraps=block_mask) as built:
-        for rows, cols in blocks:
-            check(rows, cols, memo)
-    for rows, cols in blocks:
-        keys = np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols
-        check(rows, cols, memo)
-        if keys.size > 1:
-            check(rows, keys[:-1], memo)
+        blocks = plan(level)
+    for rows, cols, bias, counts in blocks:
+        if isinstance(rows, slice):
+            mask = block_mask(band, rows, cols)
+        else:  # the extra rows: every key, visible where valid
+            assert cols == slice(0, band.key_ok.size)
+            mask = np.broadcast_to(band.key_ok, (rows.size, band.key_ok.size))
+        np.testing.assert_array_equal(np.broadcast_to(bias, mask.shape),
+                                      np.where(mask, 0.0, -np.inf))
+        np.testing.assert_array_equal(np.broadcast_to(counts, len(mask)), mask.sum(axis=1))
     return built.call_count
