@@ -14,38 +14,53 @@ mask (``_block_mask``), or is shared by a run of slices with like bound
 offsets.  Each block scores its rows against the union of their intervals
 plus that bias and runs a stable softmax that divides its (rows, d/h)
 output, not its probabilities, by the denominator, as FlashAttention does
-(arXiv 2205.14135).  Every array the
-layer builds is a row matrix: queries, keys and values (n, d), pooled grids
-(segments, d), each level's output and every gradient.  Heads are strided
-column blocks of those rows: ``_heads`` views them as (n_heads, rows, d/h)
-without a copy, every head is attended by one batched matmul reading through
-such views, and block outputs and gradients are written through them.
-Queries, keys and values come from one projection routine (``core.project``),
-the one ``project_qkv`` uses.  The second level's unpooled keys and values
-live one at a time: each is projected, pooled and dropped before the next.
+(arXiv 2205.14135).  Every array the layer keeps is a row matrix: each
+level's output, the pooled grids (segments, d) and every gradient.  Heads
+are strided column blocks of those rows: ``_heads`` views them as
+(n_heads, rows, d/h) without a copy, every head is attended by one batched
+matmul reading through such views, and block outputs and gradients are
+written through them.
 
-Traces keep each level's output, counts and band and, per head and row, the
-softmax row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1)
-each), never a projection, a mask, a block's key columns or the
-probabilities.  The statistics are per row, so they do not depend on the
-block partition that made them.  One function per level (``_first_input``,
-``_second_input``) builds any one of the level's inputs from the trace's
-batch, params and second-level source with the forward's own code: the
-forwards build all three with it, the backward just before the level's
-attention backward, dropping them after it, and each read-only view (``q``,
-``pooled_k``, ...) and ``attention_rows`` only what they read, so every
-reader sees the forward's bits.  The second level's backward keeps the
-unpooled keys and values it pools until their pooling backwards.  The
-backward replays each block's unnormalized probabilities from the rows'
-statistics with the forward's own operations and takes FlashAttention-2's
-``D = rowsum(dO * O)`` from the kept output; every gradient is exact
-reverse-mode, shared projections accumulating both levels' contributions.  A
-training step holds the trace, one level's inputs and its gradients, each
-used and dropped in turn: 49.4 MiB on the ``train_ldconv`` benchmark step
-(n = 8192).  Every trace keeps its statistics, so every trace can be
-differentiated; the forwards' ``retain`` keyword is accepted for existing
-callers and has no effect.  All computations are pure functions of (batch,
-params, config), single-threaded, and deterministic.
+The forwards stream row chunks (``row_chunks``: ``CHUNK_ROWS`` rows, whole
+blocks, a short tail folded into the last chunk) and never hold a whole
+projection.  The first level projects each chunk's queries, and its keys and
+values over the chunk's key union, carrying the 2*w1 halo rows to the next
+chunk (``_Rows``); the global rows' queries, keys and values are projected
+once, and their block runs over the chunks as an online softmax.  The second
+level projects and pools its unpooled keys and values chunk by chunk, with a
+kappa - xi halo, into the whole pooled grids (``pool_grid_rows``), then
+projects q2 per chunk and adds each chunk's output into its target.  Every
+projection has at least ``product_rows(d)`` rows, so chunks see bitwise the
+rows of the whole projection (``core.project``, the routine ``project_qkv``
+uses) and pooled segments bitwise as ``pool_grid`` pools them: only the
+global rows' online softmax rounds differently from one whole block.
+
+Traces keep each level's counts and band and, per head and row, the softmax
+row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1) each),
+never a projection, a mask, a block's key columns or the probabilities.  The
+statistics are per row, so they do not depend on the block or chunk
+partition that made them.  One function per level (``_first_input``,
+``_second_input``) builds any one of the level's inputs whole from the
+trace's batch, params and second-level source: the backward just before the
+level's attention backward, dropping them after it, and each read-only view
+(``q``, ``pooled_k``, ...) and ``attention_rows`` only what they read.  The
+second level's backward keeps the unpooled keys and values it pools until
+their pooling backwards.  The backward replays each block's unnormalized
+probabilities from the rows' statistics with the forward's own operations
+and takes FlashAttention-2's ``D = rowsum(dO * O)`` from the kept output;
+every gradient is exact reverse-mode, shared projections accumulating both
+levels' contributions.
+
+``retain`` (the default) keeps each level's output, y and z, in its trace,
+and a training step holds the trace, one level's inputs and its gradients,
+each used and dropped in turn: 49.5 MiB on the ``train_ldconv`` benchmark
+step (n = 8192).  ``layer_forward(retain=False)`` (inference) adds z into
+y's own buffer, which it returns as the output, bitwise ``y + z``; its trace
+keeps counts, flags and statistics but no y or z, so ``layer_backward``
+refuses it, and without mix its second-level views, whose source y became
+the output, refuse too.  The ``infer_long`` benchmark forward (n = 16384)
+peaks at 15.7 MiB.  All computations are pure functions of (batch, params,
+config), single-threaded, and deterministic.
 """
 
 from __future__ import annotations
@@ -61,9 +76,16 @@ from poolattn.core import (
     LayerParams,
     ProjectionTriple,
     SequenceBatch,
+    product_rows,
     project,
 )
-from poolattn.pooling import PoolingOp, pool_grid, pool_grid_backward
+from poolattn.pooling import (
+    PoolingOp,
+    check_pooled,
+    pool_grid,
+    pool_grid_backward,
+    pool_grid_rows,
+)
 from poolattn.windowing import (
     PooledGrid,
     build_pooled_grid,
@@ -76,6 +98,9 @@ SCHEDULE_MODES = ("sliding_only", "two_level")
 # fewest rows per block: below this, per-block Python overhead outweighs the
 # scores a smaller key union saves
 MIN_BLOCK = 32
+# rows per chunk a forward streams (``row_chunks``): its projections, its key
+# union and its global-row scores are what a chunk adds to the level's output
+CHUNK_ROWS = 1024
 
 
 def block_rows(n: int, w1: int) -> int:
@@ -138,6 +163,26 @@ def _masked_scores(qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, alpha: floa
     return scores
 
 
+def _block_size(band: _Band, w1: int) -> int:
+    """Rows per cell of ``band``'s block grid: ``block_rows``, rounded down to a multiple of
+    ``band.step``."""
+    return max(band.step, block_rows(band.row_ok.shape[0], w1) // band.step * band.step)
+
+
+def row_chunks(n: int, block: int) -> list[tuple[int, int]]:
+    """The row chunks a forward streams over n rows, as (start, stop) pairs.
+
+    Chunks are ``CHUNK_ROWS`` rounded down to a whole number of ``block``-row
+    cells of the level's block grid, at least one, so no block crosses a
+    chunk edge; a shorter tail folds into the chunk before it.
+    """
+    size = max(block, CHUNK_ROWS // block * block)
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] < size:
+        starts.pop()  # the short tail joins the chunk before it
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _blocks(
     band: _Band, w1: int
 ) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray, np.ndarray, np.ndarray]]:
@@ -156,8 +201,7 @@ def _blocks(
     offsets from its first column and ``extra[cols]``, so a run of such
     slices shares one bias and counts, built once.
     """
-    n = band.row_ok.shape[0]
-    block = max(band.step, block_rows(n, w1) // band.step * band.step)
+    n, block = band.row_ok.shape[0], _block_size(band, w1)
     extra = np.flatnonzero(band.extra) if band.extra is not None else np.empty(0, np.int64)
     if extra.size:
         yield extra, slice(0, n), np.where(band.key_ok, 0.0, -np.inf)[None], band.key_ok.sum()
@@ -198,42 +242,123 @@ def _blocks(
         yield rows, cols, *shared
 
 
-def _banded_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, band: _Band, config: LayerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Masked attention of every row of q under ``band``, block by block (``_blocks``).
+class _Rows:
+    """One projection of ``x``, built range by range as a forward walks down its rows.
 
-    Each block runs a stable softmax whose row maximum is taken over visible
-    entries only and divides the output, not the probabilities, by the
-    denominator; a row whose visible scores overflowed turns NaN, which the
-    level's finiteness check reports.  Returns the output (n, d), zero on
-    rows that see nothing, each row's count of visible keys, and the softmax
-    row maximum and denominator, (n_heads, n, 1) each, 0 and 1 on rows that
-    see nothing.
+    ``rows(lo, hi)`` returns rows lo..hi of ``project(x, w, b)``; neither bound
+    may move back between calls.  Rows an earlier range projected are kept,
+    not projected again, so overlapping ranges (a window's halo) cost only
+    their new rows.  Every product has at least ``product_rows(d)`` rows, or
+    all of x, so each row has the bits it has in the whole projection.
+    """
+
+    def __init__(self, x: np.ndarray, w: np.ndarray, b: np.ndarray):
+        self.x, self.pair, self.least = x, (w, b), product_rows(x.shape[1])
+        self.lo = self.hi = 0
+        self.held = x[:0]
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        if hi > self.hi:
+            new = max(lo, self.hi)
+            stop = min(len(self.x), max(hi, new + self.least))
+            begin = max(0, min(new, stop - self.least))
+            rows = project(self.x[begin:stop], *self.pair, tokens=range(begin, stop))[new - begin:]
+            kept = self.held[lo - self.lo:new - self.lo]
+            self.held = np.concatenate([kept, rows]) if len(kept) else rows
+            self.lo, self.hi = lo, stop
+        return self.held[lo - self.lo:hi - self.lo]
+
+
+def _project_at(x: np.ndarray, pair: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of ``project(x, *pair)``, from a product of ``product_rows(d)`` rows or more."""
+    fill = np.arange(max(0, min(len(x), product_rows(x.shape[1])) - len(idx)))
+    pick = np.concatenate([idx, fill])
+    return project(x[pick], *pair, tokens=pick)[:len(idx)]
+
+
+def _banded_attention(
+    band: _Band, config: LayerConfig, queries: Callable[[int, int], np.ndarray],
+    keys: Callable[[int, int], tuple[np.ndarray, np.ndarray]], out: np.ndarray, *,
+    extra_q: np.ndarray | None = None, add: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masked attention of every row under ``band``, streamed over row chunks.
+
+    Per chunk (``row_chunks``) of rows a..b, ``queries(a, b)`` gives their
+    queries and ``keys(c0, c1)`` the keys and values of the chunk's key union
+    c0..c1, followed by every extra key's; each of the chunk's blocks
+    (``_blocks``) gathers its key columns from these.  A block runs a stable
+    softmax whose row maximum is taken over visible entries only and divides
+    the output, not the probabilities, by the denominator; a row whose
+    visible scores overflowed turns NaN, which the level's finiteness check
+    reports.  The extra rows (queries ``extra_q``) see every key, so they
+    score each chunk's own rows as keys with an online softmax (arXiv
+    1805.02867), rescaling what earlier chunks summed whenever the row
+    maximum grows.  Each block writes its output rows into ``out``, or with
+    ``add`` adds them to it.  Returns each row's count of visible keys and
+    the softmax row maximum and denominator, (n_heads, n, 1) each, 0 and 1 on
+    rows that see nothing, whose output rows stay untouched.
     """
     n, n_heads = band.row_ok.shape[0], config.n_heads
     alpha = config.alpha()
-    qh, kh, vh = (_heads(m, n_heads) for m in (q, k, v))
+    out_h = _heads(out, n_heads)
     counts = np.zeros(n, dtype=np.int64)
     rowmax, denom = np.zeros((n_heads, n, 1)), np.ones((n_heads, n, 1))
-    out = None
-    for rows, cols, bias, seen in _blocks(band, config.w1):
-        counts[rows] = seen
-        e = _masked_scores(qh[:, rows], kh[:, cols], bias, alpha)
-        empty = counts[rows] == 0
-        m = e.max(axis=-1, keepdims=True)
-        m[:, empty] = 0.0
-        e -= m
-        np.exp(e, out=e)
-        total = e.sum(axis=-1, keepdims=True)
-        total[:, empty] = 1.0  # empty rows stay exactly zero
-        rowmax[:, rows], denom[:, rows] = m, total
-        e = np.matmul(e, vh[:, cols])  # the block's output; the scores go
-        e /= total
-        if out is None:  # after the first block, whose (h, globals, n) scores are gone
-            out_h = _heads(out := np.zeros((n, config.d_model)), n_heads)
-        out_h[:, rows] = e
-    return np.zeros((n, config.d_model)) if out is None else out, counts, rowmax, denom
+    plan = _blocks(band, config.w1)
+    extra = None
+    if band.extra is not None:  # the plan's first block: the extra rows against every key
+        extra, _, extra_bias, seen = next(plan)
+        counts[extra] = seen
+        extra_qh = _heads(extra_q, n_heads)
+        e_max = np.full((n_heads, len(extra), 1), -np.inf)
+        e_sum = np.zeros((n_heads, len(extra), 1))
+        e_out = np.zeros((n_heads, len(extra), config.head_dim))
+        where = np.empty(n, dtype=np.intp)  # each key's row in the chunk's buffer
+    block = next(plan, None)
+    for a, b in row_chunks(n, _block_size(band, config.w1)):
+        c0, c1 = int(band.bounds(a)[0]), int(band.bounds(b - 1)[1])
+        qh = _heads(queries(a, b), n_heads)
+        kh, vh = (_heads(m, n_heads) for m in keys(c0, c1))
+        if extra is not None:  # the extra keys follow the union
+            where[extra] = c1 - c0 + np.arange(len(extra))
+            where[c0:c1] = np.arange(c1 - c0)
+        while block is not None and block[0].start < b:
+            rows, cols, bias, seen = block
+            counts[rows] = seen
+            cols = slice(cols.start - c0, cols.stop - c0) if isinstance(cols, slice) else where[cols]
+            e = _masked_scores(qh[:, rows.start - a:rows.stop - a], kh[:, cols], bias, alpha)
+            empty = seen == 0
+            m = e.max(axis=-1, keepdims=True)
+            m[:, empty] = 0.0
+            e -= m
+            np.exp(e, out=e)
+            total = e.sum(axis=-1, keepdims=True)
+            total[:, empty] = 1.0  # empty rows stay exactly zero
+            rowmax[:, rows], denom[:, rows] = m, total
+            e = np.matmul(e, vh[:, cols])  # the block's output; the scores go
+            e /= total
+            if add:
+                out_h[:, rows] += e
+            else:
+                out_h[:, rows] = e
+            block = bias = None  # not held while the plan builds the next bias
+            block = next(plan, None)
+        if extra is not None and band.key_ok[a:b].any():
+            own = slice(a - c0, b - c0)
+            e = _masked_scores(extra_qh, kh[:, own], extra_bias[:, a:b], alpha)
+            top = np.maximum(e_max, e.max(axis=-1, keepdims=True))
+            scale = np.exp(e_max - top)  # 0 before the first chunk with a valid key
+            e -= top
+            np.exp(e, out=e)
+            e_sum *= scale
+            e_sum += e.sum(axis=-1, keepdims=True)
+            e_out *= scale
+            e_out += np.matmul(e, vh[:, own])
+            e_max = top
+        qh = kh = vh = e = None  # freed before the next chunk builds its own
+    if extra is not None:
+        rowmax[:, extra], denom[:, extra] = e_max, e_sum
+        out_h[:, extra] = e_out / e_sum
+    return counts, rowmax, denom
 
 
 def _replay_probs(
@@ -277,9 +402,18 @@ def _second_input(
     return pool_grid(_pooling_op(params, config, i), projected, grid, pad_arg)
 
 
+def _retained(arr: np.ndarray | None, what: str) -> np.ndarray:
+    if arr is None:
+        raise ValueError(f"a retain=False forward keeps no {what}; run it with retain=True")
+    return arr
+
+
 @dataclass
 class FirstLevelTrace:
-    """The first level's output, counts, band and statistics; ``q``, ``k``, ``v`` re-project."""
+    """The first level's output, counts, band and statistics; ``q``, ``k``, ``v`` re-project.
+
+    ``y`` is None in the trace of a ``retain=False`` forward.
+    """
 
     batch: SequenceBatch
     params: LayerParams
@@ -307,15 +441,17 @@ class SecondLevelTrace:
     """The second level's source, grid, output, counts, band and row statistics.
 
     Every view re-projects ``source`` on access; ``k2`` and ``v2`` are its
-    unpooled keys and values.
+    unpooled keys and values.  A ``retain=False`` forward keeps no ``z``
+    (None), and ``layer_forward(retain=False)`` adds z into y, so without
+    ``mix`` its trace has no ``source`` either (None) and its views raise.
     """
 
     batch: SequenceBatch
     params: LayerParams
     config: LayerConfig
-    source: np.ndarray
+    source: np.ndarray | None
     grid: PooledGrid
-    z: np.ndarray
+    z: np.ndarray | None
     counts: np.ndarray
     degenerate: np.ndarray
     band: _Band
@@ -323,14 +459,17 @@ class SecondLevelTrace:
     denom: np.ndarray
     _pad_arg: np.ndarray | None
 
+    def _source(self) -> np.ndarray:
+        return _retained(self.source, "second-level source: layer_forward added z into y")
+
     def _input(self, i: int) -> np.ndarray:
-        return _second_input(self.source, self.params, self.config, self.grid, self._pad_arg, i)
+        return _second_input(self._source(), self.params, self.config, self.grid, self._pad_arg, i)
 
     q2 = property(lambda self: _view(self._input(0)))
     pooled_k = property(lambda self: _view(self._input(1)))
     pooled_v = property(lambda self: _view(self._input(2)))
-    k2 = property(lambda self: _view(project(self.source, *self.params.second.pairs()[1])))
-    v2 = property(lambda self: _view(project(self.source, *self.params.second.pairs()[2])))
+    k2 = property(lambda self: _view(project(self._source(), *self.params.second.pairs()[1])))
+    v2 = property(lambda self: _view(project(self._source(), *self.params.second.pairs()[2])))
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
@@ -351,11 +490,11 @@ class AttentionTrace:
 
     @property
     def y(self) -> np.ndarray:
-        return self.first.y
+        return _retained(self.first.y, "y")
 
     @property
     def z(self) -> np.ndarray:
-        return self.second.z
+        return _retained(self.second.z, "z")
 
     @property
     def first_counts(self) -> np.ndarray:
@@ -399,7 +538,10 @@ def first_level_forward(
 
     Every real token attends to its clipped radius-w1 window plus all global
     tokens; global tokens attend to every real token.  Padding tokens yield
-    zero rows and are invisible as keys.
+    zero rows and are invisible as keys.  Queries are projected per chunk,
+    keys and values per chunk's key union, carrying the 2*w1 halo rows to the
+    next chunk; the global tokens' rows are projected once.  The trace keeps
+    y unless ``retain`` is False.
     """
     params.validate(config)
     x, pad = batch.embeddings, batch.pad_mask
@@ -408,14 +550,26 @@ def first_level_forward(
         raise ValueError("sequence must have at least one token")
     if d != config.d_model:
         raise ValueError(f"batch dimension {d} does not match config d_model {config.d_model}")
-    q, k, v = (_first_input(batch, params, i) for i in range(3))
+    pairs = params.first.pairs()
+    q, k, v = (_Rows(x, *pair) for pair in pairs)
+    glob = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
-    is_global[np.asarray(batch.global_set, dtype=np.int64)] = True
+    is_global[glob] = True
     band = _Band(
         partial(window_bounds, w=config.w1, n=n), row_ok=pad, key_ok=pad,
-        extra=is_global if is_global.any() else None,
+        extra=is_global if glob.size else None,
     )
-    y, counts, rowmax, denom = _banded_attention(q, k, v, band, config)
+    gq = gk = gv = None
+    if glob.size:
+        gq, gk, gv = (_project_at(x, pair, glob) for pair in pairs)
+
+    def keys(c0, c1):  # the union's rows, then the global rows'
+        if gk is None:
+            return k(c0, c1), v(c0, c1)
+        return np.concatenate([k(c0, c1), gk]), np.concatenate([v(c0, c1), gv])
+
+    y = np.zeros((n, d))
+    counts, rowmax, denom = _banded_attention(band, config, q, keys, y, extra_q=gq)
     blind = band.row_ok & (counts == 0)
     if blind.any():
         raise ValueError(
@@ -430,7 +584,70 @@ def first_level_forward(
             "first_level_forward: non-finite output; the scaled query-key scores "
             f"overflow float64, first at token {token}"
         )
-    return y, FirstLevelTrace(batch, params, config, y, counts, band, rowmax, denom)
+    return y, FirstLevelTrace(
+        batch, params, config, y if retain else None, counts, band, rowmax, denom
+    )
+
+
+def _pooled_grids(
+    source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg,
+    chunks: list[tuple[int, int]],
+) -> list[np.ndarray]:
+    """The pooled keys and values of ``source``, pooled chunk by chunk into whole grids.
+
+    A chunk's unpooled keys and values span its rows and a kappa - xi halo
+    past them, carried to the next chunk; pooled with ``pool_grid_rows``,
+    every segment has ``pool_grid``'s bits.
+    """
+    n, halo = len(source), config.kappa - config.xi
+    ops = [_pooling_op(params, config, i) for i in (1, 2)]
+    unpooled = [_Rows(source, *pair) for pair in params.second.pairs()[1:]]
+    pooled = [np.empty((len(grid), source.shape[1])) for _ in ops]
+    for a, b in chunks:
+        first, last = np.searchsorted(grid.segment_starts, (a, b))
+        for op, rows, out in zip(ops, unpooled, pooled):
+            out[first:last] = pool_grid_rows(op, rows(a, min(n, b + halo)), grid, pad_arg, a, b)
+    return [check_pooled(op, out) for op, out in zip(ops, pooled)]
+
+
+def _second_level(
+    batch: SequenceBatch, y: np.ndarray, params: LayerParams, config: LayerConfig, *,
+    into: np.ndarray | None = None, retain: bool = True,
+) -> tuple[np.ndarray, SecondLevelTrace]:
+    """``second_level_forward``, which with ``into`` adds z into that array and returns it."""
+    params.validate(config)
+    n, d = batch.embeddings.shape
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n, d):
+        raise ValueError(f"y must be ({n}, {d}), got {y.shape}")
+    src = batch.embeddings if config.mix else y
+    pad = batch.pad_mask
+    pad_arg = None if pad.all() else pad
+    grid = build_pooled_grid(n, config.kappa, config.xi, pad_arg)
+    band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad, step=config.xi)
+    chunks = row_chunks(n, _block_size(band, config.w1))
+    # the grids are whole before any z is added: into may be the source
+    pooled_k, pooled_v = _pooled_grids(src, params, config, grid, pad_arg, chunks)
+    out = np.zeros((n, d)) if into is None else into
+    # a chunk's q2 is projected before its blocks add to ``out``
+    counts, rowmax, denom = _banded_attention(
+        band, config, _Rows(src, *params.second.pairs()[0]),
+        lambda c0, c1: (pooled_k[c0:c1], pooled_v[c0:c1]), out, add=into is not None,
+    )
+    del pooled_k, pooled_v
+    degenerate = pad & (counts == 0)
+
+    if not np.isfinite(out).all():
+        token = np.argwhere(~np.isfinite(out))[0, 0]
+        raise ValueError(
+            "second_level_forward: non-finite output; the scaled query-segment scores "
+            f"overflow float64, first at token {token}"
+        )
+    return out, SecondLevelTrace(
+        batch, params, config, None if src is into else src, grid,
+        out if retain and into is None else None, counts, degenerate, band, rowmax, denom,
+        pad_arg,
+    )
 
 
 def second_level_forward(
@@ -447,35 +664,11 @@ def second_level_forward(
     embeddings in the mix setting), pooled once over a shared stride grid, and
     each token attends to the segments whose center lies within its radius-w2
     window.  A token with no visible segment gets a zero row, flagged in the
-    trace.
+    trace.  Keys and values are projected and pooled chunk by chunk into the
+    whole pooled grids, then q2 per chunk.  The trace keeps z unless
+    ``retain`` is False.
     """
-    params.validate(config)
-    n, d = batch.embeddings.shape
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (n, d):
-        raise ValueError(f"y must be ({n}, {d}), got {y.shape}")
-    src = batch.embeddings if config.mix else y
-    pad = batch.pad_mask
-    pad_arg = None if pad.all() else pad
-    grid = build_pooled_grid(n, config.kappa, config.xi, pad_arg)
-    # keys, then values, are projected, pooled and dropped before q2 is
-    # projected, so at most one (n, d) projection sits next to ``src``
-    build = partial(_second_input, src, params, config, grid, pad_arg)
-    pooled_k, pooled_v = build(1), build(2)
-    q2 = build(0)
-    band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad, step=config.xi)
-    z, counts, rowmax, denom = _banded_attention(q2, pooled_k, pooled_v, band, config)
-    degenerate = pad & (counts == 0)
-
-    if not np.isfinite(z).all():
-        token = np.argwhere(~np.isfinite(z))[0, 0]
-        raise ValueError(
-            "second_level_forward: non-finite output; the scaled query-segment scores "
-            f"overflow float64, first at token {token}"
-        )
-    return z, SecondLevelTrace(
-        batch, params, config, src, grid, z, counts, degenerate, band, rowmax, denom, pad_arg
-    )
+    return _second_level(batch, y, params, config, retain=retain)
 
 
 def layer_forward(
@@ -487,11 +680,19 @@ def layer_forward(
 ) -> tuple[np.ndarray, AttentionTrace]:
     """Full layer: first level, second level, residual sum of the two outputs.
 
-    Each level frees its projections and pooled grids when it returns.
+    Each level frees its projections and pooled grids when it returns.  With
+    ``retain`` (the default) the trace keeps y, z and the output, and
+    ``layer_backward`` can differentiate it.  With ``retain=False`` (inference)
+    the second level adds z into y's own buffer, which becomes the output,
+    bitwise ``y + z``; the trace keeps counts, flags and row statistics but
+    no y or z, so it cannot be differentiated.
     """
-    y, first = first_level_forward(batch, params, config)
-    z, second = second_level_forward(batch, y, params, config)
-    final = y + z
+    y, first = first_level_forward(batch, params, config, retain=retain)
+    if retain:
+        z, second = second_level_forward(batch, y, params, config)
+        final = y + z
+    else:
+        final, second = _second_level(batch, y, params, config, into=y, retain=False)
     return final, AttentionTrace(first, second, final)
 
 
@@ -610,6 +811,10 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
     """
     ft, st = trace.first, trace.second
     config, batch = ft.config, ft.batch
+    if ft.y is None or st.z is None:
+        raise ValueError(
+            "layer_backward needs a retain=True trace: a retain=False forward keeps no y or z"
+        )
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != trace.final.shape:
         raise ValueError(
@@ -660,7 +865,7 @@ def stack_forward(batch: SequenceBatch, layers, schedule) -> np.ndarray:
     for (config, params), mode in zip(layers, schedule):
         current = SequenceBatch(x, batch.pad_mask, batch.global_set)
         if mode == "sliding_only":
-            x, _ = first_level_forward(current, params, config)
+            x, _ = first_level_forward(current, params, config, retain=False)
         else:
-            x, _ = layer_forward(current, params, config)
+            x, _ = layer_forward(current, params, config, retain=False)
     return x

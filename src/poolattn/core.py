@@ -74,16 +74,33 @@ class ProjectionTriple(NamedTuple):
         return self
 
 
-def project(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+# OpenBLAS on x86-64 computes an ``a @ b.T`` product of at most this many
+# entries, with an inner dimension of 32 or more, by its small-matrix kernel,
+# which rounds differently from the kernel of larger products
+SMALL_PRODUCT = 1200
+
+
+def product_rows(width: int) -> int:
+    """Fewest rows of an ``a @ b.T`` product, ``b`` having ``width`` rows, that
+    give each row the bits it has in any taller product: more than ``SMALL_PRODUCT``
+    entries.  19 rows at width 64, 38 at width 32."""
+    return SMALL_PRODUCT // width + 1
+
+
+def project(x: np.ndarray, w: np.ndarray, b: np.ndarray, tokens=None) -> np.ndarray:
     """``x @ w.T + b`` as (n, d) rows: the one projection of queries, keys and values.
 
     Heads are strided column blocks of the result (head i is columns i*d/h to
     (i+1)*d/h), read through views, so every consumer sees the same product.
+    A product of at least ``product_rows(d)`` rows gives each row the bits it
+    has in the projection of the whole sequence.  ``tokens`` maps ``x``'s rows
+    to the token indices the non-finite error names (default: the row index).
     """
     out = x @ w.T
     out += b
     if not np.isfinite(out).all():
         token = np.argwhere(~np.isfinite(out))[0, 0]
+        token = token if tokens is None else tokens[token]
         raise ValueError(
             "project_qkv: non-finite query/key/value projection; the embeddings "
             f"overflow float64, first at token {token}"

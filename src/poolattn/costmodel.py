@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from poolattn.attention import block_rows
-from poolattn.core import LayerConfig
+from poolattn.attention import block_rows, row_chunks
+from poolattn.core import LayerConfig, product_rows
 
 PATTERNS = ("dense", "single_window", "two_level")
 
@@ -179,6 +179,11 @@ def verify_counts(expected: CostReport, measured: CostReport) -> CountCheck:
     return CountCheck(True, None)
 
 
+# the traces, bands, grids' Python objects and the small per-call arrays the
+# estimate does not itemize
+CALL_OVERHEAD = 64 << 10
+
+
 def estimate_peak_bytes(
     pattern: str,
     n: int,
@@ -189,44 +194,68 @@ def estimate_peak_bytes(
     xi: int = 1,
     n_global: int = 0,
     n_heads: int = LayerConfig().n_heads,
+    retain: bool = False,
 ) -> int:
     """Analytic peak live bytes of one forward pass of the "dense" or "two_level" pattern.
 
     Dense holds two n-by-n score-sized matrices plus projections.  The
-    two-level pattern holds O(n * d) arrays plus the transient buffers of one
-    row block at a time, sized by the block's key union (window or segment
-    union, or all n keys for the global rows), whose scores are one
-    (rows, cols) matrix per head.  The first level holds its q, k, v and
-    either the global rows' full-width block, which runs before y exists, or
-    y, its counts, its row statistics and one banded row block.  The second
-    level runs after q, k and v are freed.  While it pools it holds y, one
-    unpooled key or value grid and the pooled grids; then y, its q2, the
-    pooled grids, its output z, both levels' statistics and one row block.
-    The latter holds one (n, d) array more than the former, so it is the
-    second level's peak, and the layer's is the larger of the two levels'.
-    Per-token counts, the softmax row statistics (two floats per head and row) and
-    the one-byte-per-entry finiteness check of each level's output are
-    included; fixed per-call overheads are not, so below a few thousand
-    tokens the estimate can fall a few percent short.  Blocks are the layer's
-    own ``block_rows(n, w1)`` rows; ``n_heads`` defaults to ``LayerConfig``'s.
+    two-level forward streams row chunks (``row_chunks``): it holds O(n * d)
+    outputs, pooled grids and row statistics, plus one chunk's buffers and
+    one row block's transients, sized by the block's key union (window or
+    segment union), whose scores are one (rows, cols) matrix per head.  The
+    first level holds y, its statistics and a chunk's queries, its keys and
+    values over the chunk's key union (held, and copied with the global
+    rows' appended) and one block, or the global rows' scores against the
+    chunk.  The second level then holds y, the first level's statistics and
+    the pooled grids, while it pools a chunk's unpooled keys and values and
+    their pooling scratch, then its own statistics, a chunk's q2 and one
+    block.  ``retain`` (a training forward) adds z, an (n, d) array of its
+    own, to the second level, and ``y + z`` at the end.  Per-token counts
+    and flags, the block plan's per-block bounds and the one-byte-per-entry
+    finiteness check of each level's output are included, and
+    ``CALL_OVERHEAD`` bytes for the Python objects of a call.  Blocks are the
+    layer's own ``block_rows(n, w1)`` rows; ``n_heads`` defaults to
+    ``LayerConfig``'s.
     """
     if pattern not in ("dense", "two_level"):
         raise ValueError(f"pattern must be dense or two_level, got {pattern!r}")
-    nd = n * d_model
+    d = d_model
+    nd = n * d
     if pattern == "dense":
         return 8 * (2 * n * n + 5 * nd)
     b = block_rows(n, w1)
+    # the largest chunk: a short tail folds into the chunk before it
+    c = max(stop - start for start, stop in row_chunks(n, b))
+    rows = c + product_rows(d)  # a chunk's projection, at least product_rows(d) rows
 
-    def block_floats(rows: int, cols: int) -> int:
-        # every head's scores and the mask bias, the bool mask, the block's output
-        return (n_heads + 1) * rows * cols + rows * cols // 8 + rows * d_model
+    def block_floats(r: int, cols: int) -> int:
+        # every head's scores and the mask bias, the bool mask, the scaled
+        # queries and the block's output
+        return (n_heads + 1) * r * cols + r * cols // 8 + 2 * r * d
 
+    # one level's row maxima, denominators and counts, and the block plan's
+    # per-block starts, stops and key bounds
+    stats = 2 * n_heads * n + n + 12 * (n // b + 1)
     u1 = min(n, b + 2 * w1) + n_global
-    # a block with globals outside its union copies its keys and values
-    block1 = block_floats(b, u1) + (2 * u1 * d_model if n_global else 0)
-    stats = 2 * n_heads * n  # one level's row maxima and denominators
-    first = 3 * nd + max(block_floats(n_global, n), nd + n + stats + block1)
+    # keys and values over the chunk's union as projected and held; with
+    # global rows, also copied with theirs, and a block gathers its columns
+    kv1 = 2 * (c + 2 * w1 + product_rows(d)) * d
+    block1 = block_floats(b, u1)
+    if n_global:
+        kv1 += 2 * (c + 2 * w1 + n_global) * d
+        block1 += 2 * u1 * d
+    chunk1 = rows * d + kv1 + max(block1, n_heads * n_global * c)
+    # the extra keys' bias row and the keys' rows in a chunk's buffer
+    first = nd + stats + 2 * n + max(chunk1, nd // 8)
     n_seg = -(-n // xi)
     u2 = min(n_seg, (b + 2 * w2) // max(xi, 1) + 2)
-    second = 3 * nd + 2 * n_seg * d_model + 3 * n_seg + 2 * n + 2 * stats + block_floats(b, u2)
-    return 8 * max(first, second) + nd
+    grids = 2 * n_seg * d + 3 * n_seg
+    # unpooled keys and values held, one being projected, and pooling scratch
+    pooling = 3 * (rows + kappa) * d + 4 * (c // xi + 1) * d
+    attend = stats + rows * d + block_floats(b, u2)
+    flags = n // 4  # the global rows' and the degenerate rows' flags, a byte per row
+    z = nd if retain else 0
+    second = nd + stats + flags + grids + max(pooling, z + attend)
+    # the trace's grid and flags, with y + z or the finiteness check
+    final = 2 * stats + flags + 3 * n_seg + (3 * nd if retain else nd + nd // 8)
+    return 8 * max(first, second, final) + CALL_OVERHEAD

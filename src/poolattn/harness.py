@@ -356,7 +356,7 @@ def gradcheck_layer(
     # central_difference perturbs each entry in place and restores it exactly,
     # so the loss reads this call's own parameters and embeddings
     def loss(_) -> float:
-        out, _ = layer_forward(batch, params, config)
+        out, _ = layer_forward(batch, params, config, retain=False)
         return float(np.sum(upstream * out))
 
     targets = _named_arrays(params) | {"embeddings": batch.embeddings}
@@ -393,7 +393,7 @@ def run_forward(rc: RunConfig) -> list[ForwardRow]:
     for n in rc.n_list:
         batch = synth_batch(n, rc.layer.d_model, rc.seed)
         params = init_params(rc.layer, rc.seed + 1)
-        out, trace = layer_forward(batch, params, rc.layer)
+        out, trace = layer_forward(batch, params, rc.layer, retain=False)
         rows.append(ForwardRow(
             n, rc.layer.d_model, rc.layer.n_heads, rc.layer.pooling_kind,
             batch_checksum(out), int(trace.first_counts.sum()),
@@ -606,7 +606,7 @@ def run_bench(
             params = init_params(layer, rc.seed + 1)
             if pattern == "two_level":
                 def run(batch=batch, params=params):
-                    return layer_forward(batch, params, layer)
+                    return layer_forward(batch, params, layer, retain=False)
 
                 trace = run()[1]
                 score_evals = int(trace.first_counts.sum() + trace.second_counts.sum())

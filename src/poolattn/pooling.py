@@ -9,6 +9,8 @@ weights stay a distribution over real rows.
 ``pool_segment*`` pool one block (the reference for oracle and tests);
 ``pool_grid*`` pool a whole stride grid, padding and partial tail included, by
 batched matmuls over strided windows forward and one strided add per offset back.
+``pool_grid_rows`` pools the segments that start in a range of rows, from those
+rows alone, with the same code and the same bits as ``pool_grid``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from poolattn.core import LDCONV_KINDS, POOLING_KINDS, softmax_row
-from poolattn.windowing import PooledGrid
+from poolattn.core import LDCONV_KINDS, POOLING_KINDS, product_rows, softmax_row
+from poolattn.windowing import PooledGrid, build_pooled_grid
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,15 @@ def _softmax_weights(op: PoolingOp, source, valid, lens, xi: int) -> tuple[np.nd
         ctx = source[np.arange(len(lens)) * xi + center]
     else:
         ctx = _weighted_sum(source, valid * 1.0, xi) / lens[:, None]
+    # zero rows pad a short grid's contexts: BLAS would compute the logits of
+    # fewer segments with its small-matrix kernel, whose bits differ from a
+    # long grid's, and pool_grid_rows' segments must have a whole grid's bits
+    short = product_rows(len(op.w_p)) - len(ctx)
+    padded = np.concatenate([ctx, np.zeros((short, ctx.shape[1]))]) if short > 0 else ctx
+    logits = op.w_p @ padded.T
     # an invalid offset gathers the logit of the last valid row before it (or
     # of rank 0), so each segment's maximum is the maximum over its valid logits
-    logits = (op.w_p @ ctx.T)[np.maximum(rank, 0), np.arange(len(lens))]
+    logits = logits[np.maximum(rank, 0), np.arange(len(lens))]
     delta = np.exp(logits - logits.max(axis=0)) * valid
     # a kept segment's sum is >= 1 (its maximal term is 1); a dropped one's is 0
     delta /= np.maximum(delta.sum(axis=0), 1.0)
@@ -209,6 +217,52 @@ def pool_grid(
     Padding rows (``pad_mask`` False) take weight 0, so they must be finite; the grid
     must already have dropped all-padding segments.  Matches ``pool_segment`` calls.
     """
+    return check_pooled(op, _pool(op, source, grid, pad_mask))
+
+
+def pool_grid_rows(
+    op: PoolingOp,
+    rows: np.ndarray,
+    grid: PooledGrid,
+    pad_mask: np.ndarray | None,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """The pooled segments of ``grid`` that start in source rows ``start`` to ``stop``.
+
+    ``rows`` are the source rows ``start`` to ``min(n, stop + kappa - xi)``, every
+    row those segments read; ``start`` is a multiple of the stride, and so is
+    ``stop`` unless it is n.  The rows are pooled as a sequence of their own,
+    whose leading segments are these, so each comes out bitwise as in
+    ``pool_grid`` over the whole source.  Not checked for finiteness: check the
+    grid they fill with ``check_pooled``.
+    """
+    n, kappa, xi = grid.n, grid.kappa, grid.xi
+    if not 0 <= start < stop <= n or start % xi or (stop % xi and stop != n):
+        raise ValueError(f"rows {start} to {stop} do not start and end on the stride-{xi} grid")
+    if len(rows) != min(n, stop + kappa - xi) - start:
+        raise ValueError(
+            f"segments starting in rows {start} to {stop} read rows {start} to "
+            f"{min(n, stop + kappa - xi)}, got {len(rows)} rows"
+        )
+    pad = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[start:start + len(rows)]
+    first, last = np.searchsorted(grid.segment_starts, (start, stop))
+    own = build_pooled_grid(len(rows), kappa, xi, pad)
+    return _pool(op, rows, own, pad)[: last - first]
+
+
+def check_pooled(op: PoolingOp, out: np.ndarray) -> np.ndarray:
+    """``out``, a pooled grid, if every entry is finite; else the overflow error."""
+    if not np.isfinite(out).all():
+        segment = np.argwhere(~np.isfinite(out))[0, 0]
+        raise ValueError(
+            f"pool_grid: non-finite pooled output; {op.kind} pooling overflows float64, "
+            f"first at segment {segment}"
+        )
+    return out
+
+
+def _pool(op: PoolingOp, source, grid: PooledGrid, pad_mask) -> np.ndarray:
     source, valid, lens, kept = _layout(grid, source, pad_mask)
     if op.kind == "max":
         out = _max_rows(source, valid, grid.xi)[0]
@@ -218,14 +272,7 @@ def pool_grid(
     else:
         delta = _softmax_weights(op, source, valid, lens, grid.xi)[-1]
         out = _weighted_sum(source, delta, grid.xi)
-    out = out if kept is None else out[kept]
-    if not np.isfinite(out).all():
-        segment = np.argwhere(~np.isfinite(out))[0, 0]
-        raise ValueError(
-            f"pool_grid: non-finite pooled output; {op.kind} pooling overflows float64, "
-            f"first at segment {segment}"
-        )
-    return out
+    return out if kept is None else out[kept]
 
 
 def pool_grid_backward(

@@ -18,6 +18,7 @@ from poolattn.attention import (
     first_level_forward,
     layer_backward,
     layer_forward,
+    row_chunks,
     second_level_forward,
     stack_forward,
 )
@@ -46,8 +47,8 @@ from poolattn.oracle import (
     literal_pooling_attention,
     mask_from_config,
 )
-from poolattn.windowing import global_neighbor_set
-from trace_reference import check_block_biases, fresh_stages, plan, trace_views
+from poolattn.windowing import global_neighbor_set, window_bounds
+from trace_reference import check_block_biases, check_views, fresh_stages, plan
 
 
 def windowed_reference(batch, params, config):
@@ -367,22 +368,31 @@ class TestLayerBackward:
                     grads.embeddings):
             np.testing.assert_array_equal(arr, 0.0)
 
-    def test_retain_has_no_effect(self):
-        """Every trace keeps its block statistics, so ``retain=False`` traces differentiate too."""
-        cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
-        batch = synth_batch(8, 4, seed=45)
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_inference_trace_keeps_statistics_and_refuses_backward(self, mix):
+        """A ``retain=False`` trace keeps a retained trace's counts, flags and
+        statistics bitwise, but no y or z: ``layer_backward``, ``y`` and ``z``
+        raise a ValueError naming ``retain=False``, not an AttributeError."""
+        cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2,
+                          second_level_input="raw_embeddings" if mix else "first_level_output")
+        batch = synth_batch(8, 4, seed=45, global_count=1)
         params = init_params(cfg, 46)
         upstream = symmetric_uniform(45, 32).reshape(8, 4)
-        _, kept = layer_forward(batch, params, cfg)
-        _, dropped = layer_forward(batch, params, cfg, retain=False)
-        y, first = first_level_forward(batch, params, cfg)
+        out, kept = layer_forward(batch, params, cfg)
+        out_d, dropped = layer_forward(batch, params, cfg, retain=False)
+        y, first = first_level_forward(batch, params, cfg, retain=False)
         _, second = second_level_forward(batch, y, params, cfg, retain=False)
-        held = _reachable_arrays(kept, "trace")
-        grads = _reachable_arrays(layer_backward(kept, upstream), "grads")
-        for trace in (dropped, AttentionTrace(first, second, dropped.final)):
-            _assert_bitwise_equal(_reachable_arrays(trace, "trace"), held)
-            got = _reachable_arrays(layer_backward(trace, upstream), "grads")
-            _assert_bitwise_equal(got, grads)
+        _assert_bitwise_equal({"out": out_d}, {"out": out})
+        for trace in (dropped, AttentionTrace(first, second, out_d)):
+            for got, want in ((trace.first, kept.first), (trace.second, kept.second)):
+                for name in ("counts", "rowmax", "denom"):
+                    _assert_bitwise_equal({name: getattr(got, name)}, {name: getattr(want, name)})
+            _assert_bitwise_equal({"flags": trace.degenerate_second},
+                                  {"flags": kept.degenerate_second})
+            for read in (lambda: layer_backward(trace, upstream), lambda: trace.y,
+                         lambda: trace.z):
+                with pytest.raises(ValueError, match="retain=False"):
+                    read()
 
     def test_upstream_shape_checked(self):
         cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
@@ -560,6 +570,19 @@ class TestBlockSizeInvariance:
             LayerConfig(d_model=8, n_heads=4, w1=70, w2=90, kappa=5, xi=4),
             100, (0, 99), (50,),
         ),
+        # d = 64, where BLAS rounds short products differently: 300 rows are
+        # 9 blocks and a 12-row tail, and a global row mid-sequence
+        "wide_rows": (
+            LayerConfig(d_model=64, n_heads=4, w1=40, w2=120, kappa=5, xi=4,
+                        pooling_kind="ldconv"),
+            300, (3, 200), (77,),
+        ),
+        # d = 64, mean_ldconv pooling over stride 3, no global row
+        "wide_rows_no_globals": (
+            LayerConfig(d_model=64, n_heads=2, w1=20, w2=90, kappa=4, xi=3,
+                        pooling_kind="mean_ldconv"),
+            250, (), (),
+        ),
     }
 
     def _inputs(self, case):
@@ -610,6 +633,47 @@ class TestBlockSizeInvariance:
             assert relative_diff(got[name], ref[name]) <= 1e-12, name
 
     @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("chunk", ["block", "two_blocks", "n"])
+    def test_output_and_gradients_independent_of_chunk_size(self, case, chunk, monkeypatch):
+        """The forwards stream chunks of ``CHUNK_ROWS`` rows, rounded down to whole
+        blocks, a short tail folded in: one block, two blocks, or all n rows.
+        Blocks are 8 rows here, fewer than BLAS needs to round a product's
+        rows as the whole sequence's at d = 64.
+
+        Outputs and gradients stay within 1e-12 of the default's (one chunk at
+        these n).  Chunks project and pool bitwise as the whole sequence, so
+        the first level's rows other than the global ones are bitwise equal,
+        and so is z where it reads no global row's y (mix, or no global
+        row); only the global rows' online softmax rounds differently.  The
+        trace views stay the fresh whole-sequence stages.
+        """
+        cfg, n, batch, params, upstream = self._inputs(case)
+        monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 8))
+        out, trace = layer_forward(batch, params, cfg)
+        grads = layer_backward(trace, upstream)
+        assert len(row_chunks(n, attention._block_size(trace.first.band, cfg.w1))) == 1
+        monkeypatch.setattr(attention, "CHUNK_ROWS", {"block": 1, "two_blocks": 16, "n": n}[chunk])
+        out_c, trace_c = layer_forward(batch, params, cfg)
+        grads_c = layer_backward(trace_c, upstream)
+        for level in (trace_c.first, trace_c.second):
+            chunks = row_chunks(n, attention._block_size(level.band, cfg.w1))
+            assert (len(chunks) == 1) == (chunk == "n"), chunks
+        ref, got = _grad_groups(out, grads), _grad_groups(out_c, grads_c)
+        assert ref.keys() == got.keys()
+        for name in ref:
+            assert relative_diff(got[name], ref[name]) <= 1e-12, name
+        banded = np.ones(n, dtype=bool)
+        banded[list(batch.global_set)] = False
+        np.testing.assert_array_equal(trace_c.y[banded], trace.y[banded])
+        if cfg.mix or not batch.global_set:
+            np.testing.assert_array_equal(trace_c.z, trace.z)
+        np.testing.assert_array_equal(trace_c.first_counts, trace.first_counts)
+        for name in ("rowmax", "denom"):
+            got, want = getattr(trace_c.first, name), getattr(trace.first, name)
+            np.testing.assert_array_equal(got[:, banded], want[:, banded])
+        check_views(trace_c, fresh_stages(batch, params, cfg, trace_c.y))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_backward_reads_statistics_of_any_partition(self, case, monkeypatch):
         """The trace keeps statistics per row, not per block: a backward under
         another partition than its forward's agrees with one under the same."""
@@ -622,6 +686,25 @@ class TestBlockSizeInvariance:
         assert same.keys() == other.keys()
         for name in same:
             assert relative_diff(other[name], same[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("chunk_rows", [attention.CHUNK_ROWS, 100])
+    @pytest.mark.parametrize("w1, step", [(128, 1), (128, 3), (16, 2), (0, 5)])
+    @pytest.mark.parametrize("n", [1, 40, 100, 1024, 1100, 2047, 2048, 3000])
+    def test_chunks_tile_the_rows_in_whole_blocks_and_fold_the_tail(
+        self, n, w1, step, chunk_rows, monkeypatch
+    ):
+        monkeypatch.setattr(attention, "CHUNK_ROWS", chunk_rows)
+        band = _Band(partial(window_bounds, w=w1, n=n), row_ok=np.ones(n, dtype=bool), step=step)
+        cell = max(step, block_rows(n, w1) // step * step)
+        assert attention._block_size(band, w1) == cell
+        size = max(cell, chunk_rows // cell * cell)
+        chunks = row_chunks(n, cell)
+        assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
+        assert chunks[-1][1] == n
+        # no block crosses a chunk edge; a tail shorter than a chunk joins the last
+        assert all(b - a == size for a, b in chunks[:-1])
+        last = chunks[-1][1] - chunks[-1][0]
+        assert last == n if len(chunks) == 1 else size <= last < 2 * size
 
     def test_default_block_follows_w1(self):
         assert block_rows(16384, 128) == 64
@@ -886,13 +969,24 @@ class TestRowLayoutTrace:
     @pytest.mark.parametrize("retain", [False, True])
     @pytest.mark.parametrize("case", CASES)
     def test_trace_views_equal_fresh_stages_bitwise(self, case, retain):
+        """A ``retain=False`` layer trace's first-level views, and its
+        second-level views in the mix setting, are the fresh stages too; without
+        mix, y became the output, and its second-level views raise."""
         cfg, batch, params = self._inputs(case)
+        y = layer_forward(batch, params, cfg)[1].y
         _, trace = layer_forward(batch, params, cfg, retain=retain)
-        views = trace_views(trace)
-        for got, want in zip(views, fresh_stages(batch, params, cfg, trace.y)):
-            np.testing.assert_array_equal(got, want)
-        for view in views:
-            assert not view.flags.writeable
+        check_views(trace, fresh_stages(batch, params, cfg, y))
+
+    @pytest.mark.parametrize("chunk_rows", [attention.CHUNK_ROWS, 64])
+    @pytest.mark.parametrize("case", CASES)
+    def test_inference_output_is_bitwise_the_retained_output(self, case, chunk_rows, monkeypatch):
+        """``retain=False`` adds each chunk's z into y's own buffer: ``y[rows] += z``
+        rounds as ``y + z``, and a chunk's q2 is projected before its z is added."""
+        monkeypatch.setattr(attention, "CHUNK_ROWS", chunk_rows)
+        cfg, batch, params = self._inputs(case)
+        out, _ = layer_forward(batch, params, cfg)
+        out_d, _ = layer_forward(batch, params, cfg, retain=False)
+        assert out_d.tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("case", CASES)
     def test_trace_holds_no_projection(self, case):

@@ -266,7 +266,8 @@ class TestPeakBytes:
     @pytest.mark.parametrize("heads", [4, 8, 16])
     @pytest.mark.parametrize("workload", WORKLOAD_LAYERS)
     def test_estimate_bounds_measured_inference_peak(self, workload, heads):
-        """The estimate bounds a forward's peak, the trace's block statistics included.
+        """The estimate bounds a forward's peak, the trace's block statistics included,
+        for the inference forward (``retain=False``) and the training one.
 
         Each head scores every block on its own, so the estimate takes the
         head count.
@@ -279,18 +280,19 @@ class TestPeakBytes:
         pad[n - int(pad_share * n):] = False
         batch = SequenceBatch(batch.embeddings, pad, batch.global_set)
         params = init_params(cfg, 62)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            layer_forward(batch, params, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        est = estimate_peak_bytes(
-            "two_level", n, cfg.d_model, cfg.w1, cfg.w2, cfg.kappa, cfg.xi, n_global=g,
-            n_heads=heads,
-        )
-        assert peak <= est <= 1.25 * peak, f"peak {peak}, estimate {est}"
+        for retain in (False, True):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                layer_forward(batch, params, cfg, retain=retain)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            est = estimate_peak_bytes(
+                "two_level", n, cfg.d_model, cfg.w1, cfg.w2, cfg.kappa, cfg.xi, n_global=g,
+                n_heads=heads, retain=retain,
+            )
+            assert peak <= est <= 1.25 * peak, f"retain={retain}: peak {peak}, estimate {est}"
 
     @pytest.mark.parametrize("workload", WORKLOAD_LAYERS)
     def test_training_backward_holds_one_level_of_gradients(self, workload):

@@ -7,8 +7,9 @@ masked-dense first-level oracle, a token-by-token second level on the shared
 grid (the literal-pooling oracle where the window covers the sequence) and
 the per-token count model, and checks every kept block's shared mask bias
 against its own mask.  Small cases also run a finite-difference
-gradcheck on the padded batch and read the views of a ``retain=False``
-trace.  The examples are fixed (tests/conftest.py) and bounded in number.
+gradcheck on the padded batch and check the views of a ``retain=False``
+trace (its second-level views raise without mix).  The examples are fixed
+(tests/conftest.py) and bounded in number.
 """
 
 from typing import NamedTuple
@@ -33,7 +34,7 @@ from poolattn.harness import (
 from poolattn.oracle import literal_pooling_attention, mask_from_config, per_head_dense
 from poolattn.pooling import PoolingOp, pool_segment
 from poolattn.windowing import build_pooled_grid
-from trace_reference import check_block_biases, fresh_stages, plan, trace_views
+from trace_reference import check_block_biases, check_views, fresh_stages
 
 D, TOLERANCE = 4, 1e-12
 GRADCHECK_MAX_N = 12  # finite differences cost two forwards per entry
@@ -143,10 +144,10 @@ def _gradcheck(batch, params, cfg, trace) -> None:
 
 
 def _check_views(batch, params, cfg, y) -> None:
-    """A ``retain=False`` trace's views are bitwise the stages they stand for."""
+    """A ``retain=False`` trace's views are bitwise the stages they stand for,
+    and its second-level views raise where y became the output (no mix)."""
     _, trace = layer_forward(batch, params, cfg, retain=False)
-    for got, want in zip(trace_views(trace), fresh_stages(batch, params, cfg, y)):
-        np.testing.assert_array_equal(got, want)
+    check_views(trace, fresh_stages(batch, params, cfg, y))
 
 
 EDGES = [

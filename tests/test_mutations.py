@@ -1,4 +1,5 @@
-"""Recorded mutants of the mask path, each of which some named test must kill.
+"""Recorded mutants of the mask path, the pooling and the chunked forward,
+each of which some named test must kill.
 
 Each row of ``MUTANTS`` names a file, a snippet that occurs in it exactly
 once, its replacement, and the test node ids that must fail.  A row copies
@@ -19,8 +20,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 ATTENTION = "src/poolattn/attention.py"
+POOLING = "src/poolattn/pooling.py"
 FUZZ = "tests/test_layer_fuzz.py::test_layer_matches_oracles"
 BLOCK_BIAS = "tests/test_attention.py::TestBlockBias"
+CHUNKS = "tests/test_attention.py::TestBlockSizeInvariance"
+POOL_DIFF = "tests/test_pooling.py::TestPoolGridDifferential::test_matches_per_segment_pooling"
 
 
 class Mutant(NamedTuple):
@@ -66,9 +70,50 @@ MUTANTS = {
         ATTENTION, "np.where(band.key_ok, 0.0, -np.inf)[None]", "np.zeros((1, n))",
         (f"{BLOCK_BIAS}::test_blocks_around_an_extra_row",)),
     "one_row_slices": Mutant(
-        ATTENTION, "block = max(band.step, block_rows(n, w1) // band.step * band.step)",
-        "block = 1",
+        ATTENTION,
+        "return max(band.step, block_rows(band.row_ok.shape[0], w1) // band.step * band.step)",
+        "return 1",
         (f"{BLOCK_BIAS}::test_second_level_slices_follow_the_stride",)),
+    # the chunked forward
+    "halo_one_row_short": Mutant(
+        ATTENTION, "kept = self.held[lo - self.lo:new - self.lo]",
+        "kept = self.held[lo - self.lo + 1:new - self.lo]",
+        (f"{CHUNKS}::test_output_and_gradients_independent_of_chunk_size[block-wide_rows]",)),
+    "online_softmax_without_rescaling": Mutant(
+        ATTENTION, "scale = np.exp(e_max - top)", "scale = 1.0",
+        (f"{CHUNKS}::test_output_and_gradients_independent_of_chunk_size[block-wide_rows]",)),
+    "tail_chunk_unfolded": Mutant(
+        ATTENTION, "starts.pop()", "pass",
+        (f"{CHUNKS}::test_chunks_tile_the_rows_in_whole_blocks_and_fold_the_tail",)),
+    # layer_forward(retain=False) added z into y: a trace keeping y as the
+    # source would project q2 (and k2, v2) from y + z
+    "z_added_before_q2_view": Mutant(
+        ATTENTION, "None if src is into else src", "src",
+        ("tests/test_attention.py::TestRowLayoutTrace::"
+         "test_trace_views_equal_fresh_stages_bitwise[default-False]",)),
+    # the pooling
+    "max_without_neg_inf_fill": Mutant(
+        POOLING, "cand = np.where(valid[r, : len(rows), None], rows, -np.inf)", "cand = rows",
+        (POOL_DIFF,)),
+    "rank_is_offset": Mutant(
+        POOLING, "rank = np.cumsum(valid, axis=0) - 1",
+        "rank = np.arange(len(valid))[:, None] + 0 * valid", (POOL_DIFF,)),
+    "center_ignores_padding": Mutant(
+        POOLING, "center = (valid & (rank == lens // 2)).argmax(axis=0)", "center = lens // 2",
+        (POOL_DIFF,)),
+    "zero_tail": Mutant(
+        POOLING, "tail[: n - n_full * xi] = source[n_full * xi :]", "pass", (POOL_DIFF,)),
+    "no_padding_zeroing": Mutant(
+        POOLING, "grad_source[~np.asarray(pad_mask, dtype=bool)] = 0.0", "pass", (POOL_DIFF,)),
+    "no_short_segment_division": Mutant(
+        POOLING, "out /= lens[:, None]", "out /= grid.kappa", (POOL_DIFF,)),
+    "no_context_gradient": Mutant(
+        POOLING, "np.add(part, g_ctx[:m], out=part, where=center[:m, None] == r)", "pass",
+        (POOL_DIFF,)),
+    # short ranges' ldconv logits from BLAS's small-matrix kernel
+    "unpadded_logits": Mutant(
+        POOLING, "short = product_rows(len(op.w_p)) - len(ctx)", "short = 0",
+        ("tests/test_pooling.py::TestPoolGridRows::test_ranges_pool_bitwise_as_the_whole_grid",)),
 }
 
 

@@ -10,6 +10,7 @@ from poolattn.pooling import (
     PoolingOp,
     pool_grid,
     pool_grid_backward,
+    pool_grid_rows,
     pool_segment,
     pool_segment_backward,
 )
@@ -406,3 +407,42 @@ class TestPoolGridDifferential:
             pool_grid(op, src, grid, pad)
         with pytest.raises(ValueError, match=rf"\({length},\).*6 rows"):
             pool_grid_backward(op, src, grid, pad, np.ones((3, 2)))
+
+
+class TestPoolGridRows:
+    """Pooling the segments that start in a range of rows, from those rows and a
+    kappa - xi halo, as the chunked forward does."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kappa, xi", [(5, 4), (4, 2), (3, 3), (6, 1)])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_ranges_pool_bitwise_as_the_whole_grid(self, kind, kappa, xi, padded):
+        """At d = 64 a range of few segments would get BLAS's small-matrix
+        kernel for the ldconv logits; the range's segments must still have
+        the whole grid's bits."""
+        n, d = 1000, 64
+        rng = np.random.default_rng(kappa * 10 + xi)
+        src = rng.standard_normal((n, d))
+        pad = None
+        if padded:
+            pad = rng.random(n) > 0.3
+            pad[n - 150:] = False  # whole segments of padding are dropped
+        op = make_op(kind, kappa, d, rng)
+        grid = build_pooled_grid(n, kappa, xi, pad)
+        whole = pool_grid(op, src, grid, pad)
+        for size in (2 * xi, 24 * xi, n):
+            out = np.full_like(whole, np.nan)
+            for a in range(0, n, size):
+                b = min(n, a + size)
+                first, last = np.searchsorted(grid.segment_starts, (a, b))
+                rows = src[a:min(n, b + kappa - xi)]
+                out[first:last] = pool_grid_rows(op, rows, grid, pad, a, b)
+            np.testing.assert_array_equal(out, whole)
+
+    def test_rejects_ranges_off_the_grid(self):
+        grid = build_pooled_grid(20, 4, 2)
+        op = PoolingOp("mean")
+        with pytest.raises(ValueError, match="stride-2 grid"):
+            pool_grid_rows(op, np.ones((7, 2)), grid, None, 3, 8)
+        with pytest.raises(ValueError, match="read rows 4 to 10, got 5 rows"):
+            pool_grid_rows(op, np.ones((5, 2)), grid, None, 4, 8)

@@ -1,15 +1,16 @@
 """What a layer trace's eight views and its blocks' biases stand for, built directly.
 
-``trace_views`` reads a trace's views; ``fresh_stages`` builds the same
-arrays, in the same order, from ``project_qkv``, ``build_pooled_grid`` and
-``pool_grid``, for tests that compare the two bitwise.  ``plan`` lists the
-blocks a level's passes run, and ``check_block_biases`` compares each
+``fresh_stages`` builds the arrays a trace's views stand for, in view order,
+from ``project_qkv``, ``build_pooled_grid`` and ``pool_grid``, and
+``check_views`` compares the two bitwise.  ``plan`` lists the blocks a
+level's passes run, and ``check_block_biases`` compares each
 block's bias and counts with ones built from its own mask.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 
 import poolattn.attention as attention
 from poolattn.core import project_qkv
@@ -17,10 +18,25 @@ from poolattn.pooling import PoolingOp, pool_grid
 from poolattn.windowing import build_pooled_grid
 
 
-def trace_views(trace) -> tuple:
+def check_views(trace, fresh) -> None:
+    """A trace's views are bitwise ``fresh`` (``fresh_stages``) and read-only.
+
+    The second-level views of a non-mix ``layer_forward(retain=False)`` trace,
+    whose source y became the output, raise a ValueError naming ``retain=False``.
+    """
     first, second = trace.first, trace.second
-    return (first.q, first.k, first.v, second.q2, second.k2, second.v2,
-            second.pooled_k, second.pooled_v)
+    views = [first.q, first.k, first.v]
+    if second.source is None:
+        for name in ("q2", "k2", "v2", "pooled_k", "pooled_v"):
+            with pytest.raises(ValueError, match="retain=False"):
+                getattr(second, name)
+        with pytest.raises(ValueError, match="retain=False"):
+            second.attention_rows()
+    else:
+        views += [second.q2, second.k2, second.v2, second.pooled_k, second.pooled_v]
+    for got, want in zip(views, fresh):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
 
 
 def fresh_stages(batch, params, cfg, y) -> tuple:
