@@ -23,17 +23,18 @@ written through them.
 
 The forwards stream row chunks (``row_chunks``: ``CHUNK_ROWS`` rows, whole
 blocks, a short tail folded into the last chunk) and never hold a whole
-projection.  The first level projects each chunk's queries, and its keys and
-values over the chunk's key union, carrying the 2*w1 halo rows to the next
-chunk (``_Rows``); the global rows' queries, keys and values are projected
-once, and their block runs over the chunks as an online softmax.  The second
-level projects and pools its unpooled keys and values chunk by chunk, with a
-kappa - xi halo, into the whole pooled grids (``pool_grid_rows``), then
-projects q2 per chunk and adds each chunk's output into its target.  Every
-projection has at least ``product_rows(d)`` rows, so chunks see bitwise the
-rows of the whole projection (``core.project``, the routine ``project_qkv``
-uses) and pooled segments bitwise as ``pool_grid`` pools them: only the
-global rows' online softmax rounds differently from one whole block.
+projection.  Each chunk projects exactly the rows it reads.  The first level
+projects a chunk's queries, and its keys and values as one product each over
+the chunk's key union, its 2*w1 halo included, followed by the global rows;
+the global rows' queries are projected once, and their block runs over the
+chunks as an online softmax.  The second level projects and pools its
+unpooled keys and values chunk by chunk, with a kappa - xi halo, into the
+whole pooled grids (``pool_grid_rows``), then projects q2 per chunk and adds
+each chunk's output into its target.  ``core.project`` (the routine
+``project_qkv`` uses) gives any slice or gather of rows the bits of the whole
+projection, so chunks see bitwise the rows of the whole projection and
+pooled segments bitwise as ``pool_grid`` pools them: only the global rows'
+online softmax rounds differently from one whole block.
 
 Traces keep each level's counts and band and, per head and row, the softmax
 row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1) each),
@@ -76,7 +77,6 @@ from poolattn.core import (
     LayerParams,
     ProjectionTriple,
     SequenceBatch,
-    product_rows,
     project,
 )
 from poolattn.pooling import (
@@ -240,40 +240,6 @@ def _blocks(
             shared_key, shared = key, (np.where(mask, 0.0, -np.inf), mask.sum(axis=1))
             del mask  # not held while the block is scored
         yield rows, cols, *shared
-
-
-class _Rows:
-    """One projection of ``x``, built range by range as a forward walks down its rows.
-
-    ``rows(lo, hi)`` returns rows lo..hi of ``project(x, w, b)``; neither bound
-    may move back between calls.  Rows an earlier range projected are kept,
-    not projected again, so overlapping ranges (a window's halo) cost only
-    their new rows.  Every product has at least ``product_rows(d)`` rows, or
-    all of x, so each row has the bits it has in the whole projection.
-    """
-
-    def __init__(self, x: np.ndarray, w: np.ndarray, b: np.ndarray):
-        self.x, self.pair, self.least = x, (w, b), product_rows(x.shape[1])
-        self.lo = self.hi = 0
-        self.held = x[:0]
-
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        if hi > self.hi:
-            new = max(lo, self.hi)
-            stop = min(len(self.x), max(hi, new + self.least))
-            begin = max(0, min(new, stop - self.least))
-            rows = project(self.x[begin:stop], *self.pair, tokens=range(begin, stop))[new - begin:]
-            kept = self.held[lo - self.lo:new - self.lo]
-            self.held = np.concatenate([kept, rows]) if len(kept) else rows
-            self.lo, self.hi = lo, stop
-        return self.held[lo - self.lo:hi - self.lo]
-
-
-def _project_at(x: np.ndarray, pair: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """Rows ``idx`` of ``project(x, *pair)``, from a product of ``product_rows(d)`` rows or more."""
-    fill = np.arange(max(0, min(len(x), product_rows(x.shape[1])) - len(idx)))
-    pick = np.concatenate([idx, fill])
-    return project(x[pick], *pair, tokens=pick)[:len(idx)]
 
 
 def _banded_attention(
@@ -539,9 +505,8 @@ def first_level_forward(
     Every real token attends to its clipped radius-w1 window plus all global
     tokens; global tokens attend to every real token.  Padding tokens yield
     zero rows and are invisible as keys.  Queries are projected per chunk,
-    keys and values per chunk's key union, carrying the 2*w1 halo rows to the
-    next chunk; the global tokens' rows are projected once.  The trace keeps
-    y unless ``retain`` is False.
+    keys and values per chunk's key union and the global tokens, and the
+    global tokens' queries once.  The trace keeps y unless ``retain`` is False.
     """
     params.validate(config)
     x, pad = batch.embeddings, batch.pad_mask
@@ -550,8 +515,7 @@ def first_level_forward(
         raise ValueError("sequence must have at least one token")
     if d != config.d_model:
         raise ValueError(f"batch dimension {d} does not match config d_model {config.d_model}")
-    pairs = params.first.pairs()
-    q, k, v = (_Rows(x, *pair) for pair in pairs)
+    pq, pk, pv = params.first.pairs()
     glob = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
     is_global[glob] = True
@@ -559,17 +523,18 @@ def first_level_forward(
         partial(window_bounds, w=config.w1, n=n), row_ok=pad, key_ok=pad,
         extra=is_global if glob.size else None,
     )
-    gq = gk = gv = None
-    if glob.size:
-        gq, gk, gv = (_project_at(x, pair, glob) for pair in pairs)
+    gq = project(x[glob], *pq, tokens=glob) if glob.size else None
 
     def keys(c0, c1):  # the union's rows, then the global rows'
-        if gk is None:
-            return k(c0, c1), v(c0, c1)
-        return np.concatenate([k(c0, c1), gk]), np.concatenate([v(c0, c1), gv])
+        rows = np.r_[c0:c1, glob]
+        xs = x[rows]
+        return project(xs, *pk, tokens=rows), project(xs, *pv, tokens=rows)
 
     y = np.zeros((n, d))
-    counts, rowmax, denom = _banded_attention(band, config, q, keys, y, extra_q=gq)
+    counts, rowmax, denom = _banded_attention(
+        band, config, lambda a, b: project(x[a:b], *pq, tokens=range(a, b)), keys, y,
+        extra_q=gq,
+    )
     blind = band.row_ok & (counts == 0)
     if blind.any():
         raise ValueError(
@@ -596,17 +561,19 @@ def _pooled_grids(
     """The pooled keys and values of ``source``, pooled chunk by chunk into whole grids.
 
     A chunk's unpooled keys and values span its rows and a kappa - xi halo
-    past them, carried to the next chunk; pooled with ``pool_grid_rows``,
-    every segment has ``pool_grid``'s bits.
+    past them; pooled with ``pool_grid_rows``, every segment has
+    ``pool_grid``'s bits.
     """
     n, halo = len(source), config.kappa - config.xi
     ops = [_pooling_op(params, config, i) for i in (1, 2)]
-    unpooled = [_Rows(source, *pair) for pair in params.second.pairs()[1:]]
+    pairs = params.second.pairs()[1:]
     pooled = [np.empty((len(grid), source.shape[1])) for _ in ops]
     for a, b in chunks:
         first, last = np.searchsorted(grid.segment_starts, (a, b))
-        for op, rows, out in zip(ops, unpooled, pooled):
-            out[first:last] = pool_grid_rows(op, rows(a, min(n, b + halo)), grid, pad_arg, a, b)
+        stop = min(n, b + halo)
+        for op, pair, out in zip(ops, pairs, pooled):
+            rows = project(source[a:stop], *pair, tokens=range(a, stop))
+            out[first:last] = pool_grid_rows(op, rows, grid, pad_arg, a, b)
     return [check_pooled(op, out) for op, out in zip(ops, pooled)]
 
 
@@ -630,8 +597,9 @@ def _second_level(
     pooled_k, pooled_v = _pooled_grids(src, params, config, grid, pad_arg, chunks)
     out = np.zeros((n, d)) if into is None else into
     # a chunk's q2 is projected before its blocks add to ``out``
+    pq = params.second.pairs()[0]
     counts, rowmax, denom = _banded_attention(
-        band, config, _Rows(src, *params.second.pairs()[0]),
+        band, config, lambda a, b: project(src[a:b], *pq, tokens=range(a, b)),
         lambda c0, c1: (pooled_k[c0:c1], pooled_v[c0:c1]), out, add=into is not None,
     )
     del pooled_k, pooled_v

@@ -87,16 +87,29 @@ def product_rows(width: int) -> int:
     return SMALL_PRODUCT // width + 1
 
 
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.T``, each row with the bits it has in any taller product.
+
+    ``a`` is extended with zero rows up to ``product_rows(len(b))``, so no product
+    takes BLAS's small-matrix kernel: a row's bits do not depend on which or
+    how many rows are multiplied with it.
+    """
+    short = product_rows(len(b)) - len(a)
+    if short > 0:
+        return (np.concatenate([a, np.zeros((short, a.shape[1]))]) @ b.T)[:len(a)]
+    return a @ b.T
+
+
 def project(x: np.ndarray, w: np.ndarray, b: np.ndarray, tokens=None) -> np.ndarray:
     """``x @ w.T + b`` as (n, d) rows: the one projection of queries, keys and values.
 
     Heads are strided column blocks of the result (head i is columns i*d/h to
     (i+1)*d/h), read through views, so every consumer sees the same product.
-    A product of at least ``product_rows(d)`` rows gives each row the bits it
-    has in the projection of the whole sequence.  ``tokens`` maps ``x``'s rows
-    to the token indices the non-finite error names (default: the row index).
+    The product is ``product``'s, so any slice or gather of rows projects to
+    the bits of the whole projection.  ``tokens`` maps ``x``'s rows to the
+    token indices the non-finite error names (default: the row index).
     """
-    out = x @ w.T
+    out = product(x, w)
     out += b
     if not np.isfinite(out).all():
         token = np.argwhere(~np.isfinite(out))[0, 0]

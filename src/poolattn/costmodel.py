@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from poolattn.attention import block_rows, row_chunks
-from poolattn.core import LayerConfig, product_rows
+from poolattn.core import LayerConfig
 
 PATTERNS = ("dense", "single_window", "two_level")
 
@@ -204,18 +204,18 @@ def estimate_peak_bytes(
     one row block's transients, sized by the block's key union (window or
     segment union), whose scores are one (rows, cols) matrix per head.  The
     first level holds y, its statistics and a chunk's queries, its keys and
-    values over the chunk's key union (held, and copied with the global
-    rows' appended) and one block, or the global rows' scores against the
-    chunk.  The second level then holds y, the first level's statistics and
-    the pooled grids, while it pools a chunk's unpooled keys and values and
-    their pooling scratch, then its own statistics, a chunk's q2 and one
-    block.  ``retain`` (a training forward) adds z, an (n, d) array of its
-    own, to the second level, and ``y + z`` at the end.  Per-token counts
-    and flags, the block plan's per-block bounds and the one-byte-per-entry
-    finiteness check of each level's output are included, and
-    ``CALL_OVERHEAD`` bytes for the Python objects of a call.  Blocks are the
-    layer's own ``block_rows(n, w1)`` rows; ``n_heads`` defaults to
-    ``LayerConfig``'s.
+    values over the chunk's key union and the global rows, each one product
+    of the embeddings gathered there, and one block, or the global rows'
+    scores against the chunk.  The second level then holds y, the first
+    level's statistics and the pooled grids, while it pools a chunk's
+    unpooled keys, then its values, and their pooling scratch, then its own
+    statistics, a chunk's q2 and one block.  ``retain`` (a training forward)
+    adds z, an (n, d) array of its own, to the second level, and ``y + z`` at
+    the end.  Per-token counts and flags, the block plan's per-block bounds
+    and the one-byte-per-entry finiteness check of each level's output are
+    included, and ``CALL_OVERHEAD`` bytes for the Python objects of a call.
+    Blocks are the layer's own ``block_rows(n, w1)`` rows; ``n_heads``
+    defaults to ``LayerConfig``'s.
     """
     if pattern not in ("dense", "two_level"):
         raise ValueError(f"pattern must be dense or two_level, got {pattern!r}")
@@ -226,7 +226,6 @@ def estimate_peak_bytes(
     b = block_rows(n, w1)
     # the largest chunk: a short tail folds into the chunk before it
     c = max(stop - start for start, stop in row_chunks(n, b))
-    rows = c + product_rows(d)  # a chunk's projection, at least product_rows(d) rows
 
     def block_floats(r: int, cols: int) -> int:
         # every head's scores and the mask bias, the bool mask, the scaled
@@ -237,22 +236,22 @@ def estimate_peak_bytes(
     # per-block starts, stops and key bounds
     stats = 2 * n_heads * n + n + 12 * (n // b + 1)
     u1 = min(n, b + 2 * w1) + n_global
-    # keys and values over the chunk's union as projected and held; with
-    # global rows, also copied with theirs, and a block gathers its columns
-    kv1 = 2 * (c + 2 * w1 + product_rows(d)) * d
     block1 = block_floats(b, u1)
-    if n_global:
-        kv1 += 2 * (c + 2 * w1 + n_global) * d
+    if n_global:  # a block gathers its key and value columns
         block1 += 2 * u1 * d
-    chunk1 = rows * d + kv1 + max(block1, n_heads * n_global * c)
+    # the chunk's queries, and its keys and values over the chunk's union and
+    # the global rows; the gathered embeddings live while they are projected
+    kv1 = (min(n, c + 2 * w1) + n_global) * d
+    chunk1 = c * d + 2 * kv1 + max(kv1, block1, n_heads * n_global * c)
     # the extra keys' bias row and the keys' rows in a chunk's buffer
     first = nd + stats + 2 * n + max(chunk1, nd // 8)
     n_seg = -(-n // xi)
     u2 = min(n_seg, (b + 2 * w2) // max(xi, 1) + 2)
     grids = 2 * n_seg * d + 3 * n_seg
-    # unpooled keys and values held, one being projected, and pooling scratch
-    pooling = 3 * (rows + kappa) * d + 4 * (c // xi + 1) * d
-    attend = stats + rows * d + block_floats(b, u2)
+    # the unpooled keys held while the values are projected, or one of them
+    # and its pooling scratch
+    pooling = 2 * (c + kappa) * d + 4 * (c // xi + 1) * d
+    attend = stats + c * d + block_floats(b, u2)
     flags = n // 4  # the global rows' and the degenerate rows' flags, a byte per row
     z = nd if retain else 0
     second = nd + stats + flags + grids + max(pooling, z + attend)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from poolattn.core import LDCONV_KINDS, POOLING_KINDS, product_rows, softmax_row
+from poolattn.core import LDCONV_KINDS, POOLING_KINDS, product, softmax_row
 from poolattn.windowing import PooledGrid, build_pooled_grid
 
 
@@ -191,12 +191,8 @@ def _softmax_weights(op: PoolingOp, source, valid, lens, xi: int) -> tuple[np.nd
         ctx = source[np.arange(len(lens)) * xi + center]
     else:
         ctx = _weighted_sum(source, valid * 1.0, xi) / lens[:, None]
-    # zero rows pad a short grid's contexts: BLAS would compute the logits of
-    # fewer segments with its small-matrix kernel, whose bits differ from a
-    # long grid's, and pool_grid_rows' segments must have a whole grid's bits
-    short = product_rows(len(op.w_p)) - len(ctx)
-    padded = np.concatenate([ctx, np.zeros((short, ctx.shape[1]))]) if short > 0 else ctx
-    logits = op.w_p @ padded.T
+    # by ``product``, so pool_grid_rows' short ranges get a whole grid's bits
+    logits = product(ctx, op.w_p).T
     # an invalid offset gathers the logit of the last valid row before it (or
     # of rank 0), so each segment's maximum is the maximum over its valid logits
     logits = logits[np.maximum(rank, 0), np.arange(len(lens))]

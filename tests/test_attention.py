@@ -1110,6 +1110,26 @@ class TestOverflowErrors:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=rf"^{stage}: .*{where}$"):
             layer_forward(SequenceBatch.of(emb), params, cfg)
 
+    @pytest.mark.parametrize("hot, global_set", [(30, (0, 30)), (17, ())])
+    def test_key_projection_error_names_the_gathered_token(self, hot, global_set, monkeypatch):
+        """A chunk's keys are one product over its key union and the global rows:
+        the error names the token, not its row in that gather.  Chunks are 8
+        rows, so token 17 is first projected in the right halo of rows 8 to 16
+        (union 6 to 18), and the global token 30 after chunk 0's union (0 to 10)."""
+        monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 8))
+        monkeypatch.setattr(attention, "CHUNK_ROWS", 8)
+        cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
+        emb = np.ones((40, 4))
+        emb[hot] = 1e308
+        params = init_params(cfg, 88)
+        params.first.w_q[:] = 0.0
+        params.first.w_k[:] = 1.0  # only the keys overflow
+        batch = SequenceBatch.of(emb, global_set=global_set)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=rf"^project_qkv: .*first at token {hot}$"
+        ):
+            first_level_forward(batch, params, cfg)
+
     def test_matrix_error_names_row_and_column(self):
         data = np.zeros((3, 4))
         data[2, 1] = np.inf

@@ -10,7 +10,6 @@ from poolattn.core import (
     ProjectionTriple,
     SequenceBatch,
     matrix,
-    product_rows,
     project,
     project_qkv,
     softmax_row,
@@ -134,26 +133,23 @@ class TestProjectQkv:
         with pytest.raises(ValueError):
             project_qkv(np.zeros((2, 4)), proj)
 
-    @pytest.mark.parametrize("d", [8, 32, 64])
-    def test_products_of_product_rows_rows_equal_the_whole_projection(self, d):
-        """The BLAS fact the chunked forward rests on: a projection of at least
-        ``product_rows(d)`` rows, sliced or gathered, gives each row bitwise the
-        bits of the whole projection.  OpenBLAS 0.3.31 on x86-64 rounds products
-        of at most 1200 entries and inner dimension >= 32 with another kernel:
-        there, at d = 64, slices of 1 to 18 rows differ in the last bit, and at
-        d = 32 slices of up to 37 rows.  ``MIN_BLOCK`` (32) rows suffice at d = 8
-        and d = 64, not at d = 32."""
+    @pytest.mark.parametrize("d", [4, 8, 32, 64, 128])
+    def test_any_slice_or_gather_projects_bitwise_as_the_whole(self, d):
+        """The BLAS fact the chunked forward rests on, kept in ``core.product``:
+        a slice or gather of any length projects to the bits of the whole
+        projection.  OpenBLAS 0.3.31 on x86-64 rounds products of at most 1200
+        entries and inner dimension >= 32 with another kernel: without the
+        zero rows, slices of 1 to 18 rows differ in the last bit at d = 64,
+        and of up to 37 rows at d = 32."""
         rng = np.random.default_rng(d)
         n = 2048
         x, w, b = rng.standard_normal((n, d)), rng.standard_normal((d, d)), rng.standard_normal(d)
         whole = project(x, w, b)
-        least = product_rows(d)
-        sizes = {least, least + 1, 64, 1024} | ({32} if d != 32 else set())
-        for m in sorted(sizes):
+        for m in [*range(1, 46), 64, 151, 1024]:
             for start in (0, 5, n - m):
                 np.testing.assert_array_equal(project(x[start:start + m], w, b),
                                               whole[start:start + m])
-        pick = np.concatenate([[3, 700, 2047], np.arange(least - 3)])
+        pick = np.array([3, 700, 2047, 11, 5])
         np.testing.assert_array_equal(project(x[pick], w, b), whole[pick])
 
     def test_error_names_the_token_a_row_stands_for(self):

@@ -1,5 +1,5 @@
-"""Recorded mutants of the mask path, the pooling and the chunked forward,
-each of which some named test must kill.
+"""Recorded mutants of the mask path, the pooling, the chunked forward, the
+backward and the config table, each of which some named test must kill.
 
 Each row of ``MUTANTS`` names a file, a snippet that occurs in it exactly
 once, its replacement, and the test node ids that must fail.  A row copies
@@ -20,6 +20,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 ATTENTION = "src/poolattn/attention.py"
+CORE = "src/poolattn/core.py"
+HARNESS = "src/poolattn/harness.py"
 POOLING = "src/poolattn/pooling.py"
 FUZZ = "tests/test_layer_fuzz.py::test_layer_matches_oracles"
 BLOCK_BIAS = "tests/test_attention.py::TestBlockBias"
@@ -75,9 +77,9 @@ MUTANTS = {
         "return 1",
         (f"{BLOCK_BIAS}::test_second_level_slices_follow_the_stride",)),
     # the chunked forward
+    # the gathered first-level keys: the union one row short on its left
     "halo_one_row_short": Mutant(
-        ATTENTION, "kept = self.held[lo - self.lo:new - self.lo]",
-        "kept = self.held[lo - self.lo + 1:new - self.lo]",
+        ATTENTION, "rows = np.r_[c0:c1, glob]", "rows = np.r_[c0 + 1:c1, glob]",
         (f"{CHUNKS}::test_output_and_gradients_independent_of_chunk_size[block-wide_rows]",)),
     "online_softmax_without_rescaling": Mutant(
         ATTENTION, "scale = np.exp(e_max - top)", "scale = 1.0",
@@ -110,10 +112,29 @@ MUTANTS = {
     "no_context_gradient": Mutant(
         POOLING, "np.add(part, g_ctx[:m], out=part, where=center[:m, None] == r)", "pass",
         (POOL_DIFF,)),
-    # short ranges' ldconv logits from BLAS's small-matrix kernel
+    # the backward
+    "d_not_divided_by_denom": Mutant(
+        ATTENTION, 'np.einsum("hrc,hrc->hr", du, oh[:, rows])',
+        'np.einsum("hrc,hrc->hr", uh[:, rows], oh[:, rows])',
+        ("tests/test_attention.py::TestBackwardDForm",)),
+    "pad_mask_written_into_upstream": Mutant(
+        ATTENTION, "d_y = upstream * batch.pad_mask[:, None]",
+        "d_y = np.multiply(upstream, batch.pad_mask[:, None], out=upstream)",
+        ("tests/test_attention.py::TestBackwardPurity",)),
+    # the config table
+    "kappa_xi_swapped": Mutant(
+        HARNESS, '"kappa": _Key(int, str, "layer.kappa"),\n    "xi": _Key(int, str, "layer.xi"),',
+        '"kappa": _Key(int, str, "layer.xi"),\n    "xi": _Key(int, str, "layer.kappa"),',
+        ("tests/test_harness.py::TestConfigParsing::test_each_key_sets_only_its_field[kappa]",)),
+    # products left to BLAS's small-matrix kernel: short ranges' ldconv
+    # logits, and short slices' projections
     "unpadded_logits": Mutant(
-        POOLING, "short = product_rows(len(op.w_p)) - len(ctx)", "short = 0",
+        CORE, "short = product_rows(len(b)) - len(a)", "short = 0",
         ("tests/test_pooling.py::TestPoolGridRows::test_ranges_pool_bitwise_as_the_whole_grid",)),
+    "unpadded_projection": Mutant(
+        CORE, "short = product_rows(len(b)) - len(a)", "short = 0",
+        ("tests/test_core.py::TestProjectQkv::"
+         "test_any_slice_or_gather_projects_bitwise_as_the_whole",)),
 }
 
 

@@ -1,6 +1,7 @@
 """Rules the package's source code keeps."""
 
 import ast
+import re
 from pathlib import Path
 
 import poolattn
@@ -19,3 +20,12 @@ def test_package_has_no_assert_statements():
     ]
     assert SOURCES
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_only_core_names_the_small_product_rule():
+    """The BLAS rounding rule lives in ``core.product``: every other module
+    projects exactly the rows it reads and never sizes a product itself."""
+    rule = re.compile(r"\b(product_rows|SMALL_PRODUCT)\b")
+    found = [path.name for path in SOURCES
+             if path.name != "core.py" and rule.search(path.read_text(encoding="utf-8"))]
+    assert not found, f"modules naming product_rows or SMALL_PRODUCT outside core.py: {found}"
