@@ -46,6 +46,7 @@ from poolattn.costmodel import (
     cost_single_window,
     cost_two_level,
     estimate_peak_bytes,
+    estimate_training_peak_bytes,
     instrumented_report,
     verify_counts,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "dense_first_level",
     "dense_layer_reference",
     "estimate_peak_bytes",
+    "estimate_training_peak_bytes",
     "first_level_forward",
     "instrumented_report",
     "layer_backward",

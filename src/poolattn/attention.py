@@ -42,21 +42,34 @@ never a projection, a mask, a block's key columns or the probabilities.  The
 statistics are per row, so they do not depend on the block or chunk
 partition that made them.  One function per level (``_first_input``,
 ``_second_input``) builds any one of the level's inputs whole from the
-trace's batch, params and second-level source: the backward just before the
-level's attention backward, dropping them after it, and each read-only view
-(``q``, ``pooled_k``, ...) and ``attention_rows`` only what they read.  The
-second level's backward keeps the unpooled keys and values it pools until
-their pooling backwards.  The backward replays each block's unnormalized
+trace's batch, params and second-level source, for each read-only view
+(``q``, ``pooled_k``, ...) and ``attention_rows``, each building only what
+it reads.
+
+The backward streams the same row chunks as the forwards and never holds a
+whole projection, unpooled grid or their gradients.  The first level
+re-projects each chunk's queries and its gathered key union, runs the
+chunk's blocks backward, and replays the global rows' block one column
+chunk (the chunk's own rows) at a time; the union rows no later chunk reads
+take their projection backward at once, and the 2*w1 halo rows' gradients
+and the global rows' (g, d) accumulators carry into the next chunk.  The
+second level accumulates the whole pooled grids' gradients, (segments, d)
+each, over q2's chunks, then re-projects each chunk's unpooled keys and
+values with their kappa - xi halo for ``pool_grid_rows_backward``, carrying
+the halo rows' gradient.  Every block replays its unnormalized
 probabilities from the rows' statistics with the forward's own operations
-and takes FlashAttention-2's ``D = rowsum(dO * O)`` from the kept output;
-every gradient is exact reverse-mode, shared projections accumulating both
-levels' contributions.
+and takes FlashAttention-2's ``D = rowsum(dO * O)`` from the kept output
+(arXiv 2307.08691); gradient products are written through head views of row
+matrices and added row-wise.  Every gradient is exact reverse-mode, shared
+projections accumulating both levels' contributions; sums over rows run in
+chunk order, so gradients agree with any other chunk size to rounding.
 
 ``retain`` (the default) keeps each level's output, y and z, in its trace,
-and a training step holds the trace, one level's inputs and its gradients,
-each used and dropped in turn: 49.5 MiB on the ``train_ldconv`` benchmark
-step (n = 8192).  ``layer_forward(retain=False)`` (inference) adds z into
-y's own buffer, which it returns as the output, bitwise ``y + z``; its trace
+and a training step holds the trace, the masked upstream (whose buffer
+becomes the input gradient), the pooled grids and their gradients, and one
+chunk: 24.0 MiB on the ``train_ldconv`` benchmark step (n = 8192), as
+``costmodel.estimate_training_peak_bytes`` models it.
+``layer_forward(retain=False)`` (inference) adds z into y's own buffer, which it returns as the output, bitwise ``y + z``; its trace
 keeps counts, flags and statistics but no y or z, so ``layer_backward``
 refuses it, and without mix its second-level views, whose source y became
 the output, refuse too.  The ``infer_long`` benchmark forward (n = 16384)
@@ -83,8 +96,8 @@ from poolattn.pooling import (
     PoolingOp,
     check_pooled,
     pool_grid,
-    pool_grid_backward,
     pool_grid_rows,
+    pool_grid_rows_backward,
 )
 from poolattn.windowing import (
     PooledGrid,
@@ -302,8 +315,8 @@ def _banded_attention(
             rowmax[:, rows], denom[:, rows] = m, total
             e = np.matmul(e, vh[:, cols])  # the block's output; the scores go
             e /= total
-            if add:
-                out_h[:, rows] += e
+            if add:  # through the rows, not the strided head view: numpy buffers that add
+                out[rows] += e.transpose(1, 0, 2).reshape(e.shape[1], -1)
             else:
                 out_h[:, rows] = e
             block = bias = None  # not held while the plan builds the next bias
@@ -679,94 +692,226 @@ class LayerGrads:
     embeddings: np.ndarray
 
 
-def _attention_backward(
-    level: FirstLevelTrace | SecondLevelTrace, upstream: np.ndarray, out: np.ndarray,
-    q: np.ndarray, k: np.ndarray, v: np.ndarray,
-) -> list[np.ndarray]:
-    """Reverse blocked softmax attention of (rows, d) inputs whose output was ``out``.
+def _block_backward(
+    qr: np.ndarray, kc: np.ndarray, vc: np.ndarray, up: np.ndarray, out: np.ndarray,
+    bias: np.ndarray, rowmax: np.ndarray, denom: np.ndarray, alpha: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block's attention backward: (d_q, d_k, d_v) as (rows, d) and (cols, d) row matrices.
 
-    Returns ``[d_q, d_k, d_v]``, (rows, d) like the inputs, as a list whose
-    items a caller can pop and drop one at a time.  The upstream, the
-    inputs and the gradient accumulators are all read and written through
-    head views.  Each block of the level's ``_blocks`` replays its
-    unnormalized probabilities ``e`` from the trace's row statistics, whatever
-    partition the forward ran, and all heads go through one batched matmul per
-    product, as in the forward.  With FlashAttention-2's ``D = rowsum(dO * O)``
-    per head and row, the softmax backward is ``e * (dO v^T - D) / denom``.
+    The block's queries ``qr``, keys ``kc`` and values ``vc``, and its rows'
+    upstream ``up`` and output ``out``, are head views, (n_heads, rows or
+    cols, d/h).  The block's unnormalized probabilities ``e`` are replayed from
+    the rows' statistics, whatever partition the forward ran, and all heads go
+    through one batched matmul per product, as in the forward.  With
+    FlashAttention-2's ``D = rowsum(dO * O)`` per head and row, the softmax
+    backward is ``e * (dO v^T - D) / denom``.  Each product is written through
+    a head view of its row matrix, so the caller adds whole rows.
     """
-    config, band = level.config, level.band
-    alpha = config.alpha()
-    grads = [np.zeros(m.shape) for m in (q, k, v)]
-    qh, kh, vh, uh, oh, d_qh, d_kh, d_vh = (
-        _heads(m, config.n_heads) for m in (q, k, v, upstream, out, *grads)
-    )
-    for rows, cols, bias, _ in _blocks(band, config.w1):
-        qr, kc, vc = qh[:, rows], kh[:, cols], vh[:, cols]
-        e = _replay_probs(qr, kc, bias, level.rowmax[:, rows], alpha)
-        du = uh[:, rows] / level.denom[:, rows]
-        d_vh[:, cols] += np.matmul(e.transpose(0, 2, 1), du)
-        ds = np.matmul(du, vc.transpose(0, 2, 1))
-        ds -= np.einsum("hrc,hrc->hr", du, oh[:, rows])[..., None]  # D / denom
-        ds *= e
-        d_qh[:, rows] += alpha * np.matmul(ds, kc)
-        d_kh[:, cols] += alpha * np.matmul(ds.transpose(0, 2, 1), qr)
-    return grads
+    (n_heads, rows, dh), cols = qr.shape, kc.shape[1]
+    d_q, d_k, d_v = (np.empty((m, n_heads * dh)) for m in (rows, cols, cols))
+    e = _replay_probs(qr, kc, bias, rowmax, alpha)
+    du = up / denom
+    np.matmul(e.transpose(0, 2, 1), du, out=_heads(d_v, n_heads))
+    ds = np.matmul(du, vc.transpose(0, 2, 1))
+    ds -= np.einsum("hrc,hrc->hr", du, out)[..., None]  # D / denom
+    ds *= e
+    del e
+    np.matmul(ds, kc, out=_heads(d_q, n_heads))
+    d_q *= alpha
+    np.matmul(ds.transpose(0, 2, 1), qr, out=_heads(d_k, n_heads))
+    d_k *= alpha
+    return d_q, d_k, d_v
 
 
 def _projection_backward(
-    source: np.ndarray, triple: ProjectionTriple, d_qkv: Iterator[np.ndarray]
-) -> tuple[np.ndarray, ProjectionTriple]:
-    """Backward of the q/k/v projections of ``source``: returns (d_source, gradient triple).
+    source: np.ndarray, pairs, grads: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Backward of projections ``source @ w.T + b``: returns (d_source, [d_w, d_b, ...]).
 
-    ``d_qkv`` yields the (n, d) gradients of q, k and v, in that order.  Each
-    is dropped once its weight and bias gradients and its ``g @ w`` term are
-    taken, before the next is drawn, so one gradient is alive at a time if
-    the iterator keeps none of what it yielded.  The terms are added in q, k,
-    v order, as in ``d_q @ w_q + d_k @ w_k + d_v @ w_v``.
+    ``pairs`` are the projections' (w, b) and ``grads`` their (rows, d)
+    gradients, in the same order; the ``g @ w`` terms are added in that
+    order, as in ``d_q @ w_q + d_k @ w_k + d_v @ w_v``.
     """
-    grads, d_source = [], None
-    for w in (triple.w_q, triple.w_k, triple.w_v):
-        g = next(d_qkv)
-        grads += [g.T @ source, g.sum(axis=0)]
+    d_source, out = None, []
+    for (w, _), g in zip(pairs, grads):
+        out += [g.T @ source, g.sum(axis=0)]
         if d_source is None:
             d_source = g @ w
         else:
             d_source += g @ w
-        del g
-    return d_source, ProjectionTriple(*grads)
+    return d_source, out
+
+
+def _accumulate(total: list[np.ndarray] | None, part: list[np.ndarray]) -> list[np.ndarray]:
+    """``total`` (None: nothing yet) with ``part`` added in place, item by item."""
+    if total is None:
+        return part
+    for t, p in zip(total, part):
+        t += p
+    return total
 
 
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    d_qkv = _attention_backward(ft, d_y, ft.y, *map(ft._input, range(3)))
-    return _projection_backward(ft.batch.embeddings, ft.params.first, iter(d_qkv))
+    """The first level's backward over the forward's row chunks: (d_x, gradient triple).
+
+    A chunk of rows a..b projects its queries, and its keys and values over
+    its key union c0..c1 followed by the global rows, as the forward does, and
+    runs its blocks backward into q, k and v gradients of that layout; the
+    global rows' block is replayed against the chunk's own rows as its key
+    columns.  The union rows before the next chunk's union are then final:
+    their projection backward is taken at once, and the rest of the
+    gradients, the 2*w1 halo rows and the global rows' (g, d) accumulators,
+    carry into the next chunk.  The global rows' projection backward comes
+    last.  ``d_x`` is ``d_y``'s own buffer: a row's input gradient overwrites
+    its upstream once no later block reads it (the global rows' upstream is
+    read from a copy).
+    """
+    config, band = ft.config, ft.band
+    x = ft.batch.embeddings
+    n, d = x.shape
+    alpha, n_heads = config.alpha(), config.n_heads
+    pairs = ft.params.first.pairs()
+    d_x = d_y
+    uh, oh = _heads(d_y, n_heads), _heads(ft.y, n_heads)
+    plan = _blocks(band, config.w1)
+    glob = np.empty(0, dtype=np.int64)
+    if band.extra is not None:  # the plan's first block: the global rows against every key
+        glob, _, glob_bias, _ = next(plan)
+        glob_qh = _heads(project(x[glob], *pairs[0]), n_heads)
+        # copies: d_y's rows are overwritten as the chunks go
+        glob_up, glob_out = uh[:, glob], oh[:, glob]
+        glob_stats = ft.rowmax[:, glob], ft.denom[:, glob]
+        where = np.empty(n, dtype=np.intp)  # each key's row in the chunk's buffers
+    chunks = row_chunks(n, _block_size(band, config.w1))
+    # each chunk's union rows before the next chunk's union are final after it
+    finals = [int(band.bounds(a)[0]) for a, _ in chunks[1:]] + [n]
+    carry = [np.zeros((len(glob), d))] * 3
+    total = None
+    block = next(plan, None)
+    for (a, b), final in zip(chunks, finals):
+        c0, c1 = int(band.bounds(a)[0]), int(band.bounds(b - 1)[1])
+        keys = np.r_[c0:c1, glob]
+        xs = x[keys]
+        qh = _heads(project(x[a:b], *pairs[0]), n_heads)
+        kh, vh = (_heads(project(xs, *pair), n_heads) for pair in pairs[1:])
+        del xs
+        grads = [np.zeros((len(keys), d)) for _ in range(3)]
+        held = len(carry[0]) - len(glob)  # halo rows the previous chunk left
+        for g, c in zip(grads, carry):
+            g[:held], g[c1 - c0:] = c[:held], c[held:]
+        d_q, d_k, d_v = grads
+        if glob.size:
+            where[glob] = c1 - c0 + np.arange(len(glob))
+            where[c0:c1] = np.arange(c1 - c0)
+        while block is not None and block[0].start < b:
+            rows, cols, bias, _ = block
+            cols = slice(cols.start - c0, cols.stop - c0) if isinstance(cols, slice) else where[cols]
+            q_part, k_part, v_part = _block_backward(
+                qh[:, rows.start - a:rows.stop - a], kh[:, cols], vh[:, cols], uh[:, rows],
+                oh[:, rows], bias, ft.rowmax[:, rows], ft.denom[:, rows], alpha,
+            )
+            d_q[rows.start - c0:rows.stop - c0] += q_part
+            d_k[cols] += k_part
+            d_v[cols] += v_part
+            block = bias = q_part = k_part = v_part = None
+            block = next(plan, None)
+        if glob.size and band.key_ok[a:b].any():
+            own = slice(a - c0, b - c0)
+            q_part, k_part, v_part = _block_backward(
+                glob_qh, kh[:, own], vh[:, own], glob_up, glob_out, glob_bias[:, a:b],
+                *glob_stats, alpha,
+            )
+            d_q[c1 - c0:] += q_part
+            d_k[own] += k_part
+            d_v[own] += v_part
+            q_part = k_part = v_part = None
+        qh = kh = vh = None
+        d_src, part = _projection_backward(x[c0:final], pairs, [g[:final - c0] for g in grads])
+        d_x[c0:final] = d_src  # no later block reads these rows' upstream
+        total = _accumulate(total, part)
+        carry = [g[final - c0:].copy() for g in grads]
+        grads = d_q = d_k = d_v = d_src = None
+    if glob.size:
+        d_src, part = _projection_backward(x[glob], pairs, carry)
+        d_x[glob] += d_src
+        total = _accumulate(total, part)
+    return d_x, ProjectionTriple(*total)
 
 
 def _second_backward(
-    st: SecondLevelTrace, d_z: np.ndarray
-) -> tuple[np.ndarray, ProjectionTriple, np.ndarray | None, np.ndarray | None]:
-    config = st.config
-    ops = [_pooling_op(st.params, config, i) for i in (1, 2)]
-    # kept for the pooling backwards: even with them, this attention backward
-    # holds fewer (n, d) arrays than the first level's
-    unpooled = [project(st.source, *pair) for pair in st.params.second.pairs()[1:]]
-    pooled = [pool_grid(op, m, st.grid, st._pad_arg) for op, m in zip(ops, unpooled)]
-    d_qkv = _attention_backward(st, d_z, st.z, st._input(0), *pooled)
-    del pooled
-    d_wp = []
+    st: SecondLevelTrace, d_z: np.ndarray, d_src: np.ndarray
+) -> tuple[ProjectionTriple, np.ndarray | None, np.ndarray | None]:
+    """The second level's backward over the forward's row chunks; adds its input gradient
+    into ``d_src``.
 
-    def d_projections() -> Iterator[np.ndarray]:
-        # the q gradient, then each unpooled gradient in turn
-        yield d_qkv.pop(0)
-        for op in ops:
-            d_unpooled, d_w = pool_grid_backward(
-                op, unpooled.pop(0), st.grid, st._pad_arg, d_qkv.pop(0)
+    Pass 1 pools the whole grids as the forward does and, per chunk, projects
+    q2 and runs the chunk's blocks backward: q2's projection backward is taken
+    at once, and the pooled grids' gradients, (segments, d) each, accumulate
+    whole.  Pass 2 re-projects each chunk's unpooled keys, then values, with
+    their kappa - xi halo and runs ``pool_grid_rows_backward``; the halo rows'
+    part of the gradient carries into the next chunk, and the chunk's k and v
+    projection backward is taken.  ``d_z`` is read only in pass 1, so it may
+    be ``d_src``.
+    """
+    config, band, grid = st.config, st.band, st.grid
+    src = st.source
+    n, d = src.shape
+    alpha, n_heads = config.alpha(), config.n_heads
+    pairs = st.params.second.pairs()
+    chunks = row_chunks(n, _block_size(band, config.w1))
+    pooled = _pooled_grids(src, st.params, config, grid, st._pad_arg, chunks)
+    d_pooled = [np.zeros_like(m) for m in pooled]
+    kh, vh = (_heads(m, n_heads) for m in pooled)
+    d_k, d_v = d_pooled
+    uh, oh = _heads(d_z, n_heads), _heads(st.z, n_heads)
+    plan = _blocks(band, config.w1)
+    total = None
+    block = next(plan, None)
+    for a, b in chunks:
+        qh = _heads(project(src[a:b], *pairs[0]), n_heads)
+        d_q = np.zeros((b - a, d))
+        while block is not None and block[0].start < b:
+            rows, cols, bias, _ = block
+            local = slice(rows.start - a, rows.stop - a)
+            q_part, k_part, v_part = _block_backward(
+                qh[:, local], kh[:, cols], vh[:, cols], uh[:, rows], oh[:, rows], bias,
+                st.rowmax[:, rows], st.denom[:, rows], alpha,
             )
-            d_wp.append(d_w)
-            yield d_unpooled
-            del d_unpooled  # consumed; free it before the next is taken
-
-    d_src, grads = _projection_backward(st.source, st.params.second, d_projections())
-    return d_src, grads, *d_wp
+            d_q[local] += q_part
+            d_k[cols] += k_part
+            d_v[cols] += v_part
+            block = bias = q_part = k_part = v_part = None
+            block = next(plan, None)
+        qh = None
+        d_rows, part = _projection_backward(src[a:b], pairs[:1], [d_q])
+        d_src[a:b] += d_rows
+        total = _accumulate(total, part)
+        d_q = d_rows = None
+    del pooled, kh, vh
+    ops = [_pooling_op(st.params, config, i) for i in (1, 2)]
+    halo = config.kappa - config.xi
+    carry = [np.zeros((0, d))] * 2
+    d_wp = [None, None]
+    kv_total = None
+    for a, b in chunks:
+        stop = min(n, b + halo)
+        first, last = np.searchsorted(grid.segment_starts, (a, b))
+        grads = []
+        for i in range(2):
+            rows = project(src[a:stop], *pairs[1 + i])
+            g, d_w = pool_grid_rows_backward(
+                ops[i], rows, grid, st._pad_arg, a, b, d_pooled[i][first:last]
+            )
+            del rows
+            g[:len(carry[i])] += carry[i]
+            carry[i] = g[b - a:].copy()
+            grads.append(g[:b - a])
+            d_wp[i] = d_w if d_wp[i] is None else d_wp[i] + d_w
+        d_rows, part = _projection_backward(src[a:b], pairs[1:], grads)
+        d_src[a:b] += d_rows
+        kv_total = _accumulate(kv_total, part)
+        grads = d_rows = None
+    return ProjectionTriple(*total, *kv_total), *d_wp
 
 
 def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
@@ -792,14 +937,13 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
         row, col = np.argwhere(~np.isfinite(upstream))[0]
         raise ValueError(f"upstream gradient must be finite; first at row {row}, column {col}")
     d_y = upstream * batch.pad_mask[:, None]
-
-    d_src2, second_grads, d_wp_k, d_wp_v = _second_backward(st, d_y)
-    if not config.mix:
-        d_y += d_src2  # d_y is now the first level's whole upstream
-        d_src2 = None
+    # the second level's input gradient: without mix added into d_y, which then
+    # is the first level's whole upstream; with mix an embeddings gradient
+    d_src = np.zeros_like(d_y) if config.mix else d_y
+    second_grads, d_wp_k, d_wp_v = _second_backward(st, d_y, d_src)
     d_x, first_grads = _first_backward(ft, d_y)
     if config.mix:
-        d_x += d_src2
+        d_x += d_src
     d_x *= batch.pad_mask[:, None]
 
     if config.share_projections:

@@ -182,6 +182,9 @@ def verify_counts(expected: CostReport, measured: CostReport) -> CountCheck:
 # the traces, bands, grids' Python objects and the small per-call arrays the
 # estimate does not itemize
 CALL_OVERHEAD = 64 << 10
+# entries of the buffer numpy's iterator allocates for an in-place broadcast
+# such as a block's ``scores -= rowmax`` (its NPY_BUFSIZE)
+ITER_BUFFER = 8192
 
 
 def estimate_peak_bytes(
@@ -258,3 +261,94 @@ def estimate_peak_bytes(
     # the trace's grid and flags, with y + z or the finiteness check
     final = 2 * stats + flags + 3 * n_seg + (3 * nd if retain else nd + nd // 8)
     return 8 * max(first, second, final) + CALL_OVERHEAD
+
+
+def estimate_training_peak_bytes(
+    n: int,
+    d_model: int,
+    w1: int,
+    w2: int,
+    kappa: int,
+    xi: int,
+    n_global: int = 0,
+    n_heads: int = LayerConfig().n_heads,
+    mix: bool = False,
+) -> int:
+    """Analytic peak live bytes of one training step: a retained forward, then ``layer_backward``.
+
+    The forward's peak is ``estimate_peak_bytes(..., retain=True)``.  The
+    backward streams the forward's row chunks (``row_chunks``) and holds, at
+    every point, the trace (y, z, the output, both levels' statistics, counts
+    and flags) and the masked upstream d_y, whose buffer becomes the input
+    gradient d_x; with ``mix`` also the second level's input gradient (the
+    embeddings', added into d_x at the end).  On top of that, at most:
+
+    - the second level, before its pass 1: the pooled key and value grids,
+      (segments, d) each, pooled chunk by chunk as the forward pools them;
+    - its pass 1: both pooled grids and their gradients, a chunk's q2 and its
+      gradient, and one block's backward; then the chunk's q projection
+      backward, an input-gradient term and one ``g @ w`` product;
+    - its pass 2: the pooled grids' gradients, a chunk's unpooled keys (or
+      values) over its rows and the kappa - xi halo, their pooling backward's
+      gradient and scratch, the keys' gradient rows while the values' are
+      taken, and the chunk's k/v projection backward;
+    - the first level: a chunk's queries, and its keys, values and their
+      three gradients over the chunk's key union (2*w1 halo rows) and the
+      global rows, the map from keys to buffer rows, n entries, and one
+      block's backward, or the global rows' replay against the chunk's rows
+      (their scores and score gradient, and the chunk's key and value
+      gradient terms); then the chunk's projection backward, with the rows
+      carried into the next chunk.  The rows the chunk before carried in,
+      the weight gradients summed so far, the second level's and the global
+      rows' bias row are held throughout.
+
+    One block's backward holds its mask bias and the mask, the replayed
+    probabilities and the score gradient (one (rows, cols) matrix per head
+    each), the block's queries scaled by alpha, its upstream over the
+    denominators and its query gradient (rows, d), and its key and value
+    gradients (cols, d), with the block's gathered key and value columns
+    where a global row lies outside its union, and the buffer numpy iterates
+    a broadcast subtraction through (``ITER_BUFFER``).  Blocks are
+    ``block_rows(n, w1)`` rows, as in ``estimate_peak_bytes``.
+    """
+    d = d_model
+    nd = n * d
+    b = block_rows(n, w1)
+    chunks = row_chunks(n, b)
+    c = max(stop - start for start, stop in chunks)
+
+    def block_floats(r: int, cols: int, gathered: bool) -> int:
+        return ((2 * n_heads + 1) * r * cols + r * cols // 8 + 3 * r * d
+                + (4 if gathered else 2) * cols * d + ITER_BUFFER)
+
+    n_seg = -(-n // xi)
+    # y, z and the output; each level's row maxima, denominators and counts;
+    # the degenerate, global and block-plan flags; the grid's three arrays
+    trace = 3 * nd + 2 * (2 * n_heads * n + n) + n // 4 + 3 * n_seg
+    held = trace + nd + (nd if mix else 0)
+    grid = n_seg * d
+    chunk_rows = (c + kappa) * d
+    pooling = 2 * chunk_rows + 4 * (c // xi + 1) * d  # as the forward's
+    u2 = min(n_seg, (b + 2 * w2) // max(xi, 1) + 2)
+    second = held + max(
+        2 * grid + pooling,
+        4 * grid + 2 * c * d + max(block_floats(b, u2, False), 2 * c * d),
+        2 * grid + 2 * chunk_rows + pooling + 3 * c * d,
+    )
+    # the largest chunk's key union, its halo clipped at the sequence's ends
+    u1 = max(min(n, stop + w1) - max(0, start - w1) for start, stop in chunks) + n_global
+    # the halo and global rows carried in; the weight gradients summed so far
+    # and the last chunk's
+    carried = 3 * min(u1, 2 * w1 + n_global) * d + 6 * d * d
+    chunk1 = c * d + 5 * u1 * d + carried + n
+    # the second level's weight gradients, the global rows' bias row
+    first = held + 3 * d * d + (n if n_global else 0) + chunk1 + max(
+        block_floats(b, min(n, b + 2 * w1) + n_global, n_global > 0),
+        n_heads * n_global * c * 2 + 3 * c * d,
+        2 * c * d,
+    )
+    forward = estimate_peak_bytes(
+        "two_level", n, d, w1, w2, kappa, xi, n_global, n_heads, retain=True
+    )
+    # the Python objects of the forward call, which its trace keeps, and the backward's
+    return max(forward, 8 * max(second, first) + 2 * CALL_OVERHEAD)

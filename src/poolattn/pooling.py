@@ -10,7 +10,8 @@ weights stay a distribution over real rows.
 ``pool_grid*`` pool a whole stride grid, padding and partial tail included, by
 batched matmuls over strided windows forward and one strided add per offset back.
 ``pool_grid_rows`` pools the segments that start in a range of rows, from those
-rows alone, with the same code and the same bits as ``pool_grid``.
+rows alone, with the same code and the same bits as ``pool_grid``, and
+``pool_grid_rows_backward`` reverses it with ``pool_grid_backward``.
 """
 
 from __future__ import annotations
@@ -233,18 +234,51 @@ def pool_grid_rows(
     ``pool_grid`` over the whole source.  Not checked for finiteness: check the
     grid they fill with ``check_pooled``.
     """
+    own, pad, count = _rows_grid(grid, pad_mask, start, stop, len(rows))
+    return _pool(op, rows, own, pad)[:count]
+
+
+def pool_grid_rows_backward(
+    op: PoolingOp,
+    rows: np.ndarray,
+    grid: PooledGrid,
+    pad_mask: np.ndarray | None,
+    start: int,
+    stop: int,
+    upstream: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients of ``pool_grid_rows`` w.r.t. ``rows`` and the pooling weights.
+
+    ``upstream`` holds the gradients of the segments that start in rows ``start``
+    to ``stop``.  The rows past ``stop`` (the kappa - xi halo) get only these
+    segments' part of their gradient; the segments that start there add the
+    rest.
+    """
+    own, pad, count = _rows_grid(grid, pad_mask, start, stop, len(rows))
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != (count, rows.shape[1]):
+        raise ValueError(f"upstream must be ({count}, {rows.shape[1]}), got {upstream.shape}")
+    up = np.zeros((len(own), rows.shape[1]))  # the own grid's later segments get none
+    up[:count] = upstream
+    return pool_grid_backward(op, rows, own, pad, up)
+
+
+def _rows_grid(
+    grid: PooledGrid, pad_mask: np.ndarray | None, start: int, stop: int, length: int
+) -> tuple[PooledGrid, np.ndarray | None, int]:
+    """The grid of ``length`` rows from ``start`` pooled as a sequence of their own,
+    their pad mask, and how many of its leading segments start before ``stop``."""
     n, kappa, xi = grid.n, grid.kappa, grid.xi
     if not 0 <= start < stop <= n or start % xi or (stop % xi and stop != n):
         raise ValueError(f"rows {start} to {stop} do not start and end on the stride-{xi} grid")
-    if len(rows) != min(n, stop + kappa - xi) - start:
+    if length != min(n, stop + kappa - xi) - start:
         raise ValueError(
             f"segments starting in rows {start} to {stop} read rows {start} to "
-            f"{min(n, stop + kappa - xi)}, got {len(rows)} rows"
+            f"{min(n, stop + kappa - xi)}, got {length} rows"
         )
-    pad = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[start:start + len(rows)]
+    pad = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[start:start + length]
     first, last = np.searchsorted(grid.segment_starts, (start, stop))
-    own = build_pooled_grid(len(rows), kappa, xi, pad)
-    return _pool(op, rows, own, pad)[: last - first]
+    return build_pooled_grid(length, kappa, xi, pad), pad, int(last - first)
 
 
 def check_pooled(op: PoolingOp, out: np.ndarray) -> np.ndarray:

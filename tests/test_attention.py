@@ -8,8 +8,8 @@ import pytest
 import poolattn.attention as attention
 from poolattn.attention import (
     AttentionTrace,
-    _attention_backward,
     _Band,
+    _block_backward,
     _block_mask,
     _heads,
     _masked_scores,
@@ -547,6 +547,26 @@ def _grad_groups(out, grads):
     return groups
 
 
+def _levels(grads):
+    """A ``LayerGrads``' arrays by level: the first triple, the second triple
+    with the pooling weights (None without them), and the embeddings."""
+    return {
+        "first": list(grads.first),
+        "second": [*grads.second, grads.w_p_key, grads.w_p_value],
+        "embeddings": [grads.embeddings],
+    }
+
+
+def _assert_levels_close(got, want, tol):
+    """Every array of ``got`` within ``tol`` of the largest entry of ``want`` at its level."""
+    for (level, arrays), expected in zip(_levels(got).items(), _levels(want).values()):
+        scale = max(np.abs(w).max() for w in expected if w is not None)
+        for i, (g, w) in enumerate(zip(arrays, expected)):
+            assert (g is None) == (w is None), (level, i)
+            if w is not None:
+                assert np.abs(g - w).max() <= tol * scale, (level, i)
+
+
 class TestBlockSizeInvariance:
     CASES = {
         # padding mid-sequence, globals at both ends
@@ -582,6 +602,12 @@ class TestBlockSizeInvariance:
             LayerConfig(d_model=64, n_heads=2, w1=20, w2=90, kappa=4, xi=3,
                         pooling_kind="mean_ldconv"),
             250, (), (),
+        ),
+        # a padded tail; max pooling with kappa - xi = 2 halo rows; global
+        # row 20 lies in the right halo of the 8-row chunk 8..16
+        "padded_tail": (
+            LayerConfig(d_model=8, n_heads=2, w1=5, w2=12, kappa=4, xi=2, pooling_kind="max"),
+            60, (0, 20), tuple(range(47, 60)),
         ),
     }
 
@@ -672,6 +698,31 @@ class TestBlockSizeInvariance:
             got, want = getattr(trace_c.first, name), getattr(trace.first, name)
             np.testing.assert_array_equal(got[:, banded], want[:, banded])
         check_views(trace_c, fresh_stages(batch, params, cfg, trace_c.y))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("chunk", ["block", "two_blocks", "n"])
+    def test_backward_streams_chunks_of_its_own(self, case, chunk, monkeypatch):
+        """The backward streams ``CHUNK_ROWS`` chunks of its own: one 8-row block,
+        two blocks or all n rows, after a forward under another ``CHUNK_ROWS``
+        (two blocks, or one for "two_blocks").
+
+        Its carries cross every chunk edge: the first level's 2*w1 halo rows
+        and global accumulators, and the pooling's kappa - xi halo rows.
+        Every gradient array stays within 1e-12 of the largest entry at its
+        level of the one-chunk backward's.
+        """
+        cfg, n, batch, params, upstream = self._inputs(case)
+        monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 8))
+        _, trace = layer_forward(batch, params, cfg)
+        want = layer_backward(trace, upstream)
+        monkeypatch.setattr(attention, "CHUNK_ROWS", 1 if chunk == "two_blocks" else 16)
+        _, trace = layer_forward(batch, params, cfg)
+        monkeypatch.setattr(attention, "CHUNK_ROWS", {"block": 1, "two_blocks": 16, "n": n}[chunk])
+        got = layer_backward(trace, upstream)
+        for level in (trace.first, trace.second):
+            chunks = row_chunks(n, attention._block_size(level.band, cfg.w1))
+            assert (len(chunks) == 1) == (chunk == "n"), chunks
+        _assert_levels_close(got, want, 1e-12)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_backward_reads_statistics_of_any_partition(self, case, monkeypatch):
@@ -887,8 +938,20 @@ def _explicit_backward(level, upstream, q, k, v, cfg):
     return grads
 
 
+def _blocked_backward(level, upstream, out, q, k, v, cfg):
+    """The level's blocks run backward by ``_block_backward`` over whole (n, d) inputs."""
+    grads = [np.zeros_like(m) for m in (q, k, v)]
+    qh, kh, vh, uh, oh = (_heads(m, cfg.n_heads) for m in (q, k, v, upstream, out))
+    for rows, cols, bias, _ in plan(level):
+        parts = _block_backward(qh[:, rows], kh[:, cols], vh[:, cols], uh[:, rows], oh[:, rows],
+                                bias, level.rowmax[:, rows], level.denom[:, rows], cfg.alpha())
+        for grad, idx, part in zip(grads, (rows, cols, cols), parts):
+            grad[idx] += part
+    return grads
+
+
 class TestBackwardDForm:
-    """The backward's ``D = rowsum(dO * O)`` form equals the explicit softmax backward."""
+    """The block backward's ``D = rowsum(dO * O)`` form equals the explicit softmax backward."""
 
     @pytest.mark.parametrize("mix", [False, True])
     def test_matches_explicit_softmax_backward(self, mix):
@@ -910,7 +973,7 @@ class TestBackwardDForm:
                 rowmax = level.rowmax[:, rows]
                 e = _replay_probs(qh[:, rows], kh[:, cols], bias, rowmax, cfg.alpha())
                 assert not e[:, ~level.band.row_ok[rows]].any()  # padding rows: e = 0
-            got = _attention_backward(level, upstream, out, q, k, v)
+            got = _blocked_backward(level, upstream, out, q, k, v, cfg)
             want = _explicit_backward(level, upstream, q, k, v, cfg)
             for name, g, w in zip("qkv", got, want):
                 assert relative_diff(g, w) <= 1e-12, name

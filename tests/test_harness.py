@@ -237,7 +237,8 @@ class TestRunners:
             return grad_block, grad_wp
 
         def corrupted_grid(op, source, grid, pad_mask, upstream):
-            # the layer's pooling backward, segment by segment through `corrupted`
+            # the pooling backward the layer's row ranges run (``pool_grid_rows_backward``
+            # calls it), segment by segment through `corrupted`
             grad_src, grad_wp = np.zeros_like(source), np.zeros_like(op.w_p)
             for j, (s, length) in enumerate(zip(grid.segment_starts, grid.segment_lens)):
                 rows = np.arange(s, s + length)
@@ -248,7 +249,7 @@ class TestRunners:
                 grad_wp += g_wp
             return grad_src, grad_wp
 
-        monkeypatch.setattr(attention, "pool_grid_backward", corrupted_grid)
+        monkeypatch.setattr(pooling, "pool_grid_backward", corrupted_grid)
         cfg = replace(GRAD_LAYER, pooling_kind="ldconv")
         errors = gradcheck_layer(cfg, 10, 41)
         assert max(errors.values()) > 1e-6

@@ -1,5 +1,6 @@
 """Recorded mutants of the mask path, the pooling, the chunked forward, the
-backward and the config table, each of which some named test must kill.
+streamed backward, the training step's memory and the config table, each of
+which some named test must kill.
 
 Each row of ``MUTANTS`` names a file, a snippet that occurs in it exactly
 once, its replacement, and the test node ids that must fail.  A row copies
@@ -27,6 +28,10 @@ FUZZ = "tests/test_layer_fuzz.py::test_layer_matches_oracles"
 BLOCK_BIAS = "tests/test_attention.py::TestBlockBias"
 CHUNKS = "tests/test_attention.py::TestBlockSizeInvariance"
 POOL_DIFF = "tests/test_pooling.py::TestPoolGridDifferential::test_matches_per_segment_pooling"
+BACKWARD_CHUNKS = f"{CHUNKS}::test_backward_streams_chunks_of_its_own"
+PURITY = "tests/test_attention.py::TestBackwardPurity"
+STEP_MEMORY = ("tests/test_costmodel.py::TestPeakBytes::"
+               "test_training_backward_holds_one_level_of_gradients[train_ldconv]")
 
 
 class Mutant(NamedTuple):
@@ -114,13 +119,31 @@ MUTANTS = {
         (POOL_DIFF,)),
     # the backward
     "d_not_divided_by_denom": Mutant(
-        ATTENTION, 'np.einsum("hrc,hrc->hr", du, oh[:, rows])',
-        'np.einsum("hrc,hrc->hr", uh[:, rows], oh[:, rows])',
+        ATTENTION, 'np.einsum("hrc,hrc->hr", du, out)', 'np.einsum("hrc,hrc->hr", up, out)',
         ("tests/test_attention.py::TestBackwardDForm",)),
     "pad_mask_written_into_upstream": Mutant(
         ATTENTION, "d_y = upstream * batch.pad_mask[:, None]",
-        "d_y = np.multiply(upstream, batch.pad_mask[:, None], out=upstream)",
-        ("tests/test_attention.py::TestBackwardPurity",)),
+        "d_y = np.multiply(upstream, batch.pad_mask[:, None], out=upstream)", (PURITY,)),
+    "d_v_accumulated_into_a_trace_array": Mutant(
+        ATTENTION, "d_k, d_v = d_pooled", "d_k, d_v = d_pooled[0], st.z[:len(grid)]", (PURITY,)),
+    # the streamed backward's carries across chunk edges, and the global
+    # rows' block replayed against the chunk's first rows, not its own
+    "first_level_halo_carry_dropped": Mutant(
+        ATTENTION, "g[:held], g[c1 - c0:] = c[:held], c[held:]", "g[c1 - c0:] = c[held:]",
+        (f"{BACKWARD_CHUNKS}[block-wide_rows]",)),
+    "pooling_halo_carry_dropped": Mutant(
+        ATTENTION, "g[:len(carry[i])] += carry[i]", "pass",
+        (f"{BACKWARD_CHUNKS}[block-padded_globals]",)),
+    "global_columns_of_the_wrong_rows": Mutant(
+        ATTENTION, "own = slice(a - c0, b - c0)\n            q_part",
+        "own = slice(0, b - a)\n            q_part", (f"{BACKWARD_CHUNKS}[block-wide_rows]",)),
+    # memory: a second whole upstream held through the backward, and the
+    # first level's input gradient in a zero-filled array, not d_y's buffer
+    "upstream_copy_held": Mutant(
+        ATTENTION, "    d_y = upstream * batch.pad_mask[:, None]\n",
+        "    up = upstream.copy()\n    d_y = up * batch.pad_mask[:, None]\n", (STEP_MEMORY,)),
+    "zero_filled_d_x": Mutant(
+        ATTENTION, "    d_x = d_y\n", "    d_x = np.zeros_like(d_y)\n", (STEP_MEMORY,)),
     # the config table
     "kappa_xi_swapped": Mutant(
         HARNESS, '"kappa": _Key(int, str, "layer.kappa"),\n    "xi": _Key(int, str, "layer.xi"),',

@@ -11,6 +11,7 @@ from poolattn.pooling import (
     pool_grid,
     pool_grid_backward,
     pool_grid_rows,
+    pool_grid_rows_backward,
     pool_segment,
     pool_segment_backward,
 )
@@ -439,6 +440,41 @@ class TestPoolGridRows:
                 out[first:last] = pool_grid_rows(op, rows, grid, pad, a, b)
             np.testing.assert_array_equal(out, whole)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kappa, xi", [(5, 4), (4, 2), (3, 3), (6, 1)])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_range_backwards_with_a_halo_carry_sum_to_the_whole(self, kind, kappa, xi, padded):
+        """Each range's backward, its halo rows' part added into the next range's
+        rows, gives ``pool_grid_backward``'s gradients to 1e-12 of their largest
+        entry; the weight gradients sum to the whole grid's."""
+        n, d = 300, 8
+        rng = np.random.default_rng(kappa * 10 + xi + 7)
+        src = rng.standard_normal((n, d))
+        src[3] = src[1]  # ties: max routes to the first maximal row
+        pad = None
+        if padded:
+            pad = rng.random(n) > 0.3
+            pad[n - 50:] = False
+        op = make_op(kind, kappa, d, rng)
+        grid = build_pooled_grid(n, kappa, xi, pad)
+        up = rng.standard_normal((len(grid), d))
+        whole, whole_wp = pool_grid_backward(op, src, grid, pad, up)
+        for size in (2 * xi, 24 * xi, n):
+            grad, grad_wp, carry = np.full_like(whole, np.nan), None, np.zeros((0, d))
+            for a in range(0, n, size):
+                b = min(n, a + size)
+                first, last = np.searchsorted(grid.segment_starts, (a, b))
+                rows = src[a:min(n, b + kappa - xi)]
+                g, g_wp = pool_grid_rows_backward(op, rows, grid, pad, a, b, up[first:last])
+                g[:len(carry)] += carry
+                grad[a:b], carry = g[:b - a], g[b - a:]
+                grad_wp = g_wp if grad_wp is None else grad_wp + g_wp
+            assert np.abs(grad - whole).max() <= 1e-12 * np.abs(whole).max()
+            if whole_wp is None:
+                assert grad_wp is None
+            else:
+                assert np.abs(grad_wp - whole_wp).max() <= 1e-12 * np.abs(whole_wp).max()
+
     def test_rejects_ranges_off_the_grid(self):
         grid = build_pooled_grid(20, 4, 2)
         op = PoolingOp("mean")
@@ -446,3 +482,7 @@ class TestPoolGridRows:
             pool_grid_rows(op, np.ones((7, 2)), grid, None, 3, 8)
         with pytest.raises(ValueError, match="read rows 4 to 10, got 5 rows"):
             pool_grid_rows(op, np.ones((5, 2)), grid, None, 4, 8)
+        with pytest.raises(ValueError, match="stride-2 grid"):
+            pool_grid_rows_backward(op, np.ones((7, 2)), grid, None, 3, 8, np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"upstream must be \(2, 2\), got \(3, 2\)"):
+            pool_grid_rows_backward(op, np.ones((6, 2)), grid, None, 4, 8, np.ones((3, 2)))
