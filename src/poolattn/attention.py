@@ -15,7 +15,7 @@ offsets.  Each block scores its rows against the union of their intervals
 plus that bias and runs a stable softmax that divides its (rows, d/h)
 output, not its probabilities, by the denominator, as FlashAttention does
 (arXiv 2205.14135).  Every array the layer keeps is a row matrix: each
-level's output, the pooled grids (segments, d) and every gradient.  Heads
+level's output, the pooled segments (segments, d) and every gradient.  Heads
 are strided column blocks of those rows: ``_heads`` views them as
 (n_heads, rows, d/h) without a copy, every head is attended by one batched
 matmul reading through such views, and block outputs and gradients are
@@ -27,14 +27,16 @@ projection.  Each chunk projects exactly the rows it reads.  The first level
 projects a chunk's queries, and its keys and values as one product each over
 the chunk's key union, its 2*w1 halo included, followed by the global rows;
 the global rows' queries are projected once, and their block runs over the
-chunks as an online softmax.  The second level projects and pools its
-unpooled keys and values chunk by chunk, with a kappa - xi halo, into the
-whole pooled grids (``pool_grid_rows``), then projects q2 per chunk and adds
-each chunk's output into its target.  ``core.project`` (the routine
-``project_qkv`` uses) gives any slice or gather of rows the bits of the whole
-projection, so chunks see bitwise the rows of the whole projection and
-pooled segments bitwise as ``pool_grid`` pools them: only the global rows'
-online softmax rounds differently from one whole block.
+chunks as an online softmax.  The second level holds a rolling window of
+pooled segments (``_pooled_window``), never a whole pooled grid: per chunk it
+drops the segments below the chunk's union, keeps the rest, and projects and
+pools only the new ones from their unpooled rows and a kappa - xi halo
+(``pool_grid_rows``); then it projects q2 and adds the chunk's output into
+its target.  ``core.project`` (the routine ``project_qkv`` uses) gives any
+slice or gather of rows the bits of the whole projection, so chunks see
+bitwise the rows of the whole projection and pooled segments bitwise as
+``pool_grid`` pools them: only the global rows' online softmax rounds
+differently from one whole block.
 
 Traces keep each level's counts and band and, per head and row, the softmax
 row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1) each),
@@ -53,28 +55,30 @@ chunk's blocks backward, and replays the global rows' block one column
 chunk (the chunk's own rows) at a time; the union rows no later chunk reads
 take their projection backward at once, and the 2*w1 halo rows' gradients
 and the global rows' (g, d) accumulators carry into the next chunk.  The
-second level accumulates the whole pooled grids' gradients, (segments, d)
-each, over q2's chunks, then re-projects each chunk's unpooled keys and
-values with their kappa - xi halo for ``pool_grid_rows_backward``, carrying
-the halo rows' gradient.  Every block replays its unnormalized
-probabilities from the rows' statistics with the forward's own operations
-and takes FlashAttention-2's ``D = rowsum(dO * O)`` from the kept output
-(arXiv 2307.08691); gradient products are written through head views of row
+second level streams the forward's window of pooled segments and
+accumulates the whole pooled grids' gradients, (segments, d) each, over q2's
+chunks, then re-projects each chunk's unpooled keys and values with their
+kappa - xi halo for ``pool_grid_rows_backward``, carrying the halo rows'
+gradient.  Every block replays its unnormalized probabilities from the
+rows' statistics with the forward's own operations and takes
+FlashAttention-2's ``D = rowsum(dO * O)`` from the kept output (arXiv
+2307.08691); gradient products are written through head views of row
 matrices and added row-wise.  Every gradient is exact reverse-mode, shared
 projections accumulating both levels' contributions; sums over rows run in
 chunk order, so gradients agree with any other chunk size to rounding.
 
 ``retain`` (the default) keeps each level's output, y and z, in its trace,
 and a training step holds the trace, the masked upstream (whose buffer
-becomes the input gradient), the pooled grids and their gradients, and one
-chunk: 24.0 MiB on the ``train_ldconv`` benchmark step (n = 8192), as
+becomes the input gradient), the pooled grids' gradients, and one chunk:
+24.0 MiB on the ``train_ldconv`` benchmark step (n = 8192), as
 ``costmodel.estimate_training_peak_bytes`` models it.
-``layer_forward(retain=False)`` (inference) adds z into y's own buffer, which it returns as the output, bitwise ``y + z``; its trace
-keeps counts, flags and statistics but no y or z, so ``layer_backward``
-refuses it, and without mix its second-level views, whose source y became
-the output, refuse too.  The ``infer_long`` benchmark forward (n = 16384)
-peaks at 15.7 MiB.  All computations are pure functions of (batch, params,
-config), single-threaded, and deterministic.
+``layer_forward(retain=False)`` (inference) adds z into y's own buffer,
+which it returns as the output, bitwise ``y + z``; its trace keeps counts,
+flags and statistics but no y or z, so ``layer_backward`` refuses it, and
+without mix its second-level views, whose source y became the output,
+refuse too.  The ``infer_long`` benchmark forward (n = 16384) peaks at
+12.3 MiB, in its first level.  All computations are pure functions of
+(batch, params, config), single-threaded, and deterministic.
 """
 
 from __future__ import annotations
@@ -262,9 +266,9 @@ def _banded_attention(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masked attention of every row under ``band``, streamed over row chunks.
 
-    Per chunk (``row_chunks``) of rows a..b, ``queries(a, b)`` gives their
-    queries and ``keys(c0, c1)`` the keys and values of the chunk's key union
-    c0..c1, followed by every extra key's; each of the chunk's blocks
+    Per chunk (``row_chunks``) of rows a..b, ``keys(c0, c1)`` gives the keys
+    and values of the chunk's key union c0..c1, followed by every extra key's,
+    and then ``queries(a, b)`` the rows' queries; each of the chunk's blocks
     (``_blocks``) gathers its key columns from these.  A block runs a stable
     softmax whose row maximum is taken over visible entries only and divides
     the output, not the probabilities, by the denominator; a row whose
@@ -295,8 +299,8 @@ def _banded_attention(
     block = next(plan, None)
     for a, b in row_chunks(n, _block_size(band, config.w1)):
         c0, c1 = int(band.bounds(a)[0]), int(band.bounds(b - 1)[1])
-        qh = _heads(queries(a, b), n_heads)
         kh, vh = (_heads(m, n_heads) for m in keys(c0, c1))
+        qh = _heads(queries(a, b), n_heads)
         if extra is not None:  # the extra keys follow the union
             where[extra] = c1 - c0 + np.arange(len(extra))
             where[c0:c1] = np.arange(c1 - c0)
@@ -567,34 +571,78 @@ def first_level_forward(
     )
 
 
-def _pooled_grids(
+def _pooled_window(
     source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg,
-    chunks: list[tuple[int, int]],
-) -> list[np.ndarray]:
-    """The pooled keys and values of ``source``, pooled chunk by chunk into whole grids.
+    band: _Band,
+) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """The second level's ``keys(c0, c1)``: pooled key and value segments c0 to c1 of
+    ``source``, from one rolling window of segments per grid.
 
-    A chunk's unpooled keys and values span its rows and a kappa - xi halo
-    past them; pooled with ``pool_grid_rows``, every segment has
-    ``pool_grid``'s bits.
+    Called once per chunk of ``band``'s rows, in order, it drops the segments
+    below c0, keeps those it holds, and pools only the new ones, at most a
+    chunk's rows at a time, from their unpooled rows and the kappa - xi halo
+    past them (``pool_grid_rows``), so every segment is pooled once, with
+    ``pool_grid``'s bits.  It also pools every segment that starts before the
+    chunk's last row: a forward that adds z into its own source has pooled
+    each segment before z reaches its rows.  Each window is allocated once,
+    at the widest chunk, and shifted in place.
     """
-    n, halo = len(source), config.kappa - config.xi
+    (n, d), halo, starts = source.shape, config.kappa - config.xi, grid.segment_starts
     ops = [_pooling_op(params, config, i) for i in (1, 2)]
     pairs = params.second.pairs()[1:]
-    pooled = [np.empty((len(grid), source.shape[1])) for _ in ops]
-    for a, b in chunks:
-        first, last = np.searchsorted(grid.segment_starts, (a, b))
-        stop = min(n, b + halo)
-        for op, pair, out in zip(ops, pairs, pooled):
-            rows = project(source[a:stop], *pair, tokens=range(a, stop))
-            out[first:last] = pool_grid_rows(op, rows, grid, pad_arg, a, b)
-    return [check_pooled(op, out) for op, out in zip(ops, pooled)]
+
+    def reach(c1: int) -> int:
+        # segment c1's center lies past the last row's window, so a segment
+        # starting before that row starts before the center minus w2
+        if c1 == len(grid):
+            return c1
+        return max(c1, int(np.searchsorted(starts, grid.centers[c1] - config.w2)))
+
+    chunks = row_chunks(n, _block_size(band, config.w1))
+    width = max(reach(int(band.bounds(b - 1)[1])) - int(band.bounds(a)[0]) for a, b in chunks)
+    size = chunks[0][1]  # a chunk's rows, a multiple of the stride unless n
+    windows = [np.empty((width, d)) for _ in ops]
+    h0 = h1 = 0  # the windows hold segments h0 to h1
+
+    def keys(c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal h0, h1
+        end = reach(c1)
+        if c0 > h0:  # c0 <= h1: a row's lo never passes the row before's hi
+            for win in windows:  # one-dimensional, numpy shifts it without a copy
+                flat = win.reshape(-1)
+                flat[:(h1 - c0) * d] = flat[(c0 - h0) * d:(h1 - h0) * d]
+        # the new segments' rows, a chunk's rows at a time (the first chunk's
+        # union is wider), up to the last one's stride step: no padded tail
+        new = range(0)
+        if end > h1:
+            new = range(int(starts[h1]), min(n, int(starts[end - 1]) + config.xi), size)
+        for start in new:
+            stop = min(new.stop, start + size)
+            lo, hi = (int(j) for j in np.searchsorted(starts, (start, stop)))
+            last = min(n, stop + halo)
+            for op, pair, win in zip(ops, pairs, windows):
+                rows = project(source[start:last], *pair, tokens=range(start, last))
+                pooled = pool_grid_rows(op, rows, grid, pad_arg, start, stop)
+                del rows
+                win[lo - c0:hi - c0] = check_pooled(op, pooled, lo)
+                del pooled  # not held while the values are projected
+        h0, h1 = c0, end
+        return windows[0][:c1 - c0], windows[1][:c1 - c0]
+
+    return keys
 
 
 def _second_level(
     batch: SequenceBatch, y: np.ndarray, params: LayerParams, config: LayerConfig, *,
     into: np.ndarray | None = None, retain: bool = True,
 ) -> tuple[np.ndarray, SecondLevelTrace]:
-    """``second_level_forward``, which with ``into`` adds z into that array and returns it."""
+    """``second_level_forward``, which with ``into`` adds z into that array and returns it.
+
+    The chunks' keys and values come from one rolling window of pooled
+    segments (``_pooled_window``), so ``into`` may be the source: a chunk's
+    q2 is projected, and every segment reading its rows pooled, before its
+    blocks add to ``out``.
+    """
     params.validate(config)
     n, d = batch.embeddings.shape
     y = np.asarray(y, dtype=np.float64)
@@ -605,17 +653,12 @@ def _second_level(
     pad_arg = None if pad.all() else pad
     grid = build_pooled_grid(n, config.kappa, config.xi, pad_arg)
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad, step=config.xi)
-    chunks = row_chunks(n, _block_size(band, config.w1))
-    # the grids are whole before any z is added: into may be the source
-    pooled_k, pooled_v = _pooled_grids(src, params, config, grid, pad_arg, chunks)
     out = np.zeros((n, d)) if into is None else into
-    # a chunk's q2 is projected before its blocks add to ``out``
     pq = params.second.pairs()[0]
     counts, rowmax, denom = _banded_attention(
         band, config, lambda a, b: project(src[a:b], *pq, tokens=range(a, b)),
-        lambda c0, c1: (pooled_k[c0:c1], pooled_v[c0:c1]), out, add=into is not None,
+        _pooled_window(src, params, config, grid, pad_arg, band), out, add=into is not None,
     )
-    del pooled_k, pooled_v
     degenerate = pad & (counts == 0)
 
     if not np.isfinite(out).all():
@@ -645,9 +688,10 @@ def second_level_forward(
     embeddings in the mix setting), pooled once over a shared stride grid, and
     each token attends to the segments whose center lies within its radius-w2
     window.  A token with no visible segment gets a zero row, flagged in the
-    trace.  Keys and values are projected and pooled chunk by chunk into the
-    whole pooled grids, then q2 per chunk.  The trace keeps z unless
-    ``retain`` is False.
+    trace.  Per chunk of rows, the keys and values of the segments new to a
+    rolling window of the segments the chunk's rows see are projected and
+    pooled into it, then the chunk's q2 is projected; no whole pooled grid is
+    held.  The trace keeps z unless ``retain`` is False.
     """
     return _second_level(batch, y, params, config, retain=retain)
 
@@ -661,7 +705,7 @@ def layer_forward(
 ) -> tuple[np.ndarray, AttentionTrace]:
     """Full layer: first level, second level, residual sum of the two outputs.
 
-    Each level frees its projections and pooled grids when it returns.  With
+    Each level frees its projections and pooled segments when it returns.  With
     ``retain`` (the default) the trace keeps y, z and the output, and
     ``layer_backward`` can differentiate it.  With ``retain=False`` (inference)
     the second level adds z into y's own buffer, which becomes the output,
@@ -844,14 +888,14 @@ def _second_backward(
     """The second level's backward over the forward's row chunks; adds its input gradient
     into ``d_src``.
 
-    Pass 1 pools the whole grids as the forward does and, per chunk, projects
-    q2 and runs the chunk's blocks backward: q2's projection backward is taken
-    at once, and the pooled grids' gradients, (segments, d) each, accumulate
-    whole.  Pass 2 re-projects each chunk's unpooled keys, then values, with
-    their kappa - xi halo and runs ``pool_grid_rows_backward``; the halo rows'
-    part of the gradient carries into the next chunk, and the chunk's k and v
-    projection backward is taken.  ``d_z`` is read only in pass 1, so it may
-    be ``d_src``.
+    Pass 1 streams the forward's window of pooled segments (``_pooled_window``)
+    and, per chunk, projects q2 and runs the chunk's blocks backward: q2's
+    projection backward is taken at once, and the pooled grids' gradients,
+    (segments, d) each, accumulate whole.  Pass 2 re-projects each chunk's
+    unpooled keys, then values, with their kappa - xi halo and runs
+    ``pool_grid_rows_backward``; the halo rows' part of the gradient carries
+    into the next chunk, and the chunk's k and v projection backward is
+    taken.  ``d_z`` is read only in pass 1, so it may be ``d_src``.
     """
     config, band, grid = st.config, st.band, st.grid
     src = st.source
@@ -859,22 +903,24 @@ def _second_backward(
     alpha, n_heads = config.alpha(), config.n_heads
     pairs = st.params.second.pairs()
     chunks = row_chunks(n, _block_size(band, config.w1))
-    pooled = _pooled_grids(src, st.params, config, grid, st._pad_arg, chunks)
-    d_pooled = [np.zeros_like(m) for m in pooled]
-    kh, vh = (_heads(m, n_heads) for m in pooled)
+    keys = _pooled_window(src, st.params, config, grid, st._pad_arg, band)
+    d_pooled = [np.zeros((len(grid), d)) for _ in range(2)]
     d_k, d_v = d_pooled
     uh, oh = _heads(d_z, n_heads), _heads(st.z, n_heads)
     plan = _blocks(band, config.w1)
     total = None
     block = next(plan, None)
     for a, b in chunks:
+        c0 = int(band.bounds(a)[0])
+        kh, vh = (_heads(m, n_heads) for m in keys(c0, int(band.bounds(b - 1)[1])))
         qh = _heads(project(src[a:b], *pairs[0]), n_heads)
         d_q = np.zeros((b - a, d))
         while block is not None and block[0].start < b:
             rows, cols, bias, _ = block
             local = slice(rows.start - a, rows.stop - a)
+            in_window = slice(cols.start - c0, cols.stop - c0)
             q_part, k_part, v_part = _block_backward(
-                qh[:, local], kh[:, cols], vh[:, cols], uh[:, rows], oh[:, rows], bias,
+                qh[:, local], kh[:, in_window], vh[:, in_window], uh[:, rows], oh[:, rows], bias,
                 st.rowmax[:, rows], st.denom[:, rows], alpha,
             )
             d_q[local] += q_part
@@ -882,12 +928,12 @@ def _second_backward(
             d_v[cols] += v_part
             block = bias = q_part = k_part = v_part = None
             block = next(plan, None)
-        qh = None
+        qh = kh = vh = None
         d_rows, part = _projection_backward(src[a:b], pairs[:1], [d_q])
         d_src[a:b] += d_rows
         total = _accumulate(total, part)
         d_q = d_rows = None
-    del pooled, kh, vh
+    del keys
     ops = [_pooling_op(st.params, config, i) for i in (1, 2)]
     halo = config.kappa - config.xi
     carry = [np.zeros((0, d))] * 2

@@ -203,16 +203,18 @@ def estimate_peak_bytes(
 
     Dense holds two n-by-n score-sized matrices plus projections.  The
     two-level forward streams row chunks (``row_chunks``): it holds O(n * d)
-    outputs, pooled grids and row statistics, plus one chunk's buffers and
-    one row block's transients, sized by the block's key union (window or
-    segment union), whose scores are one (rows, cols) matrix per head.  The
+    outputs and row statistics, plus one chunk's buffers and one row block's
+    transients, sized by the block's key union (token or segment union),
+    whose scores are one (rows, cols) matrix per head.  The
     first level holds y, its statistics and a chunk's queries, its keys and
     values over the chunk's key union and the global rows, each one product
     of the embeddings gathered there, and one block, or the global rows'
-    scores against the chunk.  The second level then holds y, the first
-    level's statistics and the pooled grids, while it pools a chunk's
-    unpooled keys, then its values, and their pooling scratch, then its own
-    statistics, a chunk's q2 and one block.  ``retain`` (a training forward)
+    scores against the chunk.  The second level then holds y, both levels'
+    statistics, the grid and two windows of pooled keys and values, each as
+    wide as the widest chunk's segments (its rows' and the 2*w2 halo's),
+    while it pools the chunk's new segments' unpooled keys, then values, at
+    most a chunk's rows and the kappa - xi halo at a time, with their pooling
+    scratch, then a chunk's q2 and one block.  ``retain`` (a training forward)
     adds z, an (n, d) array of its own, to the second level, and ``y + z`` at
     the end.  Per-token counts and flags, the block plan's per-block bounds
     and the one-byte-per-entry finiteness check of each level's output are
@@ -249,15 +251,16 @@ def estimate_peak_bytes(
     # the extra keys' bias row and the keys' rows in a chunk's buffer
     first = nd + stats + 2 * n + max(chunk1, nd // 8)
     n_seg = -(-n // xi)
-    u2 = min(n_seg, (b + 2 * w2) // max(xi, 1) + 2)
-    grids = 2 * n_seg * d + 3 * n_seg
-    # the unpooled keys held while the values are projected, or one of them
-    # and its pooling scratch
-    pooling = 2 * (c + kappa) * d + 4 * (c // xi + 1) * d
-    attend = stats + c * d + block_floats(b, u2)
+    # the widest chunk's segments (its rows' and the 2*w2 halo's), and one block's
+    window = min(n_seg, (c + 2 * w2) // xi + 2)
+    u2 = min(n_seg, (b + 2 * w2) // xi + 2)
+    # a chunk's new segments' unpooled keys (or values), at most a chunk's
+    # rows and the kappa - xi halo, and their pooling scratch
+    pooling = (c + kappa) * d + 4 * (c // xi + 1) * d
+    attend = c * d + block_floats(b, u2)
     flags = n // 4  # the global rows' and the degenerate rows' flags, a byte per row
     z = nd if retain else 0
-    second = nd + stats + flags + grids + max(pooling, z + attend)
+    second = nd + 2 * stats + flags + 3 * n_seg + z + 2 * window * d + max(pooling, attend)
     # the trace's grid and flags, with y + z or the finiteness check
     final = 2 * stats + flags + 3 * n_seg + (3 * nd if retain else nd + nd // 8)
     return 8 * max(first, second, final) + CALL_OVERHEAD
@@ -273,6 +276,7 @@ def estimate_training_peak_bytes(
     n_global: int = 0,
     n_heads: int = LayerConfig().n_heads,
     mix: bool = False,
+    n_valid: int | None = None,
 ) -> int:
     """Analytic peak live bytes of one training step: a retained forward, then ``layer_backward``.
 
@@ -283,10 +287,10 @@ def estimate_training_peak_bytes(
     gradient d_x; with ``mix`` also the second level's input gradient (the
     embeddings', added into d_x at the end).  On top of that, at most:
 
-    - the second level, before its pass 1: the pooled key and value grids,
-      (segments, d) each, pooled chunk by chunk as the forward pools them;
-    - its pass 1: both pooled grids and their gradients, a chunk's q2 and its
-      gradient, and one block's backward; then the chunk's q projection
+    - the second level's pass 1: the pooled grids' gradients, (segments, d)
+      each, and the forward's two windows of pooled segments; per chunk the
+      new segments' pooling as in the forward, then the chunk's q2 and its
+      gradient and one block's backward; then the chunk's q projection
       backward, an input-gradient term and one ``g @ w`` product;
     - its pass 2: the pooled grids' gradients, a chunk's unpooled keys (or
       values) over its rows and the kappa - xi halo, their pooling backward's
@@ -309,7 +313,11 @@ def estimate_training_peak_bytes(
     gradients (cols, d), with the block's gathered key and value columns
     where a global row lies outside its union, and the buffer numpy iterates
     a broadcast subtraction through (``ITER_BUFFER``).  Blocks are
-    ``block_rows(n, w1)`` rows, as in ``estimate_peak_bytes``.
+    ``block_rows(n, w1)`` rows, as in ``estimate_peak_bytes``.  The backward's
+    pooled segments are those with a valid token among the first ``n_valid``
+    (default n: no padding), the rest of the tokens being a padded tail: the
+    grid's gradients, the windows and the second level's block unions hold
+    only those.
     """
     d = d_model
     nd = n * d
@@ -321,19 +329,20 @@ def estimate_training_peak_bytes(
         return ((2 * n_heads + 1) * r * cols + r * cols // 8 + 3 * r * d
                 + (4 if gathered else 2) * cols * d + ITER_BUFFER)
 
-    n_seg = -(-n // xi)
+    n_seg = -(-(n if n_valid is None else n_valid) // xi)
     # y, z and the output; each level's row maxima, denominators and counts;
     # the degenerate, global and block-plan flags; the grid's three arrays
     trace = 3 * nd + 2 * (2 * n_heads * n + n) + n // 4 + 3 * n_seg
     held = trace + nd + (nd if mix else 0)
     grid = n_seg * d
     chunk_rows = (c + kappa) * d
-    pooling = 2 * chunk_rows + 4 * (c // xi + 1) * d  # as the forward's
-    u2 = min(n_seg, (b + 2 * w2) // max(xi, 1) + 2)
-    second = held + max(
-        2 * grid + pooling,
-        4 * grid + 2 * c * d + max(block_floats(b, u2, False), 2 * c * d),
-        2 * grid + 2 * chunk_rows + pooling + 3 * c * d,
+    scratch = 4 * (c // xi + 1) * d  # one chunk's pooling scratch, as the forward's
+    window = min(n_seg, (c + 2 * w2) // xi + 2) * d
+    u2 = min(n_seg, (b + 2 * w2) // xi + 2)
+    second = held + 2 * grid + max(
+        2 * window + max(chunk_rows + scratch,
+                         2 * c * d + max(block_floats(b, u2, False), 2 * c * d)),
+        4 * chunk_rows + scratch + 3 * c * d,
     )
     # the largest chunk's key union, its halo clipped at the sequence's ends
     u1 = max(min(n, stop + w1) - max(0, start - w1) for start, stop in chunks) + n_global

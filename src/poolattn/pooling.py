@@ -281,10 +281,11 @@ def _rows_grid(
     return build_pooled_grid(length, kappa, xi, pad), pad, int(last - first)
 
 
-def check_pooled(op: PoolingOp, out: np.ndarray) -> np.ndarray:
-    """``out``, a pooled grid, if every entry is finite; else the overflow error."""
+def check_pooled(op: PoolingOp, out: np.ndarray, first: int = 0) -> np.ndarray:
+    """``out``, pooled segments ``first`` onward of a grid, if every entry is finite; else
+    the overflow error, which names the segment's index in the whole grid."""
     if not np.isfinite(out).all():
-        segment = np.argwhere(~np.isfinite(out))[0, 0]
+        segment = first + np.argwhere(~np.isfinite(out))[0, 0]
         raise ValueError(
             f"pool_grid: non-finite pooled output; {op.kind} pooling overflows float64, "
             f"first at segment {segment}"

@@ -47,6 +47,7 @@ from poolattn.oracle import (
     literal_pooling_attention,
     mask_from_config,
 )
+from poolattn.pooling import pool_grid_rows
 from poolattn.windowing import global_neighbor_set, window_bounds
 from trace_reference import check_block_biases, check_views, fresh_stages, plan
 
@@ -609,6 +610,14 @@ class TestBlockSizeInvariance:
             LayerConfig(d_model=8, n_heads=2, w1=5, w2=12, kappa=4, xi=2, pooling_kind="max"),
             60, (0, 20), tuple(range(47, 60)),
         ),
+        # 2*w2 = 80 rows span many 6-row chunks, so the window of pooled
+        # segments carries segments across several chunks; segments 20 to 25
+        # (rows 60 to 79, all padding) are dropped inside it
+        "window_carry": (
+            LayerConfig(d_model=8, n_heads=2, w1=4, w2=40, kappa=5, xi=3,
+                        pooling_kind="mean_ldconv", second_level_input="raw_embeddings"),
+            150, (0, 149), tuple(range(60, 81)),
+        ),
     }
 
     def _inputs(self, case):
@@ -669,9 +678,10 @@ class TestBlockSizeInvariance:
         Outputs and gradients stay within 1e-12 of the default's (one chunk at
         these n).  Chunks project and pool bitwise as the whole sequence, so
         the first level's rows other than the global ones are bitwise equal,
-        and so is z where it reads no global row's y (mix, or no global
-        row); only the global rows' online softmax rounds differently.  The
-        trace views stay the fresh whole-sequence stages.
+        and so are z and the second level's statistics where they read no
+        global row's y (mix, or no global row); only the global rows' online
+        softmax rounds differently.  The trace views stay the fresh
+        whole-sequence stages.
         """
         cfg, n, batch, params, upstream = self._inputs(case)
         monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 8))
@@ -693,7 +703,11 @@ class TestBlockSizeInvariance:
         np.testing.assert_array_equal(trace_c.y[banded], trace.y[banded])
         if cfg.mix or not batch.global_set:
             np.testing.assert_array_equal(trace_c.z, trace.z)
+            for name in ("rowmax", "denom"):
+                got, want = getattr(trace_c.second, name), getattr(trace.second, name)
+                np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(trace_c.first_counts, trace.first_counts)
+        np.testing.assert_array_equal(trace_c.second_counts, trace.second_counts)
         for name in ("rowmax", "denom"):
             got, want = getattr(trace_c.first, name), getattr(trace.first, name)
             np.testing.assert_array_equal(got[:, banded], want[:, banded])
@@ -761,6 +775,40 @@ class TestBlockSizeInvariance:
         assert block_rows(16384, 128) == 64
         assert block_rows(8192, 16) == 32
         assert block_rows(20, 128) == 20
+
+
+class TestPooledWindow:
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_each_segment_pooled_once_from_at_most_a_chunk_of_rows(self, retain, monkeypatch):
+        """The second level pools every segment once per pass, a chunk's rows
+        (8 here) and the kappa - xi halo at most per call, although the first
+        chunk's window spans 9 segments (18 rows), and reads no row of the
+        padded tail past the last segment's stride step (rows 46 to 48)."""
+        cfg = LayerConfig(d_model=8, n_heads=2, w1=5, w2=12, kappa=4, xi=2, pooling_kind="max")
+        n = 60
+        pad = np.ones(n, dtype=bool)
+        pad[47:] = False
+        batch = SequenceBatch(symmetric_uniform(81, n * 8).reshape(n, 8), pad, (0, 20))
+        monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 8))
+        monkeypatch.setattr(attention, "CHUNK_ROWS", 8)
+        calls = []
+
+        def pool(op, rows, grid, pad_mask, start, stop):
+            calls.append((start, stop, len(rows)))
+            return pool_grid_rows(op, rows, grid, pad_mask, start, stop)
+
+        monkeypatch.setattr(attention, "pool_grid_rows", pool)
+        _, trace = layer_forward(batch, init_params(cfg, 82), cfg, retain=retain)
+        grid = trace.second.grid
+        passes = 2 * (2 if retain else 1)  # keys and values, forward and backward
+        if retain:
+            layer_backward(trace, np.ones((n, 8)))
+        pooled = np.zeros(len(grid), dtype=np.int64)
+        for start, stop, rows in calls:
+            assert stop - start <= 8 and rows <= 8 + cfg.kappa - cfg.xi
+            assert stop <= grid.segment_starts[-1] + cfg.xi
+            pooled[slice(*np.searchsorted(grid.segment_starts, (start, stop)))] += 1
+        np.testing.assert_array_equal(pooled, passes)
 
 
 class TestBlockPlan:
@@ -1020,6 +1068,10 @@ class TestRowLayoutTrace:
         "padded_mix": (PADDED_MIX, 256, 4, 0.3),
         "small_shared": (LayerConfig(d_model=8, n_heads=2, w1=4, w2=12, kappa=3, xi=2,
                                      share_projections=True), 100, 2, 0.2),
+        # w2 < kappa // 2: a chunk's window ends before the last segment that
+        # starts in its rows, which must be pooled before z is added to them
+        "short_w2": (LayerConfig(d_model=8, n_heads=2, w1=1, w2=1, kappa=9, xi=2,
+                                 pooling_kind="max"), 300, 2, 0.1),
     }
 
     def _inputs(self, case):
@@ -1171,6 +1223,23 @@ class TestOverflowErrors:
         emb[list(hot)] = scale
         params = self._params(cfg, stage)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=rf"^{stage}: .*{where}$"):
+            layer_forward(SequenceBatch.of(emb), params, cfg)
+
+    def test_pooling_error_names_the_segment_in_the_whole_grid(self, monkeypatch):
+        """Each chunk pools only the segments new to its window: an overflow in a
+        later chunk's range names the segment's index in the whole grid.  Chunks
+        are 8 rows, so segment 15 (rows 30 to 32), whose mean of the two hot
+        rows overflows, is the first segment the chunk of rows 24 to 32 pools."""
+        monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 8))
+        monkeypatch.setattr(attention, "CHUNK_ROWS", 8)
+        cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2,
+                          second_level_input="raw_embeddings")
+        emb = np.ones((40, 4))
+        emb[[30, 31]] = 1e308
+        params = self._params(cfg, "pool_grid")
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^pool_grid: .*first at segment 15$"
+        ):
             layer_forward(SequenceBatch.of(emb), params, cfg)
 
     @pytest.mark.parametrize("hot, global_set", [(30, (0, 30)), (17, ())])

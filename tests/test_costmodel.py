@@ -326,7 +326,7 @@ class TestPeakBytes:
             del trace
             est[n] = estimate_training_peak_bytes(
                 n, cfg.d_model, cfg.w1, cfg.w2, cfg.kappa, cfg.xi, n_global=g,
-                n_heads=cfg.n_heads, mix=cfg.mix,
+                n_heads=cfg.n_heads, mix=cfg.mix, n_valid=int(pad.sum()),
             )
             assert peak[n] <= est[n] <= 1.25 * peak[n], f"n={n}: peak {peak[n]}, estimate {est[n]}"
         array = 8 * 2048 * cfg.d_model  # one (n, d) array's growth from n = 2048 to 4096

@@ -1,6 +1,7 @@
 """Recorded mutants of the mask path, the pooling, the chunked forward, the
-streamed backward, the training step's memory and the config table, each of
-which some named test must kill.
+window of pooled segments, the streamed backward, the forward's and the
+training step's memory and the config table, each of which some named test
+must kill.
 
 Each row of ``MUTANTS`` names a file, a snippet that occurs in it exactly
 once, its replacement, and the test node ids that must fail.  A row copies
@@ -32,6 +33,11 @@ BACKWARD_CHUNKS = f"{CHUNKS}::test_backward_streams_chunks_of_its_own"
 PURITY = "tests/test_attention.py::TestBackwardPurity"
 STEP_MEMORY = ("tests/test_costmodel.py::TestPeakBytes::"
                "test_training_backward_holds_one_level_of_gradients[train_ldconv]")
+INFERENCE_MEMORY = ("tests/test_costmodel.py::TestPeakBytes::"
+                    "test_estimate_bounds_measured_inference_peak[infer_long-4]")
+WINDOW_CARRY = f"{CHUNKS}::test_output_and_gradients_independent_of_chunk_size[block-window_carry]"
+POOLED_ONCE = ("tests/test_attention.py::TestPooledWindow::"
+               "test_each_segment_pooled_once_from_at_most_a_chunk_of_rows[False]")
 
 
 class Mutant(NamedTuple):
@@ -98,6 +104,31 @@ MUTANTS = {
         ATTENTION, "None if src is into else src", "src",
         ("tests/test_attention.py::TestRowLayoutTrace::"
          "test_trace_views_equal_fresh_stages_bitwise[default-False]",)),
+    # the rolling window of pooled segments: one segment short on the left,
+    # new segments pooled without their halo rows, without the segments a
+    # forward adding z into its source must pool ahead, from the rows of a
+    # padded tail or all in one call, and an overflow named by its index in
+    # the pooled range
+    "window_one_segment_short_on_the_left": Mutant(
+        ATTENTION, "flat[:(h1 - c0) * d] = flat[(c0 - h0) * d:(h1 - h0) * d]",
+        "flat[:(h1 - c0 - 1) * d] = flat[(c0 - h0 + 1) * d:(h1 - h0) * d]", (WINDOW_CARRY,)),
+    "new_segments_pooled_without_halo": Mutant(
+        ATTENTION, "last = min(n, stop + halo)", "last = stop", (WINDOW_CARRY,)),
+    "no_segments_pooled_ahead": Mutant(
+        ATTENTION, "return max(c1, int(np.searchsorted(starts, grid.centers[c1] - config.w2)))",
+        "return c1",
+        ("tests/test_attention.py::TestRowLayoutTrace::"
+         "test_inference_output_is_bitwise_the_retained_output[short_w2-64]",)),
+    "new_rows_read_into_the_padded_tail": Mutant(
+        ATTENTION, "min(n, int(starts[end - 1]) + config.xi)",
+        "int(starts[end]) if end < len(grid) else n", (POOLED_ONCE,)),
+    "new_segments_pooled_in_one_call": Mutant(
+        ATTENTION, "size = chunks[0][1]", "size = n", (POOLED_ONCE,)),
+    "overflow_named_within_the_range": Mutant(
+        POOLING, "segment = first + np.argwhere(~np.isfinite(out))[0, 0]",
+        "segment = np.argwhere(~np.isfinite(out))[0, 0]",
+        ("tests/test_attention.py::TestOverflowErrors::"
+         "test_pooling_error_names_the_segment_in_the_whole_grid",)),
     # the pooling
     "max_without_neg_inf_fill": Mutant(
         POOLING, "cand = np.where(valid[r, : len(rows), None], rows, -np.inf)", "cand = rows",
@@ -144,6 +175,12 @@ MUTANTS = {
         "    up = upstream.copy()\n    d_y = up * batch.pad_mask[:, None]\n", (STEP_MEMORY,)),
     "zero_filled_d_x": Mutant(
         ATTENTION, "    d_x = d_y\n", "    d_x = np.zeros_like(d_y)\n", (STEP_MEMORY,)),
+    # memory: the window of pooled segments as wide as the whole grid
+    "window_holds_the_whole_grid": Mutant(
+        ATTENTION,
+        ("width = max(reach(int(band.bounds(b - 1)[1])) - int(band.bounds(a)[0])"
+         " for a, b in chunks)"),
+        "width = len(grid)", (INFERENCE_MEMORY,)),
     # the config table
     "kappa_xi_swapped": Mutant(
         HARNESS, '"kappa": _Key(int, str, "layer.kappa"),\n    "xi": _Key(int, str, "layer.xi"),',
