@@ -60,24 +60,29 @@ accumulates the whole pooled grids' gradients, (segments, d) each, over q2's
 chunks, then re-projects each chunk's unpooled keys and values with their
 kappa - xi halo for ``pool_grid_rows_backward``, carrying the halo rows'
 gradient.  Every block replays its unnormalized probabilities from the
-rows' statistics with the forward's own operations and takes
-FlashAttention-2's ``D = rowsum(dO * O)`` from the kept output (arXiv
-2307.08691); gradient products are written through head views of row
-matrices and added row-wise.  Every gradient is exact reverse-mode, shared
-projections accumulating both levels' contributions; sums over rows run in
-chunk order, so gradients agree with any other chunk size to rounding.
+rows' statistics with the forward's own operations.  The first level takes
+FlashAttention-2's ``D = rowsum(dO * O)`` from y (arXiv 2307.08691): its
+global rows' block is split over column chunks.  The second level takes the
+same paper's ``D = rowsum(P * dP)`` from the replayed probabilities and the
+score gradient: it has no extra rows, so each row sees only keys of its own
+block, and the sum is exact there.  Gradient products are written through
+head views of row matrices and added row-wise.  Every gradient is exact
+reverse-mode, shared projections accumulating both levels' contributions;
+sums over rows run in chunk order, so gradients agree with any other chunk
+size to rounding.
 
-``retain`` (the default) keeps each level's output, y and z, in its trace,
-and a training step holds the trace, the masked upstream (whose buffer
-becomes the input gradient), the pooled grids' gradients, and one chunk:
-24.0 MiB on the ``train_ldconv`` benchmark step (n = 8192), as
+``retain`` (the default) keeps y and the output in the trace, but no z:
+``layer_forward`` adds z into a copy of y, and ``z`` is a view that re-runs
+the second level.  A training step holds the trace, the masked upstream
+(whose buffer becomes the input gradient), the pooled grids' gradients, and
+one chunk: 20.0 MiB on the ``train_ldconv`` benchmark step (n = 8192), as
 ``costmodel.estimate_training_peak_bytes`` models it.
 ``layer_forward(retain=False)`` (inference) adds z into y's own buffer,
 which it returns as the output, bitwise ``y + z``; its trace keeps counts,
-flags and statistics but no y or z, so ``layer_backward`` refuses it, and
-without mix its second-level views, whose source y became the output,
-refuse too.  The ``infer_long`` benchmark forward (n = 16384) peaks at
-12.3 MiB, in its first level.  All computations are pure functions of
+flags and statistics but no y, and refuses z, so ``layer_backward`` refuses
+it, and without mix its second-level views, whose source y became the
+output, refuse too.  The ``infer_long`` benchmark forward (n = 16384) peaks
+at 12.3 MiB, in its first level.  All computations are pure functions of
 (batch, params, config), single-threaded, and deterministic.
 """
 
@@ -421,11 +426,12 @@ class FirstLevelTrace:
 
 @dataclass
 class SecondLevelTrace:
-    """The second level's source, grid, output, counts, band and row statistics.
+    """The second level's source, grid, counts, band and row statistics; no output.
 
     Every view re-projects ``source`` on access; ``k2`` and ``v2`` are its
-    unpooled keys and values.  A ``retain=False`` forward keeps no ``z``
-    (None), and ``layer_forward(retain=False)`` adds z into y, so without
+    unpooled keys and values, and ``z`` re-runs the level, bitwise the output
+    the forward returned.  The trace of a ``retain=False`` forward refuses
+    ``z``, and ``layer_forward(retain=False)`` adds z into y, so without
     ``mix`` its trace has no ``source`` either (None) and its views raise.
     """
 
@@ -434,12 +440,12 @@ class SecondLevelTrace:
     config: LayerConfig
     source: np.ndarray | None
     grid: PooledGrid
-    z: np.ndarray | None
     counts: np.ndarray
     degenerate: np.ndarray
     band: _Band
     rowmax: np.ndarray
     denom: np.ndarray
+    retain: bool
     _pad_arg: np.ndarray | None
 
     def _source(self) -> np.ndarray:
@@ -453,6 +459,12 @@ class SecondLevelTrace:
     pooled_v = property(lambda self: _view(self._input(2)))
     k2 = property(lambda self: _view(project(self._source(), *self.params.second.pairs()[1])))
     v2 = property(lambda self: _view(project(self._source(), *self.params.second.pairs()[2])))
+
+    @property
+    def z(self) -> np.ndarray:
+        if not self.retain:
+            raise ValueError("a retain=False forward keeps no z; run it with retain=True")
+        return _view(_second_level(self.batch, self._source(), self.params, self.config)[0])
 
     def attention_rows(self) -> list[np.ndarray]:
         """Per-token weights over visible pooled segments, ragged."""
@@ -477,7 +489,7 @@ class AttentionTrace:
 
     @property
     def z(self) -> np.ndarray:
-        return _retained(self.second.z, "z")
+        return self.second.z
 
     @property
     def first_counts(self) -> np.ndarray:
@@ -641,7 +653,7 @@ def _second_level(
     The chunks' keys and values come from one rolling window of pooled
     segments (``_pooled_window``), so ``into`` may be the source: a chunk's
     q2 is projected, and every segment reading its rows pooled, before its
-    blocks add to ``out``.
+    blocks add to ``out``.  Without ``retain`` the trace refuses ``z``.
     """
     params.validate(config)
     n, d = batch.embeddings.shape
@@ -668,9 +680,8 @@ def _second_level(
             f"overflow float64, first at token {token}"
         )
     return out, SecondLevelTrace(
-        batch, params, config, None if src is into else src, grid,
-        out if retain and into is None else None, counts, degenerate, band, rowmax, denom,
-        pad_arg,
+        batch, params, config, None if src is into else src, grid, counts, degenerate, band,
+        rowmax, denom, retain, pad_arg,
     )
 
 
@@ -691,7 +702,8 @@ def second_level_forward(
     trace.  Per chunk of rows, the keys and values of the segments new to a
     rolling window of the segments the chunk's rows see are projected and
     pooled into it, then the chunk's q2 is projected; no whole pooled grid is
-    held.  The trace keeps z unless ``retain`` is False.
+    held.  The trace keeps no z: its ``z`` re-runs the level, and with
+    ``retain=False`` refuses.
     """
     return _second_level(batch, y, params, config, retain=retain)
 
@@ -705,19 +717,18 @@ def layer_forward(
 ) -> tuple[np.ndarray, AttentionTrace]:
     """Full layer: first level, second level, residual sum of the two outputs.
 
-    Each level frees its projections and pooled segments when it returns.  With
-    ``retain`` (the default) the trace keeps y, z and the output, and
-    ``layer_backward`` can differentiate it.  With ``retain=False`` (inference)
-    the second level adds z into y's own buffer, which becomes the output,
-    bitwise ``y + z``; the trace keeps counts, flags and row statistics but
-    no y or z, so it cannot be differentiated.
+    Each level frees its projections and pooled segments when it returns.  The
+    second level adds z into the output's buffer, bitwise ``y + z``: with
+    ``retain`` (the default) a copy of y, so the trace keeps y and the output,
+    but no z (its ``z`` re-runs the second level), and ``layer_backward`` can
+    differentiate it.  With ``retain=False`` (inference) the buffer is y's own;
+    the trace keeps counts, flags and row statistics but no y, and refuses z,
+    so it cannot be differentiated.
     """
     y, first = first_level_forward(batch, params, config, retain=retain)
-    if retain:
-        z, second = second_level_forward(batch, y, params, config)
-        final = y + z
-    else:
-        final, second = _second_level(batch, y, params, config, into=y, retain=False)
+    final, second = _second_level(
+        batch, y, params, config, into=y.copy() if retain else y, retain=retain
+    )
     return final, AttentionTrace(first, second, final)
 
 
@@ -737,7 +748,7 @@ class LayerGrads:
 
 
 def _block_backward(
-    qr: np.ndarray, kc: np.ndarray, vc: np.ndarray, up: np.ndarray, out: np.ndarray,
+    qr: np.ndarray, kc: np.ndarray, vc: np.ndarray, up: np.ndarray, out: np.ndarray | None,
     bias: np.ndarray, rowmax: np.ndarray, denom: np.ndarray, alpha: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block's attention backward: (d_q, d_k, d_v) as (rows, d) and (cols, d) row matrices.
@@ -746,18 +757,26 @@ def _block_backward(
     upstream ``up`` and output ``out``, are head views, (n_heads, rows or
     cols, d/h).  The block's unnormalized probabilities ``e`` are replayed from
     the rows' statistics, whatever partition the forward ran, and all heads go
-    through one batched matmul per product, as in the forward.  With
-    FlashAttention-2's ``D = rowsum(dO * O)`` per head and row, the softmax
-    backward is ``e * (dO v^T - D) / denom``.  Each product is written through
-    a head view of its row matrix, so the caller adds whole rows.
+    through one batched matmul per product, as in the forward.  The softmax
+    backward is ``e * (dO v^T - D) / denom`` with FlashAttention-2's
+    ``D = rowsum(dO * O)`` per head and row, or, with ``out`` None, where
+    every key the block's rows see is one of its columns, the equal
+    ``D = rowsum(P * dP)``, summed over the block's columns.  Each product is
+    written through a head view of its row matrix, so the caller adds whole
+    rows.
     """
     (n_heads, rows, dh), cols = qr.shape, kc.shape[1]
     d_q, d_k, d_v = (np.empty((m, n_heads * dh)) for m in (rows, cols, cols))
     e = _replay_probs(qr, kc, bias, rowmax, alpha)
     du = up / denom
     np.matmul(e.transpose(0, 2, 1), du, out=_heads(d_v, n_heads))
-    ds = np.matmul(du, vc.transpose(0, 2, 1))
-    ds -= np.einsum("hrc,hrc->hr", du, out)[..., None]  # D / denom
+    ds = np.matmul(du, vc.transpose(0, 2, 1))  # dP / denom
+    if out is None:  # rowsum(e * ds) is rowsum(P * dP); a batched dot product per row
+        d_row = np.matmul(e[..., None, :], ds[..., None])[..., 0]
+        d_row /= denom
+    else:
+        d_row = np.einsum("hrc,hrc->hr", du, out)[..., None]
+    ds -= d_row  # D / denom
     ds *= e
     del e
     np.matmul(ds, kc, out=_heads(d_q, n_heads))
@@ -889,16 +908,17 @@ def _second_backward(
     into ``d_src``.
 
     Pass 1 streams the forward's window of pooled segments (``_pooled_window``)
-    and, per chunk, projects q2 and runs the chunk's blocks backward: q2's
-    projection backward is taken at once, and the pooled grids' gradients,
-    (segments, d) each, accumulate whole.  Pass 2 re-projects each chunk's
+    and, per chunk, projects q2 and runs the chunk's blocks backward, each
+    taking D from its own probabilities, not from z: q2's projection backward
+    is taken at once, and the pooled grids' gradients, (segments, d) each,
+    accumulate whole.  Pass 2 re-projects each chunk's
     unpooled keys, then values, with their kappa - xi halo and runs
     ``pool_grid_rows_backward``; the halo rows' part of the gradient carries
     into the next chunk, and the chunk's k and v projection backward is
     taken.  ``d_z`` is read only in pass 1, so it may be ``d_src``.
     """
     config, band, grid = st.config, st.band, st.grid
-    src = st.source
+    src = st._source()
     n, d = src.shape
     alpha, n_heads = config.alpha(), config.n_heads
     pairs = st.params.second.pairs()
@@ -906,7 +926,7 @@ def _second_backward(
     keys = _pooled_window(src, st.params, config, grid, st._pad_arg, band)
     d_pooled = [np.zeros((len(grid), d)) for _ in range(2)]
     d_k, d_v = d_pooled
-    uh, oh = _heads(d_z, n_heads), _heads(st.z, n_heads)
+    uh = _heads(d_z, n_heads)
     plan = _blocks(band, config.w1)
     total = None
     block = next(plan, None)
@@ -920,7 +940,7 @@ def _second_backward(
             local = slice(rows.start - a, rows.stop - a)
             in_window = slice(cols.start - c0, cols.stop - c0)
             q_part, k_part, v_part = _block_backward(
-                qh[:, local], kh[:, in_window], vh[:, in_window], uh[:, rows], oh[:, rows], bias,
+                qh[:, local], kh[:, in_window], vh[:, in_window], uh[:, rows], None, bias,
                 st.rowmax[:, rows], st.denom[:, rows], alpha,
             )
             d_q[local] += q_part
@@ -970,9 +990,9 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
     """
     ft, st = trace.first, trace.second
     config, batch = ft.config, ft.batch
-    if ft.y is None or st.z is None:
+    if ft.y is None:
         raise ValueError(
-            "layer_backward needs a retain=True trace: a retain=False forward keeps no y or z"
+            "layer_backward needs a retain=True trace: a retain=False forward keeps no y"
         )
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != trace.final.shape:

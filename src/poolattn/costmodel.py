@@ -214,11 +214,13 @@ def estimate_peak_bytes(
     wide as the widest chunk's segments (its rows' and the 2*w2 halo's),
     while it pools the chunk's new segments' unpooled keys, then values, at
     most a chunk's rows and the kappa - xi halo at a time, with their pooling
-    scratch, then a chunk's q2 and one block.  ``retain`` (a training forward)
-    adds z, an (n, d) array of its own, to the second level, and ``y + z`` at
-    the end.  Per-token counts and flags, the block plan's per-block bounds
-    and the one-byte-per-entry finiteness check of each level's output are
-    included, and ``CALL_OVERHEAD`` bytes for the Python objects of a call.
+    scratch, then a chunk's q2 and one block.  The second level adds z into
+    its output's buffer: without ``retain`` (inference) y's own, with it (a
+    training forward) a copy of y, an (n, d) array of its own that the trace
+    keeps as the output, next to y; no z is held.  Per-token counts and
+    flags, the block plan's per-block bounds and the one-byte-per-entry
+    finiteness check of each level's output are included, and
+    ``CALL_OVERHEAD`` bytes for the Python objects of a call.
     Blocks are the layer's own ``block_rows(n, w1)`` rows; ``n_heads``
     defaults to ``LayerConfig``'s.
     """
@@ -259,10 +261,10 @@ def estimate_peak_bytes(
     pooling = (c + kappa) * d + 4 * (c // xi + 1) * d
     attend = c * d + block_floats(b, u2)
     flags = n // 4  # the global rows' and the degenerate rows' flags, a byte per row
-    z = nd if retain else 0
-    second = nd + 2 * stats + flags + 3 * n_seg + z + 2 * window * d + max(pooling, attend)
-    # the trace's grid and flags, with y + z or the finiteness check
-    final = 2 * stats + flags + 3 * n_seg + (3 * nd if retain else nd + nd // 8)
+    out = nd if retain else 0  # the copy of y the output is added into
+    second = nd + 2 * stats + flags + 3 * n_seg + out + 2 * window * d + max(pooling, attend)
+    # the trace's grid and flags, y and the output, and the finiteness check
+    final = 2 * stats + flags + 3 * n_seg + nd + out + nd // 8
     return 8 * max(first, second, final) + CALL_OVERHEAD
 
 
@@ -282,8 +284,9 @@ def estimate_training_peak_bytes(
 
     The forward's peak is ``estimate_peak_bytes(..., retain=True)``.  The
     backward streams the forward's row chunks (``row_chunks``) and holds, at
-    every point, the trace (y, z, the output, both levels' statistics, counts
-    and flags) and the masked upstream d_y, whose buffer becomes the input
+    every point, the trace (y, the output, both levels' statistics, counts
+    and flags; no z, whose second-level D each block takes from its own
+    probabilities) and the masked upstream d_y, whose buffer becomes the input
     gradient d_x; with ``mix`` also the second level's input gradient (the
     embeddings', added into d_x at the end).  On top of that, at most:
 
@@ -330,9 +333,9 @@ def estimate_training_peak_bytes(
                 + (4 if gathered else 2) * cols * d + ITER_BUFFER)
 
     n_seg = -(-(n if n_valid is None else n_valid) // xi)
-    # y, z and the output; each level's row maxima, denominators and counts;
-    # the degenerate, global and block-plan flags; the grid's three arrays
-    trace = 3 * nd + 2 * (2 * n_heads * n + n) + n // 4 + 3 * n_seg
+    # y and the output; each level's row maxima, denominators and counts; the
+    # degenerate, global and block-plan flags; the grid's three arrays
+    trace = 2 * nd + 2 * (2 * n_heads * n + n) + n // 4 + 3 * n_seg
     held = trace + nd + (nd if mix else 0)
     grid = n_seg * d
     chunk_rows = (c + kappa) * d

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 from unittest import mock
@@ -48,7 +49,8 @@ from poolattn.oracle import (
     mask_from_config,
 )
 from poolattn.pooling import pool_grid_rows
-from poolattn.windowing import global_neighbor_set, window_bounds
+from poolattn.windowing import window_bounds
+from neighbor_reference import global_neighbor_set
 from trace_reference import check_block_biases, check_views, fresh_stages, plan
 
 
@@ -844,7 +846,7 @@ class TestStatsOnlyTrace:
 
     def _held(self, level):
         """The arrays a level trace holds besides its inputs, output and pooled grid."""
-        skip = {"batch", "params", "config", "source", "grid", "y", "z", "_pad_arg"}
+        skip = {"batch", "params", "config", "source", "grid", "y", "_pad_arg"}
         seen: set = set()  # what the skipped fields reach, the band's grid too
         for name in skip & vars(level).keys():
             _reachable_arrays(getattr(level, name), name, seen)
@@ -987,34 +989,45 @@ def _explicit_backward(level, upstream, q, k, v, cfg):
 
 
 def _blocked_backward(level, upstream, out, q, k, v, cfg):
-    """The level's blocks run backward by ``_block_backward`` over whole (n, d) inputs."""
+    """The level's blocks run backward by ``_block_backward`` over whole (n, d) inputs;
+    ``out`` None takes each block's D from its own probabilities."""
     grads = [np.zeros_like(m) for m in (q, k, v)]
-    qh, kh, vh, uh, oh = (_heads(m, cfg.n_heads) for m in (q, k, v, upstream, out))
+    qh, kh, vh, uh = (_heads(m, cfg.n_heads) for m in (q, k, v, upstream))
+    oh = None if out is None else _heads(out, cfg.n_heads)
     for rows, cols, bias, _ in plan(level):
-        parts = _block_backward(qh[:, rows], kh[:, cols], vh[:, cols], uh[:, rows], oh[:, rows],
-                                bias, level.rowmax[:, rows], level.denom[:, rows], cfg.alpha())
+        parts = _block_backward(qh[:, rows], kh[:, cols], vh[:, cols], uh[:, rows],
+                                None if oh is None else oh[:, rows], bias,
+                                level.rowmax[:, rows], level.denom[:, rows], cfg.alpha())
         for grad, idx, part in zip(grads, (rows, cols, cols), parts):
             grad[idx] += part
     return grads
 
 
 class TestBackwardDForm:
-    """The block backward's ``D = rowsum(dO * O)`` form equals the explicit softmax backward."""
+    """The block backward's D forms equal the explicit softmax backward: the first
+    level's ``D = rowsum(dO * O)`` from y, the second level's ``D = rowsum(P * dP)``
+    from each block's own probabilities and score gradient, with no z."""
 
-    @pytest.mark.parametrize("mix", [False, True])
-    def test_matches_explicit_softmax_backward(self, mix):
-        cfg = LayerConfig(d_model=8, n_heads=2, w1=4, w2=12, kappa=3, xi=2,
-                          pooling_kind="ldconv",
-                          second_level_input="raw_embeddings" if mix else "first_level_output")
-        n = 60
+    # (config, n, padded rows, globals): a padded tail and a padded row mid-sequence;
+    # w2 < kappa, where rows see no segment center, with a padded tail
+    CASES = {
+        "padded": (LayerConfig(d_model=8, n_heads=2, w1=4, w2=12, kappa=3, xi=2,
+                               pooling_kind="ldconv"), 60, [20, *range(51, 60)], (0, 1, 30)),
+        "degenerate": (LayerConfig(d_model=8, n_heads=2, w1=1, w2=1, kappa=5, xi=4,
+                                   pooling_kind="max"), 50, list(range(44, 50)), (3,)),
+    }
+
+    def _check(self, cfg, n, padded, globals_):
+        """Both levels' blocked backward against the explicit one; returns the trace,
+        the upstream and each level's blocked (d_q, d_k, d_v)."""
         pad = np.ones(n, dtype=bool)
-        pad[n - 9:] = False
-        pad[20] = False
-        batch = SequenceBatch(synth_batch(n, cfg.d_model, seed=100).embeddings, pad, (0, 1, 30))
+        pad[padded] = False
+        batch = SequenceBatch(synth_batch(n, cfg.d_model, seed=100).embeddings, pad, globals_)
         _, trace = layer_forward(batch, init_params(cfg, 101), cfg)
         upstream = symmetric_uniform(102, n * cfg.d_model).reshape(n, cfg.d_model)
+        blocked = []
         # the first level's D for global rows comes from the global block's rows of y
-        for level, out in ((trace.first, trace.y), (trace.second, trace.z)):
+        for level, out in ((trace.first, trace.y), (trace.second, None)):
             q, k, v = map(level._input, range(3))
             qh, kh = _heads(q, cfg.n_heads), _heads(k, cfg.n_heads)
             for rows, cols, bias, _ in plan(level):
@@ -1025,6 +1038,29 @@ class TestBackwardDForm:
             want = _explicit_backward(level, upstream, q, k, v, cfg)
             for name, g, w in zip("qkv", got, want):
                 assert relative_diff(g, w) <= 1e-12, name
+            blocked.append(got)
+        return trace, upstream, blocked
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_matches_explicit_softmax_backward(self, mix):
+        cfg, *rest = self.CASES["padded"]
+        cfg = replace(cfg, second_level_input="raw_embeddings" if mix else "first_level_output")
+        self._check(cfg, *rest)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_that_see_nothing_get_exact_zeros(self, case):
+        """Rows with ``seen == 0`` (padding, and valid rows that see no segment
+        center) replay all-zero probabilities, so either D form leaves their
+        query gradients exactly zero, and the layer's input gradient is exactly
+        zero on padding rows."""
+        trace, upstream, blocked = self._check(*self.CASES[case])
+        assert trace.degenerate_second.any() == (case == "degenerate")
+        for level, (d_q, _, _) in zip((trace.first, trace.second), blocked):
+            blind = level.counts == 0
+            assert blind.any()
+            np.testing.assert_array_equal(d_q[blind], 0.0)
+        grads = layer_backward(trace, upstream)
+        np.testing.assert_array_equal(grads.embeddings[~trace.batch.pad_mask], 0.0)
 
 
 class TestPaddedBlocks:
@@ -1105,7 +1141,7 @@ class TestRowLayoutTrace:
 
     @pytest.mark.parametrize("case", CASES)
     def test_trace_holds_no_projection(self, case):
-        """A trace holds y, z, the output, counts, block statistics and the grid.
+        """A trace holds y, the output, counts, block statistics and the grid: no z.
 
         No projection or pooled grid is kept: every reader re-projects from the
         batch, the parameters and ``source`` (the embeddings, or y).
@@ -1115,7 +1151,7 @@ class TestRowLayoutTrace:
         n, g = batch.n, len(batch.global_set)
         skip = {id(batch), id(params), id(batch.embeddings), id(batch.pad_mask)}
         held = sum(a.nbytes for a in _reachable_arrays(trace, "trace", skip).values())
-        design = sum(a.nbytes for a in (trace.y, trace.z, trace.final))
+        design = sum(a.nbytes for a in (trace.y, trace.final))
         design += 2 * 8 * n + n  # counts of both levels and the degenerate flags
         # row maxima and denominators of both levels, plus the global rows' block
         design += 2 * 2 * 8 * cfg.n_heads * (n + block_rows(n, cfg.w1))
@@ -1180,7 +1216,7 @@ class TestBackwardPurity:
         assert fields == {
             "trace.first.batch", "trace.first.params", "trace.first.y", "trace.first.counts",
             "trace.first.band", "trace.first.rowmax", "trace.first.denom", "trace.second.grid",
-            "trace.second.z", "trace.second.counts", "trace.second.degenerate",
+            "trace.second.counts", "trace.second.degenerate",
             "trace.second.rowmax", "trace.second.denom", "trace.final", "upstream",
         }
         before = {key: a.copy() for key, a in arrays.items()}

@@ -18,13 +18,8 @@ from poolattn.costmodel import (
     verify_counts,
 )
 from poolattn.harness import init_params, symmetric_uniform, synth_batch
-from poolattn.windowing import (
-    build_pooled_grid,
-    global_neighbor_set,
-    segment_bounds,
-    visible_segments,
-    window_bounds,
-)
+from poolattn.windowing import build_pooled_grid, segment_bounds, window_bounds
+from neighbor_reference import global_neighbor_set, visible_segments
 
 
 def instrumented_two_level(n, w1, w2, kappa, xi, g, seed=1):
@@ -263,9 +258,21 @@ class TestPeakBytes:
         ),
     }
 
-    @pytest.mark.parametrize("heads", [4, 8, 16])
-    @pytest.mark.parametrize("workload", WORKLOAD_LAYERS)
-    def test_estimate_bounds_measured_inference_peak(self, workload, heads):
+    # (workload, heads, n): every workload and head count at n = 4096, where
+    # padded_wide's window of pooled segments (1536) holds its whole kept grid
+    # (1537); and padded_wide at n = 8192, whose window (1538) is narrower than
+    # its kept grid (3073), so a pooling transient growing with the padded
+    # tail shows
+    INFERENCE_CASES = [
+        *((workload, heads, 4096) for workload in WORKLOAD_LAYERS for heads in (4, 8, 16)),
+        ("padded_wide", 4, 8192),
+    ]
+
+    @pytest.mark.parametrize(
+        "workload, heads, n", INFERENCE_CASES,
+        ids=[f"{w}-{h}" + ("" if n == 4096 else f"-n{n}") for w, h, n in INFERENCE_CASES],
+    )
+    def test_estimate_bounds_measured_inference_peak(self, workload, heads, n):
         """The estimate bounds a forward's peak, the trace's block statistics included,
         for the inference forward (``retain=False``) and the training one.
 
@@ -274,7 +281,6 @@ class TestPeakBytes:
         """
         cfg, g, pad_share = self.WORKLOAD_LAYERS[workload]
         cfg = replace(cfg, n_heads=heads)
-        n = 4096
         batch = synth_batch(n, cfg.d_model, seed=61, global_count=g)
         pad = np.ones(n, dtype=bool)
         pad[n - int(pad_share * n):] = False

@@ -1,7 +1,7 @@
 """Recorded mutants of the mask path, the pooling, the chunked forward, the
-window of pooled segments, the streamed backward, the forward's and the
-training step's memory and the config table, each of which some named test
-must kill.
+window of pooled segments, the streamed backward and its two D forms, the
+forward's and the training step's memory and the config table, each of which
+some named test must kill.
 
 Each row of ``MUTANTS`` names a file, a snippet that occurs in it exactly
 once, its replacement, and the test node ids that must fail.  A row copies
@@ -38,6 +38,26 @@ INFERENCE_MEMORY = ("tests/test_costmodel.py::TestPeakBytes::"
 WINDOW_CARRY = f"{CHUNKS}::test_output_and_gradients_independent_of_chunk_size[block-window_carry]"
 POOLED_ONCE = ("tests/test_attention.py::TestPooledWindow::"
                "test_each_segment_pooled_once_from_at_most_a_chunk_of_rows[False]")
+PADDED_INFERENCE_MEMORY = ("tests/test_costmodel.py::TestPeakBytes::"
+                           "test_estimate_bounds_measured_inference_peak[padded_wide-4-n8192]")
+# the second level's backward, from its upstream's head view to its blocks'
+# call, where the dO * O form would read the output rows from z's head view
+SECOND_BLOCKS = """    uh = _heads(d_z, n_heads)
+    plan = _blocks(band, config.w1)
+    total = None
+    block = next(plan, None)
+    for a, b in chunks:
+        c0 = int(band.bounds(a)[0])
+        kh, vh = (_heads(m, n_heads) for m in keys(c0, int(band.bounds(b - 1)[1])))
+        qh = _heads(project(src[a:b], *pairs[0]), n_heads)
+        d_q = np.zeros((b - a, d))
+        while block is not None and block[0].start < b:
+            rows, cols, bias, _ = block
+            local = slice(rows.start - a, rows.stop - a)
+            in_window = slice(cols.start - c0, cols.stop - c0)
+            q_part, k_part, v_part = _block_backward(
+                qh[:, local], kh[:, in_window], vh[:, in_window], uh[:, rows], None, bias,
+"""
 
 
 class Mutant(NamedTuple):
@@ -119,6 +139,8 @@ MUTANTS = {
         "return c1",
         ("tests/test_attention.py::TestRowLayoutTrace::"
          "test_inference_output_is_bitwise_the_retained_output[short_w2-64]",)),
+    # (reading the padded tail wastes work but moves no peak: each call still
+    # reads at most a chunk's rows)
     "new_rows_read_into_the_padded_tail": Mutant(
         ATTENTION, "min(n, int(starts[end - 1]) + config.xi)",
         "int(starts[end]) if end < len(grid) else n", (POOLED_ONCE,)),
@@ -149,14 +171,20 @@ MUTANTS = {
         POOLING, "np.add(part, g_ctx[:m], out=part, where=center[:m, None] == r)", "pass",
         (POOL_DIFF,)),
     # the backward
+    # the first level's D = rowsum(dO * O) and the second level's
+    # D = rowsum(P * dP), each not divided by the rows' denominators
     "d_not_divided_by_denom": Mutant(
         ATTENTION, 'np.einsum("hrc,hrc->hr", du, out)', 'np.einsum("hrc,hrc->hr", up, out)',
+        ("tests/test_attention.py::TestBackwardDForm",)),
+    "second_level_d_not_divided_by_denom": Mutant(
+        ATTENTION, "        d_row /= denom\n", "",
         ("tests/test_attention.py::TestBackwardDForm",)),
     "pad_mask_written_into_upstream": Mutant(
         ATTENTION, "d_y = upstream * batch.pad_mask[:, None]",
         "d_y = np.multiply(upstream, batch.pad_mask[:, None], out=upstream)", (PURITY,)),
     "d_v_accumulated_into_a_trace_array": Mutant(
-        ATTENTION, "d_k, d_v = d_pooled", "d_k, d_v = d_pooled[0], st.z[:len(grid)]", (PURITY,)),
+        ATTENTION, "d_k, d_v = d_pooled", "d_k, d_v = d_pooled[0], st.source[:len(grid)]",
+        (PURITY,)),
     # the streamed backward's carries across chunk edges, and the global
     # rows' block replayed against the chunk's first rows, not its own
     "first_level_halo_carry_dropped": Mutant(
@@ -175,12 +203,28 @@ MUTANTS = {
         "    up = upstream.copy()\n    d_y = up * batch.pad_mask[:, None]\n", (STEP_MEMORY,)),
     "zero_filled_d_x": Mutant(
         ATTENTION, "    d_x = d_y\n", "    d_x = np.zeros_like(d_y)\n", (STEP_MEMORY,)),
-    # memory: the window of pooled segments as wide as the whole grid
+    # the trace keeps no z, but the second level's backward takes D in the
+    # dO * O form from z's view: gradients stay right, but the view re-runs
+    # the level into a whole (n, d) array held through pass 1, under the
+    # first level's peak, so the step's memory test passes; the source guard
+    # kills it
+    "second_level_d_from_z": Mutant(
+        ATTENTION, SECOND_BLOCKS,
+        SECOND_BLOCKS.replace("    uh = _heads(d_z, n_heads)\n",
+                              "    uh, oh = _heads(d_z, n_heads), _heads(st.z, n_heads)\n")
+        .replace("uh[:, rows], None, bias,", "uh[:, rows], oh[:, rows], bias,"),
+        ("tests/test_source.py::test_no_backward_reads_z",)),
+    # a training forward adding z into y itself, not a copy: the trace's y
+    # is the output
+    "retained_forward_adds_z_into_y": Mutant(
+        ATTENTION, "into=y.copy() if retain else y", "into=y", (FUZZ,)),
+    # memory: the window of pooled segments as wide as the whole grid, seen
+    # on a padded layer only where its window is narrower than its kept grid
     "window_holds_the_whole_grid": Mutant(
         ATTENTION,
         ("width = max(reach(int(band.bounds(b - 1)[1])) - int(band.bounds(a)[0])"
          " for a, b in chunks)"),
-        "width = len(grid)", (INFERENCE_MEMORY,)),
+        "width = len(grid)", (PADDED_INFERENCE_MEMORY, INFERENCE_MEMORY)),
     # the config table
     "kappa_xi_swapped": Mutant(
         HARNESS, '"kappa": _Key(int, str, "layer.kappa"),\n    "xi": _Key(int, str, "layer.xi"),',

@@ -29,3 +29,21 @@ def test_only_core_names_the_small_product_rule():
     found = [path.name for path in SOURCES
              if path.name != "core.py" and rule.search(path.read_text(encoding="utf-8"))]
     assert not found, f"modules naming product_rows or SMALL_PRODUCT outside core.py: {found}"
+
+
+def test_no_backward_reads_z():
+    """The backward takes the second level's D from each block's own
+    probabilities: no backward function in ``attention.py`` reads a trace's
+    ``z``, a view that re-runs the second level and holds a whole (n, d) array."""
+    path = Path(poolattn.__file__).parent / "attention.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    backward = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and "backward" in node.name]
+    found = [
+        f"{func.name}:{node.lineno}"
+        for func in backward
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "z"
+    ]
+    assert {"_block_backward", "_second_backward", "layer_backward"} <= {f.name for f in backward}
+    assert not found, f"backward functions reading z: {found}"

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from poolattn.windowing import (
-    build_pooled_grid,
-    global_neighbor_set,
-    neighbor_set,
-    visible_segments,
-)
+from neighbor_reference import global_neighbor_set, neighbor_set, visible_segments
+from poolattn.windowing import build_pooled_grid
 
 
 class TestNeighborSet:
