@@ -40,24 +40,6 @@ POOLED_ONCE = ("tests/test_attention.py::TestPooledWindow::"
                "test_each_segment_pooled_once_from_at_most_a_chunk_of_rows[False]")
 PADDED_INFERENCE_MEMORY = ("tests/test_costmodel.py::TestPeakBytes::"
                            "test_estimate_bounds_measured_inference_peak[padded_wide-4-n8192]")
-# the second level's backward, from its upstream's head view to its blocks'
-# call, where the dO * O form would read the output rows from z's head view
-SECOND_BLOCKS = """    uh = _heads(d_z, n_heads)
-    plan = _blocks(band, config.w1)
-    total = None
-    block = next(plan, None)
-    for a, b in chunks:
-        c0 = int(band.bounds(a)[0])
-        kh, vh = (_heads(m, n_heads) for m in keys(c0, int(band.bounds(b - 1)[1])))
-        qh = _heads(project(src[a:b], *pairs[0]), n_heads)
-        d_q = np.zeros((b - a, d))
-        while block is not None and block[0].start < b:
-            rows, cols, bias, _ = block
-            local = slice(rows.start - a, rows.stop - a)
-            in_window = slice(cols.start - c0, cols.stop - c0)
-            q_part, k_part, v_part = _block_backward(
-                qh[:, local], kh[:, in_window], vh[:, in_window], uh[:, rows], None, bias,
-"""
 
 
 class Mutant(NamedTuple):
@@ -204,15 +186,11 @@ MUTANTS = {
     "zero_filled_d_x": Mutant(
         ATTENTION, "    d_x = d_y\n", "    d_x = np.zeros_like(d_y)\n", (STEP_MEMORY,)),
     # the trace keeps no z, but the second level's backward takes D in the
-    # dO * O form from z's view: gradients stay right, but the view re-runs
-    # the level into a whole (n, d) array held through pass 1, under the
-    # first level's peak, so the step's memory test passes; the source guard
-    # kills it
+    # dO * O form from z's view, which re-runs the whole level for each
+    # block: gradients stay right; the source guard kills it without running
     "second_level_d_from_z": Mutant(
-        ATTENTION, SECOND_BLOCKS,
-        SECOND_BLOCKS.replace("    uh = _heads(d_z, n_heads)\n",
-                              "    uh, oh = _heads(d_z, n_heads), _heads(st.z, n_heads)\n")
-        .replace("uh[:, rows], None, bias,", "uh[:, rows], oh[:, rows], bias,"),
+        ATTENTION, "uh[:, rows], None, bias,",
+        "uh[:, rows], _heads(st.z, n_heads)[:, rows], bias,",
         ("tests/test_source.py::test_no_backward_reads_z",)),
     # a training forward adding z into y itself, not a copy: the trace's y
     # is the output
