@@ -48,35 +48,29 @@ trace's batch, params and second-level source, for each read-only view
 (``q``, ``pooled_k``, ...) and ``attention_rows``, each building only what
 it reads.
 
-The backward streams the same row chunks as the forwards and never holds a
-whole projection, unpooled grid or their gradients.  The first level
-re-projects each chunk's queries and its gathered key union, runs the
-chunk's blocks backward, and replays the global rows' block one column
-chunk (the chunk's own rows) at a time; the union rows no later chunk reads
-take their projection backward at once, and the 2*w1 halo rows' gradients
-and the global rows' (g, d) accumulators carry into the next chunk.  The
-second level streams the forward's window of pooled segments and
-accumulates the whole pooled grids' gradients, (segments, d) each, over q2's
-chunks, then re-projects each chunk's unpooled keys and values with their
-kappa - xi halo for ``pool_grid_rows_backward``, carrying the halo rows'
-gradient.  Every block replays its unnormalized probabilities from the
-rows' statistics with the forward's own operations.  The first level takes
-FlashAttention-2's ``D = rowsum(dO * O)`` from y (arXiv 2307.08691): its
-global rows' block is split over column chunks.  The second level takes the
-same paper's ``D = rowsum(P * dP)`` from the replayed probabilities and the
-score gradient: it has no extra rows, so each row sees only keys of its own
-block, and the sum is exact there.  Gradient products are written through
-head views of row matrices and added row-wise.  Every gradient is exact
-reverse-mode, shared projections accumulating both levels' contributions;
-sums over rows run in chunk order, so gradients agree with any other chunk
-size to rounding.
+The backward runs the forwards' row chunks through their twin driver,
+``_banded_backward``, and never holds a whole projection, pooled or
+unpooled grid, or their gradients.  Per chunk it reads the keys the forward
+read (the second level from the forward's window of pooled segments), runs
+the blocks backward, replays the global rows' block against the chunk's own
+rows, carries the key-gradient rows the next chunk reads, and releases the
+rest and the chunk's query gradient into the projection backward, at the
+second level through ``pool_grid_rows_backward`` over the re-projected
+unpooled rows and a carried kappa - xi halo.  Blocks replay their
+unnormalized probabilities from the rows' statistics with the forward's own
+operations.  The first level takes FlashAttention-2's ``D = rowsum(dO * O)``
+from y (arXiv 2307.08691), its global rows' block split over column chunks;
+the second, which has no extra rows, the same paper's ``D = rowsum(P * dP)``,
+exact over each block's own columns.  Gradients are exact reverse-mode,
+shared projections summing both levels' contributions; sums over rows run
+in chunk order, so gradients agree with any other chunk size to rounding.
 
 ``retain`` (the default) keeps y and the output in the trace, but no z:
 ``layer_forward`` adds z into a copy of y, and ``z`` is a view that re-runs
 the second level.  A training step holds the trace, the masked upstream
-(whose buffer becomes the input gradient), the pooled grids' gradients, and
-one chunk: 20.0 MiB on the ``train_ldconv`` benchmark step (n = 8192), as
-``costmodel.estimate_training_peak_bytes`` models it.
+(whose buffer becomes the input gradient), and one chunk's projections,
+pooled segments and gradients: 19.4 MiB on the ``train_ldconv`` benchmark
+step (n = 8192), as ``costmodel.estimate_training_peak_bytes`` models it.
 ``layer_forward(retain=False)`` (inference) adds z into y's own buffer,
 which it returns as the output, bitwise ``y + z``; its trace keeps counts,
 flags and statistics but no y, and refuses z, so ``layer_backward`` refuses
@@ -522,6 +516,21 @@ def _ragged_rows(
     return out
 
 
+def _first_chunks(
+    x: np.ndarray, params: LayerParams, glob: np.ndarray
+) -> tuple[Callable[[int, int], np.ndarray], Callable[[int, int], tuple[np.ndarray, np.ndarray]]]:
+    """The first level's ``queries(a, b)`` and ``keys(c0, c1)``, for the forward and backward:
+    rows a..b's queries, and the keys and values of rows c0..c1 followed by the global rows'."""
+    pq, pk, pv = params.first.pairs()
+
+    def keys(c0, c1):
+        rows = np.r_[c0:c1, glob]
+        xs = x[rows]
+        return project(xs, *pk, tokens=rows), project(xs, *pv, tokens=rows)
+
+    return lambda a, b: project(x[a:b], *pq, tokens=range(a, b)), keys
+
+
 def first_level_forward(
     batch: SequenceBatch,
     params: LayerParams,
@@ -544,7 +553,6 @@ def first_level_forward(
         raise ValueError("sequence must have at least one token")
     if d != config.d_model:
         raise ValueError(f"batch dimension {d} does not match config d_model {config.d_model}")
-    pq, pk, pv = params.first.pairs()
     glob = np.asarray(batch.global_set, dtype=np.int64)
     is_global = np.zeros(n, dtype=bool)
     is_global[glob] = True
@@ -552,17 +560,10 @@ def first_level_forward(
         partial(window_bounds, w=config.w1, n=n), row_ok=pad, key_ok=pad,
         extra=is_global if glob.size else None,
     )
-    gq = project(x[glob], *pq, tokens=glob) if glob.size else None
-
-    def keys(c0, c1):  # the union's rows, then the global rows'
-        rows = np.r_[c0:c1, glob]
-        xs = x[rows]
-        return project(xs, *pk, tokens=rows), project(xs, *pv, tokens=rows)
-
+    gq = project(x[glob], *params.first.pairs()[0], tokens=glob) if glob.size else None
     y = np.zeros((n, d))
     counts, rowmax, denom = _banded_attention(
-        band, config, lambda a, b: project(x[a:b], *pq, tokens=range(a, b)), keys, y,
-        extra_q=gq,
+        band, config, *_first_chunks(x, params, glob), y, extra_q=gq
     )
     blind = band.row_ok & (counts == 0)
     if blind.any():
@@ -787,197 +788,195 @@ def _block_backward(
 
 
 def _projection_backward(
-    source: np.ndarray, pairs, grads: list[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Backward of projections ``source @ w.T + b``: returns (d_source, [d_w, d_b, ...]).
+    source: np.ndarray, pairs, grads: list[np.ndarray], d_source: np.ndarray,
+    d_pairs: list[np.ndarray],
+) -> None:
+    """Backward of projections ``source @ w.T + b`` of (rows, d) gradients ``grads``: adds
+    each ``g @ w`` into ``d_source`` in order, as in ``d_q @ w_q + d_k @ w_k``, and each
+    (d_w, d_b) into ``d_pairs``, flat (d_w, d_b, ...) in the order of ``pairs``' (w, b)."""
+    for (w, _), g, d_w, d_b in zip(pairs, grads, d_pairs[::2], d_pairs[1::2]):
+        d_source += g @ w
+        d_w += g.T @ source
+        d_b += g.sum(axis=0)
 
-    ``pairs`` are the projections' (w, b) and ``grads`` their (rows, d)
-    gradients, in the same order; the ``g @ w`` terms are added in that
-    order, as in ``d_q @ w_q + d_k @ w_k + d_v @ w_v``.
+
+def _banded_backward(
+    band: _Band, config: LayerConfig, queries: Callable[[int, int], np.ndarray],
+    keys: Callable[[int, int], tuple[np.ndarray, np.ndarray]], up: np.ndarray,
+    out: np.ndarray | None, rowmax: np.ndarray, denom: np.ndarray,
+    release_q: Callable[[int, int, np.ndarray], None],
+    release: Callable[[int, int, np.ndarray, np.ndarray], None], *,
+    extra_q: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """The backward of ``_banded_attention``, streamed over the same row chunks.
+
+    Per chunk of rows a..b, ``keys(c0, c1)`` and ``queries(a, b)`` give what
+    the forward read, and each block runs ``_block_backward`` with its rows'
+    upstream ``up``, output ``out`` (None: D from each block's own
+    probabilities) and statistics; the extra rows' block (queries
+    ``extra_q``) is replayed against the chunk's own rows, its query
+    gradient summed over the chunks.  Key and value gradients sum in one
+    buffer each, laid out as ``keys``: the union, then the extra keys.  Then
+    ``release_q(a, b, d_q)`` takes the chunk's query gradient and
+    ``release(c0, final, d_k, d_v)`` the union rows below the next chunk's
+    union (at the last chunk, all), which no later block reads; the rest
+    carry into the next chunk.  No release precedes a block reading its
+    rows' upstream; the extra rows' is read from a copy.  Returns the extra
+    rows' query, key and value gradients, (extras, d) each.
     """
-    d_source, out = None, []
-    for (w, _), g in zip(pairs, grads):
-        out += [g.T @ source, g.sum(axis=0)]
-        if d_source is None:
-            d_source = g @ w
-        else:
-            d_source += g @ w
-    return d_source, out
-
-
-def _accumulate(total: list[np.ndarray] | None, part: list[np.ndarray]) -> list[np.ndarray]:
-    """``total`` (None: nothing yet) with ``part`` added in place, item by item."""
-    if total is None:
-        return part
-    for t, p in zip(total, part):
-        t += p
-    return total
-
-
-def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    """The first level's backward over the forward's row chunks: (d_x, gradient triple).
-
-    A chunk of rows a..b projects its queries, and its keys and values over
-    its key union c0..c1 followed by the global rows, as the forward does, and
-    runs its blocks backward into q, k and v gradients of that layout; the
-    global rows' block is replayed against the chunk's own rows as its key
-    columns.  The union rows before the next chunk's union are then final:
-    their projection backward is taken at once, and the rest of the
-    gradients, the 2*w1 halo rows and the global rows' (g, d) accumulators,
-    carry into the next chunk.  The global rows' projection backward comes
-    last.  ``d_x`` is ``d_y``'s own buffer: a row's input gradient overwrites
-    its upstream once no later block reads it (the global rows' upstream is
-    read from a copy).
-    """
-    config, band = ft.config, ft.band
-    x = ft.batch.embeddings
-    n, d = x.shape
-    alpha, n_heads = config.alpha(), config.n_heads
-    pairs = ft.params.first.pairs()
-    d_x = d_y
-    uh, oh = _heads(d_y, n_heads), _heads(ft.y, n_heads)
+    n, d, n_heads = band.row_ok.shape[0], config.d_model, config.n_heads
+    alpha = config.alpha()
+    uh = _heads(up, n_heads)
+    oh = None if out is None else _heads(out, n_heads)
     plan = _blocks(band, config.w1)
-    glob = np.empty(0, dtype=np.int64)
-    if band.extra is not None:  # the plan's first block: the global rows against every key
-        glob, _, glob_bias, _ = next(plan)
-        glob_qh = _heads(project(x[glob], *pairs[0]), n_heads)
-        # copies: d_y's rows are overwritten as the chunks go
-        glob_up, glob_out = uh[:, glob], oh[:, glob]
-        glob_stats = ft.rowmax[:, glob], ft.denom[:, glob]
+    extra = np.empty(0, dtype=np.int64)
+    if band.extra is not None:  # the plan's first block: the extra rows against every key
+        extra, _, extra_bias, _ = next(plan)
+        extra_qh, extra_up, extra_out = _heads(extra_q, n_heads), uh[:, extra], oh[:, extra]
+        extra_stats = rowmax[:, extra], denom[:, extra]
         where = np.empty(n, dtype=np.intp)  # each key's row in the chunk's buffers
+    # the extra rows' query gradient; the held union rows, then the extra keys'
+    extra_dq, *carry = (np.zeros((len(extra), d)) for _ in range(3))
     chunks = row_chunks(n, _block_size(band, config.w1))
-    # each chunk's union rows before the next chunk's union are final after it
-    finals = [int(band.bounds(a)[0]) for a, _ in chunks[1:]] + [n]
-    carry = [np.zeros((len(glob), d))] * 3
-    total = None
+    unions = [(int(band.bounds(a)[0]), int(band.bounds(b - 1)[1])) for a, b in chunks]
+    finals = [c0 for c0, _ in unions[1:]] + [unions[-1][1]]
     block = next(plan, None)
-    for (a, b), final in zip(chunks, finals):
-        c0, c1 = int(band.bounds(a)[0]), int(band.bounds(b - 1)[1])
-        keys = np.r_[c0:c1, glob]
-        xs = x[keys]
-        qh = _heads(project(x[a:b], *pairs[0]), n_heads)
-        kh, vh = (_heads(project(xs, *pair), n_heads) for pair in pairs[1:])
-        del xs
-        grads = [np.zeros((len(keys), d)) for _ in range(3)]
-        held = len(carry[0]) - len(glob)  # halo rows the previous chunk left
+    for (a, b), (c0, c1), final in zip(chunks, unions, finals):
+        kh, vh = (_heads(m, n_heads) for m in keys(c0, c1))
+        qh = _heads(queries(a, b), n_heads)
+        d_q = np.zeros((b - a, d))
+        d_k, d_v = grads = [np.zeros((c1 - c0 + len(extra), d)) for _ in carry]
+        held = len(carry[0]) - len(extra)  # union rows the chunk before left
         for g, c in zip(grads, carry):
             g[:held], g[c1 - c0:] = c[:held], c[held:]
-        d_q, d_k, d_v = grads
-        if glob.size:
-            where[glob] = c1 - c0 + np.arange(len(glob))
+        carry = c = None  # not held through the chunk
+        if extra.size:  # the extra keys follow the union
+            where[extra] = c1 - c0 + np.arange(len(extra))
             where[c0:c1] = np.arange(c1 - c0)
         while block is not None and block[0].start < b:
             rows, cols, bias, _ = block
+            local = slice(rows.start - a, rows.stop - a)
             cols = slice(cols.start - c0, cols.stop - c0) if isinstance(cols, slice) else where[cols]
             q_part, k_part, v_part = _block_backward(
-                qh[:, rows.start - a:rows.stop - a], kh[:, cols], vh[:, cols], uh[:, rows],
-                oh[:, rows], bias, ft.rowmax[:, rows], ft.denom[:, rows], alpha,
-            )
-            d_q[rows.start - c0:rows.stop - c0] += q_part
-            d_k[cols] += k_part
-            d_v[cols] += v_part
-            block = bias = q_part = k_part = v_part = None
-            block = next(plan, None)
-        if glob.size and band.key_ok[a:b].any():
-            own = slice(a - c0, b - c0)
-            q_part, k_part, v_part = _block_backward(
-                glob_qh, kh[:, own], vh[:, own], glob_up, glob_out, glob_bias[:, a:b],
-                *glob_stats, alpha,
-            )
-            d_q[c1 - c0:] += q_part
-            d_k[own] += k_part
-            d_v[own] += v_part
-            q_part = k_part = v_part = None
-        qh = kh = vh = None
-        d_src, part = _projection_backward(x[c0:final], pairs, [g[:final - c0] for g in grads])
-        d_x[c0:final] = d_src  # no later block reads these rows' upstream
-        total = _accumulate(total, part)
-        carry = [g[final - c0:].copy() for g in grads]
-        grads = d_q = d_k = d_v = d_src = None
-    if glob.size:
-        d_src, part = _projection_backward(x[glob], pairs, carry)
-        d_x[glob] += d_src
-        total = _accumulate(total, part)
-    return d_x, ProjectionTriple(*total)
-
-
-def _second_backward(
-    st: SecondLevelTrace, d_z: np.ndarray, d_src: np.ndarray
-) -> tuple[ProjectionTriple, np.ndarray | None, np.ndarray | None]:
-    """The second level's backward over the forward's row chunks; adds its input gradient
-    into ``d_src``.
-
-    Pass 1 streams the forward's window of pooled segments (``_pooled_window``)
-    and, per chunk, projects q2 and runs the chunk's blocks backward, each
-    taking D from its own probabilities, not from z: q2's projection backward
-    is taken at once, and the pooled grids' gradients, (segments, d) each,
-    accumulate whole.  Pass 2 re-projects each chunk's
-    unpooled keys, then values, with their kappa - xi halo and runs
-    ``pool_grid_rows_backward``; the halo rows' part of the gradient carries
-    into the next chunk, and the chunk's k and v projection backward is
-    taken.  ``d_z`` is read only in pass 1, so it may be ``d_src``.
-    """
-    config, band, grid = st.config, st.band, st.grid
-    src = st._source()
-    n, d = src.shape
-    alpha, n_heads = config.alpha(), config.n_heads
-    pairs = st.params.second.pairs()
-    chunks = row_chunks(n, _block_size(band, config.w1))
-    keys = _pooled_window(src, st.params, config, grid, st._pad_arg, band)
-    d_pooled = [np.zeros((len(grid), d)) for _ in range(2)]
-    d_k, d_v = d_pooled
-    uh = _heads(d_z, n_heads)
-    plan = _blocks(band, config.w1)
-    total = None
-    block = next(plan, None)
-    for a, b in chunks:
-        c0 = int(band.bounds(a)[0])
-        kh, vh = (_heads(m, n_heads) for m in keys(c0, int(band.bounds(b - 1)[1])))
-        qh = _heads(project(src[a:b], *pairs[0]), n_heads)
-        d_q = np.zeros((b - a, d))
-        while block is not None and block[0].start < b:
-            rows, cols, bias, _ = block
-            local = slice(rows.start - a, rows.stop - a)
-            in_window = slice(cols.start - c0, cols.stop - c0)
-            q_part, k_part, v_part = _block_backward(
-                qh[:, local], kh[:, in_window], vh[:, in_window], uh[:, rows], None, bias,
-                st.rowmax[:, rows], st.denom[:, rows], alpha,
+                qh[:, local], kh[:, cols], vh[:, cols], uh[:, rows],
+                None if oh is None else oh[:, rows], bias, rowmax[:, rows], denom[:, rows], alpha,
             )
             d_q[local] += q_part
             d_k[cols] += k_part
             d_v[cols] += v_part
             block = bias = q_part = k_part = v_part = None
             block = next(plan, None)
-        qh = kh = vh = None
-        d_rows, part = _projection_backward(src[a:b], pairs[:1], [d_q])
-        d_src[a:b] += d_rows
-        total = _accumulate(total, part)
-        d_q = d_rows = None
-    del keys
-    ops = [_pooling_op(st.params, config, i) for i in (1, 2)]
-    halo = config.kappa - config.xi
-    carry = [np.zeros((0, d))] * 2
-    d_wp = [None, None]
-    kv_total = None
-    for a, b in chunks:
-        stop = min(n, b + halo)
-        first, last = np.searchsorted(grid.segment_starts, (a, b))
-        grads = []
-        for i in range(2):
-            rows = project(src[a:stop], *pairs[1 + i])
-            g, d_w = pool_grid_rows_backward(
-                ops[i], rows, grid, st._pad_arg, a, b, d_pooled[i][first:last]
+        if extra.size and band.key_ok[a:b].any():
+            own = slice(a - c0, b - c0)
+            q_part, k_part, v_part = _block_backward(
+                extra_qh, kh[:, own], vh[:, own], extra_up, extra_out, extra_bias[:, a:b],
+                *extra_stats, alpha,
             )
-            del rows
-            g[:len(carry[i])] += carry[i]
-            carry[i] = g[b - a:].copy()
-            grads.append(g[:b - a])
-            d_wp[i] = d_w if d_wp[i] is None else d_wp[i] + d_w
-        d_rows, part = _projection_backward(src[a:b], pairs[1:], grads)
-        d_src[a:b] += d_rows
-        kv_total = _accumulate(kv_total, part)
-        grads = d_rows = None
-    return ProjectionTriple(*total, *kv_total), *d_wp
+            extra_dq += q_part
+            d_k[own] += k_part
+            d_v[own] += v_part
+            q_part = k_part = v_part = None
+        qh = kh = vh = None
+        release_q(a, b, d_q)
+        d_q = None
+        if final > c0:
+            release(c0, final, d_k[:final - c0], d_v[:final - c0])
+        carry = [g[final - c0:].copy() for g in grads]
+        d_k = d_v = grads = None
+    return [extra_dq, *carry]
+
+
+def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
+    """The first level's backward (``_banded_backward``): (d_x, gradient triple).
+
+    Released rows take their projection backward at once, the global rows'
+    last.  ``d_x`` is ``d_y``'s own buffer: a chunk's query release is the
+    first of its rows, after every block reading their upstream, so it
+    overwrites it; their key and value releases come later and add.
+    """
+    band, x = ft.band, ft.batch.embeddings
+    pairs = ft.params.first.pairs()
+    glob = np.asarray(ft.batch.global_set, dtype=np.int64)
+    d_x = d_y
+    d_pairs = [np.zeros_like(a) for pair in pairs for a in pair]
+
+    def release_q(a, b, d_q):
+        d_x[a:b] = 0.0
+        _projection_backward(x[a:b], pairs[:1], [d_q], d_x[a:b], d_pairs[:2])
+
+    def release(lo, hi, d_k, d_v):
+        _projection_backward(x[lo:hi], pairs[1:], [d_k, d_v], d_x[lo:hi], d_pairs[2:])
+
+    extra_grads = _banded_backward(
+        band, ft.config, *_first_chunks(x, ft.params, glob), d_y, ft.y, ft.rowmax, ft.denom,
+        release_q, release, extra_q=project(x[glob], *pairs[0]) if glob.size else None,
+    )
+    d_src = np.zeros((len(glob), x.shape[1]))
+    _projection_backward(x[glob], pairs, extra_grads, d_src, d_pairs)
+    d_x[glob] += d_src
+    return d_x, ProjectionTriple(*d_pairs)
+
+
+def _second_backward(
+    st: SecondLevelTrace, d_z: np.ndarray, d_src: np.ndarray
+) -> tuple[ProjectionTriple, np.ndarray | None, np.ndarray | None]:
+    """The second level's backward (``_banded_backward`` over the forward's window of pooled
+    segments); adds its input gradient into ``d_src``.
+
+    Each block takes D from its own probabilities, not from z.  A chunk's q2
+    gradient takes its projection backward at once; released segments lo..hi
+    take theirs through ``pool_grid_rows_backward``, their rows (from segment
+    lo's start to segment hi's, or the last one's stride step: no padded
+    tail) re-projected as keys, then values, ``CHUNK_ROWS`` rows and the
+    kappa - xi halo at a time, the halo rows' gradient carried into the next
+    call.  No (segments, d) gradient is held.
+
+    ``d_z`` may be ``d_src`` (without mix both are d_y), so no release may add
+    into a valid row whose upstream a later block reads.  None does: a kept
+    segment starting at or after the next chunk's first row has its center
+    not left of that row's window, so its index is at least that chunk's c0,
+    and a release reaches only segments below it.  A valid row at or past
+    that first row lies in the kept segment starting in its stride step, at
+    or after that first row, so no release has reached it; any row a release
+    writes there is padding, and gets exactly zero.
+    """
+    config, band, grid = st.config, st.band, st.grid
+    src = st._source()
+    n, d = src.shape
+    pairs = st.params.second.pairs()
+    ops = [_pooling_op(st.params, config, i) for i in (1, 2)]
+    starts, halo = grid.segment_starts, config.kappa - config.xi
+    size = max(config.xi, CHUNK_ROWS // config.xi * config.xi)  # rows per call, whole steps
+    d_pairs = [np.zeros_like(a) for pair in pairs for a in pair]
+    d_wp = [np.zeros_like(op.w_p) if config.needs_pool_weights else None for op in ops]
+    carry = [np.zeros((0, d))] * 2  # the gradient of the rows past the last call's
+
+    def release_q(a, b, d_q):
+        _projection_backward(src[a:b], pairs[:1], [d_q], d_src[a:b], d_pairs[:2])
+
+    def release(lo, hi, d_k, d_v):
+        end = int(starts[hi]) if hi < len(grid) else min(n, int(starts[-1]) + config.xi)
+        for start in range(int(starts[lo]), end, size):
+            stop = min(end, start + size)
+            first, last = np.searchsorted(starts, (start, stop)) - lo
+            grads = []
+            for i, pooled in enumerate((d_k, d_v)):
+                rows = project(src[start:min(n, stop + halo)], *pairs[1 + i])
+                g, d_w = pool_grid_rows_backward(ops[i], rows, grid, st._pad_arg, start, stop,
+                                                 pooled[first:last])
+                del rows
+                g[:len(carry[i])] += carry[i]
+                carry[i] = g[stop - start:].copy()
+                grads.append(g[:stop - start])
+                d_wp[i] = None if d_w is None else d_wp[i] + d_w
+            _projection_backward(src[start:stop], pairs[1:], grads, d_src[start:stop], d_pairs[2:])
+
+    _banded_backward(
+        band, config, lambda a, b: project(src[a:b], *pairs[0]),
+        _pooled_window(src, st.params, config, grid, st._pad_arg, band), d_z, None, st.rowmax,
+        st.denom, release_q, release,
+    )
+    return ProjectionTriple(*d_pairs), *d_wp
 
 
 def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:

@@ -290,23 +290,24 @@ def estimate_training_peak_bytes(
     gradient d_x; with ``mix`` also the second level's input gradient (the
     embeddings', added into d_x at the end).  On top of that, at most:
 
-    - the second level's pass 1: the pooled grids' gradients, (segments, d)
-      each, and the forward's two windows of pooled segments; per chunk the
-      new segments' pooling as in the forward, then the chunk's q2 and its
-      gradient and one block's backward; then the chunk's q projection
-      backward, an input-gradient term and one ``g @ w`` product;
-    - its pass 2: the pooled grids' gradients, a chunk's unpooled keys (or
-      values) over its rows and the kappa - xi halo, their pooling backward's
-      gradient and scratch, the keys' gradient rows while the values' are
-      taken, and the chunk's k/v projection backward;
-    - the first level: a chunk's queries, and its keys, values and their
-      three gradients over the chunk's key union (2*w1 halo rows) and the
-      global rows, the map from keys to buffer rows, n entries, and one
-      block's backward, or the global rows' replay against the chunk's rows
-      (their scores and score gradient, and the chunk's key and value
-      gradient terms); then the chunk's projection backward, with the rows
-      carried into the next chunk.  The rows the chunk before carried in,
-      the weight gradients summed so far, the second level's and the global
+    - the second level: the forward's two windows of pooled segments and
+      the key and value gradients of the chunk's segment union, a window
+      each; per chunk the new segments' pooling as in the forward (the rows
+      the chunk before carried held in place of the gradients), then the
+      chunk's q2 and its gradient and one block's backward, or the q
+      projection backward; then each release of the segments no later chunk
+      reads: at most a chunk's unpooled keys (or values) and their kappa - xi
+      halo, their pooling backward's gradient and scratch, the keys'
+      gradient rows while the values' are taken, the halo rows carried, and
+      one ``g @ w`` product of the k/v projection backward.  No (segments, d)
+      gradient is held;
+    - the first level: a chunk's queries and their gradient, and its keys,
+      values and their two gradients over the chunk's key union (2*w1 halo
+      rows) and the global rows, the map from keys to buffer rows, n
+      entries, and one block's backward, or the global rows' replay against
+      the chunk's rows (their scores and score gradient, and the chunk's key
+      and value gradient terms), or one ``g @ w`` product of the chunk's
+      projection backward.  Both levels' weight gradients and the global
       rows' bias row are held throughout.
 
     One block's backward holds its mask bias and the mask, the replayed
@@ -319,8 +320,8 @@ def estimate_training_peak_bytes(
     ``block_rows(n, w1)`` rows, as in ``estimate_peak_bytes``.  The backward's
     pooled segments are those with a valid token among the first ``n_valid``
     (default n: no padding), the rest of the tokens being a padded tail: the
-    grid's gradients, the windows and the second level's block unions hold
-    only those.
+    windows, their gradients and the second level's block unions hold only
+    those.
     """
     d = d_model
     nd = n * d
@@ -337,27 +338,23 @@ def estimate_training_peak_bytes(
     # degenerate, global and block-plan flags; the grid's three arrays
     trace = 2 * nd + 2 * (2 * n_heads * n + n) + n // 4 + 3 * n_seg
     held = trace + nd + (nd if mix else 0)
-    grid = n_seg * d
     chunk_rows = (c + kappa) * d
     scratch = 4 * (c // xi + 1) * d  # one chunk's pooling scratch, as the forward's
     window = min(n_seg, (c + 2 * w2) // xi + 2) * d
     u2 = min(n_seg, (b + 2 * w2) // xi + 2)
-    second = held + 2 * grid + max(
-        2 * window + max(chunk_rows + scratch,
-                         2 * c * d + max(block_floats(b, u2, False), 2 * c * d)),
-        4 * chunk_rows + scratch + 3 * c * d,
+    # its weight gradients; the pooled windows and their gradients
+    second = held + 3 * d * d + 4 * window + max(
+        chunk_rows + scratch,
+        2 * c * d + block_floats(b, u2, False),
+        4 * chunk_rows + scratch + c * d,
     )
     # the largest chunk's key union, its halo clipped at the sequence's ends
     u1 = max(min(n, stop + w1) - max(0, start - w1) for start, stop in chunks) + n_global
-    # the halo and global rows carried in; the weight gradients summed so far
-    # and the last chunk's
-    carried = 3 * min(u1, 2 * w1 + n_global) * d + 6 * d * d
-    chunk1 = c * d + 5 * u1 * d + carried + n
-    # the second level's weight gradients, the global rows' bias row
-    first = held + 3 * d * d + (n if n_global else 0) + chunk1 + max(
+    # both levels' weight gradients, the global rows' bias row, the key map
+    first = held + 6 * d * d + (n if n_global else 0) + 2 * c * d + 4 * u1 * d + n + max(
         block_floats(b, min(n, b + 2 * w1) + n_global, n_global > 0),
         n_heads * n_global * c * 2 + 3 * c * d,
-        2 * c * d,
+        c * d,
     )
     forward = estimate_peak_bytes(
         "two_level", n, d, w1, w2, kappa, xi, n_global, n_heads, retain=True

@@ -48,7 +48,7 @@ from poolattn.oracle import (
     literal_pooling_attention,
     mask_from_config,
 )
-from poolattn.pooling import pool_grid_rows
+from poolattn.pooling import pool_grid_rows, pool_grid_rows_backward
 from poolattn.windowing import window_bounds
 from neighbor_reference import global_neighbor_set
 from trace_reference import check_block_biases, check_views, fresh_stages, plan
@@ -782,19 +782,24 @@ class TestBlockSizeInvariance:
 
 
 class TestPooledWindow:
+    CFG = LayerConfig(d_model=8, n_heads=2, w1=5, w2=12, kappa=4, xi=2, pooling_kind="max")
+
+    def _batch(self, monkeypatch, n=60):
+        """60 rows, 13 of them a padded tail, in 8-row blocks and chunks."""
+        pad = np.ones(n, dtype=bool)
+        pad[47:] = False
+        monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 8))
+        monkeypatch.setattr(attention, "CHUNK_ROWS", 8)
+        return SequenceBatch(symmetric_uniform(81, n * 8).reshape(n, 8), pad, (0, 20))
+
     @pytest.mark.parametrize("retain", [False, True])
     def test_each_segment_pooled_once_from_at_most_a_chunk_of_rows(self, retain, monkeypatch):
         """The second level pools every segment once per pass, a chunk's rows
         (8 here) and the kappa - xi halo at most per call, although the first
         chunk's window spans 9 segments (18 rows), and reads no row of the
         padded tail past the last segment's stride step (rows 46 to 48)."""
-        cfg = LayerConfig(d_model=8, n_heads=2, w1=5, w2=12, kappa=4, xi=2, pooling_kind="max")
-        n = 60
-        pad = np.ones(n, dtype=bool)
-        pad[47:] = False
-        batch = SequenceBatch(symmetric_uniform(81, n * 8).reshape(n, 8), pad, (0, 20))
-        monkeypatch.setattr(attention, "block_rows", lambda n, w1: min(n, 8))
-        monkeypatch.setattr(attention, "CHUNK_ROWS", 8)
+        cfg, n = self.CFG, 60
+        batch = self._batch(monkeypatch, n)
         calls = []
 
         def pool(op, rows, grid, pad_mask, start, stop):
@@ -813,6 +818,33 @@ class TestPooledWindow:
             assert stop <= grid.segment_starts[-1] + cfg.xi
             pooled[slice(*np.searchsorted(grid.segment_starts, (start, stop)))] += 1
         np.testing.assert_array_equal(pooled, passes)
+
+    def test_each_segment_gradient_released_once_from_at_most_a_chunk_of_rows(self, monkeypatch):
+        """The backward hands every kept segment's key and value gradient to
+        ``pool_grid_rows_backward`` once each, as its chunks release them, with
+        a chunk's rows (8 here) and the kappa - xi halo at most per call, and
+        reads no row of the padded tail past the last segment's stride step
+        (rows 46 to 48)."""
+        cfg, n = self.CFG, 60
+        batch = self._batch(monkeypatch, n)
+        calls = []
+
+        def pool_backward(op, rows, grid, pad_mask, start, stop, upstream):
+            calls.append((start, stop, len(rows), len(upstream)))
+            return pool_grid_rows_backward(op, rows, grid, pad_mask, start, stop, upstream)
+
+        monkeypatch.setattr(attention, "pool_grid_rows_backward", pool_backward)
+        _, trace = layer_forward(batch, init_params(cfg, 82), cfg)
+        layer_backward(trace, np.ones((n, 8)))
+        starts = trace.second.grid.segment_starts
+        released = np.zeros(len(starts), dtype=np.int64)
+        for start, stop, rows, segments in calls:
+            assert stop - start <= 8 and rows <= 8 + cfg.kappa - cfg.xi
+            assert stop <= starts[-1] + cfg.xi
+            first, last = np.searchsorted(starts, (start, stop))
+            assert segments == last - first
+            released[first:last] += 1
+        np.testing.assert_array_equal(released, 2)  # keys and values
 
 
 class TestBlockPlan:

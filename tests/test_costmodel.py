@@ -307,10 +307,11 @@ class TestPeakBytes:
         its live sets: ``peak <= est <= 1.25 * peak``, at n = 2048 and 4096.
 
         Both sizes stream chunks of the same rows, so from 2048 to 4096 the
-        peak grows only by the whole arrays the estimate counts (the trace,
-        d_y, the pooled grids and their gradients): a whole (n, d) array left
-        in the backward, a projection or a second upstream, grows it by one
-        more array, past half an array of slack.
+        peak grows only by the whole arrays the estimate counts (the trace and
+        d_y) and by the second level's windows of pooled segments and their
+        gradients, a chunk's segment union each, clipped to the kept grid: a
+        whole (n, d) array left in the backward, a projection or a second
+        upstream, grows it by one more array, past half an array of slack.
         """
         cfg, g, pad_share = self.WORKLOAD_LAYERS[workload]
         peak, est = {}, {}

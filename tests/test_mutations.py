@@ -1,7 +1,7 @@
 """Recorded mutants of the mask path, the pooling, the chunked forward, the
-window of pooled segments, the streamed backward and its two D forms, the
-forward's and the training step's memory and the config table, each of which
-some named test must kill.
+window of pooled segments, the streamed backward driver, its releases and its
+two D forms, the forward's and the training step's memory and the config
+table, each of which some named test must kill.
 
 Each row of ``MUTANTS`` names a file, a snippet that occurs in it exactly
 once, its replacement, and the test node ids that must fail.  A row copies
@@ -40,6 +40,10 @@ POOLED_ONCE = ("tests/test_attention.py::TestPooledWindow::"
                "test_each_segment_pooled_once_from_at_most_a_chunk_of_rows[False]")
 PADDED_INFERENCE_MEMORY = ("tests/test_costmodel.py::TestPeakBytes::"
                            "test_estimate_bounds_measured_inference_peak[padded_wide-4-n8192]")
+PADDED_STEP_MEMORY = ("tests/test_costmodel.py::TestPeakBytes::"
+                      "test_training_backward_holds_one_level_of_gradients[padded_wide]")
+RELEASED_ONCE = ("tests/test_attention.py::TestPooledWindow::"
+                 "test_each_segment_gradient_released_once_from_at_most_a_chunk_of_rows")
 
 
 class Mutant(NamedTuple):
@@ -164,11 +168,18 @@ MUTANTS = {
     "pad_mask_written_into_upstream": Mutant(
         ATTENTION, "d_y = upstream * batch.pad_mask[:, None]",
         "d_y = np.multiply(upstream, batch.pad_mask[:, None], out=upstream)", (PURITY,)),
+    # the second level's released value (and key) gradients added into its
+    # source, y or the embeddings, both in the trace, not the source's gradient
     "d_v_accumulated_into_a_trace_array": Mutant(
-        ATTENTION, "d_k, d_v = d_pooled", "d_k, d_v = d_pooled[0], st.source[:len(grid)]",
+        ATTENTION, "grads, d_src[start:stop], d_pairs[2:]", "grads, src[start:stop], d_pairs[2:]",
         (PURITY,)),
-    # the streamed backward's carries across chunk edges, and the global
-    # rows' block replayed against the chunk's first rows, not its own
+    # the driver's carries across chunk edges (the union rows the next chunk
+    # reads, at either level, and the pooling's halo rows in the second
+    # level's releases), the global rows' block replayed against the chunk's
+    # first rows, not its own, and their query gradient not summed over the
+    # chunks; the union released up to the chunk's own c1, not the next
+    # chunk's c0, releasing segments a later chunk still reads; and the first
+    # level's query release adding into the upstream rows, not overwriting them
     "first_level_halo_carry_dropped": Mutant(
         ATTENTION, "g[:held], g[c1 - c0:] = c[:held], c[held:]", "g[c1 - c0:] = c[held:]",
         (f"{BACKWARD_CHUNKS}[block-wide_rows]",)),
@@ -178,6 +189,18 @@ MUTANTS = {
     "global_columns_of_the_wrong_rows": Mutant(
         ATTENTION, "own = slice(a - c0, b - c0)\n            q_part",
         "own = slice(0, b - a)\n            q_part", (f"{BACKWARD_CHUNKS}[block-wide_rows]",)),
+    "global_query_gradient_not_summed": Mutant(
+        ATTENTION, "extra_dq += q_part", "extra_dq = q_part",
+        (f"{BACKWARD_CHUNKS}[block-wide_rows]",)),
+    "segment_released_while_a_later_chunk_reads_it": Mutant(
+        ATTENTION, "finals = [c0 for c0, _ in unions[1:]]", "finals = [c1 for _, c1 in unions[:-1]]",
+        (f"{BACKWARD_CHUNKS}[block-window_carry]",)),
+    "query_release_adds_into_the_upstream": Mutant(
+        ATTENTION, "        d_x[a:b] = 0.0\n", "", (FUZZ,)),
+    # a second-level release reading rows of the padded tail past the last
+    # segment's stride step
+    "release_rows_into_the_padded_tail": Mutant(
+        ATTENTION, "else min(n, int(starts[-1]) + config.xi)", "else n", (RELEASED_ONCE,)),
     # memory: a second whole upstream held through the backward, and the
     # first level's input gradient in a zero-filled array, not d_y's buffer
     "upstream_copy_held": Mutant(
@@ -189,13 +212,25 @@ MUTANTS = {
     # dO * O form from z's view, which re-runs the whole level for each
     # block: gradients stay right; the source guard kills it without running
     "second_level_d_from_z": Mutant(
-        ATTENTION, "uh[:, rows], None, bias,",
-        "uh[:, rows], _heads(st.z, n_heads)[:, rows], bias,",
+        ATTENTION, "d_z, None, st.rowmax", "d_z, st.z, st.rowmax",
         ("tests/test_source.py::test_no_backward_reads_z",)),
     # a training forward adding z into y itself, not a copy: the trace's y
     # is the output
     "retained_forward_adds_z_into_y": Mutant(
         ATTENTION, "into=y.copy() if retain else y", "into=y", (FUZZ,)),
+    # memory: the second level's released gradients kept in whole (segments,
+    # d) grids, and the rows carried into a chunk held through its blocks,
+    # each seen where the second level sets a training step's peak
+    "whole_grid_gradient_held": Mutant(
+        ATTENTION, "    def release(lo, hi, d_k, d_v):\n        end = ",
+        ("    grids = [np.zeros((len(grid), d)) for _ in range(2)]\n\n"
+         "    def release(lo, hi, d_k, d_v):\n"
+         "        grids[0][lo:hi], grids[1][lo:hi] = d_k, d_v\n"
+         "        d_k, d_v = grids[0][lo:], grids[1][lo:]\n"
+         "        end = "),
+        (PADDED_STEP_MEMORY,)),
+    "carry_held_through_the_chunk": Mutant(
+        ATTENTION, "carry = c = None  # not held through the chunk", "pass", (PADDED_STEP_MEMORY,)),
     # memory: the window of pooled segments as wide as the whole grid, seen
     # on a padded layer only where its window is narrower than its kept grid
     "window_holds_the_whole_grid": Mutant(

@@ -31,12 +31,14 @@ def test_only_core_names_the_small_product_rule():
     assert not found, f"modules naming product_rows or SMALL_PRODUCT outside core.py: {found}"
 
 
+ATTENTION = Path(poolattn.__file__).parent / "attention.py"
+
+
 def test_no_backward_reads_z():
     """The backward takes the second level's D from each block's own
     probabilities: no backward function in ``attention.py`` reads a trace's
     ``z``, a view that re-runs the second level and holds a whole (n, d) array."""
-    path = Path(poolattn.__file__).parent / "attention.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = ast.parse(ATTENTION.read_text(encoding="utf-8"), filename=str(ATTENTION))
     backward = [node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and "backward" in node.name]
     found = [
@@ -45,5 +47,21 @@ def test_no_backward_reads_z():
         for node in ast.walk(func)
         if isinstance(node, ast.Attribute) and node.attr == "z"
     ]
-    assert {"_block_backward", "_second_backward", "layer_backward"} <= {f.name for f in backward}
+    required = {"_block_backward", "_banded_backward", "_second_backward", "layer_backward"}
+    assert required <= {f.name for f in backward}
     assert not found, f"backward functions reading z: {found}"
+
+
+def test_one_chunk_loop_per_direction():
+    """Both levels stream their row chunks through one driver per direction,
+    ``_banded_attention`` and ``_banded_backward``, and ``_pooled_window`` sizes
+    its window over the same chunks: no other function in ``attention.py``
+    calls ``row_chunks``, so no second backward loop grows back."""
+    tree = ast.parse(ATTENTION.read_text(encoding="utf-8"), filename=str(ATTENTION))
+    callers = {
+        func.name
+        for func in tree.body if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "row_chunks"
+    }
+    assert callers == {"_banded_attention", "_banded_backward", "_pooled_window"}, callers
