@@ -18,25 +18,32 @@ output, not its probabilities, by the denominator, as FlashAttention does
 level's output, the pooled segments (segments, d) and every gradient.  Heads
 are strided column blocks of those rows: ``_heads`` views them as
 (n_heads, rows, d/h) without a copy, every head is attended by one batched
-matmul reading through such views, and block outputs and gradients are
-written through them.
+matmul reading through such views, and block gradients are written through
+them.
 
 The forwards stream row chunks (``row_chunks``: ``CHUNK_ROWS`` rows, whole
 blocks, a short tail folded into the last chunk) and never hold a whole
-projection.  Each chunk projects exactly the rows it reads.  The first level
-projects a chunk's queries, and its keys and values as one product each over
-the chunk's key union, its 2*w1 halo included, followed by the global rows;
-the global rows' queries are projected once, and their block runs over the
-chunks as an online softmax.  The second level holds a rolling window of
-pooled segments (``_pooled_window``), never a whole pooled grid: per chunk it
-drops the segments below the chunk's union, keeps the rest, and projects and
-pools only the new ones from their unpooled rows and a kappa - xi halo
-(``pool_grid_rows``); then it projects q2 and adds the chunk's output into
-its target.  ``core.project`` (the routine ``project_qkv`` uses) gives any
-slice or gather of rows the bits of the whole projection, so chunks see
-bitwise the rows of the whole projection and pooled segments bitwise as
-``pool_grid`` pools them: only the global rows' online softmax rounds
-differently from one whole block.
+projection.  Each level is one pair of callbacks, built by ``_first_chunks``
+and ``_second_chunks`` and read by both drivers in both directions:
+``queries(rows)``, the queries of a row slice or of the global rows' index
+array, and ``keys(c0, c1)``, the keys and values of a chunk's key union
+followed by the global rows'.  Each chunk projects exactly the rows it
+reads.  The first level projects a chunk's queries, and its keys and values
+as one product each over the chunk's key union, its 2*w1 halo included,
+followed by the global rows; the driver projects the global rows' queries
+once, and runs their block over the chunks as an online softmax.  The second
+level holds a rolling window of pooled segments, never a whole pooled grid:
+per chunk it drops the segments below the chunk's union, keeps the rest, and
+projects and pools only the new ones from their unpooled rows and a
+kappa - xi halo (``pool_grid_rows``), ``_chunk_size(xi)`` rows per call, the
+rule its backward's releases share; then it projects q2.  Every block adds
+its output rows into the level's buffer: zeros, or in ``layer_forward`` the
+second level's copy of y (or y itself), which z is added into.
+``core.project`` (the routine ``project_qkv`` uses) gives any slice or gather
+of rows the bits of the whole projection, so chunks see bitwise the rows of
+the whole projection and pooled segments bitwise as ``pool_grid`` pools
+them: only the global rows' online softmax rounds differently from one whole
+block.
 
 Traces keep each level's counts and band and, per head and row, the softmax
 row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1) each),
@@ -185,14 +192,19 @@ def _block_size(band: _Band, w1: int) -> int:
     return max(band.step, block_rows(band.row_ok.shape[0], w1) // band.step * band.step)
 
 
+def _chunk_size(step: int) -> int:
+    """``CHUNK_ROWS`` rounded down to a whole number of ``step``-row cells, at least one."""
+    return max(step, CHUNK_ROWS // step * step)
+
+
 def row_chunks(n: int, block: int) -> list[tuple[int, int]]:
     """The row chunks a forward streams over n rows, as (start, stop) pairs.
 
-    Chunks are ``CHUNK_ROWS`` rounded down to a whole number of ``block``-row
-    cells of the level's block grid, at least one, so no block crosses a
-    chunk edge; a shorter tail folds into the chunk before it.
+    Chunks are ``_chunk_size(block)`` rows, whole cells of the level's block
+    grid, so no block crosses a chunk edge; a shorter tail folds into the
+    chunk before it.
     """
-    size = max(block, CHUNK_ROWS // block * block)
+    size = _chunk_size(block)
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] < size:
         starts.pop()  # the short tail joins the chunk before it
@@ -259,30 +271,31 @@ def _blocks(
 
 
 def _banded_attention(
-    band: _Band, config: LayerConfig, queries: Callable[[int, int], np.ndarray],
-    keys: Callable[[int, int], tuple[np.ndarray, np.ndarray]], out: np.ndarray, *,
-    extra_q: np.ndarray | None = None, add: bool = False,
+    band: _Band, config: LayerConfig, queries: Callable[[slice | np.ndarray], np.ndarray],
+    keys: Callable[[int, int], tuple[np.ndarray, np.ndarray]], out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masked attention of every row under ``band``, streamed over row chunks.
+    """Masked attention of every row under ``band``, streamed over row chunks, added into
+    ``out``.
 
-    Per chunk (``row_chunks``) of rows a..b, ``keys(c0, c1)`` gives the keys
-    and values of the chunk's key union c0..c1, followed by every extra key's,
-    and then ``queries(a, b)`` the rows' queries; each of the chunk's blocks
-    (``_blocks``) gathers its key columns from these.  A block runs a stable
-    softmax whose row maximum is taken over visible entries only and divides
-    the output, not the probabilities, by the denominator; a row whose
-    visible scores overflowed turns NaN, which the level's finiteness check
-    reports.  The extra rows (queries ``extra_q``) see every key, so they
-    score each chunk's own rows as keys with an online softmax (arXiv
-    1805.02867), rescaling what earlier chunks summed whenever the row
-    maximum grows.  Each block writes its output rows into ``out``, or with
-    ``add`` adds them to it.  Returns each row's count of visible keys and
-    the softmax row maximum and denominator, (n_heads, n, 1) each, 0 and 1 on
-    rows that see nothing, whose output rows stay untouched.
+    ``queries`` and ``keys`` describe the level, as ``_first_chunks`` and
+    ``_second_chunks`` build them.  Per chunk (``row_chunks``) of rows a..b,
+    ``keys(c0, c1)`` gives the keys and values of the chunk's key union
+    c0..c1, followed by every extra key's, and then ``queries(slice(a, b))``
+    the rows' queries; each of the chunk's blocks (``_blocks``) gathers its
+    key columns from these.  A block runs a stable softmax whose row maximum
+    is taken over visible entries only and divides the output, not the
+    probabilities, by the denominator; a row whose visible scores overflowed
+    turns NaN, which the level's finiteness check reports.  The extra rows
+    (queries ``queries(extra)``, projected once) see every key, so they score
+    each chunk's own rows as keys with an online softmax (arXiv 1805.02867),
+    rescaling what earlier chunks summed whenever the row maximum grows.
+    Every block adds its output rows into ``out``: zeros make that a write.
+    Returns each row's count of visible keys and the softmax row maximum and
+    denominator, (n_heads, n, 1) each, 0 and 1 on rows that see nothing,
+    whose output rows stay untouched.
     """
     n, n_heads = band.row_ok.shape[0], config.n_heads
     alpha = config.alpha()
-    out_h = _heads(out, n_heads)
     counts = np.zeros(n, dtype=np.int64)
     rowmax, denom = np.zeros((n_heads, n, 1)), np.ones((n_heads, n, 1))
     plan = _blocks(band, config.w1)
@@ -290,7 +303,7 @@ def _banded_attention(
     if band.extra is not None:  # the plan's first block: the extra rows against every key
         extra, _, extra_bias, seen = next(plan)
         counts[extra] = seen
-        extra_qh = _heads(extra_q, n_heads)
+        extra_qh = _heads(queries(extra), n_heads)
         e_max = np.full((n_heads, len(extra), 1), -np.inf)
         e_sum = np.zeros((n_heads, len(extra), 1))
         e_out = np.zeros((n_heads, len(extra), config.head_dim))
@@ -299,7 +312,7 @@ def _banded_attention(
     for a, b in row_chunks(n, _block_size(band, config.w1)):
         c0, c1 = int(band.bounds(a)[0]), int(band.bounds(b - 1)[1])
         kh, vh = (_heads(m, n_heads) for m in keys(c0, c1))
-        qh = _heads(queries(a, b), n_heads)
+        qh = _heads(queries(slice(a, b)), n_heads)
         if extra is not None:  # the extra keys follow the union
             where[extra] = c1 - c0 + np.arange(len(extra))
             where[c0:c1] = np.arange(c1 - c0)
@@ -318,10 +331,8 @@ def _banded_attention(
             rowmax[:, rows], denom[:, rows] = m, total
             e = np.matmul(e, vh[:, cols])  # the block's output; the scores go
             e /= total
-            if add:  # through the rows, not the strided head view: numpy buffers that add
-                out[rows] += e.transpose(1, 0, 2).reshape(e.shape[1], -1)
-            else:
-                out_h[:, rows] = e
+            # through the rows, not the strided head view: numpy buffers that add
+            out[rows] += e.transpose(1, 0, 2).reshape(e.shape[1], -1)
             block = bias = None  # not held while the plan builds the next bias
             block = next(plan, None)
         if extra is not None and band.key_ok[a:b].any():
@@ -339,7 +350,8 @@ def _banded_attention(
         qh = kh = vh = e = None  # freed before the next chunk builds its own
     if extra is not None:
         rowmax[:, extra], denom[:, extra] = e_max, e_sum
-        out_h[:, extra] = e_out / e_sum
+        e_out /= e_sum
+        out[extra] += e_out.transpose(1, 0, 2).reshape(len(extra), -1)
     return counts, rowmax, denom
 
 
@@ -518,9 +530,11 @@ def _ragged_rows(
 
 def _first_chunks(
     x: np.ndarray, params: LayerParams, glob: np.ndarray
-) -> tuple[Callable[[int, int], np.ndarray], Callable[[int, int], tuple[np.ndarray, np.ndarray]]]:
-    """The first level's ``queries(a, b)`` and ``keys(c0, c1)``, for the forward and backward:
-    rows a..b's queries, and the keys and values of rows c0..c1 followed by the global rows'."""
+) -> tuple[Callable[[slice | np.ndarray], np.ndarray],
+           Callable[[int, int], tuple[np.ndarray, np.ndarray]]]:
+    """The first level's ``queries(rows)`` and ``keys(c0, c1)``, for the forward and backward:
+    the queries of a row slice or of the global rows' indices, and the keys and values of
+    rows c0..c1 followed by the global rows'."""
     pq, pk, pv = params.first.pairs()
 
     def keys(c0, c1):
@@ -528,7 +542,7 @@ def _first_chunks(
         xs = x[rows]
         return project(xs, *pk, tokens=rows), project(xs, *pv, tokens=rows)
 
-    return lambda a, b: project(x[a:b], *pq, tokens=range(a, b)), keys
+    return lambda rows: project(x[rows], *pq, tokens=np.r_[rows]), keys
 
 
 def first_level_forward(
@@ -560,11 +574,8 @@ def first_level_forward(
         partial(window_bounds, w=config.w1, n=n), row_ok=pad, key_ok=pad,
         extra=is_global if glob.size else None,
     )
-    gq = project(x[glob], *params.first.pairs()[0], tokens=glob) if glob.size else None
     y = np.zeros((n, d))
-    counts, rowmax, denom = _banded_attention(
-        band, config, *_first_chunks(x, params, glob), y, extra_q=gq
-    )
+    counts, rowmax, denom = _banded_attention(band, config, *_first_chunks(x, params, glob), y)
     blind = band.row_ok & (counts == 0)
     if blind.any():
         raise ValueError(
@@ -584,25 +595,26 @@ def first_level_forward(
     )
 
 
-def _pooled_window(
+def _second_chunks(
     source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg,
     band: _Band,
-) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-    """The second level's ``keys(c0, c1)``: pooled key and value segments c0 to c1 of
-    ``source``, from one rolling window of segments per grid.
+) -> tuple[Callable[[slice], np.ndarray], Callable[[int, int], tuple[np.ndarray, np.ndarray]]]:
+    """The second level's ``queries(rows)`` and ``keys(c0, c1)``, for the forward and
+    backward: the q2 of a row slice of ``source``, and its pooled key and value segments c0
+    to c1, from one rolling window of segments per grid.
 
-    Called once per chunk of ``band``'s rows, in order, it drops the segments
-    below c0, keeps those it holds, and pools only the new ones, at most a
-    chunk's rows at a time, from their unpooled rows and the kappa - xi halo
-    past them (``pool_grid_rows``), so every segment is pooled once, with
-    ``pool_grid``'s bits.  It also pools every segment that starts before the
-    chunk's last row: a forward that adds z into its own source has pooled
-    each segment before z reaches its rows.  Each window is allocated once,
-    at the widest chunk, and shifted in place.
+    ``keys``, called once per chunk of ``band``'s rows, in order, drops the
+    segments below c0, keeps those it holds, and pools only the new ones,
+    ``_chunk_size(xi)`` rows at most at a time, from their unpooled rows and
+    the kappa - xi halo past them (``pool_grid_rows``), so every segment is
+    pooled once, with ``pool_grid``'s bits.  It also pools every segment that
+    starts before the chunk's last row: a forward that adds z into its own
+    source has pooled each segment before z reaches its rows.  Each window is
+    allocated once, at the widest chunk, and shifted in place.
     """
     (n, d), halo, starts = source.shape, config.kappa - config.xi, grid.segment_starts
     ops = [_pooling_op(params, config, i) for i in (1, 2)]
-    pairs = params.second.pairs()[1:]
+    pq, *pairs = params.second.pairs()
 
     def reach(c1: int) -> int:
         # segment c1's center lies past the last row's window, so a segment
@@ -613,7 +625,7 @@ def _pooled_window(
 
     chunks = row_chunks(n, _block_size(band, config.w1))
     width = max(reach(int(band.bounds(b - 1)[1])) - int(band.bounds(a)[0]) for a, b in chunks)
-    size = chunks[0][1]  # a chunk's rows, a multiple of the stride unless n
+    size = _chunk_size(config.xi)  # rows per pooling call, whole stride steps
     windows = [np.empty((width, d)) for _ in ops]
     h0 = h1 = 0  # the windows hold segments h0 to h1
 
@@ -624,8 +636,8 @@ def _pooled_window(
             for win in windows:  # one-dimensional, numpy shifts it without a copy
                 flat = win.reshape(-1)
                 flat[:(h1 - c0) * d] = flat[(c0 - h0) * d:(h1 - h0) * d]
-        # the new segments' rows, a chunk's rows at a time (the first chunk's
-        # union is wider), up to the last one's stride step: no padded tail
+        # the new segments' rows, size rows at a time (the first chunk's union
+        # is wider), up to the last one's stride step: no padded tail
         new = range(0)
         if end > h1:
             new = range(int(starts[h1]), min(n, int(starts[end - 1]) + config.xi), size)
@@ -642,7 +654,7 @@ def _pooled_window(
         h0, h1 = c0, end
         return windows[0][:c1 - c0], windows[1][:c1 - c0]
 
-    return keys
+    return lambda rows: project(source[rows], *pq, tokens=np.r_[rows]), keys
 
 
 def _second_level(
@@ -652,7 +664,7 @@ def _second_level(
     """``second_level_forward``, which with ``into`` adds z into that array and returns it.
 
     The chunks' keys and values come from one rolling window of pooled
-    segments (``_pooled_window``), so ``into`` may be the source: a chunk's
+    segments (``_second_chunks``), so ``into`` may be the source: a chunk's
     q2 is projected, and every segment reading its rows pooled, before its
     blocks add to ``out``.  Without ``retain`` the trace refuses ``z``.
     """
@@ -667,10 +679,8 @@ def _second_level(
     grid = build_pooled_grid(n, config.kappa, config.xi, pad_arg)
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad, step=config.xi)
     out = np.zeros((n, d)) if into is None else into
-    pq = params.second.pairs()[0]
     counts, rowmax, denom = _banded_attention(
-        band, config, lambda a, b: project(src[a:b], *pq, tokens=range(a, b)),
-        _pooled_window(src, params, config, grid, pad_arg, band), out, add=into is not None,
+        band, config, *_second_chunks(src, params, config, grid, pad_arg, band), out
     )
     degenerate = pad & (counts == 0)
 
@@ -801,28 +811,28 @@ def _projection_backward(
 
 
 def _banded_backward(
-    band: _Band, config: LayerConfig, queries: Callable[[int, int], np.ndarray],
+    band: _Band, config: LayerConfig, queries: Callable[[slice | np.ndarray], np.ndarray],
     keys: Callable[[int, int], tuple[np.ndarray, np.ndarray]], up: np.ndarray,
     out: np.ndarray | None, rowmax: np.ndarray, denom: np.ndarray,
     release_q: Callable[[int, int, np.ndarray], None],
-    release: Callable[[int, int, np.ndarray, np.ndarray], None], *,
-    extra_q: np.ndarray | None = None,
+    release: Callable[[int, int, np.ndarray, np.ndarray], None],
 ) -> list[np.ndarray]:
     """The backward of ``_banded_attention``, streamed over the same row chunks.
 
-    Per chunk of rows a..b, ``keys(c0, c1)`` and ``queries(a, b)`` give what
-    the forward read, and each block runs ``_block_backward`` with its rows'
-    upstream ``up``, output ``out`` (None: D from each block's own
+    ``queries`` and ``keys`` are the level's pair, as the forward read them.
+    Per chunk of rows a..b, ``keys(c0, c1)`` and ``queries(slice(a, b))``
+    give what the forward read, and each block runs ``_block_backward`` with
+    its rows' upstream ``up``, output ``out`` (None: D from each block's own
     probabilities) and statistics; the extra rows' block (queries
-    ``extra_q``) is replayed against the chunk's own rows, its query
-    gradient summed over the chunks.  Key and value gradients sum in one
-    buffer each, laid out as ``keys``: the union, then the extra keys.  Then
-    ``release_q(a, b, d_q)`` takes the chunk's query gradient and
-    ``release(c0, final, d_k, d_v)`` the union rows below the next chunk's
-    union (at the last chunk, all), which no later block reads; the rest
-    carry into the next chunk.  No release precedes a block reading its
-    rows' upstream; the extra rows' is read from a copy.  Returns the extra
-    rows' query, key and value gradients, (extras, d) each.
+    ``queries(extra)``, projected once) is replayed against the chunk's own
+    rows, its query gradient summed over the chunks.  Key and value
+    gradients sum in one buffer each, laid out as ``keys``: the union, then
+    the extra keys.  Then ``release_q(a, b, d_q)`` takes the chunk's query
+    gradient and ``release(c0, final, d_k, d_v)`` the union rows below the
+    next chunk's union (at the last chunk, all), which no later block reads;
+    the rest carry into the next chunk.  No release precedes a block reading
+    its rows' upstream; the extra rows' is read from a copy.  Returns the
+    extra rows' query, key and value gradients, (extras, d) each.
     """
     n, d, n_heads = band.row_ok.shape[0], config.d_model, config.n_heads
     alpha = config.alpha()
@@ -832,7 +842,7 @@ def _banded_backward(
     extra = np.empty(0, dtype=np.int64)
     if band.extra is not None:  # the plan's first block: the extra rows against every key
         extra, _, extra_bias, _ = next(plan)
-        extra_qh, extra_up, extra_out = _heads(extra_q, n_heads), uh[:, extra], oh[:, extra]
+        extra_qh, extra_up, extra_out = _heads(queries(extra), n_heads), uh[:, extra], oh[:, extra]
         extra_stats = rowmax[:, extra], denom[:, extra]
         where = np.empty(n, dtype=np.intp)  # each key's row in the chunk's buffers
     # the extra rows' query gradient; the held union rows, then the extra keys'
@@ -843,7 +853,7 @@ def _banded_backward(
     block = next(plan, None)
     for (a, b), (c0, c1), final in zip(chunks, unions, finals):
         kh, vh = (_heads(m, n_heads) for m in keys(c0, c1))
-        qh = _heads(queries(a, b), n_heads)
+        qh = _heads(queries(slice(a, b)), n_heads)
         d_q = np.zeros((b - a, d))
         d_k, d_v = grads = [np.zeros((c1 - c0 + len(extra), d)) for _ in carry]
         held = len(carry[0]) - len(extra)  # union rows the chunk before left
@@ -909,7 +919,7 @@ def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, P
 
     extra_grads = _banded_backward(
         band, ft.config, *_first_chunks(x, ft.params, glob), d_y, ft.y, ft.rowmax, ft.denom,
-        release_q, release, extra_q=project(x[glob], *pairs[0]) if glob.size else None,
+        release_q, release,
     )
     d_src = np.zeros((len(glob), x.shape[1]))
     _projection_backward(x[glob], pairs, extra_grads, d_src, d_pairs)
@@ -927,7 +937,7 @@ def _second_backward(
     gradient takes its projection backward at once; released segments lo..hi
     take theirs through ``pool_grid_rows_backward``, their rows (from segment
     lo's start to segment hi's, or the last one's stride step: no padded
-    tail) re-projected as keys, then values, ``CHUNK_ROWS`` rows and the
+    tail) re-projected as keys, then values, ``_chunk_size(xi)`` rows and the
     kappa - xi halo at a time, the halo rows' gradient carried into the next
     call.  No (segments, d) gradient is held.
 
@@ -946,7 +956,7 @@ def _second_backward(
     pairs = st.params.second.pairs()
     ops = [_pooling_op(st.params, config, i) for i in (1, 2)]
     starts, halo = grid.segment_starts, config.kappa - config.xi
-    size = max(config.xi, CHUNK_ROWS // config.xi * config.xi)  # rows per call, whole steps
+    size = _chunk_size(config.xi)  # rows per call, as the forward's window pools them
     d_pairs = [np.zeros_like(a) for pair in pairs for a in pair]
     d_wp = [np.zeros_like(op.w_p) if config.needs_pool_weights else None for op in ops]
     carry = [np.zeros((0, d))] * 2  # the gradient of the rows past the last call's
@@ -972,9 +982,8 @@ def _second_backward(
             _projection_backward(src[start:stop], pairs[1:], grads, d_src[start:stop], d_pairs[2:])
 
     _banded_backward(
-        band, config, lambda a, b: project(src[a:b], *pairs[0]),
-        _pooled_window(src, st.params, config, grid, st._pad_arg, band), d_z, None, st.rowmax,
-        st.denom, release_q, release,
+        band, config, *_second_chunks(src, st.params, config, grid, st._pad_arg, band),
+        d_z, None, st.rowmax, st.denom, release_q, release,
     )
     return ProjectionTriple(*d_pairs), *d_wp
 

@@ -1,7 +1,8 @@
 """Recorded mutants of the mask path, the pooling, the chunked forward, the
-window of pooled segments, the streamed backward driver, its releases and its
-two D forms, the forward's and the training step's memory and the config
-table, each of which some named test must kill.
+window of pooled segments, the streamed backward driver, the global rows'
+queries both drivers project, the releases and the two D forms, the
+forward's and the training step's memory and the config table, each of
+which some named test must kill.
 
 Each row of ``MUTANTS`` names a file, a snippet that occurs in it exactly
 once, its replacement, and the test node ids that must fail.  A row copies
@@ -131,7 +132,8 @@ MUTANTS = {
         ATTENTION, "min(n, int(starts[end - 1]) + config.xi)",
         "int(starts[end]) if end < len(grid) else n", (POOLED_ONCE,)),
     "new_segments_pooled_in_one_call": Mutant(
-        ATTENTION, "size = chunks[0][1]", "size = n", (POOLED_ONCE,)),
+        ATTENTION, "size = _chunk_size(config.xi)  # rows per pooling call",
+        "size = n  # rows per pooling call", (POOLED_ONCE,)),
     "overflow_named_within_the_range": Mutant(
         POOLING, "segment = first + np.argwhere(~np.isfinite(out))[0, 0]",
         "segment = np.argwhere(~np.isfinite(out))[0, 0]",
@@ -192,6 +194,15 @@ MUTANTS = {
     "global_query_gradient_not_summed": Mutant(
         ATTENTION, "extra_dq += q_part", "extra_dq = q_part",
         (f"{BACKWARD_CHUNKS}[block-wide_rows]",)),
+    # each driver projects the global rows' queries from the level's
+    # ``queries``: given the leading rows' indices in their place, in the
+    # forward, and in the backward alone
+    "global_queries_from_leading_rows": Mutant(
+        ATTENTION, "extra_qh = _heads(queries(extra), n_heads)",
+        "extra_qh = _heads(queries(slice(0, len(extra))), n_heads)", (FUZZ,)),
+    "global_queries_from_leading_rows_backward": Mutant(
+        ATTENTION, "extra_qh, extra_up, extra_out = _heads(queries(extra), n_heads)",
+        "extra_qh, extra_up, extra_out = _heads(queries(slice(0, len(extra))), n_heads)", (FUZZ,)),
     "segment_released_while_a_later_chunk_reads_it": Mutant(
         ATTENTION, "finals = [c0 for c0, _ in unions[1:]]", "finals = [c1 for _, c1 in unions[:-1]]",
         (f"{BACKWARD_CHUNKS}[block-window_carry]",)),

@@ -1,6 +1,7 @@
-"""Rules the package's source code keeps."""
+"""Rules the package's source code keeps, and the names README.md cites."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -54,7 +55,7 @@ def test_no_backward_reads_z():
 
 def test_one_chunk_loop_per_direction():
     """Both levels stream their row chunks through one driver per direction,
-    ``_banded_attention`` and ``_banded_backward``, and ``_pooled_window`` sizes
+    ``_banded_attention`` and ``_banded_backward``, and ``_second_chunks`` sizes
     its window over the same chunks: no other function in ``attention.py``
     calls ``row_chunks``, so no second backward loop grows back."""
     tree = ast.parse(ATTENTION.read_text(encoding="utf-8"), filename=str(ATTENTION))
@@ -64,4 +65,52 @@ def test_one_chunk_loop_per_direction():
         for node in ast.walk(func)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "row_chunks"
     }
-    assert callers == {"_banded_attention", "_banded_backward", "_pooled_window"}, callers
+    assert callers == {"_banded_attention", "_banded_backward", "_second_chunks"}, callers
+
+
+def _callers(node: ast.AST, name: str, scope: tuple[str, ...] = ()) -> set[tuple[str, ...]]:
+    """The scopes (function, class and class-attribute names, outermost first) that call
+    ``name`` under ``node``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = (*scope, child.name)
+        elif isinstance(child, ast.Assign) and isinstance(node, ast.ClassDef):
+            inner = (*scope, *(t.id for t in child.targets if isinstance(t, ast.Name)))
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+            found.add(inner)
+        found |= _callers(child, name, inner)
+    return found
+
+
+def test_each_level_projects_in_one_place():
+    """Each level's queries and keys are one ``(queries, keys)`` pair,
+    ``_first_chunks`` or ``_second_chunks``, that both drivers read: in
+    ``attention.py`` only those, the trace views' input builders and the second
+    level's release (which re-projects the unpooled rows it pools backward)
+    call ``project``, so no forward or backward grows its own projection back."""
+    tree = ast.parse(ATTENTION.read_text(encoding="utf-8"), filename=str(ATTENTION))
+    allowed = {
+        ("_first_chunks",), ("_second_chunks",), ("_first_input",), ("_second_input",),
+        ("SecondLevelTrace", "k2"), ("SecondLevelTrace", "v2"), ("_second_backward", "release"),
+    }
+    callers = {
+        next((a for a in allowed if scope[:len(a)] == a), scope)
+        for scope in _callers(tree, "project")
+    }
+    assert callers == allowed, callers ^ allowed
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("attention", "pooling", "core", "costmodel", "windowing", "harness", "oracle", "cli")
+
+
+def test_readme_names_resolve():
+    """Every backticked ``module.name`` README.md cites is an attribute of
+    ``poolattn.<module>``, so a rename cannot leave the README stale."""
+    cited = re.findall(rf"`({'|'.join(MODULES)})\.(\w+)`", README.read_text(encoding="utf-8"))
+    stale = [f"{module}.{name}" for module, name in cited
+             if not hasattr(importlib.import_module(f"poolattn.{module}"), name)]
+    assert cited
+    assert not stale, f"README.md names missing from the package: {stale}"
