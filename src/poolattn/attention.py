@@ -23,54 +23,50 @@ them.
 
 The forwards stream row chunks (``row_chunks``: ``CHUNK_ROWS`` rows, whole
 blocks, a short tail folded into the last chunk) and never hold a whole
-projection.  Each level is one pair of callbacks, built by ``_first_chunks``
-and ``_second_chunks`` and read by both drivers in both directions:
-``queries(rows)``, the queries of a row slice or of the global rows' index
-array, and ``keys(c0, c1)``, the keys and values of a chunk's key union
-followed by the global rows'.  Each chunk projects exactly the rows it
-reads.  The first level projects a chunk's queries, and its keys and values
-as one product each over the chunk's key union, its 2*w1 halo included,
-followed by the global rows; the driver projects the global rows' queries
-once, and runs their block over the chunks as an online softmax.  The second
-level holds a rolling window of pooled segments, never a whole pooled grid:
-per chunk it drops the segments below the chunk's union, keeps the rest, and
-projects and pools only the new ones from their unpooled rows and a
-kappa - xi halo (``pool_grid_rows``), ``_chunk_size(xi)`` rows per call, the
-rule its backward's releases share; then it projects q2.  Every block adds
-its output rows into the level's buffer: zeros, or in ``layer_forward`` the
-second level's copy of y (or y itself), which z is added into.
-``core.project`` (the routine ``project_qkv`` uses) gives any slice or gather
-of rows the bits of the whole projection, so chunks see bitwise the rows of
-the whole projection and pooled segments bitwise as ``pool_grid`` pools
-them: only the global rows' online softmax rounds differently from one whole
-block.
+projection.  Each level has one builder, ``_first_chunks`` or
+``_second_chunks``, the only code that projects or pools during the layer's
+passes.  It returns ``(queries, keys, releases)``: ``queries(rows)``, the
+queries of a row slice or of the global rows' index array, and ``keys(c0,
+c1)``, the keys and values of a chunk's key union followed by the global
+rows', which both drivers read in both directions, and ``releases(...)``,
+which builds the backward's ``release_q`` and ``release`` callbacks, so each
+level's releases sit with its projections.  Each chunk projects exactly the
+rows it reads; the driver projects the global rows' queries once.  The
+second level holds a rolling window of pooled segments, never a whole pooled
+grid, and its window fills and its releases run over one pooling-call
+generator, which holds the rows per call, the kappa - xi halo and the end
+that reads no padded tail.  Every block adds its output rows into the
+level's buffer: zeros, or in ``layer_forward`` the second level's copy of y
+(or y itself), which z is added into.  ``core.project`` (the routine
+``project_qkv`` uses) gives any slice or gather of rows the bits of the
+whole projection, so chunks see bitwise the rows of the whole projection and
+pooled segments bitwise as ``pool_grid`` pools them: only the global rows'
+online softmax rounds differently from one whole block.
 
 Traces keep each level's counts and band and, per head and row, the softmax
 row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1) each),
 never a projection, a mask, a block's key columns or the probabilities.  The
 statistics are per row, so they do not depend on the block or chunk
-partition that made them.  One function per level (``_first_input``,
-``_second_input``) builds any one of the level's inputs whole from the
-trace's batch, params and second-level source, for each read-only view
-(``q``, ``pooled_k``, ...) and ``attention_rows``, each building only what
-it reads.
+partition that made them.  Each trace builds its read-only views (``q``,
+``pooled_k``, ...) and ``attention_rows`` whole from its batch, params and
+second-level source, each building only what it reads
+(``FirstLevelTrace._input``, ``SecondLevelTrace._projected`` and
+``SecondLevelTrace._input``).
 
 The backward runs the forwards' row chunks through their twin driver,
 ``_banded_backward``, and never holds a whole projection, pooled or
 unpooled grid, or their gradients.  Per chunk it reads the keys the forward
-read (the second level from the forward's window of pooled segments), runs
-the blocks backward, replays the global rows' block against the chunk's own
-rows, carries the key-gradient rows the next chunk reads, and releases the
-rest and the chunk's query gradient into the projection backward, at the
-second level through ``pool_grid_rows_backward`` over the re-projected
-unpooled rows and a carried kappa - xi halo.  Blocks replay their
-unnormalized probabilities from the rows' statistics with the forward's own
-operations.  The first level takes FlashAttention-2's ``D = rowsum(dO * O)``
-from y (arXiv 2307.08691), its global rows' block split over column chunks;
-the second, which has no extra rows, the same paper's ``D = rowsum(P * dP)``,
-exact over each block's own columns.  Gradients are exact reverse-mode,
-shared projections summing both levels' contributions; sums over rows run
-in chunk order, so gradients agree with any other chunk size to rounding.
+read, runs the blocks backward, replays the global rows' block against the
+chunk's own rows, carries the key-gradient rows the next chunk reads, and
+hands the rest and the chunk's query gradient to the level's releases.
+Blocks replay their unnormalized probabilities from the rows' statistics
+with the forward's own operations.  The first level takes
+FlashAttention-2's ``D = rowsum(dO * O)`` from y (arXiv 2307.08691), its
+global rows' block split over column chunks; the second, which has no extra
+rows, the same paper's ``D = rowsum(P * dP)``, exact over each block's own
+columns.  Gradients are exact reverse-mode, shared projections summing both
+levels' contributions; sums over rows run in chunk order, so gradients agree
+with any other chunk size to rounding.
 
 ``retain`` (the default) keeps y and the output in the trace, but no z:
 ``layer_forward`` adds z into a copy of y, and ``z`` is a view that re-runs
@@ -104,7 +100,6 @@ from poolattn.core import (
 )
 from poolattn.pooling import (
     PoolingOp,
-    check_pooled,
     pool_grid,
     pool_grid_rows,
     pool_grid_rows_backward,
@@ -375,25 +370,9 @@ def _view(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _first_input(batch: SequenceBatch, params: LayerParams, i: int) -> np.ndarray:
-    """The first level's q (i=0), k (1) or v (2): the embeddings projected."""
-    return project(batch.embeddings, *params.first.pairs()[i])
-
-
 def _pooling_op(params: LayerParams, config: LayerConfig, i: int) -> PoolingOp:
     """The pooling of the second level's keys (i=1) or values (2)."""
     return PoolingOp(config.pooling_kind, (params.w_p_key, params.w_p_value)[i - 1])
-
-
-def _second_input(
-    source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg,
-    i: int,
-) -> np.ndarray:
-    """The second level's q2 (i=0), pooled keys (1) or pooled values (2) from ``source``."""
-    projected = project(source, *params.second.pairs()[i])
-    if i == 0:
-        return projected
-    return pool_grid(_pooling_op(params, config, i), projected, grid, pad_arg)
 
 
 def _retained(arr: np.ndarray | None, what: str) -> np.ndarray:
@@ -419,7 +398,8 @@ class FirstLevelTrace:
     denom: np.ndarray
 
     def _input(self, i: int) -> np.ndarray:
-        return _first_input(self.batch, self.params, i)
+        """q (i=0), k (1) or v (2): the embeddings projected."""
+        return project(self.batch.embeddings, *self.params.first.pairs()[i])
 
     q = property(lambda self: _view(self._input(0)))
     k = property(lambda self: _view(self._input(1)))
@@ -452,19 +432,26 @@ class SecondLevelTrace:
     rowmax: np.ndarray
     denom: np.ndarray
     retain: bool
-    _pad_arg: np.ndarray | None
 
     def _source(self) -> np.ndarray:
         return _retained(self.source, "second-level source: layer_forward added z into y")
 
+    def _projected(self, i: int) -> np.ndarray:
+        """q2 (i=0), or the unpooled keys (1) or values (2): the source projected."""
+        return project(self._source(), *self.params.second.pairs()[i])
+
     def _input(self, i: int) -> np.ndarray:
-        return _second_input(self._source(), self.params, self.config, self.grid, self._pad_arg, i)
+        """q2 (i=0), the pooled keys (1) or the pooled values (2)."""
+        if i == 0:
+            return self._projected(0)
+        op = _pooling_op(self.params, self.config, i)
+        return pool_grid(op, self._projected(i), self.grid, self.batch.pad_mask)
 
     q2 = property(lambda self: _view(self._input(0)))
     pooled_k = property(lambda self: _view(self._input(1)))
     pooled_v = property(lambda self: _view(self._input(2)))
-    k2 = property(lambda self: _view(project(self._source(), *self.params.second.pairs()[1])))
-    v2 = property(lambda self: _view(project(self._source(), *self.params.second.pairs()[2])))
+    k2 = property(lambda self: _view(self._projected(1)))
+    v2 = property(lambda self: _view(self._projected(2)))
 
     @property
     def z(self) -> np.ndarray:
@@ -530,19 +517,46 @@ def _ragged_rows(
 
 def _first_chunks(
     x: np.ndarray, params: LayerParams, glob: np.ndarray
-) -> tuple[Callable[[slice | np.ndarray], np.ndarray],
-           Callable[[int, int], tuple[np.ndarray, np.ndarray]]]:
-    """The first level's ``queries(rows)`` and ``keys(c0, c1)``, for the forward and backward:
-    the queries of a row slice or of the global rows' indices, and the keys and values of
-    rows c0..c1 followed by the global rows'."""
-    pq, pk, pv = params.first.pairs()
+) -> tuple[Callable, Callable, Callable]:
+    """The first level's ``queries(rows)``, ``keys(c0, c1)`` and ``releases(d_x, d_pairs)``:
+    the queries of a row slice or of the global rows' indices, the keys and values of rows
+    c0..c1 followed by the global rows', and the ``release_q`` and ``release`` callbacks
+    of ``_banded_backward``, which take released rows through the projection backward
+    into ``d_x`` and the flat (d_w, d_b, ...) ``d_pairs``.
+
+    ``release_q`` overwrites its rows of ``d_x``, which may be the upstream's
+    buffer: a chunk's query release is the first write to its rows, after
+    every block reading their upstream; their key and value releases come
+    later and add.
+    """
+    pairs = params.first.pairs()
 
     def keys(c0, c1):
         rows = np.r_[c0:c1, glob]
         xs = x[rows]
-        return project(xs, *pk, tokens=rows), project(xs, *pv, tokens=rows)
+        return project(xs, *pairs[1], tokens=rows), project(xs, *pairs[2], tokens=rows)
 
-    return lambda rows: project(x[rows], *pq, tokens=np.r_[rows]), keys
+    def releases(d_x, d_pairs):
+        def release_q(a, b, d_q):
+            d_x[a:b] = 0.0
+            _projection_backward(x[a:b], pairs[:1], [d_q], d_x[a:b], d_pairs[:2])
+
+        def release(lo, hi, d_k, d_v):
+            _projection_backward(x[lo:hi], pairs[1:], [d_k, d_v], d_x[lo:hi], d_pairs[2:])
+
+        return release_q, release
+
+    return lambda rows: project(x[rows], *pairs[0], tokens=np.r_[rows]), keys, releases
+
+
+def _check_finite(out: np.ndarray, stage: str, scores: str) -> None:
+    """The level's overflow error, naming the first token of ``out`` that is not finite."""
+    if not np.isfinite(out).all():
+        token = np.argwhere(~np.isfinite(out))[0, 0]
+        raise ValueError(
+            f"{stage}: non-finite output; the scaled {scores} scores "
+            f"overflow float64, first at token {token}"
+        )
 
 
 def first_level_forward(
@@ -556,9 +570,8 @@ def first_level_forward(
 
     Every real token attends to its clipped radius-w1 window plus all global
     tokens; global tokens attend to every real token.  Padding tokens yield
-    zero rows and are invisible as keys.  Queries are projected per chunk,
-    keys and values per chunk's key union and the global tokens, and the
-    global tokens' queries once.  The trace keeps y unless ``retain`` is False.
+    zero rows and are invisible as keys.  No whole projection is held
+    (``_first_chunks``).  The trace keeps y unless ``retain`` is False.
     """
     params.validate(config)
     x, pad = batch.embeddings, batch.pad_mask
@@ -575,7 +588,7 @@ def first_level_forward(
         extra=is_global if glob.size else None,
     )
     y = np.zeros((n, d))
-    counts, rowmax, denom = _banded_attention(band, config, *_first_chunks(x, params, glob), y)
+    counts, rowmax, denom = _banded_attention(band, config, *_first_chunks(x, params, glob)[:2], y)
     blind = band.row_ok & (counts == 0)
     if blind.any():
         raise ValueError(
@@ -584,37 +597,68 @@ def first_level_forward(
         )
 
     y[~pad] = 0.0
-    if not np.isfinite(y).all():
-        token = np.argwhere(~np.isfinite(y))[0, 0]
-        raise ValueError(
-            "first_level_forward: non-finite output; the scaled query-key scores "
-            f"overflow float64, first at token {token}"
-        )
+    _check_finite(y, "first_level_forward", "query-key")
     return y, FirstLevelTrace(
         batch, params, config, y if retain else None, counts, band, rowmax, denom
     )
 
 
 def _second_chunks(
-    source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid, pad_arg,
-    band: _Band,
-) -> tuple[Callable[[slice], np.ndarray], Callable[[int, int], tuple[np.ndarray, np.ndarray]]]:
-    """The second level's ``queries(rows)`` and ``keys(c0, c1)``, for the forward and
-    backward: the q2 of a row slice of ``source``, and its pooled key and value segments c0
-    to c1, from one rolling window of segments per grid.
+    source: np.ndarray, params: LayerParams, config: LayerConfig, grid: PooledGrid,
+    pad: np.ndarray, band: _Band,
+) -> tuple[Callable, Callable, Callable]:
+    """The second level's ``queries(rows)``, ``keys(c0, c1)`` and ``releases(d_src, d_pairs,
+    d_wp)``: the q2 of a row slice of ``source``, its pooled key and value segments c0 to
+    c1 from one rolling window of segments per grid, and the ``release_q`` and ``release``
+    callbacks of ``_banded_backward``, which take released gradients through the pooling
+    and projection backward into ``d_src``, the flat (d_w, d_b, ...) ``d_pairs`` and the
+    pooling weights' ``d_wp``.
 
-    ``keys``, called once per chunk of ``band``'s rows, in order, drops the
-    segments below c0, keeps those it holds, and pools only the new ones,
-    ``_chunk_size(xi)`` rows at most at a time, from their unpooled rows and
-    the kappa - xi halo past them (``pool_grid_rows``), so every segment is
-    pooled once, with ``pool_grid``'s bits.  It also pools every segment that
-    starts before the chunk's last row: a forward that adds z into its own
-    source has pooled each segment before z reaches its rows.  Each window is
+    Every pooling call, forward and backward, comes from one generator,
+    ``calls(lo, hi)``, over the rows of segments lo..hi: ``_chunk_size(xi)``
+    rows at a time, each call reading the kappa - xi halo past them
+    (``pool_grid_rows``), up to segment hi's start or the last segment's
+    stride step, so no call reads a padded tail.  ``keys``, called once per
+    chunk of ``band``'s rows, in order, drops the segments below c0, keeps
+    those it holds, and pools only the new ones, so every segment is pooled
+    once, with ``pool_grid``'s bits.  It also pools every segment that starts
+    before the chunk's last row: a forward that adds z into its own source
+    has pooled each segment before z reaches its rows.  Each window is
     allocated once, at the widest chunk, and shifted in place.
+
+    ``release(lo, hi, d_k, d_v)`` takes segments lo..hi's gradients through
+    ``pool_grid_rows_backward`` over their re-projected keys, then values,
+    call by call, each call's halo rows' gradient carried into the next,
+    which starts where it stopped.  ``d_src`` may be the upstream (without
+    mix both are d_y), so no release may add into a valid row whose upstream
+    a later block reads.  None does: a kept segment starting at or after the
+    next chunk's first row has its center not left of that row's window, so
+    its index is at least that chunk's c0, and a release reaches only
+    segments below it.  A valid row at or past that first row lies in the
+    kept segment starting in its stride step, at or after that first row, so
+    no release has reached it; any row a release writes there is padding,
+    and gets exactly zero.
     """
     (n, d), halo, starts = source.shape, config.kappa - config.xi, grid.segment_starts
     ops = [_pooling_op(params, config, i) for i in (1, 2)]
     pq, *pairs = params.second.pairs()
+    size = _chunk_size(config.xi)  # rows per pooling call, whole stride steps
+
+    def calls(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
+        # each call's rows start..stop and the segments first..last starting there
+        if hi <= lo:  # an all-padding batch has an empty grid
+            return
+        # to segment hi's start, or the last one's stride step: no padded tail
+        end = int(starts[hi]) if hi < len(grid) else min(n, int(starts[-1]) + config.xi)
+        for start in range(int(starts[lo]), end, size):
+            stop = min(end, start + size)
+            first, last = (int(j) for j in np.searchsorted(starts, (start, stop)))
+            yield start, stop, first, last
+
+    def unpooled(i: int, start: int, stop: int) -> np.ndarray:
+        # the keys (i=0) or values (1) a call pools: its rows and the halo
+        last = min(n, stop + halo)
+        return project(source[start:last], *pairs[i], tokens=range(start, last))
 
     def reach(c1: int) -> int:
         # segment c1's center lies past the last row's window, so a segment
@@ -625,7 +669,6 @@ def _second_chunks(
 
     chunks = row_chunks(n, _block_size(band, config.w1))
     width = max(reach(int(band.bounds(b - 1)[1])) - int(band.bounds(a)[0]) for a, b in chunks)
-    size = _chunk_size(config.xi)  # rows per pooling call, whole stride steps
     windows = [np.empty((width, d)) for _ in ops]
     h0 = h1 = 0  # the windows hold segments h0 to h1
 
@@ -636,25 +679,36 @@ def _second_chunks(
             for win in windows:  # one-dimensional, numpy shifts it without a copy
                 flat = win.reshape(-1)
                 flat[:(h1 - c0) * d] = flat[(c0 - h0) * d:(h1 - h0) * d]
-        # the new segments' rows, size rows at a time (the first chunk's union
-        # is wider), up to the last one's stride step: no padded tail
-        new = range(0)
-        if end > h1:
-            new = range(int(starts[h1]), min(n, int(starts[end - 1]) + config.xi), size)
-        for start in new:
-            stop = min(new.stop, start + size)
-            lo, hi = (int(j) for j in np.searchsorted(starts, (start, stop)))
-            last = min(n, stop + halo)
-            for op, pair, win in zip(ops, pairs, windows):
-                rows = project(source[start:last], *pair, tokens=range(start, last))
-                pooled = pool_grid_rows(op, rows, grid, pad_arg, start, stop)
-                del rows
-                win[lo - c0:hi - c0] = check_pooled(op, pooled, lo)
-                del pooled  # not held while the values are projected
+        for start, stop, lo, hi in calls(h1, end):
+            for i, win in enumerate(windows):
+                win[lo - c0:hi - c0] = pool_grid_rows(ops[i], unpooled(i, start, stop), grid, pad,
+                                                      start, stop)
         h0, h1 = c0, end
         return windows[0][:c1 - c0], windows[1][:c1 - c0]
 
-    return lambda rows: project(source[rows], *pq, tokens=np.r_[rows]), keys
+    def releases(d_src, d_pairs, d_wp):
+        carry = [np.zeros((0, d))] * 2  # the gradient of the rows past the last call's
+
+        def release_q(a, b, d_q):
+            _projection_backward(source[a:b], [pq], [d_q], d_src[a:b], d_pairs[:2])
+
+        def release(lo, hi, d_k, d_v):
+            for start, stop, first, last in calls(lo, hi):
+                grads = []
+                for i, pooled in enumerate((d_k, d_v)):
+                    g, d_w = pool_grid_rows_backward(ops[i], unpooled(i, start, stop), grid, pad,
+                                                     start, stop, pooled[first - lo:last - lo])
+                    g[:len(carry[i])] += carry[i]
+                    carry[i] = g[stop - start:].copy()
+                    grads.append(g[:stop - start])
+                    if d_w is not None:
+                        d_wp[i] += d_w
+                _projection_backward(source[start:stop], pairs, grads, d_src[start:stop],
+                                     d_pairs[2:])
+
+        return release_q, release
+
+    return lambda rows: project(source[rows], *pq, tokens=np.r_[rows]), keys, releases
 
 
 def _second_level(
@@ -664,9 +718,8 @@ def _second_level(
     """``second_level_forward``, which with ``into`` adds z into that array and returns it.
 
     The chunks' keys and values come from one rolling window of pooled
-    segments (``_second_chunks``), so ``into`` may be the source: a chunk's
-    q2 is projected, and every segment reading its rows pooled, before its
-    blocks add to ``out``.  Without ``retain`` the trace refuses ``z``.
+    segments (``_second_chunks``), so ``into`` may be the source.  Without
+    ``retain`` the trace refuses ``z``.
     """
     params.validate(config)
     n, d = batch.embeddings.shape
@@ -675,24 +728,17 @@ def _second_level(
         raise ValueError(f"y must be ({n}, {d}), got {y.shape}")
     src = batch.embeddings if config.mix else y
     pad = batch.pad_mask
-    pad_arg = None if pad.all() else pad
-    grid = build_pooled_grid(n, config.kappa, config.xi, pad_arg)
+    grid = build_pooled_grid(n, config.kappa, config.xi, pad)
     band = _Band(partial(segment_bounds, w2=config.w2, grid=grid), row_ok=pad, step=config.xi)
     out = np.zeros((n, d)) if into is None else into
     counts, rowmax, denom = _banded_attention(
-        band, config, *_second_chunks(src, params, config, grid, pad_arg, band), out
+        band, config, *_second_chunks(src, params, config, grid, pad, band)[:2], out
     )
     degenerate = pad & (counts == 0)
-
-    if not np.isfinite(out).all():
-        token = np.argwhere(~np.isfinite(out))[0, 0]
-        raise ValueError(
-            "second_level_forward: non-finite output; the scaled query-segment scores "
-            f"overflow float64, first at token {token}"
-        )
+    _check_finite(out, "second_level_forward", "query-segment")
     return out, SecondLevelTrace(
         batch, params, config, None if src is into else src, grid, counts, degenerate, band,
-        rowmax, denom, retain, pad_arg,
+        rowmax, denom, retain,
     )
 
 
@@ -710,11 +756,9 @@ def second_level_forward(
     embeddings in the mix setting), pooled once over a shared stride grid, and
     each token attends to the segments whose center lies within its radius-w2
     window.  A token with no visible segment gets a zero row, flagged in the
-    trace.  Per chunk of rows, the keys and values of the segments new to a
-    rolling window of the segments the chunk's rows see are projected and
-    pooled into it, then the chunk's q2 is projected; no whole pooled grid is
-    held.  The trace keeps no z: its ``z`` re-runs the level, and with
-    ``retain=False`` refuses.
+    trace.  No whole pooled grid is held (``_second_chunks``).  The trace
+    keeps no z: its ``z`` re-runs the level, and with ``retain=False``
+    refuses.
     """
     return _second_level(batch, y, params, config, retain=retain)
 
@@ -899,28 +943,16 @@ def _banded_backward(
 def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
     """The first level's backward (``_banded_backward``): (d_x, gradient triple).
 
-    Released rows take their projection backward at once, the global rows'
-    last.  ``d_x`` is ``d_y``'s own buffer: a chunk's query release is the
-    first of its rows, after every block reading their upstream, so it
-    overwrites it; their key and value releases come later and add.
+    ``d_x`` is ``d_y``'s own buffer; the global rows take their projection
+    backward last.
     """
-    band, x = ft.band, ft.batch.embeddings
-    pairs = ft.params.first.pairs()
+    x, pairs = ft.batch.embeddings, ft.params.first.pairs()
     glob = np.asarray(ft.batch.global_set, dtype=np.int64)
     d_x = d_y
     d_pairs = [np.zeros_like(a) for pair in pairs for a in pair]
-
-    def release_q(a, b, d_q):
-        d_x[a:b] = 0.0
-        _projection_backward(x[a:b], pairs[:1], [d_q], d_x[a:b], d_pairs[:2])
-
-    def release(lo, hi, d_k, d_v):
-        _projection_backward(x[lo:hi], pairs[1:], [d_k, d_v], d_x[lo:hi], d_pairs[2:])
-
-    extra_grads = _banded_backward(
-        band, ft.config, *_first_chunks(x, ft.params, glob), d_y, ft.y, ft.rowmax, ft.denom,
-        release_q, release,
-    )
+    queries, keys, releases = _first_chunks(x, ft.params, glob)
+    extra_grads = _banded_backward(ft.band, ft.config, queries, keys, d_y, ft.y, ft.rowmax,
+                                   ft.denom, *releases(d_x, d_pairs))
     d_src = np.zeros((len(glob), x.shape[1]))
     _projection_backward(x[glob], pairs, extra_grads, d_src, d_pairs)
     d_x[glob] += d_src
@@ -933,58 +965,16 @@ def _second_backward(
     """The second level's backward (``_banded_backward`` over the forward's window of pooled
     segments); adds its input gradient into ``d_src``.
 
-    Each block takes D from its own probabilities, not from z.  A chunk's q2
-    gradient takes its projection backward at once; released segments lo..hi
-    take theirs through ``pool_grid_rows_backward``, their rows (from segment
-    lo's start to segment hi's, or the last one's stride step: no padded
-    tail) re-projected as keys, then values, ``_chunk_size(xi)`` rows and the
-    kappa - xi halo at a time, the halo rows' gradient carried into the next
-    call.  No (segments, d) gradient is held.
-
-    ``d_z`` may be ``d_src`` (without mix both are d_y), so no release may add
-    into a valid row whose upstream a later block reads.  None does: a kept
-    segment starting at or after the next chunk's first row has its center
-    not left of that row's window, so its index is at least that chunk's c0,
-    and a release reaches only segments below it.  A valid row at or past
-    that first row lies in the kept segment starting in its stride step, at
-    or after that first row, so no release has reached it; any row a release
-    writes there is padding, and gets exactly zero.
+    Each block takes D from its own probabilities, not from z.  No
+    (segments, d) gradient is held.
     """
-    config, band, grid = st.config, st.band, st.grid
-    src = st._source()
-    n, d = src.shape
-    pairs = st.params.second.pairs()
-    ops = [_pooling_op(st.params, config, i) for i in (1, 2)]
-    starts, halo = grid.segment_starts, config.kappa - config.xi
-    size = _chunk_size(config.xi)  # rows per call, as the forward's window pools them
-    d_pairs = [np.zeros_like(a) for pair in pairs for a in pair]
-    d_wp = [np.zeros_like(op.w_p) if config.needs_pool_weights else None for op in ops]
-    carry = [np.zeros((0, d))] * 2  # the gradient of the rows past the last call's
-
-    def release_q(a, b, d_q):
-        _projection_backward(src[a:b], pairs[:1], [d_q], d_src[a:b], d_pairs[:2])
-
-    def release(lo, hi, d_k, d_v):
-        end = int(starts[hi]) if hi < len(grid) else min(n, int(starts[-1]) + config.xi)
-        for start in range(int(starts[lo]), end, size):
-            stop = min(end, start + size)
-            first, last = np.searchsorted(starts, (start, stop)) - lo
-            grads = []
-            for i, pooled in enumerate((d_k, d_v)):
-                rows = project(src[start:min(n, stop + halo)], *pairs[1 + i])
-                g, d_w = pool_grid_rows_backward(ops[i], rows, grid, st._pad_arg, start, stop,
-                                                 pooled[first:last])
-                del rows
-                g[:len(carry[i])] += carry[i]
-                carry[i] = g[stop - start:].copy()
-                grads.append(g[:stop - start])
-                d_wp[i] = None if d_w is None else d_wp[i] + d_w
-            _projection_backward(src[start:stop], pairs[1:], grads, d_src[start:stop], d_pairs[2:])
-
-    _banded_backward(
-        band, config, *_second_chunks(src, st.params, config, grid, st._pad_arg, band),
-        d_z, None, st.rowmax, st.denom, release_q, release,
-    )
+    config, params = st.config, st.params
+    d_pairs = [np.zeros_like(a) for pair in params.second.pairs() for a in pair]
+    d_wp = [None if w is None else np.zeros_like(w) for w in (params.w_p_key, params.w_p_value)]
+    queries, keys, releases = _second_chunks(st._source(), params, config, st.grid,
+                                             st.batch.pad_mask, st.band)
+    _banded_backward(st.band, config, queries, keys, d_z, None, st.rowmax, st.denom,
+                     *releases(d_src, d_pairs, d_wp))
     return ProjectionTriple(*d_pairs), *d_wp
 
 

@@ -231,11 +231,11 @@ def pool_grid_rows(
     row those segments read; ``start`` is a multiple of the stride, and so is
     ``stop`` unless it is n.  The rows are pooled as a sequence of their own,
     whose leading segments are these, so each comes out bitwise as in
-    ``pool_grid`` over the whole source.  Not checked for finiteness: check the
-    grid they fill with ``check_pooled``.
+    ``pool_grid`` over the whole source.  An overflow names its segment's index
+    in the whole grid.
     """
-    own, pad, count = _rows_grid(grid, pad_mask, start, stop, len(rows))
-    return _pool(op, rows, own, pad)[:count]
+    own, pad, first, count = _rows_grid(grid, pad_mask, start, stop, len(rows))
+    return check_pooled(op, _pool(op, rows, own, pad)[:count], first)
 
 
 def pool_grid_rows_backward(
@@ -254,7 +254,7 @@ def pool_grid_rows_backward(
     segments' part of their gradient; the segments that start there add the
     rest.
     """
-    own, pad, count = _rows_grid(grid, pad_mask, start, stop, len(rows))
+    own, pad, _, count = _rows_grid(grid, pad_mask, start, stop, len(rows))
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (count, rows.shape[1]):
         raise ValueError(f"upstream must be ({count}, {rows.shape[1]}), got {upstream.shape}")
@@ -265,9 +265,10 @@ def pool_grid_rows_backward(
 
 def _rows_grid(
     grid: PooledGrid, pad_mask: np.ndarray | None, start: int, stop: int, length: int
-) -> tuple[PooledGrid, np.ndarray | None, int]:
+) -> tuple[PooledGrid, np.ndarray | None, int, int]:
     """The grid of ``length`` rows from ``start`` pooled as a sequence of their own,
-    their pad mask, and how many of its leading segments start before ``stop``."""
+    their pad mask, the index in ``grid`` of its first segment, and how many of its
+    leading segments start before ``stop``."""
     n, kappa, xi = grid.n, grid.kappa, grid.xi
     if not 0 <= start < stop <= n or start % xi or (stop % xi and stop != n):
         raise ValueError(f"rows {start} to {stop} do not start and end on the stride-{xi} grid")
@@ -278,7 +279,7 @@ def _rows_grid(
         )
     pad = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[start:start + length]
     first, last = np.searchsorted(grid.segment_starts, (start, stop))
-    return build_pooled_grid(length, kappa, xi, pad), pad, int(last - first)
+    return build_pooled_grid(length, kappa, xi, pad), pad, int(first), int(last - first)
 
 
 def check_pooled(op: PoolingOp, out: np.ndarray, first: int = 0) -> np.ndarray:

@@ -880,7 +880,7 @@ class TestStatsOnlyTrace:
 
     def _held(self, level):
         """The arrays a level trace holds besides its inputs, output and pooled grid."""
-        skip = {"batch", "params", "config", "source", "grid", "y", "_pad_arg"}
+        skip = {"batch", "params", "config", "source", "grid", "y"}
         seen: set = set()  # what the skipped fields reach, the band's grid too
         for name in skip & vars(level).keys():
             _reachable_arrays(getattr(level, name), name, seen)
@@ -1119,6 +1119,26 @@ class TestPaddedBlocks:
                 kept[rows] = True
             # every valid row is still in a kept block
             assert kept[pad].all()
+
+    @pytest.mark.parametrize("one_block_chunks", [False, True])
+    def test_all_padding_batch_gives_exact_zeros(self, one_block_chunks, monkeypatch):
+        """An all-padding batch has an empty pooled grid: both forwards and the
+        backward return exact zeros, whether a chunk is many blocks or one."""
+        cfg = LayerConfig(d_model=8, n_heads=2, w1=5, w2=12, kappa=4, xi=2,
+                          pooling_kind="ldconv")
+        n = 100  # 32-row blocks at both levels, so one-block chunks are three
+        if one_block_chunks:
+            monkeypatch.setattr(attention, "CHUNK_ROWS", 1)
+        batch = SequenceBatch(symmetric_uniform(89, n * 8).reshape(n, 8), np.zeros(n, bool))
+        params = init_params(cfg, 90)
+        out, trace = layer_forward(batch, params, cfg, retain=False)
+        assert len(trace.second.grid) == 0
+        np.testing.assert_array_equal(out, 0.0)
+        out, trace = layer_forward(batch, params, cfg)
+        np.testing.assert_array_equal(out, 0.0)
+        grads = layer_backward(trace, symmetric_uniform(91, n * 8).reshape(n, 8))
+        for g in (*grads.first, *grads.second, grads.w_p_key, grads.w_p_value, grads.embeddings):
+            np.testing.assert_array_equal(g, 0.0)
 
 
 class TestRowLayoutTrace:

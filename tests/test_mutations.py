@@ -112,10 +112,11 @@ MUTANTS = {
         ("tests/test_attention.py::TestRowLayoutTrace::"
          "test_trace_views_equal_fresh_stages_bitwise[default-False]",)),
     # the rolling window of pooled segments: one segment short on the left,
-    # new segments pooled without their halo rows, without the segments a
-    # forward adding z into its source must pool ahead, from the rows of a
-    # padded tail or all in one call, and an overflow named by its index in
-    # the pooled range
+    # every pooling call (the window's and the releases') without its halo
+    # rows, the window without the segments a forward adding z into its
+    # source must pool ahead, the calls' one end rule reading the rows of a
+    # padded tail, the calls all in one, and an overflow named by its index
+    # in the pooled range
     "window_one_segment_short_on_the_left": Mutant(
         ATTENTION, "flat[:(h1 - c0) * d] = flat[(c0 - h0) * d:(h1 - h0) * d]",
         "flat[:(h1 - c0 - 1) * d] = flat[(c0 - h0 + 1) * d:(h1 - h0) * d]", (WINDOW_CARRY,)),
@@ -127,10 +128,12 @@ MUTANTS = {
         ("tests/test_attention.py::TestRowLayoutTrace::"
          "test_inference_output_is_bitwise_the_retained_output[short_w2-64]",)),
     # (reading the padded tail wastes work but moves no peak: each call still
-    # reads at most a chunk's rows)
+    # reads at most a chunk's rows; the forward's spy kills it here, the
+    # backward's ``release_rows_into_the_padded_tail``, on the same line)
     "new_rows_read_into_the_padded_tail": Mutant(
-        ATTENTION, "min(n, int(starts[end - 1]) + config.xi)",
-        "int(starts[end]) if end < len(grid) else n", (POOLED_ONCE,)),
+        ATTENTION,
+        "end = int(starts[hi]) if hi < len(grid) else min(n, int(starts[-1]) + config.xi)",
+        "end = int(starts[hi]) if hi < len(grid) else n", (POOLED_ONCE,)),
     "new_segments_pooled_in_one_call": Mutant(
         ATTENTION, "size = _chunk_size(config.xi)  # rows per pooling call",
         "size = n  # rows per pooling call", (POOLED_ONCE,)),
@@ -173,8 +176,7 @@ MUTANTS = {
     # the second level's released value (and key) gradients added into its
     # source, y or the embeddings, both in the trace, not the source's gradient
     "d_v_accumulated_into_a_trace_array": Mutant(
-        ATTENTION, "grads, d_src[start:stop], d_pairs[2:]", "grads, src[start:stop], d_pairs[2:]",
-        (PURITY,)),
+        ATTENTION, "grads, d_src[start:stop],", "grads, source[start:stop],", (PURITY,)),
     # the driver's carries across chunk edges (the union rows the next chunk
     # reads, at either level, and the pooling's halo rows in the second
     # level's releases), the global rows' block replayed against the chunk's
@@ -207,9 +209,10 @@ MUTANTS = {
         ATTENTION, "finals = [c0 for c0, _ in unions[1:]]", "finals = [c1 for _, c1 in unions[:-1]]",
         (f"{BACKWARD_CHUNKS}[block-window_carry]",)),
     "query_release_adds_into_the_upstream": Mutant(
-        ATTENTION, "        d_x[a:b] = 0.0\n", "", (FUZZ,)),
+        ATTENTION, "            d_x[a:b] = 0.0\n", "", (FUZZ,)),
     # a second-level release reading rows of the padded tail past the last
-    # segment's stride step
+    # segment's stride step: the pooling calls' end rule, as in
+    # ``new_rows_read_into_the_padded_tail``, seen by the backward's spy
     "release_rows_into_the_padded_tail": Mutant(
         ATTENTION, "else min(n, int(starts[-1]) + config.xi)", "else n", (RELEASED_ONCE,)),
     # memory: a second whole upstream held through the backward, and the
@@ -233,12 +236,12 @@ MUTANTS = {
     # d) grids, and the rows carried into a chunk held through its blocks,
     # each seen where the second level sets a training step's peak
     "whole_grid_gradient_held": Mutant(
-        ATTENTION, "    def release(lo, hi, d_k, d_v):\n        end = ",
-        ("    grids = [np.zeros((len(grid), d)) for _ in range(2)]\n\n"
-         "    def release(lo, hi, d_k, d_v):\n"
-         "        grids[0][lo:hi], grids[1][lo:hi] = d_k, d_v\n"
-         "        d_k, d_v = grids[0][lo:], grids[1][lo:]\n"
-         "        end = "),
+        ATTENTION, "        def release(lo, hi, d_k, d_v):\n            for ",
+        ("        grids = [np.zeros((len(grid), d)) for _ in range(2)]\n\n"
+         "        def release(lo, hi, d_k, d_v):\n"
+         "            grids[0][lo:hi], grids[1][lo:hi] = d_k, d_v\n"
+         "            d_k, d_v = grids[0][lo:], grids[1][lo:]\n"
+         "            for "),
         (PADDED_STEP_MEMORY,)),
     "carry_held_through_the_chunk": Mutant(
         ATTENTION, "carry = c = None  # not held through the chunk", "pass", (PADDED_STEP_MEMORY,)),

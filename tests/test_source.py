@@ -85,21 +85,35 @@ def _callers(node: ast.AST, name: str, scope: tuple[str, ...] = ()) -> set[tuple
 
 
 def test_each_level_projects_in_one_place():
-    """Each level's queries and keys are one ``(queries, keys)`` pair,
+    """Each level's queries, keys and releases come from one builder,
     ``_first_chunks`` or ``_second_chunks``, that both drivers read: in
-    ``attention.py`` only those, the trace views' input builders and the second
-    level's release (which re-projects the unpooled rows it pools backward)
-    call ``project``, so no forward or backward grows its own projection back."""
+    ``attention.py`` only those and the trace views' input builders call
+    ``project``, so no forward or backward grows its own projection back."""
     tree = ast.parse(ATTENTION.read_text(encoding="utf-8"), filename=str(ATTENTION))
     allowed = {
-        ("_first_chunks",), ("_second_chunks",), ("_first_input",), ("_second_input",),
-        ("SecondLevelTrace", "k2"), ("SecondLevelTrace", "v2"), ("_second_backward", "release"),
+        ("_first_chunks",), ("_second_chunks",), ("FirstLevelTrace", "_input"),
+        ("SecondLevelTrace", "_projected"),
     }
     callers = {
         next((a for a in allowed if scope[:len(a)] == a), scope)
         for scope in _callers(tree, "project")
     }
     assert callers == allowed, callers ^ allowed
+
+
+def test_only_the_builders_release_through_the_projection_backward():
+    """The releases ``_banded_backward`` takes are built by the level's
+    builder, ``_first_chunks`` or ``_second_chunks``: only those call
+    ``_projection_backward``, apart from ``_first_backward``'s one call for
+    the global rows, so no backward grows its own release loop back."""
+    tree = ast.parse(ATTENTION.read_text(encoding="utf-8"), filename=str(ATTENTION))
+    callers = {scope[0] for scope in _callers(tree, "_projection_backward")}
+    assert callers == {"_first_chunks", "_second_chunks", "_first_backward"}, callers
+    first = next(f for f in tree.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "_first_backward")
+    calls = [node for node in ast.walk(first) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_projection_backward"]
+    assert len(calls) == 1
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
