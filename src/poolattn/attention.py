@@ -45,28 +45,30 @@ online softmax rounds differently from one whole block.
 
 Traces keep each level's counts and band and, per head and row, the softmax
 row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1) each),
-never a projection, a mask, a block's key columns or the probabilities.  The
-statistics are per row, so they do not depend on the block or chunk
-partition that made them.  Each trace builds its read-only views (``q``,
-``pooled_k``, ...) and ``attention_rows`` whole from its batch, params and
-second-level source, each building only what it reads
+never a projection, a mask, a block's key columns or the probabilities; both
+levels' traces declare these in one base, ``_LevelTrace``, with
+``attention_rows``.  The statistics are per row, so they do not depend on the
+block or chunk partition that made them.  Each trace builds its read-only
+views (``q``, ``pooled_k``, ...) and ``attention_rows`` whole from its
+batch, params and second-level source, each building only what it reads
 (``FirstLevelTrace._input``, ``SecondLevelTrace._projected`` and
 ``SecondLevelTrace._input``).
 
-The backward runs the forwards' row chunks through their twin driver,
-``_banded_backward``, and never holds a whole projection, pooled or
-unpooled grid, or their gradients.  Per chunk it reads the keys the forward
-read, runs the blocks backward, replays the global rows' block against the
-chunk's own rows, carries the key-gradient rows the next chunk reads, and
-hands the rest and the chunk's query gradient to the level's releases.
-Blocks replay their unnormalized probabilities from the rows' statistics
-with the forward's own operations.  The first level takes
+``layer_backward`` runs both levels' passes, the second level's first,
+through the forwards' twin driver, ``_banded_backward``, over the same row
+chunks, and the releases add into the gradients it returns: with shared
+projections both levels' into one triple.  It never holds a whole projection,
+pooled or unpooled grid, or their gradients.  Per chunk it reads the keys the
+forward read, runs the blocks backward, replays the global rows' block
+against the chunk's own rows, carries the key-gradient rows the next chunk
+reads, and hands the rest and the chunk's query gradient to the level's
+releases.  Blocks replay their unnormalized probabilities from the rows'
+statistics with the forward's own operations.  The first level takes
 FlashAttention-2's ``D = rowsum(dO * O)`` from y (arXiv 2307.08691), its
 global rows' block split over column chunks; the second, which has no extra
 rows, the same paper's ``D = rowsum(P * dP)``, exact over each block's own
-columns.  Gradients are exact reverse-mode, shared projections summing both
-levels' contributions; sums over rows run in chunk order, so gradients agree
-with any other chunk size to rounding.
+columns.  Gradients are exact reverse-mode; sums over rows run in chunk
+order, so gradients agree with any other chunk size to rounding.
 
 ``retain`` (the default) keeps y and the output in the trace, but no z:
 ``layer_forward`` adds z into a copy of y, and ``z`` is a view that re-runs
@@ -328,7 +330,6 @@ def _banded_attention(
             e /= total
             # through the rows, not the strided head view: numpy buffers that add
             out[rows] += e.transpose(1, 0, 2).reshape(e.shape[1], -1)
-            block = bias = None  # not held while the plan builds the next bias
             block = next(plan, None)
         if extra is not None and band.key_ok[a:b].any():
             own = slice(a - c0, b - c0)
@@ -382,20 +383,47 @@ def _retained(arr: np.ndarray | None, what: str) -> np.ndarray:
 
 
 @dataclass
-class FirstLevelTrace:
-    """The first level's output, counts, band and statistics; ``q``, ``k``, ``v`` re-project.
+class _LevelTrace:
+    """What both levels' traces keep: the inputs, counts, band and row statistics.
 
-    ``y`` is None in the trace of a ``retain=False`` forward.
+    ``attention_rows`` reads the level's queries and keys through the
+    subclass's ``_input(0)`` and ``_input(1)``.
     """
 
     batch: SequenceBatch
     params: LayerParams
     config: LayerConfig
-    y: np.ndarray
     counts: np.ndarray
     band: _Band
     rowmax: np.ndarray
     denom: np.ndarray
+
+    def attention_rows(self) -> list[np.ndarray]:
+        """Per-token attention weights over the level's visible keys (tokens or pooled
+        segments), ragged: token i -> (n_heads, |field(i)|)."""
+        config, q, k = self.config, self._input(0), self._input(1)
+        alpha = config.alpha()
+        qh, kh = _heads(q, config.n_heads), _heads(k, config.n_heads)
+        tokens = np.arange(len(q))
+        out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * len(q)
+        for rows, cols, bias, _ in _blocks(self.band, config.w1):
+            probs = _replay_probs(qh[:, rows], kh[:, cols], bias, self.rowmax[:, rows], alpha)
+            probs /= self.denom[:, rows]
+            visible = np.broadcast_to(bias == 0.0, probs.shape[1:])
+            for r, tok in enumerate(tokens[rows]):
+                if visible[r].any():
+                    out[int(tok)] = probs[:, r, visible[r]]
+        return out
+
+
+@dataclass
+class FirstLevelTrace(_LevelTrace):
+    """The first level's output, counts, band and statistics; ``q``, ``k``, ``v`` re-project.
+
+    ``y`` is None in the trace of a ``retain=False`` forward.
+    """
+
+    y: np.ndarray | None
 
     def _input(self, i: int) -> np.ndarray:
         """q (i=0), k (1) or v (2): the embeddings projected."""
@@ -405,13 +433,9 @@ class FirstLevelTrace:
     k = property(lambda self: _view(self._input(1)))
     v = property(lambda self: _view(self._input(2)))
 
-    def attention_rows(self) -> list[np.ndarray]:
-        """Per-token attention weights, ragged: token i -> (n_heads, |field(i)|)."""
-        return _ragged_rows(self, self._input(0), self._input(1))
-
 
 @dataclass
-class SecondLevelTrace:
+class SecondLevelTrace(_LevelTrace):
     """The second level's source, grid, counts, band and row statistics; no output.
 
     Every view re-projects ``source`` on access; ``k2`` and ``v2`` are its
@@ -421,16 +445,9 @@ class SecondLevelTrace:
     ``mix`` its trace has no ``source`` either (None) and its views raise.
     """
 
-    batch: SequenceBatch
-    params: LayerParams
-    config: LayerConfig
     source: np.ndarray | None
     grid: PooledGrid
-    counts: np.ndarray
     degenerate: np.ndarray
-    band: _Band
-    rowmax: np.ndarray
-    denom: np.ndarray
     retain: bool
 
     def _source(self) -> np.ndarray:
@@ -458,10 +475,6 @@ class SecondLevelTrace:
         if not self.retain:
             raise ValueError("a retain=False forward keeps no z; run it with retain=True")
         return _view(_second_level(self.batch, self._source(), self.params, self.config)[0])
-
-    def attention_rows(self) -> list[np.ndarray]:
-        """Per-token weights over visible pooled segments, ragged."""
-        return _ragged_rows(self, self._input(0), self._input(1))
 
 
 @dataclass
@@ -495,24 +508,6 @@ class AttentionTrace:
     @property
     def degenerate_second(self) -> np.ndarray:
         return self.second.degenerate
-
-
-def _ragged_rows(
-    level: FirstLevelTrace | SecondLevelTrace, q: np.ndarray, k: np.ndarray
-) -> list[np.ndarray]:
-    config, band = level.config, level.band
-    alpha = config.alpha()
-    qh, kh = _heads(q, config.n_heads), _heads(k, config.n_heads)
-    tokens = np.arange(len(q))
-    out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * len(q)
-    for rows, cols, bias, _ in _blocks(band, config.w1):
-        probs = _replay_probs(qh[:, rows], kh[:, cols], bias, level.rowmax[:, rows], alpha)
-        probs /= level.denom[:, rows]
-        visible = np.broadcast_to(bias == 0.0, probs.shape[1:])
-        for r, tok in enumerate(tokens[rows]):
-            if visible[r].any():
-                out[int(tok)] = probs[:, r, visible[r]]
-    return out
 
 
 def _first_chunks(
@@ -599,7 +594,7 @@ def first_level_forward(
     y[~pad] = 0.0
     _check_finite(y, "first_level_forward", "query-key")
     return y, FirstLevelTrace(
-        batch, params, config, y if retain else None, counts, band, rowmax, denom
+        batch, params, config, counts, band, rowmax, denom, y if retain else None
     )
 
 
@@ -737,8 +732,8 @@ def _second_level(
     degenerate = pad & (counts == 0)
     _check_finite(out, "second_level_forward", "query-segment")
     return out, SecondLevelTrace(
-        batch, params, config, None if src is into else src, grid, counts, degenerate, band,
-        rowmax, denom, retain,
+        batch, params, config, counts, band, rowmax, denom, None if src is into else src, grid,
+        degenerate, retain,
     )
 
 
@@ -791,8 +786,9 @@ def layer_forward(
 class LayerGrads:
     """Gradients mirroring LayerParams plus the input-embedding gradient.
 
-    With shared projections, ``first`` and ``second`` are the same triple
-    holding the sum of both levels' contributions.
+    ``layer_backward``'s releases add each level's contributions into these
+    arrays.  With shared projections, ``first`` and ``second`` are the same
+    triple, which both levels' releases add into.
     """
 
     first: ProjectionTriple
@@ -940,44 +936,6 @@ def _banded_backward(
     return [extra_dq, *carry]
 
 
-def _first_backward(ft: FirstLevelTrace, d_y: np.ndarray) -> tuple[np.ndarray, ProjectionTriple]:
-    """The first level's backward (``_banded_backward``): (d_x, gradient triple).
-
-    ``d_x`` is ``d_y``'s own buffer; the global rows take their projection
-    backward last.
-    """
-    x, pairs = ft.batch.embeddings, ft.params.first.pairs()
-    glob = np.asarray(ft.batch.global_set, dtype=np.int64)
-    d_x = d_y
-    d_pairs = [np.zeros_like(a) for pair in pairs for a in pair]
-    queries, keys, releases = _first_chunks(x, ft.params, glob)
-    extra_grads = _banded_backward(ft.band, ft.config, queries, keys, d_y, ft.y, ft.rowmax,
-                                   ft.denom, *releases(d_x, d_pairs))
-    d_src = np.zeros((len(glob), x.shape[1]))
-    _projection_backward(x[glob], pairs, extra_grads, d_src, d_pairs)
-    d_x[glob] += d_src
-    return d_x, ProjectionTriple(*d_pairs)
-
-
-def _second_backward(
-    st: SecondLevelTrace, d_z: np.ndarray, d_src: np.ndarray
-) -> tuple[ProjectionTriple, np.ndarray | None, np.ndarray | None]:
-    """The second level's backward (``_banded_backward`` over the forward's window of pooled
-    segments); adds its input gradient into ``d_src``.
-
-    Each block takes D from its own probabilities, not from z.  No
-    (segments, d) gradient is held.
-    """
-    config, params = st.config, st.params
-    d_pairs = [np.zeros_like(a) for pair in params.second.pairs() for a in pair]
-    d_wp = [None if w is None else np.zeros_like(w) for w in (params.w_p_key, params.w_p_value)]
-    queries, keys, releases = _second_chunks(st._source(), params, config, st.grid,
-                                             st.batch.pad_mask, st.band)
-    _banded_backward(st.band, config, queries, keys, d_z, None, st.rowmax, st.denom,
-                     *releases(d_src, d_pairs, d_wp))
-    return ProjectionTriple(*d_pairs), *d_wp
-
-
 def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
     """Exact reverse-mode gradients of ``layer_forward`` for the given upstream.
 
@@ -985,9 +943,18 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
     input gradient flows into the first-level output (or directly into the
     embeddings in the mix setting).  Padding rows receive zero gradient.
     Neither the trace nor ``upstream`` is modified.
+
+    Both passes run here, the second level's first, each through
+    ``_banded_backward`` with its builder's ``(queries, keys, releases)``, and
+    the releases add into the gradients returned.  The second level takes D
+    from each block's own probabilities, not from z, and holds no (segments,
+    d) gradient.  With shared projections the first level's releases add
+    into the second level's triple; otherwise the first level's triple is
+    allocated after the second level's pass, where a padded layer's step
+    peaks.  The global rows take their projection backward last.
     """
     ft, st = trace.first, trace.second
-    config, batch = ft.config, ft.batch
+    config, batch, params = ft.config, ft.batch, ft.params
     if ft.y is None:
         raise ValueError(
             "layer_backward needs a retain=True trace: a retain=False forward keeps no y"
@@ -1004,16 +971,29 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
     # the second level's input gradient: without mix added into d_y, which then
     # is the first level's whole upstream; with mix an embeddings gradient
     d_src = np.zeros_like(d_y) if config.mix else d_y
-    second_grads, d_wp_k, d_wp_v = _second_backward(st, d_y, d_src)
-    d_x, first_grads = _first_backward(ft, d_y)
+    second = ProjectionTriple(*map(np.zeros_like, params.second))
+    d_wp = [None if w is None else np.zeros_like(w) for w in (params.w_p_key, params.w_p_value)]
+    queries, keys, releases = _second_chunks(st._source(), params, config, st.grid,
+                                             batch.pad_mask, st.band)
+    _banded_backward(st.band, config, queries, keys, d_y, None, st.rowmax, st.denom,
+                     *releases(d_src, second, d_wp))
+    first = second
+    if not config.share_projections:  # allocated after the second level's pass
+        first = ProjectionTriple(*map(np.zeros_like, params.first))
+    # the input gradient takes d_y's buffer: each chunk's query release
+    # overwrites its rows after every block reading their upstream
+    d_x = d_y
+    x, glob = batch.embeddings, np.asarray(batch.global_set, dtype=np.int64)
+    queries, keys, releases = _first_chunks(x, params, glob)
+    extra_grads = _banded_backward(ft.band, config, queries, keys, d_y, ft.y, ft.rowmax,
+                                   ft.denom, *releases(d_x, first))
+    d_glob = np.zeros((len(glob), x.shape[1]))
+    _projection_backward(x[glob], params.first.pairs(), extra_grads, d_glob, first)
+    d_x[glob] += d_glob
     if config.mix:
         d_x += d_src
     d_x *= batch.pad_mask[:, None]
-
-    if config.share_projections:
-        total = ProjectionTriple(*(a + b for a, b in zip(first_grads, second_grads)))
-        first_grads = second_grads = total
-    return LayerGrads(first_grads, second_grads, d_wp_k, d_wp_v, d_x)
+    return LayerGrads(first, second, *d_wp, d_x)
 
 
 def stack_forward(batch: SequenceBatch, layers, schedule) -> np.ndarray:
@@ -1022,7 +1002,7 @@ def stack_forward(batch: SequenceBatch, layers, schedule) -> np.ndarray:
     ``layers`` is a sequence of (config, params) pairs and ``schedule`` a
     same-length sequence of "sliding_only" / "two_level".  Sliding-only layers
     skip the second level entirely (their second-level parameters are unused).
-    Every layer's mode and width are checked before any layer runs.
+    Every layer's mode, width and params are checked before any layer runs.
     """
     layers = list(layers)
     schedule = list(schedule)
@@ -1030,13 +1010,14 @@ def stack_forward(batch: SequenceBatch, layers, schedule) -> np.ndarray:
         raise ValueError(
             f"schedule length {len(schedule)} does not match layer count {len(layers)}"
         )
-    for depth, ((config, _), mode) in enumerate(zip(layers, schedule)):
+    for depth, ((config, params), mode) in enumerate(zip(layers, schedule)):
         if config.d_model != batch.d:
             raise ValueError(
                 f"layer {depth} d_model {config.d_model} does not match batch width {batch.d}"
             )
         if mode not in SCHEDULE_MODES:
             raise ValueError(f"schedule mode must be one of {SCHEDULE_MODES}, got {mode!r}")
+        params.validate(config)
     x = batch.embeddings
     for (config, params), mode in zip(layers, schedule):
         current = SequenceBatch(x, batch.pad_mask, batch.global_set)

@@ -427,12 +427,15 @@ class TestLayerBackward:
         fd = central_difference(lambda _: loss(None), emb_work)
         assert max_rel_error(grads.embeddings, fd) <= 1e-6
 
-    def test_shared_gradient_is_sum_of_unshared(self):
+    def test_shared_gradient_is_sum_of_unshared(self, monkeypatch):
+        """Both levels' releases add into one shared triple: in one 10-row
+        chunk, and over chunks of one 32-row block each, where every chunk's
+        releases and then the global rows' projection backward add in turn."""
+        monkeypatch.setattr(attention, "CHUNK_ROWS", 1)
         shared_cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2,
                                  pooling_kind="ldconv", share_projections=True)
         plain_cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2,
                                 pooling_kind="ldconv")
-        batch = synth_batch(10, 4, seed=51)
         shared = init_params(shared_cfg, 52)
         # unshared run whose two levels hold identical copies of the weights
         unshared = LayerParams(
@@ -440,19 +443,21 @@ class TestLayerBackward:
             ProjectionTriple(*(a.copy() for a in shared.first)),
             shared.w_p_key.copy(), shared.w_p_value.copy(),
         )
-        upstream = symmetric_uniform(53, 40).reshape(10, 4)
-        _, t_shared = layer_forward(batch, shared, shared_cfg)
-        _, t_plain = layer_forward(batch, unshared, plain_cfg)
-        np.testing.assert_allclose(t_shared.final, t_plain.final, rtol=0, atol=1e-15)
-        g_shared = layer_backward(t_shared, upstream)
-        g_plain = layer_backward(t_plain, upstream)
-        assert g_shared.second is g_shared.first
-        for field in range(6):
-            np.testing.assert_allclose(
-                g_shared.first[field],
-                g_plain.first[field] + g_plain.second[field],
-                rtol=1e-12, atol=1e-14,
-            )
+        for n, n_global, chunks in ((10, 0, 1), (200, 2, 6)):
+            assert len(attention.row_chunks(n, attention.block_rows(n, 2))) == chunks
+            batch = synth_batch(n, 4, seed=51, global_count=n_global)
+            upstream = symmetric_uniform(53, 4 * n).reshape(n, 4)
+            _, t_shared = layer_forward(batch, shared, shared_cfg)
+            _, t_plain = layer_forward(batch, unshared, plain_cfg)
+            np.testing.assert_allclose(t_shared.final, t_plain.final, rtol=0, atol=1e-15)
+            g_shared = layer_backward(t_shared, upstream)
+            g_plain = layer_backward(t_plain, upstream)
+            assert g_shared.second is g_shared.first
+            want = [a + b for a, b in zip(g_plain.first, g_plain.second)]
+            scale = max(np.abs(a).max() for a in want)  # the level's largest entry
+            for got, sum_ in zip(g_shared.first, want):
+                np.testing.assert_allclose(got, sum_, rtol=1e-12, atol=1e-14)
+                assert np.abs(got - sum_).max() <= 1e-12 * scale
 
 
 class TestStackForward:
@@ -501,8 +506,11 @@ class TestStackForward:
         with pytest.raises(ValueError, match="d_model"):
             stack_forward(batch, [(cfg, params)], ["sliding_only"])
 
-    @pytest.mark.parametrize("bad", ["mode", "width"])
-    def test_last_layer_checked_before_any_layer_runs(self, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ("mode", "mode"), ("width", "layer 1 d_model"),
+        ("params", "w_p_key required for pooling kind ldconv"),
+    ], ids=["mode", "width", "params"])
+    def test_last_layer_checked_before_any_layer_runs(self, bad, message):
         cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
         wide = LayerConfig(d_model=6, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
         batch = synth_batch(8, 4, seed=77)
@@ -510,11 +518,13 @@ class TestStackForward:
         schedule = ["two_level", "sliding_only"]
         if bad == "mode":
             schedule[-1] = "dense"
-        else:
+        elif bad == "width":
             layers[-1] = (wide, init_params(wide, 79))
+        else:  # an ldconv layer holding a mean layer's params: no pooling weights
+            layers[-1] = (replace(cfg, pooling_kind="ldconv"), layers[-1][1])
         with mock.patch.object(attention, "first_level_forward") as first, \
                 mock.patch.object(attention, "layer_forward") as layer, \
-                pytest.raises(ValueError, match="mode" if bad == "mode" else "layer 1 d_model"):
+                pytest.raises(ValueError, match=message):
             stack_forward(batch, layers, schedule)
         assert first.call_count == layer.call_count == 0
 
@@ -1265,11 +1275,12 @@ class TestBackwardPurity:
         arrays = _reachable_arrays(trace, "trace")
         arrays["upstream"] = upstream
         # what the trace holds, by field; nothing the backward rebuilds (the
-        # second level's band holds only the pad mask and the grid, reached first)
+        # second level's band holds only the pad mask and the grid: the band
+        # is a base field, declared first, so the walk reaches the grid there)
         fields = {".".join(key.split(".")[:3]) for key in arrays}
         assert fields == {
             "trace.first.batch", "trace.first.params", "trace.first.y", "trace.first.counts",
-            "trace.first.band", "trace.first.rowmax", "trace.first.denom", "trace.second.grid",
+            "trace.first.band", "trace.first.rowmax", "trace.first.denom", "trace.second.band",
             "trace.second.counts", "trace.second.degenerate",
             "trace.second.rowmax", "trace.second.denom", "trace.final", "upstream",
         }

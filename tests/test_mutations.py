@@ -215,18 +215,20 @@ MUTANTS = {
     # ``new_rows_read_into_the_padded_tail``, seen by the backward's spy
     "release_rows_into_the_padded_tail": Mutant(
         ATTENTION, "else min(n, int(starts[-1]) + config.xi)", "else n", (RELEASED_ONCE,)),
-    # memory: a second whole upstream held through the backward, and the
-    # first level's input gradient in a zero-filled array, not d_y's buffer
+    # memory: a second whole upstream held through the backward, and
+    # ``layer_backward``'s first-level input gradient in a zero-filled array,
+    # not d_y's buffer
     "upstream_copy_held": Mutant(
         ATTENTION, "    d_y = upstream * batch.pad_mask[:, None]\n",
         "    up = upstream.copy()\n    d_y = up * batch.pad_mask[:, None]\n", (STEP_MEMORY,)),
     "zero_filled_d_x": Mutant(
         ATTENTION, "    d_x = d_y\n", "    d_x = np.zeros_like(d_y)\n", (STEP_MEMORY,)),
-    # the trace keeps no z, but the second level's backward takes D in the
-    # dO * O form from z's view, which re-runs the whole level for each
-    # block: gradients stay right; the source guard kills it without running
+    # the trace keeps no z, but ``layer_backward`` runs the second level's
+    # pass with D in the dO * O form from z's view, which re-runs the whole
+    # level for each block: gradients stay right; the source guard kills it
+    # without running
     "second_level_d_from_z": Mutant(
-        ATTENTION, "d_z, None, st.rowmax", "d_z, st.z, st.rowmax",
+        ATTENTION, "d_y, None, st.rowmax", "d_y, st.z, st.rowmax",
         ("tests/test_source.py::test_no_backward_reads_z",)),
     # a training forward adding z into y itself, not a copy: the trace's y
     # is the output

@@ -48,7 +48,7 @@ def test_no_backward_reads_z():
         for node in ast.walk(func)
         if isinstance(node, ast.Attribute) and node.attr == "z"
     ]
-    required = {"_block_backward", "_banded_backward", "_second_backward", "layer_backward"}
+    required = {"_block_backward", "_banded_backward", "layer_backward"}
     assert required <= {f.name for f in backward}
     assert not found, f"backward functions reading z: {found}"
 
@@ -104,14 +104,14 @@ def test_each_level_projects_in_one_place():
 def test_only_the_builders_release_through_the_projection_backward():
     """The releases ``_banded_backward`` takes are built by the level's
     builder, ``_first_chunks`` or ``_second_chunks``: only those call
-    ``_projection_backward``, apart from ``_first_backward``'s one call for
+    ``_projection_backward``, apart from ``layer_backward``'s one call for
     the global rows, so no backward grows its own release loop back."""
     tree = ast.parse(ATTENTION.read_text(encoding="utf-8"), filename=str(ATTENTION))
     callers = {scope[0] for scope in _callers(tree, "_projection_backward")}
-    assert callers == {"_first_chunks", "_second_chunks", "_first_backward"}, callers
-    first = next(f for f in tree.body
-                 if isinstance(f, ast.FunctionDef) and f.name == "_first_backward")
-    calls = [node for node in ast.walk(first) if isinstance(node, ast.Call)
+    assert callers == {"_first_chunks", "_second_chunks", "layer_backward"}, callers
+    layer = next(f for f in tree.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "layer_backward")
+    calls = [node for node in ast.walk(layer) if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "_projection_backward"]
     assert len(calls) == 1
 
