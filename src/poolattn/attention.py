@@ -21,27 +21,29 @@ are strided column blocks of those rows: ``_heads`` views them as
 matmul reading through such views, and block gradients are written through
 them.
 
-The forwards stream row chunks (``row_chunks``: ``CHUNK_ROWS`` rows, whole
-blocks, a short tail folded into the last chunk) and never hold a whole
-projection.  Each level has one builder, ``_first_chunks`` or
-``_second_chunks``, the only code that projects or pools during the layer's
-passes.  It returns ``(queries, keys, releases)``: ``queries(rows)``, the
-queries of a row slice or of the global rows' index array, and ``keys(c0,
-c1)``, the keys and values of a chunk's key union followed by the global
-rows', which both drivers read in both directions, and ``releases(...)``,
-which builds the backward's ``release_q`` and ``release`` callbacks, so each
-level's releases sit with its projections.  Each chunk projects exactly the
-rows it reads; the driver projects the global rows' queries once.  The
-second level holds a rolling window of pooled segments, never a whole pooled
-grid, and its window fills and its releases run over one pooling-call
-generator, which holds the rows per call, the kappa - xi halo and the end
-that reads no padded tail.  Every block adds its output rows into the
-level's buffer: zeros, or in ``layer_forward`` the second level's copy of y
-(or y itself), which z is added into.  ``core.project`` (the routine
-``project_qkv`` uses) gives any slice or gather of rows the bits of the
-whole projection, so chunks see bitwise the rows of the whole projection and
-pooled segments bitwise as ``pool_grid`` pools them: only the global rows'
-online softmax rounds differently from one whole block.
+The forwards stream row chunks (``row_chunks``: ``CHUNK_ROWS`` rows in whole
+blocks, the last chunk shorter) and never hold a whole projection.  Each
+level has one builder, ``_first_chunks`` or ``_second_chunks``, the only
+code that projects or pools during the layer's passes.  It returns
+``(queries, keys, releases)``: ``queries(rows)``, the queries of a row slice
+or of the global rows' index array, and ``keys(c0, c1)``, the keys and
+values of a chunk's key union followed by the global rows', which both
+drivers read in both directions, and ``releases(...)``, which builds the
+backward's ``release_q`` and ``release`` callbacks, so each level's releases
+sit with its projections.  Each chunk projects exactly the rows it reads;
+the driver projects the global rows' queries once.  The second level holds a
+rolling window of pooled segments, never a whole pooled grid, and its window
+fills and its releases run over one pooling-call generator, which holds the
+rows per call, the kappa - xi halo and the end that reads no padded tail.
+Every block adds its output rows into the level's buffer: zeros, or in
+``layer_forward`` the second level's copy of y (or y itself), which z is
+added into.  A padding row sees no key and is no visible key, so every block
+adds exact zeros into its +0.0 output row and takes exact zeros as its key
+and value gradients.  ``core.project`` (the routine ``project_qkv`` uses)
+gives any slice or gather of rows the bits of the whole projection, so
+chunks see bitwise the rows of the whole projection and pooled segments
+bitwise as ``pool_grid`` pools them: only the global rows' online softmax
+rounds differently from one whole block.
 
 Traces keep each level's counts and band and, per head and row, the softmax
 row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1) each),
@@ -57,18 +59,21 @@ batch, params and second-level source, each building only what it reads
 ``layer_backward`` runs both levels' passes, the second level's first,
 through the forwards' twin driver, ``_banded_backward``, over the same row
 chunks, and the releases add into the gradients it returns: with shared
-projections both levels' into one triple.  It never holds a whole projection,
-pooled or unpooled grid, or their gradients.  Per chunk it reads the keys the
-forward read, runs the blocks backward, replays the global rows' block
-against the chunk's own rows, carries the key-gradient rows the next chunk
-reads, and hands the rest and the chunk's query gradient to the level's
-releases.  Blocks replay their unnormalized probabilities from the rows'
-statistics with the forward's own operations.  The first level takes
+projections both levels' into one triple.  It never holds a whole
+projection, pooled or unpooled grid, or their gradients.  Per chunk it reads
+the keys the forward read, runs the blocks backward, replays the global
+rows' block against the chunk's own rows, carries the key-gradient rows the
+next chunk reads, and hands the rest and the chunk's query gradient to the
+level's releases.  Blocks replay their unnormalized probabilities from the
+rows' statistics with the forward's own operations.  The first level takes
 FlashAttention-2's ``D = rowsum(dO * O)`` from y (arXiv 2307.08691), its
 global rows' block split over column chunks; the second, which has no extra
 rows, the same paper's ``D = rowsum(P * dP)``, exact over each block's own
-columns.  Gradients are exact reverse-mode; sums over rows run in chunk
-order, so gradients agree with any other chunk size to rounding.
+columns.  The first level's query release sets its rows of the input
+gradient to +0.0 before adding into them, so a padding row's input gradient
+is +0.0 however the masked upstream's zeros are signed.  Gradients are exact
+reverse-mode; sums over rows run in chunk order, so gradients agree with any
+other chunk size to rounding.
 
 ``retain`` (the default) keeps y and the output in the trace, but no z:
 ``layer_forward`` adds z into a copy of y, and ``z`` is a view that re-runs
@@ -198,14 +203,10 @@ def row_chunks(n: int, block: int) -> list[tuple[int, int]]:
     """The row chunks a forward streams over n rows, as (start, stop) pairs.
 
     Chunks are ``_chunk_size(block)`` rows, whole cells of the level's block
-    grid, so no block crosses a chunk edge; a shorter tail folds into the
-    chunk before it.
+    grid, so no block crosses a chunk edge; the last may be shorter.
     """
     size = _chunk_size(block)
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] < size:
-        starts.pop()  # the short tail joins the chunk before it
-    return list(zip(starts, starts[1:] + [n]))
+    return [(a, min(n, a + size)) for a in range(0, n, size)]
 
 
 def _blocks(
@@ -590,8 +591,6 @@ def first_level_forward(
             f"malformed batch: the receptive field of token {int(np.argmax(blind))} "
             "is entirely padding"
         )
-
-    y[~pad] = 0.0
     _check_finite(y, "first_level_forward", "query-key")
     return y, FirstLevelTrace(
         batch, params, config, counts, band, rowmax, denom, y if retain else None
@@ -617,9 +616,10 @@ def _second_chunks(
     chunk of ``band``'s rows, in order, drops the segments below c0, keeps
     those it holds, and pools only the new ones, so every segment is pooled
     once, with ``pool_grid``'s bits.  It also pools every segment that starts
-    before the chunk's last row: a forward that adds z into its own source
-    has pooled each segment before z reaches its rows.  Each window is
-    allocated once, at the widest chunk, and shifted in place.
+    before the chunk's end, whether or not the chunk's rows see it: a forward
+    that adds z into its own source has pooled each segment before z reaches
+    its rows.  Each window is allocated once, at the widest chunk, and
+    shifted in place.
 
     ``release(lo, hi, d_k, d_v)`` takes segments lo..hi's gradients through
     ``pool_grid_rows_backward`` over their re-projected keys, then values,
@@ -655,21 +655,16 @@ def _second_chunks(
         last = min(n, stop + halo)
         return project(source[start:last], *pairs[i], tokens=range(start, last))
 
-    def reach(c1: int) -> int:
-        # segment c1's center lies past the last row's window, so a segment
-        # starting before that row starts before the center minus w2
-        if c1 == len(grid):
-            return c1
-        return max(c1, int(np.searchsorted(starts, grid.centers[c1] - config.w2)))
-
-    chunks = row_chunks(n, _block_size(band, config.w1))
-    width = max(reach(int(band.bounds(b - 1)[1])) - int(band.bounds(a)[0]) for a, b in chunks)
-    windows = [np.empty((width, d)) for _ in ops]
+    # each chunk's segments: its union's, and every one starting before its end
+    a, b = np.array(row_chunks(n, _block_size(band, config.w1))).T
+    ends = np.maximum(band.bounds(b - 1)[1], np.searchsorted(starts, b))
+    windows = [np.empty((int((ends - band.bounds(a)[0]).max()), d)) for _ in ops]
+    ends = iter(ends.tolist())  # ``keys`` is called once per chunk, in order
     h0 = h1 = 0  # the windows hold segments h0 to h1
 
     def keys(c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal h0, h1
-        end = reach(c1)
+        end = next(ends)
         if c0 > h0:  # c0 <= h1: a row's lo never passes the row before's hi
             for win in windows:  # one-dimensional, numpy shifts it without a copy
                 flat = win.reshape(-1)
@@ -714,9 +709,8 @@ def _second_level(
 
     The chunks' keys and values come from one rolling window of pooled
     segments (``_second_chunks``), so ``into`` may be the source.  Without
-    ``retain`` the trace refuses ``z``.
+    ``retain`` the trace refuses ``z``.  ``params`` are already validated.
     """
-    params.validate(config)
     n, d = batch.embeddings.shape
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n, d):
@@ -755,6 +749,7 @@ def second_level_forward(
     keeps no z: its ``z`` re-runs the level, and with ``retain=False``
     refuses.
     """
+    params.validate(config)
     return _second_level(batch, y, params, config, retain=retain)
 
 
@@ -992,7 +987,6 @@ def layer_backward(trace: AttentionTrace, upstream: np.ndarray) -> LayerGrads:
     d_x[glob] += d_glob
     if config.mix:
         d_x += d_src
-    d_x *= batch.pad_mask[:, None]
     return LayerGrads(first, second, *d_wp, d_x)
 
 
@@ -1001,8 +995,10 @@ def stack_forward(batch: SequenceBatch, layers, schedule) -> np.ndarray:
 
     ``layers`` is a sequence of (config, params) pairs and ``schedule`` a
     same-length sequence of "sliding_only" / "two_level".  Sliding-only layers
-    skip the second level entirely (their second-level parameters are unused).
-    Every layer's mode, width and params are checked before any layer runs.
+    skip the second level entirely, but every layer's params are validated
+    against its whole config, second level and pooling weights included, so a
+    sliding-only layer still holds what its pooling kind needs.  Every layer's
+    mode, width and params are checked before any layer runs.
     """
     layers = list(layers)
     schedule = list(schedule)

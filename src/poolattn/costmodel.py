@@ -231,7 +231,7 @@ def estimate_peak_bytes(
     if pattern == "dense":
         return 8 * (2 * n * n + 5 * nd)
     b = block_rows(n, w1)
-    # the largest chunk: a short tail folds into the chunk before it
+    # the largest chunk
     c = max(stop - start for start, stop in row_chunks(n, b))
 
     def block_floats(r: int, cols: int) -> int:

@@ -6,7 +6,7 @@ row — the segment's center row for ldconv, the segment mean for mean_ldconv.
 Partial segments run the softmax over the first ``len`` logits only, so the
 weights stay a distribution over real rows.
 
-``pool_segment*`` pool one block (the reference for oracle and tests);
+``pool_segment`` pools one block (the reference for oracle and tests);
 ``pool_grid*`` pool a whole stride grid, padding and partial tail included, by
 batched matmuls over strided windows forward and one strided add per offset back.
 ``pool_grid_rows`` pools the segments that start in a range of rows, from those
@@ -78,43 +78,6 @@ def pool_segment(op: PoolingOp, block: np.ndarray) -> np.ndarray:
     if op.kind == "max":
         return block.max(axis=0)
     return _dynamic_weights(op, block)[1] @ block
-
-
-def pool_segment_backward(
-    op: PoolingOp, block: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Analytic gradients of ``pool_segment`` w.r.t. the block and the weights.
-
-    Returns ``(grad_block, grad_w_p)`` with ``grad_w_p`` None for mean/max.
-    Max routes the gradient to the first maximal row per column; the ldconv
-    kinds differentiate through both the weighted sum and the softmax logits,
-    including the logits' dependence on the center/mean row.
-    """
-    block = _check_block(op, block)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    length, d = block.shape
-    if upstream.shape != (d,):
-        raise ValueError(f"upstream gradient must have shape ({d},), got {upstream.shape}")
-
-    if op.kind == "mean":
-        return np.tile(upstream / length, (length, 1)), None
-    if op.kind == "max":
-        grad = np.zeros_like(block)
-        grad[np.argmax(block, axis=0), np.arange(d)] = upstream
-        return grad, None
-
-    ctx, delta = _dynamic_weights(op, block)
-    g_delta = block @ upstream
-    g_logits = delta * (g_delta - delta @ g_delta)
-    grad_wp = np.zeros_like(op.w_p)
-    grad_wp[:length] = np.outer(g_logits, ctx)
-    g_ctx = op.w_p[:length].T @ g_logits
-    grad_block = np.outer(delta, upstream)
-    if op.kind == "ldconv":
-        grad_block[length // 2] += g_ctx
-    else:
-        grad_block += g_ctx / length
-    return grad_block, grad_wp
 
 
 def _layout(grid: PooledGrid, source, pad_mask) -> tuple[np.ndarray, ...]:
@@ -234,8 +197,8 @@ def pool_grid_rows(
     ``pool_grid`` over the whole source.  An overflow names its segment's index
     in the whole grid.
     """
-    own, pad, first, count = _rows_grid(grid, pad_mask, start, stop, len(rows))
-    return check_pooled(op, _pool(op, rows, own, pad)[:count], first)
+    own, pad, first = _rows_grid(grid, pad_mask, start, stop, len(rows))
+    return check_pooled(op, _pool(op, rows, own, pad), first)
 
 
 def pool_grid_rows_backward(
@@ -254,21 +217,20 @@ def pool_grid_rows_backward(
     segments' part of their gradient; the segments that start there add the
     rest.
     """
-    own, pad, _, count = _rows_grid(grid, pad_mask, start, stop, len(rows))
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (count, rows.shape[1]):
-        raise ValueError(f"upstream must be ({count}, {rows.shape[1]}), got {upstream.shape}")
-    up = np.zeros((len(own), rows.shape[1]))  # the own grid's later segments get none
-    up[:count] = upstream
-    return pool_grid_backward(op, rows, own, pad, up)
+    own, pad, _ = _rows_grid(grid, pad_mask, start, stop, len(rows))
+    return pool_grid_backward(op, rows, own, pad, upstream)
 
 
 def _rows_grid(
     grid: PooledGrid, pad_mask: np.ndarray | None, start: int, stop: int, length: int
-) -> tuple[PooledGrid, np.ndarray | None, int, int]:
-    """The grid of ``length`` rows from ``start`` pooled as a sequence of their own,
-    their pad mask, the index in ``grid`` of its first segment, and how many of its
-    leading segments start before ``stop``."""
+) -> tuple[PooledGrid, np.ndarray | None, int]:
+    """The segments starting in rows ``start`` to ``stop``, as the grid of ``length`` rows
+    from ``start`` pooled as a sequence of their own, their pad mask, and the index in
+    ``grid`` of the first segment.
+
+    The own grid's segments that start in the halo rows, at or past ``stop``, are left
+    out, so ``pool_grid`` and ``pool_grid_backward`` over it pool only these: they read
+    every row they would in ``grid``, so they keep its lengths and which are dropped."""
     n, kappa, xi = grid.n, grid.kappa, grid.xi
     if not 0 <= start < stop <= n or start % xi or (stop % xi and stop != n):
         raise ValueError(f"rows {start} to {stop} do not start and end on the stride-{xi} grid")
@@ -278,8 +240,11 @@ def _rows_grid(
             f"{min(n, stop + kappa - xi)}, got {length} rows"
         )
     pad = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[start:start + length]
-    first, last = np.searchsorted(grid.segment_starts, (start, stop))
-    return build_pooled_grid(length, kappa, xi, pad), pad, int(first), int(last - first)
+    own = build_pooled_grid(length, kappa, xi, pad)
+    count = int(np.searchsorted(own.segment_starts, stop - start))
+    own = PooledGrid(length, kappa, xi, own.segment_starts[:count], own.segment_lens[:count],
+                     own.centers[:count])
+    return own, pad, int(np.searchsorted(grid.segment_starts, start))
 
 
 def check_pooled(op: PoolingOp, out: np.ndarray, first: int = 0) -> np.ndarray:

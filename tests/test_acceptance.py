@@ -35,7 +35,8 @@ from poolattn.oracle import (
     dense_layer_reference,
     literal_pooling_attention,
 )
-from poolattn.pooling import PoolingOp, pool_segment, pool_segment_backward
+from poolattn.pooling import PoolingOp, pool_segment
+from pooling_reference import pool_segment_backward
 
 KINDS = ("mean", "max", "ldconv", "mean_ldconv")
 

@@ -429,8 +429,9 @@ class TestLayerBackward:
 
     def test_shared_gradient_is_sum_of_unshared(self, monkeypatch):
         """Both levels' releases add into one shared triple: in one 10-row
-        chunk, and over chunks of one 32-row block each, where every chunk's
-        releases and then the global rows' projection backward add in turn."""
+        chunk, and over chunks of one 32-row block each (the last 8 rows),
+        where every chunk's releases and then the global rows' projection
+        backward add in turn."""
         monkeypatch.setattr(attention, "CHUNK_ROWS", 1)
         shared_cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2,
                                  pooling_kind="ldconv", share_projections=True)
@@ -443,7 +444,7 @@ class TestLayerBackward:
             ProjectionTriple(*(a.copy() for a in shared.first)),
             shared.w_p_key.copy(), shared.w_p_value.copy(),
         )
-        for n, n_global, chunks in ((10, 0, 1), (200, 2, 6)):
+        for n, n_global, chunks in ((10, 0, 1), (200, 2, 7)):
             assert len(attention.row_chunks(n, attention.block_rows(n, 2))) == chunks
             batch = synth_batch(n, 4, seed=51, global_count=n_global)
             upstream = symmetric_uniform(53, 4 * n).reshape(n, 4)
@@ -498,6 +499,16 @@ class TestStackForward:
             stack_forward(batch, [(cfg, params)], ["sliding_only", "two_level"])
         with pytest.raises(ValueError, match="mode"):
             stack_forward(batch, [(cfg, params)], ["dense"])
+
+    def test_sliding_only_layer_validates_its_whole_config(self):
+        """A sliding-only layer never runs its second level, but its params are
+        validated against its whole config: an ldconv layer holding a mean
+        layer's params, which have no pooling weights, is refused."""
+        cfg = LayerConfig(d_model=4, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
+        batch = synth_batch(8, 4, seed=73)
+        layers = [(replace(cfg, pooling_kind="ldconv"), init_params(cfg, 74))]
+        with pytest.raises(ValueError, match="w_p_key required for pooling kind ldconv"):
+            stack_forward(batch, layers, ["sliding_only"])
 
     def test_mismatched_width_rejected(self):
         cfg = LayerConfig(d_model=6, n_heads=2, w1=2, w2=6, kappa=3, xi=2)
@@ -683,7 +694,7 @@ class TestBlockSizeInvariance:
     @pytest.mark.parametrize("chunk", ["block", "two_blocks", "n"])
     def test_output_and_gradients_independent_of_chunk_size(self, case, chunk, monkeypatch):
         """The forwards stream chunks of ``CHUNK_ROWS`` rows, rounded down to whole
-        blocks, a short tail folded in: one block, two blocks, or all n rows.
+        blocks: one block, two blocks, or all n rows (``CHUNK_ROWS`` 2n).
         Blocks are 8 rows here, fewer than BLAS needs to round a product's
         rows as the whole sequence's at d = 64.
 
@@ -701,7 +712,8 @@ class TestBlockSizeInvariance:
         grads = layer_backward(trace, upstream)
         assert len(row_chunks(n, attention._block_size(trace.first.band, cfg.w1))) == 1
         z = trace.z  # rebuilt on access: read it before the chunk size changes
-        monkeypatch.setattr(attention, "CHUNK_ROWS", {"block": 1, "two_blocks": 16, "n": n}[chunk])
+        chunk_rows = {"block": 1, "two_blocks": 16, "n": 2 * n}[chunk]
+        monkeypatch.setattr(attention, "CHUNK_ROWS", chunk_rows)
         out_c, trace_c = layer_forward(batch, params, cfg)
         grads_c = layer_backward(trace_c, upstream)
         for level in (trace_c.first, trace_c.second):
@@ -731,8 +743,8 @@ class TestBlockSizeInvariance:
     @pytest.mark.parametrize("chunk", ["block", "two_blocks", "n"])
     def test_backward_streams_chunks_of_its_own(self, case, chunk, monkeypatch):
         """The backward streams ``CHUNK_ROWS`` chunks of its own: one 8-row block,
-        two blocks or all n rows, after a forward under another ``CHUNK_ROWS``
-        (two blocks, or one for "two_blocks").
+        two blocks or all n rows (``CHUNK_ROWS`` 2n), after a forward under
+        another ``CHUNK_ROWS`` (two blocks, or one for "two_blocks").
 
         Its carries cross every chunk edge: the first level's 2*w1 halo rows
         and global accumulators, and the pooling's kappa - xi halo rows.
@@ -745,7 +757,8 @@ class TestBlockSizeInvariance:
         want = layer_backward(trace, upstream)
         monkeypatch.setattr(attention, "CHUNK_ROWS", 1 if chunk == "two_blocks" else 16)
         _, trace = layer_forward(batch, params, cfg)
-        monkeypatch.setattr(attention, "CHUNK_ROWS", {"block": 1, "two_blocks": 16, "n": n}[chunk])
+        chunk_rows = {"block": 1, "two_blocks": 16, "n": 2 * n}[chunk]
+        monkeypatch.setattr(attention, "CHUNK_ROWS", chunk_rows)
         got = layer_backward(trace, upstream)
         for level in (trace.first, trace.second):
             chunks = row_chunks(n, attention._block_size(level.band, cfg.w1))
@@ -769,9 +782,7 @@ class TestBlockSizeInvariance:
     @pytest.mark.parametrize("chunk_rows", [attention.CHUNK_ROWS, 100])
     @pytest.mark.parametrize("w1, step", [(128, 1), (128, 3), (16, 2), (0, 5)])
     @pytest.mark.parametrize("n", [1, 40, 100, 1024, 1100, 2047, 2048, 3000])
-    def test_chunks_tile_the_rows_in_whole_blocks_and_fold_the_tail(
-        self, n, w1, step, chunk_rows, monkeypatch
-    ):
+    def test_chunks_tile_the_rows_in_whole_blocks(self, n, w1, step, chunk_rows, monkeypatch):
         monkeypatch.setattr(attention, "CHUNK_ROWS", chunk_rows)
         band = _Band(partial(window_bounds, w=w1, n=n), row_ok=np.ones(n, dtype=bool), step=step)
         cell = max(step, block_rows(n, w1) // step * step)
@@ -780,10 +791,10 @@ class TestBlockSizeInvariance:
         chunks = row_chunks(n, cell)
         assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
         assert chunks[-1][1] == n
-        # no block crosses a chunk edge; a tail shorter than a chunk joins the last
+        # no block crosses a chunk edge: every chunk is ``size`` rows but the
+        # last, which holds the 1 to ``size`` rows left
         assert all(b - a == size for a, b in chunks[:-1])
-        last = chunks[-1][1] - chunks[-1][0]
-        assert last == n if len(chunks) == 1 else size <= last < 2 * size
+        assert 1 <= chunks[-1][1] - chunks[-1][0] <= size
 
     def test_default_block_follows_w1(self):
         assert block_rows(16384, 128) == 64
@@ -1136,7 +1147,7 @@ class TestPaddedBlocks:
         backward return exact zeros, whether a chunk is many blocks or one."""
         cfg = LayerConfig(d_model=8, n_heads=2, w1=5, w2=12, kappa=4, xi=2,
                           pooling_kind="ldconv")
-        n = 100  # 32-row blocks at both levels, so one-block chunks are three
+        n = 100  # 32-row blocks at both levels, so one-block chunks are four
         if one_block_chunks:
             monkeypatch.setattr(attention, "CHUNK_ROWS", 1)
         batch = SequenceBatch(symmetric_uniform(89, n * 8).reshape(n, 8), np.zeros(n, bool))
@@ -1149,6 +1160,36 @@ class TestPaddedBlocks:
         grads = layer_backward(trace, symmetric_uniform(91, n * 8).reshape(n, 8))
         for g in (*grads.first, *grads.second, grads.w_p_key, grads.w_p_value, grads.embeddings):
             np.testing.assert_array_equal(g, 0.0)
+
+    @pytest.mark.parametrize("mix", [False, True])
+    @pytest.mark.parametrize("one_block_chunks", [False, True])
+    def test_padding_rows_are_positive_zeros(self, mix, one_block_chunks, monkeypatch):
+        """Padding rows of y, both forwards' outputs and the input gradient are
+        +0.0, not -0.0, and nothing re-zeroes them: every block adds exact zeros
+        into them, and each chunk's query release sets its rows to +0.0 before
+        adding, although the masked upstream is -0.0 there."""
+        cfg = LayerConfig(d_model=8, n_heads=2, w1=5, w2=12, kappa=4, xi=2,
+                          pooling_kind="ldconv",
+                          second_level_input="raw_embeddings" if mix else "first_level_output")
+        n = 100  # 32-row blocks at both levels
+        if one_block_chunks:
+            monkeypatch.setattr(attention, "CHUNK_ROWS", 1)
+        pad = np.ones(n, dtype=bool)
+        pad[[7, 40, 41]] = False  # padded rows mid-block, and a padded tail
+        pad[80:] = False
+        batch = SequenceBatch(symmetric_uniform(92, n * 8).reshape(n, 8), pad, (0, 50))
+        upstream = symmetric_uniform(93, n * 8).reshape(n, 8)
+        upstream[~pad] = -1.0 - np.abs(upstream[~pad])
+        assert np.signbit((upstream * pad[:, None])[~pad]).all()
+        params = init_params(cfg, 94)
+        out, _ = layer_forward(batch, params, cfg, retain=False)
+        out_r, trace = layer_forward(batch, params, cfg)
+        grads = layer_backward(trace, upstream)
+        arrays = {"y": trace.y, "inference output": out, "output": out_r,
+                  "embeddings gradient": grads.embeddings}
+        for name, arr in arrays.items():
+            assert (arr[~pad] == 0.0).all() and not np.signbit(arr[~pad]).any(), name
+            assert (arr[pad] != 0.0).any(), name
 
 
 class TestRowLayoutTrace:

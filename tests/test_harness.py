@@ -31,6 +31,7 @@ from poolattn.harness import (
     unit_uniform,
 )
 from poolattn.windowing import segment_bounds
+from pooling_reference import pool_segment_backward
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "synth_checksums.json").read_text()
@@ -226,7 +227,7 @@ class TestRunners:
 
     def test_gradcheck_catches_dropped_jacobian_term(self, monkeypatch):
         def corrupted(op, block, upstream):
-            grad_block, grad_wp = pooling.pool_segment_backward(op, block, upstream)
+            grad_block, grad_wp = pool_segment_backward(op, block, upstream)
             if op.kind == "ldconv" and block.shape[0] > 1:
                 # drop the logits' dependence on the center row
                 length = block.shape[0]

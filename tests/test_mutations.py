@@ -102,9 +102,11 @@ MUTANTS = {
     "online_softmax_without_rescaling": Mutant(
         ATTENTION, "scale = np.exp(e_max - top)", "scale = 1.0",
         (f"{CHUNKS}::test_output_and_gradients_independent_of_chunk_size[block-wide_rows]",)),
-    "tail_chunk_unfolded": Mutant(
-        ATTENTION, "starts.pop()", "pass",
-        (f"{CHUNKS}::test_chunks_tile_the_rows_in_whole_blocks_and_fold_the_tail",)),
+    # the last chunk a whole chunk long, past the last row
+    "tail_chunk_past_the_end": Mutant(
+        ATTENTION, "return [(a, min(n, a + size)) for a in range(0, n, size)]",
+        "return [(a, a + size) for a in range(0, n, size)]",
+        (f"{CHUNKS}::test_chunks_tile_the_rows_in_whole_blocks",)),
     # layer_forward(retain=False) added z into y: a trace keeping y as the
     # source would project q2 (and k2, v2) from y + z
     "z_added_before_q2_view": Mutant(
@@ -113,23 +115,28 @@ MUTANTS = {
          "test_trace_views_equal_fresh_stages_bitwise[default-False]",)),
     # the rolling window of pooled segments: one segment short on the left,
     # every pooling call (the window's and the releases') without its halo
-    # rows, the window without the segments a forward adding z into its
-    # source must pool ahead, the calls' one end rule reading the rows of a
-    # padded tail, the calls all in one, and an overflow named by its index
-    # in the pooled range
+    # rows, the window without the segments that start before a chunk's end,
+    # which a forward adding z into its source must pool ahead, the calls'
+    # one end rule reading the rows of a padded tail, the calls all in one,
+    # a range pooling the segments that start in its halo, and an overflow
+    # named by its index in the pooled range
     "window_one_segment_short_on_the_left": Mutant(
         ATTENTION, "flat[:(h1 - c0) * d] = flat[(c0 - h0) * d:(h1 - h0) * d]",
         "flat[:(h1 - c0 - 1) * d] = flat[(c0 - h0 + 1) * d:(h1 - h0) * d]", (WINDOW_CARRY,)),
     "new_segments_pooled_without_halo": Mutant(
         ATTENTION, "last = min(n, stop + halo)", "last = stop", (WINDOW_CARRY,)),
     "no_segments_pooled_ahead": Mutant(
-        ATTENTION, "return max(c1, int(np.searchsorted(starts, grid.centers[c1] - config.w2)))",
-        "return c1",
+        ATTENTION, "ends = np.maximum(band.bounds(b - 1)[1], np.searchsorted(starts, b))",
+        "ends = band.bounds(b - 1)[1]",
         ("tests/test_attention.py::TestRowLayoutTrace::"
          "test_inference_output_is_bitwise_the_retained_output[short_w2-64]",)),
-    # (reading the padded tail wastes work but moves no peak: each call still
-    # reads at most a chunk's rows; the forward's spy kills it here, the
-    # backward's ``release_rows_into_the_padded_tail``, on the same line)
+    # (reading the padded tail adds pooling calls but makes no transient
+    # larger: a call pools at most ``_chunk_size(xi)`` rows. On padded_wide-
+    # shaped forwards (n = 8192) its calls read 16416 rows, halos included,
+    # against 12316 at a 25% padded tail and 9852 at a 40% tail, and it moves
+    # the peak by at most 0.01 MiB either way, so no memory test sees it; the
+    # forward's spy kills it here, the backward's
+    # ``release_rows_into_the_padded_tail``, on the same line)
     "new_rows_read_into_the_padded_tail": Mutant(
         ATTENTION,
         "end = int(starts[hi]) if hi < len(grid) else min(n, int(starts[-1]) + config.xi)",
@@ -137,6 +144,11 @@ MUTANTS = {
     "new_segments_pooled_in_one_call": Mutant(
         ATTENTION, "size = _chunk_size(config.xi)  # rows per pooling call",
         "size = n  # rows per pooling call", (POOLED_ONCE,)),
+    # a range's own grid keeping the segments that start in its halo rows
+    "range_pools_its_halo_segments": Mutant(
+        POOLING, "count = int(np.searchsorted(own.segment_starts, stop - start))",
+        "count = len(own)",
+        ("tests/test_pooling.py::TestPoolGridRows::test_ranges_pool_bitwise_as_the_whole_grid",)),
     "overflow_named_within_the_range": Mutant(
         POOLING, "segment = first + np.argwhere(~np.isfinite(out))[0, 0]",
         "segment = np.argwhere(~np.isfinite(out))[0, 0]",
@@ -251,9 +263,8 @@ MUTANTS = {
     # on a padded layer only where its window is narrower than its kept grid
     "window_holds_the_whole_grid": Mutant(
         ATTENTION,
-        ("width = max(reach(int(band.bounds(b - 1)[1])) - int(band.bounds(a)[0])"
-         " for a, b in chunks)"),
-        "width = len(grid)", (PADDED_INFERENCE_MEMORY, INFERENCE_MEMORY)),
+        "np.empty((int((ends - band.bounds(a)[0]).max()), d))", "np.empty((len(grid), d))",
+        (PADDED_INFERENCE_MEMORY, INFERENCE_MEMORY)),
     # the config table
     "kappa_xi_swapped": Mutant(
         HARNESS, '"kappa": _Key(int, str, "layer.kappa"),\n    "xi": _Key(int, str, "layer.xi"),',

@@ -13,9 +13,9 @@ from poolattn.pooling import (
     pool_grid_rows,
     pool_grid_rows_backward,
     pool_segment,
-    pool_segment_backward,
 )
 from poolattn.windowing import build_pooled_grid
+from pooling_reference import pool_segment_backward
 
 ALL_KINDS = ("mean", "max", "ldconv", "mean_ldconv")
 
