@@ -12,14 +12,19 @@ first-level window (``block_rows``, a multiple of the pooling stride at the
 second level), cut around each global row.  A slice's bias comes from its own
 mask (``_block_mask``), or is shared by a run of slices with like bound
 offsets.  Each block scores its rows against the union of their intervals
-plus that bias and runs a stable softmax that divides its (rows, d/h)
-output, not its probabilities, by the denominator, as FlashAttention does
-(arXiv 2205.14135).  Every array the layer keeps is a row matrix: each
-level's output, the pooled segments (segments, d) and every gradient.  Heads
-are strided column blocks of those rows: ``_heads`` views them as
-(n_heads, rows, d/h) without a copy, every head is attended by one batched
-matmul reading through such views, and block gradients are written through
-them.
+plus that bias and runs a softmax that divides its (rows, d/h) output, not
+its probabilities, by the denominator, as FlashAttention does (arXiv
+2205.14135).  A clean block (every row and key valid, every row seeing a
+key) whose scores Cauchy-Schwarz bounds within +-``BOUND`` takes exp of them
+unshifted, with no row maximum, and floors its masked lanes at ``FLOOR``
+when at least ``FLOOR_SHARE`` of them are masked; every other block, and the
+global rows' online softmax, subtracts the row maximum first, as a stable
+softmax does.  On default-scale inputs every clean block is bounded.  Every
+array the layer keeps is a row matrix: each level's output, the pooled
+segments (segments, d) and every gradient.  Heads are strided column blocks
+of those rows: ``_heads`` views them as (n_heads, rows, d/h) without a copy,
+every head is attended by one batched matmul reading through such views,
+and block gradients are written through them.
 
 The forwards stream row chunks (``row_chunks``: ``CHUNK_ROWS`` rows in whole
 blocks, the last chunk shorter) and never hold a whole projection.  Each
@@ -45,12 +50,14 @@ chunks see bitwise the rows of the whole projection and pooled segments
 bitwise as ``pool_grid`` pools them: only the global rows' online softmax
 rounds differently from one whole block.
 
-Traces keep each level's counts and band and, per head and row, the softmax
-row maximum and denominator (``rowmax``, ``denom``: (n_heads, n, 1) each),
+Traces keep each level's counts and band and, per head and row, the shift
+its exp took and the denominator (``rowmax``, ``denom``: (n_heads, n, 1)
+each; the shift is the row maximum, or 0 in a bounded block),
 never a projection, a mask, a block's key columns or the probabilities; both
 levels' traces declare these in one base, ``_LevelTrace``, with
-``attention_rows``.  The statistics are per row, so they do not depend on the
-block or chunk partition that made them.  Each trace builds its read-only
+``attention_rows``.  The statistics are per row, so any block or chunk
+partition replays them; which blocks were bounded, and so ``rowmax``,
+follows the block partition, never the chunk size.  Each trace builds its read-only
 views (``q``, ``pooled_k``, ...) and ``attention_rows`` whole from its
 batch, params and second-level source, each building only what it reads
 (``FirstLevelTrace._input``, ``SecondLevelTrace._projected`` and
@@ -65,15 +72,17 @@ the keys the forward read, runs the blocks backward, replays the global
 rows' block against the chunk's own rows, carries the key-gradient rows the
 next chunk reads, and hands the rest and the chunk's query gradient to the
 level's releases.  Blocks replay their unnormalized probabilities from the
-rows' statistics with the forward's own operations.  The first level takes
-FlashAttention-2's ``D = rowsum(dO * O)`` from y (arXiv 2307.08691), its
-global rows' block split over column chunks; the second, which has no extra
-rows, the same paper's ``D = rowsum(P * dP)``, exact over each block's own
-columns.  The first level's query release sets its rows of the input
-gradient to +0.0 before adding into them, so a padding row's input gradient
-is +0.0 however the masked upstream's zeros are signed.  Gradients are exact
-reverse-mode; sums over rows run in chunk order, so gradients agree with any
-other chunk size to rounding.
+rows' statistics with the forward's own operations: one helper,
+``_exp_scores``, shifts by a nonzero ``rowmax``, floors, and exponentiates
+in both directions.  The first level takes FlashAttention-2's
+``D = rowsum(dO * O)`` from y (arXiv 2307.08691), its global rows' block
+split over column chunks; the second, which has no extra rows, the same
+paper's ``D = rowsum(P * dP)``, exact over each block's own columns.  The
+first level's query release sets its rows of the input gradient to +0.0
+before adding into them, so a padding row's input gradient is +0.0 however
+the masked upstream's zeros are signed.  Gradients are exact reverse-mode;
+sums over rows run in chunk order, so gradients agree with any other chunk
+size to rounding.
 
 ``retain`` (the default) keeps y and the output in the trace, but no z:
 ``layer_forward`` adds z into a copy of y, and ``z`` is a view that re-runs
@@ -126,6 +135,23 @@ MIN_BLOCK = 32
 # rows per chunk a forward streams (``row_chunks``): its projections, its key
 # union and its global-row scores are what a chunk adds to the level's output
 CHUNK_ROWS = 1024
+# A block whose scores provably lie within +-BOUND takes exp of them unshifted:
+# no row max and no subtraction, which the shift exists only to keep exp
+# (range +-709) from overflowing.  Cauchy-Schwarz bounds each score by
+# alpha |q| |k| per head; default-scale inputs bound it at about 1.7.  On a
+# (4, 64, 328) first-level block (Xeon, one BLAS thread) the row max took 34
+# us and its subtraction 50, against 72 for the scores and 107 for exp.
+BOUND = 64.0
+# An unshifted block with at least FLOOR_SHARE of its lanes masked raises
+# their -inf to FLOOR before exp: on that block exp took 48 / 71 / 86 / 134 us
+# at 0 / 10 / 20 / 50% of its lanes at -inf, 48-51 us floored, and the floor
+# pass about 21 us.  A visible lane is at least -BOUND there, so a masked
+# lane's e^-600 (about 1.4e-261) is at most 1e-230 of its row's denominator.
+FLOOR = -600.0
+FLOOR_SHARE = 1 / 8
+# an unshifted block's exp reaches e^BOUND: its (cols * max |v|) must stay
+# below this for its output ``e @ v`` to stay finite
+_VALUES_MAX = float(np.finfo(np.float64).max / np.exp(BOUND))
 
 
 def block_rows(n: int, w1: int) -> int:
@@ -188,6 +214,37 @@ def _masked_scores(qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, alpha: floa
     return scores
 
 
+def _exp_scores(e: np.ndarray, shift: np.ndarray | float, floor: bool | None) -> np.ndarray:
+    """A block's unnormalized probabilities ``exp(e - shift)`` from its masked scores ``e``,
+    in place: the forward's and the replay's one way to exponentiate a block.
+
+    A ``shift`` that is 0 on every row (a bounded block's) is not subtracted,
+    which changes no bit; then, at ``floor``, the masked lanes are raised to
+    ``FLOOR`` before exp.
+    """
+    if np.any(shift):
+        e -= shift
+    elif floor:
+        np.maximum(e, FLOOR, out=e)
+    np.exp(e, out=e)
+    return e
+
+
+def _head_norms(mat: np.ndarray, n_heads: int) -> np.ndarray:
+    """Each row's largest per-head L2 norm, (rows,): a sum per row and head, so a row's
+    norm does not depend on the rows beside it."""
+    rows, d = mat.shape
+    squares = np.square(mat).reshape(rows, n_heads, d // n_heads).sum(axis=-1)
+    return np.sqrt(squares.max(axis=1))
+
+
+def _bounded(qn: np.ndarray, kn: np.ndarray, vn: np.ndarray) -> bool:
+    """Whether queries of norms ``qn`` (alpha-scaled, per head) score keys of norms ``kn``
+    within +-BOUND, and ``len(vn)`` values of magnitudes ``vn`` keep ``e @ v`` finite there."""
+    return (qn.max() * np.max(kn, initial=0.0) <= BOUND
+            and np.max(vn, initial=0.0) * len(vn) <= _VALUES_MAX)
+
+
 def _block_size(band: _Band, w1: int) -> int:
     """Rows per cell of ``band``'s block grid: ``block_rows``, rounded down to a multiple of
     ``band.step``."""
@@ -211,26 +268,30 @@ def row_chunks(n: int, block: int) -> list[tuple[int, int]]:
 
 def _blocks(
     band: _Band, w1: int
-) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray, np.ndarray, np.ndarray]]:
-    """A pass's blocks over ``band``, in pass order: (rows, key columns, bias, counts).
+) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray, np.ndarray, np.ndarray, bool | None]]:
+    """A pass's blocks over ``band``, in pass order: (rows, key columns, bias, counts, floor).
 
     ``bias`` is the block's 0/-inf mask bias, broadcastable to (rows, cols),
-    and ``counts`` each row's number of visible keys.  The extra rows come
-    first, as one block (an index array) against every key, with a (1, n)
-    bias over the valid keys and their count, one number for every row.  The
-    other rows go in slices of at most
-    ``block_rows(n, w1)`` consecutive rows, rounded down to a multiple of
-    ``band.step``: that grid, cut around each extra row.  A slice scores
+    and ``counts`` each row's number of visible keys.  ``floor`` is None for
+    a block that always takes the shifted softmax: one with a padding row or
+    key, or a row that sees no key, and the extra rows'.  Any other block is
+    clean: it may take exp unshifted, and ``floor`` says whether at least
+    ``FLOOR_SHARE`` of its lanes are masked, so its unshifted exp floors
+    them (``_exp_scores``).  The extra rows come first, as one block (an
+    index array) against every key, with a (1, n) bias over the valid keys
+    and their count, one number for every row.  The other rows go in slices
+    of at most ``block_rows(n, w1)`` consecutive rows, rounded down to a
+    multiple of ``band.step``: that grid, cut around each extra row.  A slice scores
     against its rows' interval union plus the extras outside it, and is
     skipped if that is empty or none of its rows is valid.  A slice whose
     rows and keys are all valid has its mask fixed by its rows' bound
     offsets from its first column and ``extra[cols]``, so a run of such
-    slices shares one bias and counts, built once.
+    slices shares one bias, counts and floor, built once.
     """
     n, block = band.row_ok.shape[0], _block_size(band, w1)
     extra = np.flatnonzero(band.extra) if band.extra is not None else np.empty(0, np.int64)
     if extra.size:
-        yield extra, slice(0, n), np.where(band.key_ok, 0.0, -np.inf)[None], band.key_ok.sum()
+        yield extra, slice(0, n), np.where(band.key_ok, 0.0, -np.inf)[None], band.key_ok.sum(), None
     # the grid's and each extra row's bounds
     edge = np.zeros(n + 1, dtype=bool)
     edge[:n:block] = edge[extra] = edge[extra + 1] = edge[n] = True
@@ -263,7 +324,11 @@ def _blocks(
             key = lo.tobytes(), hi.tobytes(), extra_cols
         if key is None or key != shared_key:
             mask = _block_mask(band, rows, cols)
-            shared_key, shared = key, (np.where(mask, 0.0, -np.inf), mask.sum(axis=1))
+            seen = mask.sum(axis=1)
+            floor = None
+            if key is not None and seen.all():
+                floor = bool(mask.size - seen.sum() >= FLOOR_SHARE * mask.size)
+            shared_key, shared = key, (np.where(mask, 0.0, -np.inf), seen, floor)
             del mask  # not held while the block is scored
         yield rows, cols, *shared
 
@@ -280,17 +345,27 @@ def _banded_attention(
     ``keys(c0, c1)`` gives the keys and values of the chunk's key union
     c0..c1, followed by every extra key's, and then ``queries(slice(a, b))``
     the rows' queries; each of the chunk's blocks (``_blocks``) gathers its
-    key columns from these.  A block runs a stable softmax whose row maximum
-    is taken over visible entries only and divides the output, not the
-    probabilities, by the denominator; a row whose visible scores overflowed
-    turns NaN, which the level's finiteness check reports.  The extra rows
-    (queries ``queries(extra)``, projected once) see every key, so they score
-    each chunk's own rows as keys with an online softmax (arXiv 1805.02867),
-    rescaling what earlier chunks summed whenever the row maximum grows.
+    key columns from these.  A block divides its output, not its
+    probabilities, by the denominator.  Per chunk, each query row's
+    alpha-scaled largest per-head norm, and each key row's, bound its scores
+    (Cauchy-Schwarz), and each value row's largest magnitude its output: a
+    clean block (``_blocks``) whose rows and columns keep those within
+    ``BOUND`` and the values' limit is bounded and takes exp of its masked
+    scores unshifted (``_exp_scores``, floored at the block's ``floor``).
+    The decision reads only the block's own rows and columns, so it does not
+    depend on the chunk size, and no padding row or key enters it; a chunk
+    bounded as a whole skips the per-block checks.  Every other block runs a
+    stable softmax whose row maximum is taken over visible entries only; a
+    row whose visible scores overflowed turns NaN, which the level's
+    finiteness check reports.  The extra rows (queries ``queries(extra)``,
+    projected once) see every key, so they score each chunk's own rows as
+    keys with an online softmax (arXiv 1805.02867), rescaling what earlier
+    chunks summed whenever the row maximum grows.
     Every block adds its output rows into ``out``: zeros make that a write.
-    Returns each row's count of visible keys and the softmax row maximum and
-    denominator, (n_heads, n, 1) each, 0 and 1 on rows that see nothing,
-    whose output rows stay untouched.
+    Returns each row's count of visible keys, the shift its exp took (the
+    row maximum, or 0 in a bounded block) and the denominator, (n_heads, n,
+    1) each, 0 and 1 on rows that see nothing, whose output rows stay
+    untouched.
     """
     n, n_heads = band.row_ok.shape[0], config.n_heads
     alpha = config.alpha()
@@ -299,7 +374,7 @@ def _banded_attention(
     plan = _blocks(band, config.w1)
     extra = None
     if band.extra is not None:  # the plan's first block: the extra rows against every key
-        extra, _, extra_bias, seen = next(plan)
+        extra, _, extra_bias, seen, _ = next(plan)
         counts[extra] = seen
         extra_qh = _heads(queries(extra), n_heads)
         e_max = np.full((n_heads, len(extra), 1), -np.inf)
@@ -309,21 +384,31 @@ def _banded_attention(
     block = next(plan, None)
     for a, b in row_chunks(n, _block_size(band, config.w1)):
         c0, c1 = int(band.bounds(a)[0]), int(band.bounds(b - 1)[1])
-        kh, vh = (_heads(m, n_heads) for m in keys(c0, c1))
-        qh = _heads(queries(slice(a, b)), n_heads)
+        k, v = keys(c0, c1)
+        q = queries(slice(a, b))
+        # each row's factor of its scores' bound, and its values' largest magnitude;
+        # None if the whole chunk is bounded, so that every block is
+        qn, kn = alpha * _head_norms(q, n_heads), _head_norms(k, n_heads)
+        vn = np.maximum(v.max(axis=1), -v.min(axis=1))
+        if _bounded(qn, kn, vn):
+            qn = kn = vn = None
+        qh, kh, vh = (_heads(m, n_heads) for m in (q, k, v))
+        q = k = v = None
         if extra is not None:  # the extra keys follow the union
             where[extra] = c1 - c0 + np.arange(len(extra))
             where[c0:c1] = np.arange(c1 - c0)
         while block is not None and block[0].start < b:
-            rows, cols, bias, seen = block
+            rows, cols, bias, seen, floor = block
             counts[rows] = seen
+            local = slice(rows.start - a, rows.stop - a)
             cols = slice(cols.start - c0, cols.stop - c0) if isinstance(cols, slice) else where[cols]
-            e = _masked_scores(qh[:, rows.start - a:rows.stop - a], kh[:, cols], bias, alpha)
+            e = _masked_scores(qh[:, local], kh[:, cols], bias, alpha)
             empty = seen == 0
-            m = e.max(axis=-1, keepdims=True)
-            m[:, empty] = 0.0
-            e -= m
-            np.exp(e, out=e)
+            m = 0.0  # a bounded block takes no shift
+            if floor is None or not (qn is None or _bounded(qn[local], kn[cols], vn[cols])):
+                m = e.max(axis=-1, keepdims=True)
+                m[:, empty] = 0.0
+            _exp_scores(e, m, floor)
             total = e.sum(axis=-1, keepdims=True)
             total[:, empty] = 1.0  # empty rows stay exactly zero
             rowmax[:, rows], denom[:, rows] = m, total
@@ -353,17 +438,17 @@ def _banded_attention(
 
 
 def _replay_probs(
-    qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, rowmax: np.ndarray, alpha: float
+    qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, rowmax: np.ndarray, floor: bool | None,
+    alpha: float,
 ) -> np.ndarray:
     """A block's forward ``exp(scores + bias - rowmax)`` (h, rows, cols), by the forward's ops.
 
-    Unnormalized: divided by the rows' ``denom`` they are the block's
-    probabilities.
+    ``_exp_scores`` skips a shift that is 0 on every row, as the forward
+    does, and then floors at the block's ``floor``.  Unnormalized: divided by
+    the rows' ``denom`` they are the block's probabilities.
     """
     e = _masked_scores(qr, kc, bias, alpha)
-    e -= rowmax
-    np.exp(e, out=e)
-    return e
+    return _exp_scores(e, rowmax, floor)
 
 
 def _view(mat: np.ndarray) -> np.ndarray:
@@ -387,8 +472,10 @@ def _retained(arr: np.ndarray | None, what: str) -> np.ndarray:
 class _LevelTrace:
     """What both levels' traces keep: the inputs, counts, band and row statistics.
 
-    ``attention_rows`` reads the level's queries and keys through the
-    subclass's ``_input(0)`` and ``_input(1)``.
+    ``rowmax`` is the shift each row's exp took: its row maximum, or 0 where
+    its block was bounded and took exp unshifted; ``denom`` the softmax
+    denominator.  ``attention_rows`` reads the level's queries and keys
+    through the subclass's ``_input(0)`` and ``_input(1)``.
     """
 
     batch: SequenceBatch
@@ -407,8 +494,9 @@ class _LevelTrace:
         qh, kh = _heads(q, config.n_heads), _heads(k, config.n_heads)
         tokens = np.arange(len(q))
         out: list[np.ndarray] = [np.zeros((config.n_heads, 0))] * len(q)
-        for rows, cols, bias, _ in _blocks(self.band, config.w1):
-            probs = _replay_probs(qh[:, rows], kh[:, cols], bias, self.rowmax[:, rows], alpha)
+        for rows, cols, bias, _, floor in _blocks(self.band, config.w1):
+            probs = _replay_probs(qh[:, rows], kh[:, cols], bias, self.rowmax[:, rows], floor,
+                                  alpha)
             probs /= self.denom[:, rows]
             visible = np.broadcast_to(bias == 0.0, probs.shape[1:])
             for r, tok in enumerate(tokens[rows]):
@@ -795,7 +883,7 @@ class LayerGrads:
 
 def _block_backward(
     qr: np.ndarray, kc: np.ndarray, vc: np.ndarray, up: np.ndarray, out: np.ndarray | None,
-    bias: np.ndarray, rowmax: np.ndarray, denom: np.ndarray, alpha: float,
+    bias: np.ndarray, rowmax: np.ndarray, denom: np.ndarray, floor: bool | None, alpha: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block's attention backward: (d_q, d_k, d_v) as (rows, d) and (cols, d) row matrices.
 
@@ -813,7 +901,7 @@ def _block_backward(
     """
     (n_heads, rows, dh), cols = qr.shape, kc.shape[1]
     d_q, d_k, d_v = (np.empty((m, n_heads * dh)) for m in (rows, cols, cols))
-    e = _replay_probs(qr, kc, bias, rowmax, alpha)
+    e = _replay_probs(qr, kc, bias, rowmax, floor, alpha)
     du = up / denom
     np.matmul(e.transpose(0, 2, 1), du, out=_heads(d_v, n_heads))
     ds = np.matmul(du, vc.transpose(0, 2, 1))  # dP / denom
@@ -876,7 +964,7 @@ def _banded_backward(
     plan = _blocks(band, config.w1)
     extra = np.empty(0, dtype=np.int64)
     if band.extra is not None:  # the plan's first block: the extra rows against every key
-        extra, _, extra_bias, _ = next(plan)
+        extra, _, extra_bias, _, _ = next(plan)
         extra_qh, extra_up, extra_out = _heads(queries(extra), n_heads), uh[:, extra], oh[:, extra]
         extra_stats = rowmax[:, extra], denom[:, extra]
         where = np.empty(n, dtype=np.intp)  # each key's row in the chunk's buffers
@@ -899,12 +987,13 @@ def _banded_backward(
             where[extra] = c1 - c0 + np.arange(len(extra))
             where[c0:c1] = np.arange(c1 - c0)
         while block is not None and block[0].start < b:
-            rows, cols, bias, _ = block
+            rows, cols, bias, _, floor = block
             local = slice(rows.start - a, rows.stop - a)
             cols = slice(cols.start - c0, cols.stop - c0) if isinstance(cols, slice) else where[cols]
             q_part, k_part, v_part = _block_backward(
                 qh[:, local], kh[:, cols], vh[:, cols], uh[:, rows],
-                None if oh is None else oh[:, rows], bias, rowmax[:, rows], denom[:, rows], alpha,
+                None if oh is None else oh[:, rows], bias, rowmax[:, rows], denom[:, rows], floor,
+                alpha,
             )
             d_q[local] += q_part
             d_k[cols] += k_part
@@ -915,7 +1004,7 @@ def _banded_backward(
             own = slice(a - c0, b - c0)
             q_part, k_part, v_part = _block_backward(
                 extra_qh, kh[:, own], vh[:, own], extra_up, extra_out, extra_bias[:, a:b],
-                *extra_stats, alpha,
+                *extra_stats, None, alpha,
             )
             extra_dq += q_part
             d_k[own] += k_part

@@ -183,7 +183,9 @@ def verify_counts(expected: CostReport, measured: CostReport) -> CountCheck:
 # estimate does not itemize
 CALL_OVERHEAD = 64 << 10
 # entries of the buffer numpy's iterator allocates for an in-place broadcast
-# such as a block's ``scores -= rowmax`` (its NPY_BUFSIZE)
+# (its NPY_BUFSIZE): every block backward's ``ds -= d_row``, and the
+# ``scores -= rowmax`` of a block, or its replay, that shifts; a bounded block
+# does not (``attention._exp_scores``)
 ITER_BUFFER = 8192
 
 

@@ -34,6 +34,7 @@ from poolattn.core import (
     zeros_params,
 )
 from poolattn.harness import (
+    GRADCHECK_THRESHOLD,
     central_difference,
     init_params,
     max_rel_error,
@@ -591,6 +592,11 @@ def _assert_levels_close(got, want, tol):
                 assert np.abs(g - w).max() <= tol * scale, (level, i)
 
 
+def _rowmax_zero(level) -> np.ndarray:
+    """Each row's flag: its exp took no shift on any head (its block was bounded)."""
+    return (level.rowmax[..., 0] == 0.0).all(axis=0)
+
+
 class TestBlockSizeInvariance:
     CASES = {
         # padding mid-sequence, globals at both ends
@@ -641,11 +647,20 @@ class TestBlockSizeInvariance:
                         pooling_kind="mean_ldconv", second_level_input="raw_embeddings"),
             150, (0, 149), tuple(range(60, 81)),
         ),
+        # rows 60 to 99 scaled 20-fold (``_inputs``): their blocks score past
+        # BOUND, up to about 190, and shift; the other blocks stay bounded
+        "mixed_bound": (
+            LayerConfig(d_model=64, n_heads=4, w1=20, w2=60, kappa=4, xi=2,
+                        pooling_kind="ldconv", second_level_input="raw_embeddings"),
+            200, (0, 150), (),
+        ),
     }
 
     def _inputs(self, case):
         cfg, n, globals_, padded = self.CASES[case]
         emb = symmetric_uniform(81, n * cfg.d_model).reshape(n, cfg.d_model)
+        if case == "mixed_bound":
+            emb[60:100] *= 20.0
         pad = np.ones(n, dtype=bool)
         pad[list(padded)] = False
         batch = SequenceBatch(emb, pad, globals_)
@@ -711,6 +726,9 @@ class TestBlockSizeInvariance:
         out, trace = layer_forward(batch, params, cfg)
         grads = layer_backward(trace, upstream)
         assert len(row_chunks(n, attention._block_size(trace.first.band, cfg.w1))) == 1
+        if case == "mixed_bound":  # blocks on both sides of BOUND at both levels
+            for level in (trace.first, trace.second):
+                assert 0 < _rowmax_zero(level).sum() < n
         z = trace.z  # rebuilt on access: read it before the chunk size changes
         chunk_rows = {"block": 1, "two_blocks": 16, "n": 2 * n}[chunk]
         monkeypatch.setattr(attention, "CHUNK_ROWS", chunk_rows)
@@ -939,8 +957,9 @@ class TestStatsOnlyTrace:
         out = trace.y if level == "first" else trace.z
         replayed = np.zeros_like(out)
         replayed_h = _heads(replayed, self.CFG.n_heads)
-        for rows, cols, bias, _ in plan(lt):
-            e = _replay_probs(qh[:, rows], kh[:, cols], bias, lt.rowmax[:, rows], self.CFG.alpha())
+        for rows, cols, bias, _, floor in plan(lt):
+            e = _replay_probs(qh[:, rows], kh[:, cols], bias, lt.rowmax[:, rows], floor,
+                              self.CFG.alpha())
             # the replay is unnormalized: the forward divides its output by denom
             replayed_h[:, rows] = np.matmul(e, vh[:, cols]) / lt.denom[:, rows]
         np.testing.assert_array_equal(replayed, out)
@@ -1002,7 +1021,7 @@ class TestBlockBias:
         # the two full slices before the extra row share one mask
         assert check_block_biases(level) == 4
         counts = np.zeros(n, dtype=np.int64)
-        for rows, _, _, seen in plan(level):
+        for rows, _, _, seen, _ in plan(level):
             counts[rows] = seen
         np.testing.assert_array_equal(counts, np.where(extra, n - 1, 5))
 
@@ -1022,7 +1041,7 @@ class TestBlockBias:
 def _explicit_backward(level, upstream, q, k, v, cfg):
     """The softmax backward ``p * (dp - rowsum(p * dp))`` over the level's block masks, densely."""
     mask = np.zeros((len(q), len(k)), dtype=bool)
-    for rows, cols, bias, _ in plan(level):
+    for rows, cols, bias, *_ in plan(level):
         r, c = np.arange(len(q))[rows], np.arange(len(k))[cols]
         mask[np.ix_(r, c)] |= bias == 0.0
     grads = [np.zeros_like(m) for m in (q, k, v)]
@@ -1049,10 +1068,10 @@ def _blocked_backward(level, upstream, out, q, k, v, cfg):
     grads = [np.zeros_like(m) for m in (q, k, v)]
     qh, kh, vh, uh = (_heads(m, cfg.n_heads) for m in (q, k, v, upstream))
     oh = None if out is None else _heads(out, cfg.n_heads)
-    for rows, cols, bias, _ in plan(level):
+    for rows, cols, bias, _, floor in plan(level):
         parts = _block_backward(qh[:, rows], kh[:, cols], vh[:, cols], uh[:, rows],
                                 None if oh is None else oh[:, rows], bias,
-                                level.rowmax[:, rows], level.denom[:, rows], cfg.alpha())
+                                level.rowmax[:, rows], level.denom[:, rows], floor, cfg.alpha())
         for grad, idx, part in zip(grads, (rows, cols, cols), parts):
             grad[idx] += part
     return grads
@@ -1085,9 +1104,9 @@ class TestBackwardDForm:
         for level, out in ((trace.first, trace.y), (trace.second, None)):
             q, k, v = map(level._input, range(3))
             qh, kh = _heads(q, cfg.n_heads), _heads(k, cfg.n_heads)
-            for rows, cols, bias, _ in plan(level):
+            for rows, cols, bias, _, floor in plan(level):
                 rowmax = level.rowmax[:, rows]
-                e = _replay_probs(qh[:, rows], kh[:, cols], bias, rowmax, cfg.alpha())
+                e = _replay_probs(qh[:, rows], kh[:, cols], bias, rowmax, floor, cfg.alpha())
                 assert not e[:, ~level.band.row_ok[rows]].any()  # padding rows: e = 0
             got = _blocked_backward(level, upstream, out, q, k, v, cfg)
             want = _explicit_backward(level, upstream, q, k, v, cfg)
@@ -1116,6 +1135,149 @@ class TestBackwardDForm:
             np.testing.assert_array_equal(d_q[blind], 0.0)
         grads = layer_backward(trace, upstream)
         np.testing.assert_array_equal(grads.embeddings[~trace.batch.pad_mask], 0.0)
+
+
+class TestBoundedBlocks:
+    """A clean block whose scores are bounded within +-BOUND takes exp unshifted,
+    floored where enough of its lanes are masked; every other block shifts by its
+    row maximum.  Both paths match the oracles, and the replay runs each as the
+    forward did."""
+
+    # identity pooling with mix, so both levels have a dense oracle whose scores
+    # grow with the embeddings' square
+    MIX = LayerConfig(d_model=4, n_heads=2, w1=3, w2=8, kappa=1, xi=1,
+                      second_level_input="raw_embeddings")
+
+    def _scaled(self, scale, n=24):
+        emb = scale * symmetric_uniform(71, n * 4).reshape(n, 4)
+        return SequenceBatch(emb, np.ones(n, dtype=bool), (0,)), init_params(self.MIX, 72)
+
+    # scores up to about 130, and up to about 740, where an unshifted exp overflows
+    @pytest.mark.parametrize("scale, top", [(18.0, 100.0), (45.0, 710.0)])
+    def test_scores_past_the_bound_match_the_oracles(self, scale, top):
+        cfg = self.MIX
+        batch, params = self._scaled(scale)
+        out, trace = layer_forward(batch, params, cfg)
+        for level in (trace.first, trace.second):
+            assert np.abs(level.rowmax).max() > top > attention.BOUND
+            assert not _rowmax_zero(level).any()  # every block shifted
+        assert relative_diff(out, dense_layer_reference(batch, params, cfg)) <= 1e-12
+        upstream = symmetric_uniform(73, out.size).reshape(out.shape)
+        for level, y in ((trace.first, trace.y), (trace.second, None)):
+            q, k, v = map(level._input, range(3))
+            got = _blocked_backward(level, upstream, y, q, k, v, cfg)
+            want = _explicit_backward(level, upstream, q, k, v, cfg)
+            for name, g, w in zip("qkv", got, want):
+                assert relative_diff(g, w) <= 1e-12, name
+
+    def test_gradients_past_the_bound_match_finite_differences(self):
+        cfg = self.MIX
+        batch, params = self._scaled(18.0)
+        upstream = symmetric_uniform(73, batch.embeddings.size).reshape(batch.embeddings.shape)
+        _, trace = layer_forward(batch, params, cfg)
+        assert not _rowmax_zero(trace.first).any()
+        grads = layer_backward(trace, upstream)
+        work = batch.embeddings.copy()
+
+        def loss(_):
+            out, _ = layer_forward(SequenceBatch(work, batch.pad_mask, (0,)), params, cfg,
+                                   retain=False)
+            return float(np.sum(upstream * out))
+
+        for got, target in ((grads.embeddings, work), (grads.first.w_q, params.first.w_q),
+                            (grads.second.w_k, params.second.w_k)):
+            assert max_rel_error(got, central_difference(loss, target)) <= GRADCHECK_THRESHOLD
+
+    @pytest.mark.parametrize("case", ["zero_queries", "aligned"])
+    def test_values_near_the_float_limit_stay_finite(self, case):
+        """Values whose unshifted ``e @ v`` would overflow keep a block shifted.
+
+        "zero_queries": every score is 0, values near 1e290; "aligned": scores
+        50 to 59.4, within BOUND, values near 1e283, where e^59 times five
+        visible values passes float64's largest number."""
+        cfg = LayerConfig(d_model=4, n_heads=1, w1=2, w2=4, kappa=2, xi=2)
+        n = 12
+        params = zeros_params(cfg)
+        params.first.w_k[:] = np.eye(4)
+        if case == "zero_queries":
+            emb = symmetric_uniform(74, n * 4).reshape(n, 4)
+            params.first.w_v[:] = 1e290 * np.eye(4)
+        else:
+            emb = np.zeros((n, 4))
+            emb[:, 0] = np.linspace(10.0, 10.9, n)
+            params.first.w_q[:] = np.eye(4)
+            params.first.w_v[:] = 1e282 * np.eye(4)
+            assert cfg.alpha() * 10.9 * 10.9 <= attention.BOUND
+        batch = SequenceBatch.of(emb)
+        y, trace = first_level_forward(batch, params, cfg)
+        assert np.isfinite(y).all()
+        assert relative_diff(y, dense_first_level(batch, params, cfg)) <= 1e-12
+        if case == "aligned":
+            assert not _rowmax_zero(trace).any()
+
+    # the benchmark workloads' configs at a small n, at the harness's default scale
+    WORKLOADS = {
+        "infer_long": (LayerConfig(), 8, None),
+        "train_ldconv": (LayerConfig(pooling_kind="ldconv"), 8, None),
+        "padded_wide": (LayerConfig(w1=16, w2=1024, kappa=4, xi=2, pooling_kind="mean_ldconv",
+                                    second_level_input="raw_embeddings"), 4, 0.25),
+    }
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_default_scale_clean_blocks_are_bounded(self, workload):
+        """Every clean block of a default-scale input takes exp unshifted (``rowmax``
+        0 on its rows): the property the bounded path's speed rests on."""
+        cfg, n_global, padded = self.WORKLOADS[workload]
+        n = 1024
+        batch = synth_batch(n, cfg.d_model, seed=75, global_count=n_global)
+        if padded:
+            pad = np.ones(n, dtype=bool)
+            pad[int(n * (1 - padded)):] = False
+            batch = SequenceBatch(batch.embeddings, pad, batch.global_set)
+        _, trace = layer_forward(batch, init_params(cfg, 76), cfg, retain=False)
+        for level in (trace.first, trace.second):
+            clean = [rows for rows, *_, floor in plan(level) if floor is not None]
+            assert clean and all(_rowmax_zero(level)[rows].all() for rows in clean)
+        # interior first-level blocks mask about 1/5 of their lanes (w1 = 128) or
+        # more, past FLOOR_SHARE, so they floor
+        assert any(floor for *_, floor in plan(trace.first))
+
+    @pytest.mark.parametrize("level", ["first", "second"])
+    def test_replayed_blocks_equal_the_forwards_bitwise(self, level):
+        """Each block's replayed unnormalized probabilities are the forward's, bit for
+        bit, masked lanes included: a floored block's masked lanes hold e^FLOOR in
+        both.  (``e @ v`` cannot tell: a lane of 1.4e-261 changes no bit of it.)"""
+        cfg = LayerConfig(d_model=8, n_heads=2, w1=16, w2=40, kappa=4, xi=2,
+                          pooling_kind="ldconv")
+        n = 200
+        batch = synth_batch(n, cfg.d_model, seed=77, global_count=2)
+        pad = np.ones(n, dtype=bool)
+        pad[170:] = False
+        batch = SequenceBatch(batch.embeddings, pad, batch.global_set)
+        params = init_params(cfg, 78)
+        forward, exp_scores = [], attention._exp_scores
+
+        def record(e, shift, floor):
+            forward.append(exp_scores(e, shift, floor).copy())
+            return e
+
+        with mock.patch.object(attention, "_exp_scores", side_effect=record):
+            _, trace = layer_forward(batch, params, cfg)
+        lt = getattr(trace, level)
+        # the forward's banded blocks, in plan order; the extra rows' block runs
+        # an online softmax
+        blocks = [b for b in plan(lt) if isinstance(b[0], slice)]
+        first = sum(isinstance(b[0], slice) for b in plan(trace.first))
+        assert len(forward) == first + len(plan(trace.second))
+        forward = forward[:first] if level == "first" else forward[first:]
+        qh, kh = (_heads(m, cfg.n_heads) for m in map(lt._input, range(2)))
+        floored = 0
+        for (rows, cols, bias, _, floor), want in zip(blocks, forward, strict=True):
+            got = _replay_probs(qh[:, rows], kh[:, cols], bias, lt.rowmax[:, rows], floor,
+                                cfg.alpha())
+            np.testing.assert_array_equal(got, want)
+            floored += int((want == np.exp(attention.FLOOR)).any())
+        assert floored > 0
 
 
 class TestPaddedBlocks:

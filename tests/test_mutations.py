@@ -1,8 +1,8 @@
-"""Recorded mutants of the mask path, the pooling, the chunked forward, the
-window of pooled segments, the streamed backward driver, the global rows'
-queries both drivers project, the releases and the two D forms, the
-forward's and the training step's memory and the config table, each of
-which some named test must kill.
+"""Recorded mutants of the mask path, the bounded softmax path, the pooling,
+the chunked forward, the window of pooled segments, the streamed backward
+driver, the global rows' queries both drivers project, the releases and the
+two D forms, the forward's and the training step's memory and the config
+table, each of which some named test must kill.
 
 Each row of ``MUTANTS`` names a file, a snippet that occurs in it exactly
 once, its replacement, and the test node ids that must fail.  A row copies
@@ -29,6 +29,7 @@ POOLING = "src/poolattn/pooling.py"
 FUZZ = "tests/test_layer_fuzz.py::test_layer_matches_oracles"
 BLOCK_BIAS = "tests/test_attention.py::TestBlockBias"
 CHUNKS = "tests/test_attention.py::TestBlockSizeInvariance"
+BOUNDED = "tests/test_attention.py::TestBoundedBlocks"
 POOL_DIFF = "tests/test_pooling.py::TestPoolGridDifferential::test_matches_per_segment_pooling"
 BACKWARD_CHUNKS = f"{CHUNKS}::test_backward_streams_chunks_of_its_own"
 PURITY = "tests/test_attention.py::TestBackwardPurity"
@@ -94,6 +95,31 @@ MUTANTS = {
         "return max(band.step, block_rows(band.row_ok.shape[0], w1) // band.step * band.step)",
         "return 1",
         (f"{BLOCK_BIAS}::test_second_level_slices_follow_the_stride",)),
+    # the bounded path: a non-clean block's bound reading its padding rows and
+    # keys; no score bound; no values guard; a replay that never shifts; a
+    # floor on non-clean blocks, whose rows that see no key turn nonzero; the
+    # chunk's bound taken for each of its blocks; a replay that never floors
+    "bound_reads_padding": Mutant(
+        ATTENTION, "if floor is None or not (qn is None or", "if not (qn is None or",
+        ("tests/test_attention.py::TestLocality::test_padding_token_invisible_bitwise",)),
+    "no_score_bound": Mutant(
+        ATTENTION, "qn.max() * np.max(kn, initial=0.0) <= BOUND", "True",
+        (f"{BOUNDED}::test_scores_past_the_bound_match_the_oracles",)),
+    "no_values_guard": Mutant(
+        ATTENTION, "\n            and np.max(vn, initial=0.0) * len(vn) <= _VALUES_MAX)", ")",
+        (f"{BOUNDED}::test_values_near_the_float_limit_stay_finite[aligned]",)),
+    "replay_never_shifts": Mutant(
+        ATTENTION, "_exp_scores(e, rowmax, floor)", "_exp_scores(e, 0.0, floor)",
+        (f"{BOUNDED}::test_scores_past_the_bound_match_the_oracles",)),
+    "floor_on_unclean_blocks": Mutant(
+        ATTENTION, "if key is not None and seen.all():", "if True:",
+        ("tests/test_attention.py::TestPaddedBlocks::test_padding_rows_are_positive_zeros",)),
+    "per_chunk_bound": Mutant(
+        ATTENTION, "_bounded(qn[local], kn[cols], vn[cols])", "_bounded(qn, kn, vn)",
+        (f"{CHUNKS}::test_output_and_gradients_independent_of_chunk_size[block-mixed_bound]",)),
+    "replay_never_floors": Mutant(
+        ATTENTION, "_exp_scores(e, rowmax, floor)", "_exp_scores(e, rowmax, None)",
+        (f"{BOUNDED}::test_replayed_blocks_equal_the_forwards_bitwise",)),
     # the chunked forward
     # the gathered first-level keys: the union one row short on its left
     "halo_one_row_short": Mutant(

@@ -68,6 +68,28 @@ def test_one_chunk_loop_per_direction():
     assert callers == {"_banded_attention", "_banded_backward", "_second_chunks"}, callers
 
 
+def test_blocks_exponentiate_only_through_one_helper():
+    """A block's forward and its replay exponentiate through one helper,
+    ``_exp_scores``, which shifts, floors and takes exp, so the two cannot
+    drift apart: in ``attention.py`` no other function calls an exp, apart from
+    ``_banded_attention``'s online softmax of the extra (global) rows, under its
+    ``if extra ...`` branch."""
+    tree = ast.parse(ATTENTION.read_text(encoding="utf-8"), filename=str(ATTENTION))
+
+    def exps(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute) and n.func.attr.startswith("exp")]
+
+    funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    calling = {name for name, f in funcs.items() if exps(f)}
+    assert calling == {"_exp_scores", "_banded_attention"}, calling
+    online = [node for node in ast.walk(funcs["_banded_attention"])
+              if isinstance(node, ast.If) and "extra" in ast.unparse(node.test)]
+    inside = {id(call) for branch in online for call in exps(branch)}
+    outside = [call.lineno for call in exps(funcs["_banded_attention"]) if id(call) not in inside]
+    assert inside and not outside, f"exp outside the extra rows' softmax, lines {outside}"
+
+
 def _callers(node: ast.AST, name: str, scope: tuple[str, ...] = ()) -> set[tuple[str, ...]]:
     """The scopes (function, class and class-attribute names, outermost first) that call
     ``name`` under ``node``."""

@@ -54,7 +54,8 @@ def fresh_stages(batch, params, cfg, y) -> tuple:
 
 
 def plan(level) -> list:
-    """The (rows, key columns, bias, counts) blocks each pass over a level trace's band runs."""
+    """The (rows, key columns, bias, counts, floor) blocks each pass over a level trace's band
+    runs."""
     return list(attention._blocks(level.band, level.config.w1))
 
 
@@ -69,7 +70,7 @@ def check_block_biases(level) -> int:
     band, block_mask = level.band, attention._block_mask
     with mock.patch.object(attention, "_block_mask", wraps=block_mask) as built:
         blocks = plan(level)
-    for rows, cols, bias, counts in blocks:
+    for rows, cols, bias, counts, _ in blocks:
         if isinstance(rows, slice):
             mask = block_mask(band, rows, cols)
         else:  # the extra rows: every key, visible where valid
