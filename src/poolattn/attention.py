@@ -14,17 +14,18 @@ mask (``_block_mask``), or is shared by a run of slices with like bound
 offsets.  Each block scores its rows against the union of their intervals
 plus that bias and runs a softmax that divides its (rows, d/h) output, not
 its probabilities, by the denominator, as FlashAttention does (arXiv
-2205.14135).  A clean block (every row and key valid, every row seeing a
-key) whose scores Cauchy-Schwarz bounds within +-``BOUND`` takes exp of them
-unshifted, with no row maximum, and floors its masked lanes at ``FLOOR``
-when at least ``FLOOR_SHARE`` of them are masked; every other block, and the
-global rows' online softmax, subtracts the row maximum first, as a stable
-softmax does.  On default-scale inputs every clean block is bounded.  Every
-array the layer keeps is a row matrix: each level's output, the pooled
-segments (segments, d) and every gradient.  Heads are strided column blocks
-of those rows: ``_heads`` views them as (n_heads, rows, d/h) without a copy,
-every head is attended by one batched matmul reading through such views,
-and block gradients are written through them.
+2205.14135).  Every block first takes exp of its scores unshifted, with no
+row maximum, flooring its masked lanes at ``FLOOR`` when it is clean (every
+row and key valid, every row seeing a key) and at least ``FLOOR_SHARE`` of
+them are masked.  It keeps that result when every row's denominator lies
+within [e^-BOUND, e^BOUND] and its output is finite; otherwise it reruns
+subtracting the row maximum first, as a stable softmax does, and so does the
+global rows' online softmax.  On default-scale inputs every block keeps its
+unshifted exp.  Every array the layer keeps is a row matrix: each level's
+output, the pooled segments (segments, d) and every gradient.  Heads are
+strided column blocks of those rows: ``_heads`` views them as (n_heads,
+rows, d/h) without a copy, every head is attended by one batched matmul
+reading through such views, and block gradients are written through them.
 
 The forwards stream row chunks (``row_chunks``: ``CHUNK_ROWS`` rows in whole
 blocks, the last chunk shorter) and never hold a whole projection.  Each
@@ -52,12 +53,12 @@ rounds differently from one whole block.
 
 Traces keep each level's counts and band and, per head and row, the shift
 its exp took and the denominator (``rowmax``, ``denom``: (n_heads, n, 1)
-each; the shift is the row maximum, or 0 in a bounded block),
+each; the shift is the row maximum, or 0 in an unshifted block),
 never a projection, a mask, a block's key columns or the probabilities; both
 levels' traces declare these in one base, ``_LevelTrace``, with
 ``attention_rows``.  The statistics are per row, so any block or chunk
-partition replays them; which blocks were bounded, and so ``rowmax``,
-follows the block partition, never the chunk size.  Each trace builds its read-only
+partition replays them; which blocks shifted, and so ``rowmax``, follows
+the block partition, never the chunk size.  Each trace builds its read-only
 views (``q``, ``pooled_k``, ...) and ``attention_rows`` whole from its
 batch, params and second-level source, each building only what it reads
 (``FirstLevelTrace._input``, ``SecondLevelTrace._projected`` and
@@ -135,23 +136,25 @@ MIN_BLOCK = 32
 # rows per chunk a forward streams (``row_chunks``): its projections, its key
 # union and its global-row scores are what a chunk adds to the level's output
 CHUNK_ROWS = 1024
-# A block whose scores provably lie within +-BOUND takes exp of them unshifted:
-# no row max and no subtraction, which the shift exists only to keep exp
-# (range +-709) from overflowing.  Cauchy-Schwarz bounds each score by
-# alpha |q| |k| per head; default-scale inputs bound it at about 1.7.  On a
-# (4, 64, 328) first-level block (Xeon, one BLAS thread) the row max took 34
-# us and its subtraction 50, against 72 for the scores and 107 for exp.
+# Every block first takes exp of its masked scores unshifted: no row max and
+# no subtraction, which the shift exists only to keep exp (range +-709) from
+# overflowing.  It keeps that result when every row's denominator lies within
+# [e^-BOUND, e^BOUND] and its output is finite, and otherwise reruns as a
+# stable softmax.  Default-scale inputs, whose scores lie within about +-1.7,
+# keep every block's.  On a (4, 64, 328) first-level block (Xeon, one BLAS
+# thread) the row max took 34 us and its subtraction 50, against 72 for the
+# scores and 107 for exp.  The high bound keeps the backward's ``up / denom``
+# within e^BOUND of the upstream.
 BOUND = 64.0
-# An unshifted block with at least FLOOR_SHARE of its lanes masked raises
-# their -inf to FLOOR before exp: on that block exp took 48 / 71 / 86 / 134 us
-# at 0 / 10 / 20 / 50% of its lanes at -inf, 48-51 us floored, and the floor
-# pass about 21 us.  A visible lane is at least -BOUND there, so a masked
-# lane's e^-600 (about 1.4e-261) is at most 1e-230 of its row's denominator.
+_LOW, _HIGH = np.exp(-BOUND), np.exp(BOUND)
+# An unshifted clean block with at least FLOOR_SHARE of its lanes masked
+# raises their -inf to FLOOR before exp: on that block exp took 48 / 71 / 86 /
+# 134 us at 0 / 10 / 20 / 50% of its lanes at -inf, 48-51 us floored, and the
+# floor pass about 21 us.  The low bound keeps those lanes negligible: a row's
+# denominator is at least e^-BOUND, so a masked lane's e^-600 (about
+# 1.4e-261) is at most e^-536 of it, and cols * e^-536 all together.
 FLOOR = -600.0
 FLOOR_SHARE = 1 / 8
-# an unshifted block's exp reaches e^BOUND: its (cols * max |v|) must stay
-# below this for its output ``e @ v`` to stay finite
-_VALUES_MAX = float(np.finfo(np.float64).max / np.exp(BOUND))
 
 
 def block_rows(n: int, w1: int) -> int:
@@ -214,13 +217,13 @@ def _masked_scores(qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, alpha: floa
     return scores
 
 
-def _exp_scores(e: np.ndarray, shift: np.ndarray | float, floor: bool | None) -> np.ndarray:
+def _exp_scores(e: np.ndarray, shift: np.ndarray | float, floor: bool) -> np.ndarray:
     """A block's unnormalized probabilities ``exp(e - shift)`` from its masked scores ``e``,
     in place: the forward's and the replay's one way to exponentiate a block.
 
-    A ``shift`` that is 0 on every row (a bounded block's) is not subtracted,
-    which changes no bit; then, at ``floor``, the masked lanes are raised to
-    ``FLOOR`` before exp.
+    A ``shift`` that is 0 on every row (an unshifted block's) is not
+    subtracted, which changes no bit; then, at ``floor``, the masked lanes are
+    raised to ``FLOOR`` before exp.
     """
     if np.any(shift):
         e -= shift
@@ -228,21 +231,6 @@ def _exp_scores(e: np.ndarray, shift: np.ndarray | float, floor: bool | None) ->
         np.maximum(e, FLOOR, out=e)
     np.exp(e, out=e)
     return e
-
-
-def _head_norms(mat: np.ndarray, n_heads: int) -> np.ndarray:
-    """Each row's largest per-head L2 norm, (rows,): a sum per row and head, so a row's
-    norm does not depend on the rows beside it."""
-    rows, d = mat.shape
-    squares = np.square(mat).reshape(rows, n_heads, d // n_heads).sum(axis=-1)
-    return np.sqrt(squares.max(axis=1))
-
-
-def _bounded(qn: np.ndarray, kn: np.ndarray, vn: np.ndarray) -> bool:
-    """Whether queries of norms ``qn`` (alpha-scaled, per head) score keys of norms ``kn``
-    within +-BOUND, and ``len(vn)`` values of magnitudes ``vn`` keep ``e @ v`` finite there."""
-    return (qn.max() * np.max(kn, initial=0.0) <= BOUND
-            and np.max(vn, initial=0.0) * len(vn) <= _VALUES_MAX)
 
 
 def _block_size(band: _Band, w1: int) -> int:
@@ -268,22 +256,21 @@ def row_chunks(n: int, block: int) -> list[tuple[int, int]]:
 
 def _blocks(
     band: _Band, w1: int
-) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray, np.ndarray, np.ndarray, bool | None]]:
+) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray, np.ndarray, np.ndarray, bool]]:
     """A pass's blocks over ``band``, in pass order: (rows, key columns, bias, counts, floor).
 
     ``bias`` is the block's 0/-inf mask bias, broadcastable to (rows, cols),
-    and ``counts`` each row's number of visible keys.  ``floor`` is None for
-    a block that always takes the shifted softmax: one with a padding row or
-    key, or a row that sees no key, and the extra rows'.  Any other block is
-    clean: it may take exp unshifted, and ``floor`` says whether at least
-    ``FLOOR_SHARE`` of its lanes are masked, so its unshifted exp floors
-    them (``_exp_scores``).  The extra rows come first, as one block (an
-    index array) against every key, with a (1, n) bias over the valid keys
-    and their count, one number for every row.  The other rows go in slices
-    of at most ``block_rows(n, w1)`` consecutive rows, rounded down to a
-    multiple of ``band.step``: that grid, cut around each extra row.  A slice scores
-    against its rows' interval union plus the extras outside it, and is
-    skipped if that is empty or none of its rows is valid.  A slice whose
+    and ``counts`` each row's number of visible keys.  ``floor`` says whether
+    the block's unshifted exp raises its masked lanes to ``FLOOR``
+    (``_exp_scores``): it holds for a clean block (every row and key valid,
+    every row seeing a key) with at least ``FLOOR_SHARE`` of its lanes
+    masked, and never for the extra rows' block.  The extra rows come first,
+    as one block (an index array) against every key, with a (1, n) bias over
+    the valid keys and their count, one number for every row.  The other rows
+    go in slices of at most ``block_rows(n, w1)`` consecutive rows, rounded
+    down to a multiple of ``band.step``: that grid, cut around each extra
+    row.  A slice scores against its rows' interval union plus the extras
+    outside it, and is skipped if that is empty or none of its rows is valid.  A slice whose
     rows and keys are all valid has its mask fixed by its rows' bound
     offsets from its first column and ``extra[cols]``, so a run of such
     slices shares one bias, counts and floor, built once.
@@ -291,7 +278,7 @@ def _blocks(
     n, block = band.row_ok.shape[0], _block_size(band, w1)
     extra = np.flatnonzero(band.extra) if band.extra is not None else np.empty(0, np.int64)
     if extra.size:
-        yield extra, slice(0, n), np.where(band.key_ok, 0.0, -np.inf)[None], band.key_ok.sum(), None
+        yield extra, slice(0, n), np.where(band.key_ok, 0.0, -np.inf)[None], band.key_ok.sum(), False
     # the grid's and each extra row's bounds
     edge = np.zeros(n + 1, dtype=bool)
     edge[:n:block] = edge[extra] = edge[extra + 1] = edge[n] = True
@@ -325,9 +312,8 @@ def _blocks(
         if key is None or key != shared_key:
             mask = _block_mask(band, rows, cols)
             seen = mask.sum(axis=1)
-            floor = None
-            if key is not None and seen.all():
-                floor = bool(mask.size - seen.sum() >= FLOOR_SHARE * mask.size)
+            floor = bool(key is not None and seen.all()
+                         and mask.size - seen.sum() >= FLOOR_SHARE * mask.size)
             shared_key, shared = key, (np.where(mask, 0.0, -np.inf), seen, floor)
             del mask  # not held while the block is scored
         yield rows, cols, *shared
@@ -346,24 +332,20 @@ def _banded_attention(
     c0..c1, followed by every extra key's, and then ``queries(slice(a, b))``
     the rows' queries; each of the chunk's blocks (``_blocks``) gathers its
     key columns from these.  A block divides its output, not its
-    probabilities, by the denominator.  Per chunk, each query row's
-    alpha-scaled largest per-head norm, and each key row's, bound its scores
-    (Cauchy-Schwarz), and each value row's largest magnitude its output: a
-    clean block (``_blocks``) whose rows and columns keep those within
-    ``BOUND`` and the values' limit is bounded and takes exp of its masked
-    scores unshifted (``_exp_scores``, floored at the block's ``floor``).
-    The decision reads only the block's own rows and columns, so it does not
-    depend on the chunk size, and no padding row or key enters it; a chunk
-    bounded as a whole skips the per-block checks.  Every other block runs a
-    stable softmax whose row maximum is taken over visible entries only; a
-    row whose visible scores overflowed turns NaN, which the level's
-    finiteness check reports.  The extra rows (queries ``queries(extra)``,
-    projected once) see every key, so they score each chunk's own rows as
-    keys with an online softmax (arXiv 1805.02867), rescaling what earlier
-    chunks summed whenever the row maximum grows.
+    probabilities, by the denominator.  Each block first takes exp of its
+    masked scores unshifted (``_exp_scores``, floored at the block's
+    ``floor``), and keeps that when every row's denominator lies within
+    [e^-BOUND, e^BOUND] and its output is finite; otherwise it reruns as a
+    stable softmax whose row maximum is taken over visible entries only.  The
+    decision reads only the block's own rows and columns, so it does not
+    depend on the chunk size.  A row whose visible scores overflowed even so
+    turns NaN, which the level's finiteness check reports.  The extra rows
+    (queries ``queries(extra)``, projected once) see every key, so they score
+    each chunk's own rows as keys with an online softmax (arXiv 1805.02867),
+    rescaling what earlier chunks summed whenever the row maximum grows.
     Every block adds its output rows into ``out``: zeros make that a write.
     Returns each row's count of visible keys, the shift its exp took (the
-    row maximum, or 0 in a bounded block) and the denominator, (n_heads, n,
+    row maximum, or 0 in an unshifted block) and the denominator, (n_heads, n,
     1) each, 0 and 1 on rows that see nothing, whose output rows stay
     untouched.
     """
@@ -384,16 +366,8 @@ def _banded_attention(
     block = next(plan, None)
     for a, b in row_chunks(n, _block_size(band, config.w1)):
         c0, c1 = int(band.bounds(a)[0]), int(band.bounds(b - 1)[1])
-        k, v = keys(c0, c1)
-        q = queries(slice(a, b))
-        # each row's factor of its scores' bound, and its values' largest magnitude;
-        # None if the whole chunk is bounded, so that every block is
-        qn, kn = alpha * _head_norms(q, n_heads), _head_norms(k, n_heads)
-        vn = np.maximum(v.max(axis=1), -v.min(axis=1))
-        if _bounded(qn, kn, vn):
-            qn = kn = vn = None
-        qh, kh, vh = (_heads(m, n_heads) for m in (q, k, v))
-        q = k = v = None
+        kh, vh = (_heads(m, n_heads) for m in keys(c0, c1))
+        qh = _heads(queries(slice(a, b)), n_heads)
         if extra is not None:  # the extra keys follow the union
             where[extra] = c1 - c0 + np.arange(len(extra))
             where[c0:c1] = np.arange(c1 - c0)
@@ -402,17 +376,23 @@ def _banded_attention(
             counts[rows] = seen
             local = slice(rows.start - a, rows.stop - a)
             cols = slice(cols.start - c0, cols.stop - c0) if isinstance(cols, slice) else where[cols]
-            e = _masked_scores(qh[:, local], kh[:, cols], bias, alpha)
             empty = seen == 0
-            m = 0.0  # a bounded block takes no shift
-            if floor is None or not (qn is None or _bounded(qn[local], kn[cols], vn[cols])):
-                m = e.max(axis=-1, keepdims=True)
-                m[:, empty] = 0.0
-            _exp_scores(e, m, floor)
-            total = e.sum(axis=-1, keepdims=True)
-            total[:, empty] = 1.0  # empty rows stay exactly zero
+            for shift in (False, True):  # unshifted first; the rerun is a stable softmax
+                e = _masked_scores(qh[:, local], kh[:, cols], bias, alpha)
+                m = 0.0
+                if shift:
+                    m = e.max(axis=-1, keepdims=True)
+                    m[:, empty] = 0.0
+                quiet = None if shift else "ignore"  # only the unshifted try may overflow
+                with np.errstate(over=quiet, invalid=quiet):
+                    _exp_scores(e, m, floor)
+                    total = e.sum(axis=-1, keepdims=True)
+                    total[:, empty] = 1.0  # empty rows stay exactly zero
+                    e = np.matmul(e, vh[:, cols])  # the block's output; the scores go
+                if shift or (_LOW <= total.min() and total.max() <= _HIGH
+                             and np.isfinite(e).all()):
+                    break
             rowmax[:, rows], denom[:, rows] = m, total
-            e = np.matmul(e, vh[:, cols])  # the block's output; the scores go
             e /= total
             # through the rows, not the strided head view: numpy buffers that add
             out[rows] += e.transpose(1, 0, 2).reshape(e.shape[1], -1)
@@ -438,7 +418,7 @@ def _banded_attention(
 
 
 def _replay_probs(
-    qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, rowmax: np.ndarray, floor: bool | None,
+    qr: np.ndarray, kc: np.ndarray, bias: np.ndarray, rowmax: np.ndarray, floor: bool,
     alpha: float,
 ) -> np.ndarray:
     """A block's forward ``exp(scores + bias - rowmax)`` (h, rows, cols), by the forward's ops.
@@ -473,8 +453,8 @@ class _LevelTrace:
     """What both levels' traces keep: the inputs, counts, band and row statistics.
 
     ``rowmax`` is the shift each row's exp took: its row maximum, or 0 where
-    its block was bounded and took exp unshifted; ``denom`` the softmax
-    denominator.  ``attention_rows`` reads the level's queries and keys
+    its block kept its unshifted exp, its denominators within e^+-BOUND;
+    ``denom`` the softmax denominator.  ``attention_rows`` reads the level's queries and keys
     through the subclass's ``_input(0)`` and ``_input(1)``.
     """
 
@@ -883,7 +863,7 @@ class LayerGrads:
 
 def _block_backward(
     qr: np.ndarray, kc: np.ndarray, vc: np.ndarray, up: np.ndarray, out: np.ndarray | None,
-    bias: np.ndarray, rowmax: np.ndarray, denom: np.ndarray, floor: bool | None, alpha: float,
+    bias: np.ndarray, rowmax: np.ndarray, denom: np.ndarray, floor: bool, alpha: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block's attention backward: (d_q, d_k, d_v) as (rows, d) and (cols, d) row matrices.
 
@@ -1004,7 +984,7 @@ def _banded_backward(
             own = slice(a - c0, b - c0)
             q_part, k_part, v_part = _block_backward(
                 extra_qh, kh[:, own], vh[:, own], extra_up, extra_out, extra_bias[:, a:b],
-                *extra_stats, None, alpha,
+                *extra_stats, False, alpha,
             )
             extra_dq += q_part
             d_k[own] += k_part

@@ -183,9 +183,10 @@ def verify_counts(expected: CostReport, measured: CostReport) -> CountCheck:
 # estimate does not itemize
 CALL_OVERHEAD = 64 << 10
 # entries of the buffer numpy's iterator allocates for an in-place broadcast
-# (its NPY_BUFSIZE): every block backward's ``ds -= d_row``, and the
-# ``scores -= rowmax`` of a block, or its replay, that shifts; a bounded block
-# does not (``attention._exp_scores``)
+# (its NPY_BUFSIZE): every block backward's ``ds -= d_row``, the global rows'
+# ``e -= top``, and the ``scores -= rowmax`` of a block, or its replay, that
+# reran shifted; a block that kept its unshifted exp does not
+# (``attention._exp_scores``)
 ITER_BUFFER = 8192
 
 

@@ -64,6 +64,14 @@ SCHEMA_VERSION = 1
 
 ORACLE_DIFF_THRESHOLD = 1e-10
 GRADCHECK_THRESHOLD = 1e-6
+# The central difference's truncation error grows with the scores: on a
+# 24-token mix layer (d = 4, two heads) with embeddings scaled 14-fold, scores
+# up to about 77, ``max_rel_error`` of the first level's w_q gradient read
+# 1.4e-5 at this step, over GRADCHECK_THRESHOLD, and 1.4e-3 and 2.9e-7 at steps
+# 1e-4 and 1e-6: it falls with the step's square, so it is the difference's
+# truncation, not the gradient's.  ``gradcheck_layer`` runs default-scale
+# batches; a test at larger scores checks its scale against this error before
+# it compares.
 GRADCHECK_STEP = 1e-5
 GRADCHECK_MAX_N = 64
 DEFAULT_DENSE_CAP = 2048

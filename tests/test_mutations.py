@@ -1,4 +1,4 @@
-"""Recorded mutants of the mask path, the bounded softmax path, the pooling,
+"""Recorded mutants of the mask path, the unshifted softmax path, the pooling,
 the chunked forward, the window of pooled segments, the streamed backward
 driver, the global rows' queries both drivers project, the releases and the
 two D forms, the forward's and the training step's memory and the config
@@ -95,28 +95,44 @@ MUTANTS = {
         "return max(band.step, block_rows(band.row_ok.shape[0], w1) // band.step * band.step)",
         "return 1",
         (f"{BLOCK_BIAS}::test_second_level_slices_follow_the_stride",)),
-    # the bounded path: a non-clean block's bound reading its padding rows and
-    # keys; no score bound; no values guard; a replay that never shifts; a
-    # floor on non-clean blocks, whose rows that see no key turn nonzero; the
-    # chunk's bound taken for each of its blocks; a replay that never floors
-    "bound_reads_padding": Mutant(
-        ATTENTION, "if floor is None or not (qn is None or", "if not (qn is None or",
-        ("tests/test_attention.py::TestLocality::test_padding_token_invisible_bitwise",)),
-    "no_score_bound": Mutant(
-        ATTENTION, "qn.max() * np.max(kn, initial=0.0) <= BOUND", "True",
+    # the unshifted path: empty rows' totals read before they are set to 1.0,
+    # so every block with an empty row reruns shifted; no low bound, so a
+    # floored block's e^FLOOR lanes are kept where they are not negligible; no
+    # high bound; no output check; no shifted rerun; blocks that do not floor
+    # shifting first, as the three-state floor had them; a floor on non-clean
+    # blocks, whose rows that see no key turn nonzero; a replay that never
+    # shifts; a replay that never floors
+    "empty_totals_read_before_set": Mutant(
+        ATTENTION,
+        "total[:, empty] = 1.0  # empty rows stay exactly zero\n"
+        "                    e = np.matmul(e, vh[:, cols])  # the block's output; the scores go\n"
+        "                if shift or (_LOW <= total.min()",
+        "low = total.min()\n                    total[:, empty] = 1.0\n"
+        "                    e = np.matmul(e, vh[:, cols])\n"
+        "                if shift or (_LOW <= low",
+        (f"{BOUNDED}::test_default_scale_blocks_take_exp_unshifted[padded_wide]",)),
+    "no_low_bound": Mutant(
+        ATTENTION, "(_LOW <= total.min() and total.max()", "(total.max()",
+        (f"{BOUNDED}::test_floored_block_below_the_low_bound_reruns_shifted",)),
+    "no_high_bound": Mutant(
+        ATTENTION, " and total.max() <= _HIGH", "",
         (f"{BOUNDED}::test_scores_past_the_bound_match_the_oracles",)),
-    "no_values_guard": Mutant(
-        ATTENTION, "\n            and np.max(vn, initial=0.0) * len(vn) <= _VALUES_MAX)", ")",
+    "no_output_check": Mutant(
+        ATTENTION, "\n                             and np.isfinite(e).all()):", "):",
         (f"{BOUNDED}::test_values_near_the_float_limit_stay_finite[aligned]",)),
+    "no_shifted_rerun": Mutant(
+        ATTENTION, "for shift in (False, True):", "for shift in (False,):",
+        (f"{BOUNDED}::test_scores_past_the_bound_match_the_oracles[45.0-710.0]",)),
+    "unfloored_blocks_shift_first": Mutant(
+        ATTENTION, "for shift in (False, True):",
+        "for shift in (False, True) if floor else (True,):",
+        (f"{BOUNDED}::test_default_scale_blocks_take_exp_unshifted[padded_wide]",)),
+    "floor_on_unclean_blocks": Mutant(
+        ATTENTION, "floor = bool(key is not None and seen.all()", "floor = bool(True",
+        ("tests/test_attention.py::TestPaddedBlocks::test_padding_rows_are_positive_zeros",)),
     "replay_never_shifts": Mutant(
         ATTENTION, "_exp_scores(e, rowmax, floor)", "_exp_scores(e, 0.0, floor)",
         (f"{BOUNDED}::test_scores_past_the_bound_match_the_oracles",)),
-    "floor_on_unclean_blocks": Mutant(
-        ATTENTION, "if key is not None and seen.all():", "if True:",
-        ("tests/test_attention.py::TestPaddedBlocks::test_padding_rows_are_positive_zeros",)),
-    "per_chunk_bound": Mutant(
-        ATTENTION, "_bounded(qn[local], kn[cols], vn[cols])", "_bounded(qn, kn, vn)",
-        (f"{CHUNKS}::test_output_and_gradients_independent_of_chunk_size[block-mixed_bound]",)),
     "replay_never_floors": Mutant(
         ATTENTION, "_exp_scores(e, rowmax, floor)", "_exp_scores(e, rowmax, None)",
         (f"{BOUNDED}::test_replayed_blocks_equal_the_forwards_bitwise",)),

@@ -90,6 +90,21 @@ def test_blocks_exponentiate_only_through_one_helper():
     assert inside and not outside, f"exp outside the extra rows' softmax, lines {outside}"
 
 
+def test_only_the_banded_forward_silences_float_errors():
+    """The suite turns RuntimeWarnings into errors, so a silenced overflow anywhere
+    else could hide a real one: in the package only ``_banded_attention`` calls
+    ``np.errstate``, around a block's unshifted try, which reruns shifted when its
+    denominators or its output leave range."""
+    found = {
+        (path.name, getattr(top, "name", None))
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "errstate"
+    }
+    assert found == {("attention.py", "_banded_attention")}, found
+
+
 def _callers(node: ast.AST, name: str, scope: tuple[str, ...] = ()) -> set[tuple[str, ...]]:
     """The scopes (function, class and class-attribute names, outermost first) that call
     ``name`` under ``node``."""
