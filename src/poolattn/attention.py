@@ -7,14 +7,16 @@ level, the global columns; a global row sees every valid key.  One generator
 (``_blocks``) yields a band's blocks, each with its 0/-inf mask bias and
 visible-key counts, for the forward, the backward and ``attention_rows``: the
 global rows first, as one block against every key with one bias row over the
-valid keys, then slices of consecutive rows whose size follows the
-first-level window (``block_rows``, a multiple of the pooling stride at the
-second level), cut around each global row.  A slice's bias comes from its own
-mask (``_block_mask``), or is shared by a run of slices with like bound
-offsets.  Each block scores its rows against the union of their intervals
-plus that bias and runs a softmax that divides its (rows, d/h) output, not
-its probabilities, by the denominator, as FlashAttention does (arXiv
-2205.14135).  Every block first takes exp of its scores unshifted, with no
+valid keys, then the cells of one grid of consecutive rows whose size follows
+the first-level window (``block_rows``, a multiple of the pooling stride at
+the second level), the grid ``row_chunks`` tiles.  A global row sits in its
+cell hidden: its banded row sees no key and adds exact zeros, and its counts,
+statistics and output are written after every banded block.  A cell's bias
+comes from its own mask (``_block_mask``), or is shared by a run of cells
+with like bound offsets.  Each block scores its rows against the union of
+their intervals plus that bias and runs a softmax that divides its (rows,
+d/h) output, not its probabilities, by the denominator, as FlashAttention
+does (arXiv 2205.14135).  Every block first takes exp of its scores unshifted, with no
 row maximum, flooring its masked lanes at ``FLOOR`` when it is clean (every
 row and key valid, every row seeing a key) and at least ``FLOOR_SHARE`` of
 them are masked.  It keeps that result when every row's denominator lies
@@ -102,7 +104,7 @@ at 12.3 MiB, in its first level.  All computations are pure functions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator
 
@@ -174,9 +176,12 @@ class _Band:
     Row r sees key j if ``lo <= j < hi`` for ``lo, hi = bounds(r)`` (both
     non-decreasing in r) or ``extra[j]``, and if ``row_ok[r]`` and ``key_ok[j]``
     (None: every key valid; a band with extras has ``key_ok``).  An extra
-    key's own row sees every valid key.  The bounds' offsets repeat every
-    ``step`` rows (the pooling stride at the second level), so ``_blocks``
-    sizes its slices in multiples of it.
+    key's own row sees every valid key: ``_blocks`` gives the extra rows one
+    block of their own, then hides them from the band's grid (``row_ok``
+    cleared), so an extra row's banded row sees nothing and the drivers write
+    the extra rows' results after every banded block.  The bounds' offsets
+    repeat every ``step`` rows (the pooling stride at the second level), so
+    ``_blocks`` sizes its cells in multiples of it.
     """
 
     bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -266,27 +271,25 @@ def _blocks(
     every row seeing a key) with at least ``FLOOR_SHARE`` of its lanes
     masked, and never for the extra rows' block.  The extra rows come first,
     as one block (an index array) against every key, with a (1, n) bias over
-    the valid keys and their count, one number for every row.  The other rows
-    go in slices of at most ``block_rows(n, w1)`` consecutive rows, rounded
-    down to a multiple of ``band.step``: that grid, cut around each extra
-    row.  A slice scores against its rows' interval union plus the extras
-    outside it, and is skipped if that is empty or none of its rows is valid.  A slice whose
-    rows and keys are all valid has its mask fixed by its rows' bound
-    offsets from its first column and ``extra[cols]``, so a run of such
-    slices shares one bias, counts and floor, built once.
+    the valid keys and their count, one number for every row.  Then every row
+    goes in the cells of one grid, ``_block_size`` consecutive rows each (the
+    last shorter), the grid ``row_chunks`` tiles, with the extra rows hidden:
+    their banded rows are invalid, so each sees no key (a -inf bias row,
+    count 0) and a cell holding one is never clean, shared or floored; the
+    drivers write the extra rows' results after every banded block.  A cell
+    scores against its rows' interval union plus the extras outside it, and
+    is skipped if that is empty or none of its rows is valid.  A cell whose
+    rows and keys are all valid has its mask fixed by its rows' bound offsets
+    from its first column and ``extra[cols]``, so a run of such cells shares
+    one bias, counts and floor, built once.
     """
     n, block = band.row_ok.shape[0], _block_size(band, w1)
     extra = np.flatnonzero(band.extra) if band.extra is not None else np.empty(0, np.int64)
     if extra.size:
         yield extra, slice(0, n), np.where(band.key_ok, 0.0, -np.inf)[None], band.key_ok.sum(), False
-    # the grid's and each extra row's bounds
-    edge = np.zeros(n + 1, dtype=bool)
-    edge[:n:block] = edge[extra] = edge[extra + 1] = edge[n] = True
-    edges = np.flatnonzero(edge)
-    starts, stops = edges[:-1], edges[1:]
-    if extra.size:
-        banded = ~band.extra[starts]
-        starts, stops = starts[banded], stops[banded]
+        band = replace(band, row_ok=band.row_ok & ~band.extra)
+    starts = np.arange(0, n, block)
+    stops = np.minimum(starts + block, n)
     # each block's key union: its first row's lo to its last row's hi
     c0s = band.bounds(starts)[0].tolist()
     c1s = band.bounds(stops - 1)[1].tolist()
@@ -342,8 +345,10 @@ def _banded_attention(
     turns NaN, which the level's finiteness check reports.  The extra rows
     (queries ``queries(extra)``, projected once) see every key, so they score
     each chunk's own rows as keys with an online softmax (arXiv 1805.02867),
-    rescaling what earlier chunks summed whenever the row maximum grows.
-    Every block adds its output rows into ``out``: zeros make that a write.
+    rescaling what earlier chunks summed whenever the row maximum grows;
+    their counts, statistics and output are written after the chunk loop,
+    over the exact zeros their hidden banded rows added.  Every block adds
+    its output rows into ``out``: zeros make that a write.
     Returns each row's count of visible keys, the shift its exp took (the
     row maximum, or 0 in an unshifted block) and the denominator, (n_heads, n,
     1) each, 0 and 1 on rows that see nothing, whose output rows stay
@@ -356,8 +361,7 @@ def _banded_attention(
     plan = _blocks(band, config.w1)
     extra = None
     if band.extra is not None:  # the plan's first block: the extra rows against every key
-        extra, _, extra_bias, seen, _ = next(plan)
-        counts[extra] = seen
+        extra, _, extra_bias, extra_seen, _ = next(plan)
         extra_qh = _heads(queries(extra), n_heads)
         e_max = np.full((n_heads, len(extra), 1), -np.inf)
         e_sum = np.zeros((n_heads, len(extra), 1))
@@ -410,7 +414,8 @@ def _banded_attention(
             e_out += np.matmul(e, vh[:, own])
             e_max = top
         qh = kh = vh = e = None  # freed before the next chunk builds its own
-    if extra is not None:
+    if extra is not None:  # after every banded block, which hides these rows
+        counts[extra] = extra_seen
         rowmax[:, extra], denom[:, extra] = e_max, e_sum
         e_out /= e_sum
         out[extra] += e_out.transpose(1, 0, 2).reshape(len(extra), -1)
@@ -680,7 +685,8 @@ def _second_chunks(
     ``calls(lo, hi)``, over the rows of segments lo..hi: ``_chunk_size(xi)``
     rows at a time, each call reading the kappa - xi halo past them
     (``pool_grid_rows``), up to segment hi's start or the last segment's
-    stride step, so no call reads a padded tail.  ``keys``, called once per
+    stride step, so no call reads a padded tail; each call slices its segments
+    from ``grid``, the level's one grid.  ``keys``, called once per
     chunk of ``band``'s rows, in order, drops the segments below c0, keeps
     those it holds, and pools only the new ones, so every segment is pooled
     once, with ``pool_grid``'s bits.  It also pools every segment that starts
@@ -978,7 +984,7 @@ def _banded_backward(
             d_q[local] += q_part
             d_k[cols] += k_part
             d_v[cols] += v_part
-            block = bias = q_part = k_part = v_part = None
+            q_part = k_part = v_part = None
             block = next(plan, None)
         if extra.size and band.key_ok[a:b].any():
             own = slice(a - c0, b - c0)

@@ -9,8 +9,9 @@ weights stay a distribution over real rows.
 ``pool_segment`` pools one block (the reference for oracle and tests);
 ``pool_grid*`` pool a whole stride grid, padding and partial tail included, by
 batched matmuls over strided windows forward and one strided add per offset back.
-``pool_grid_rows`` pools the segments that start in a range of rows, from those
-rows alone, with the same code and the same bits as ``pool_grid``, and
+``pool_grid_rows`` pools the segments that start in a range of rows, read from
+the level's grid (the caller builds it once) and pooled from those rows alone,
+with the same code and the same bits as ``pool_grid``, and
 ``pool_grid_rows_backward`` reverses it with ``pool_grid_backward``.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from poolattn.core import LDCONV_KINDS, POOLING_KINDS, product, softmax_row
-from poolattn.windowing import PooledGrid, build_pooled_grid
+from poolattn.windowing import PooledGrid
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,10 @@ def pool_grid_rows(
 ) -> np.ndarray:
     """The pooled segments of ``grid`` that start in source rows ``start`` to ``stop``.
 
-    ``rows`` are the source rows ``start`` to ``min(n, stop + kappa - xi)``, every
-    row those segments read; ``start`` is a multiple of the stride, and so is
+    The segments are sliced from ``grid``, the level's grid, which must have
+    dropped every all-padding segment, as ``pool_grid`` requires.  ``rows``
+    are the source rows ``start`` to ``min(n, stop + kappa - xi)``, every row
+    those segments read; ``start`` is a multiple of the stride, and so is
     ``stop`` unless it is n.  The rows are pooled as a sequence of their own,
     whose leading segments are these, so each comes out bitwise as in
     ``pool_grid`` over the whole source.  An overflow names its segment's index
@@ -228,9 +231,11 @@ def _rows_grid(
     from ``start`` pooled as a sequence of their own, their pad mask, and the index in
     ``grid`` of the first segment.
 
-    The own grid's segments that start in the halo rows, at or past ``stop``, are left
-    out, so ``pool_grid`` and ``pool_grid_backward`` over it pool only these: they read
-    every row they would in ``grid``, so they keep its lengths and which are dropped."""
+    The segments are ``grid``'s ``first`` to ``last``, sliced, their starts and centers
+    shifted by ``start``; those that start in the halo rows, at or past ``stop``, are
+    left out, so ``pool_grid`` and ``pool_grid_backward`` over the slice pool only
+    these.  The rows hold every row these segments read, so their lengths are
+    ``grid``'s."""
     n, kappa, xi = grid.n, grid.kappa, grid.xi
     if not 0 <= start < stop <= n or start % xi or (stop % xi and stop != n):
         raise ValueError(f"rows {start} to {stop} do not start and end on the stride-{xi} grid")
@@ -240,11 +245,10 @@ def _rows_grid(
             f"{min(n, stop + kappa - xi)}, got {length} rows"
         )
     pad = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[start:start + length]
-    own = build_pooled_grid(length, kappa, xi, pad)
-    count = int(np.searchsorted(own.segment_starts, stop - start))
-    own = PooledGrid(length, kappa, xi, own.segment_starts[:count], own.segment_lens[:count],
-                     own.centers[:count])
-    return own, pad, int(np.searchsorted(grid.segment_starts, start))
+    first, last = (int(j) for j in np.searchsorted(grid.segment_starts, (start, stop)))
+    own = PooledGrid(length, kappa, xi, grid.segment_starts[first:last] - start,
+                     grid.segment_lens[first:last], grid.centers[first:last] - start)
+    return own, pad, first
 
 
 def check_pooled(op: PoolingOp, out: np.ndarray, first: int = 0) -> np.ndarray:

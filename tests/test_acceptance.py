@@ -210,7 +210,7 @@ def test_matched_receptive_field_cost_ratio():
 def test_linear_scaling_benchmark():
     """Two-level forward time scales linearly; dense scales quadratically."""
     start = time.monotonic()
-    rc = RunConfig()  # n_list (4096, 8192, 16384), trials 5, defaults elsewhere
+    rc = RunConfig()  # n_list (4096, 8192, 16384), trials 7, defaults elsewhere
     records, notices = run_bench(rc)
     assert not notices
     elapsed = time.monotonic() - start

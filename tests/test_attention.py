@@ -892,9 +892,10 @@ class TestBlockPlan:
     CFG = LayerConfig(d_model=4, n_heads=2, w1=8, w2=20, kappa=3, xi=2)
 
     @pytest.mark.parametrize("globals_", [(0, 1, 2), (45, 46, 70), (0, 33, 99)])
-    def test_global_rows_come_first_and_in_no_banded_block(self, globals_):
-        """The global rows' block comes first; the banded blocks are cut around them."""
-        n = 100
+    def test_global_rows_come_first_and_hidden_in_the_grid(self, globals_):
+        """The global rows' block comes first; the banded blocks are the plain
+        ``block_rows`` grid, in which a global row sees nothing."""
+        n, block = 100, block_rows(100, self.CFG.w1)
         batch = SequenceBatch(synth_batch(n, self.CFG.d_model, seed=95).embeddings,
                               np.ones(n, dtype=bool), globals_)
         _, trace = first_level_forward(batch, init_params(self.CFG, 96), self.CFG)
@@ -902,13 +903,14 @@ class TestBlockPlan:
         np.testing.assert_array_equal(rows, globals_)
         assert cols == slice(0, n)
         held = np.zeros(n, dtype=np.int64)
-        held[list(globals_)] += 1
-        for rows, *_ in banded:
+        for rows, _, bias, counts, _ in banded:
             assert isinstance(rows, slice)
-            assert rows.stop - rows.start <= block_rows(n, self.CFG.w1)
-            assert not trace.band.extra[rows].any()
+            assert rows.start % block == 0 and rows.stop == min(n, rows.start + block)
+            hidden = trace.band.extra[rows]
+            assert np.isneginf(bias[hidden]).all()
+            np.testing.assert_array_equal(counts[hidden], 0)
             held[rows] += 1
-        np.testing.assert_array_equal(held, 1)  # every row in exactly one block
+        np.testing.assert_array_equal(held, 1)  # every row in exactly one cell
 
 
 class TestStatsOnlyTrace:
@@ -962,8 +964,9 @@ class TestStatsOnlyTrace:
         for rows, cols, bias, _, floor in plan(lt):
             e = _replay_probs(qh[:, rows], kh[:, cols], bias, lt.rowmax[:, rows], floor,
                               self.CFG.alpha())
-            # the replay is unnormalized: the forward divides its output by denom
-            replayed_h[:, rows] = np.matmul(e, vh[:, cols]) / lt.denom[:, rows]
+            # the replay is unnormalized: the forward divides its output by denom;
+            # a global row's banded row adds exact zeros to its own block's
+            replayed_h[:, rows] += np.matmul(e, vh[:, cols]) / lt.denom[:, rows]
         np.testing.assert_array_equal(replayed, out)
 
 
@@ -1009,7 +1012,8 @@ class TestBlockBias:
                 assert len(blocks) - misses > misses
 
     def test_blocks_around_an_extra_row(self, monkeypatch):
-        """The extra row sees every valid key; each slice around it, its band and the extra."""
+        """The extra row sees every valid key; every other row its band and the extra,
+        and the extra row's banded row nothing."""
         n = 16
         extra = np.zeros(n, dtype=bool)
         extra[10] = True
@@ -1020,10 +1024,12 @@ class TestBlockBias:
                      key_ok, extra)
         monkeypatch.setattr(attention, "block_rows", lambda n, w1: 4)
         level = SimpleNamespace(band=band, config=LayerConfig(w1=0, w2=0))
-        # the two full slices before the extra row share one mask
-        assert check_block_biases(level) == 4
+        # cells 0-4 and 4-8 share one mask; 8-12, which hides the extra row,
+        # and 12-16 after it build their own
+        assert check_block_biases(level) == 3
         counts = np.zeros(n, dtype=np.int64)
-        for rows, _, _, seen, _ in plan(level):
+        extra_block, *banded = plan(level)
+        for rows, _, _, seen, _ in [*banded, extra_block]:
             counts[rows] = seen
         np.testing.assert_array_equal(counts, np.where(extra, n - 1, 5))
 

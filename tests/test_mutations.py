@@ -87,6 +87,13 @@ MUTANTS = {
         "if band.row_ok[rows].all() and (band.key_ok is None or band.key_ok[cols].all()):",
         "if True:",
         (f"{BLOCK_BIAS}::test_shared_bias_equals_block_mask",)),
+    # the plain grid's banded blocks not hiding the extra rows, which then take
+    # a windowed output besides their own; and the extra rows' counts never
+    # written after the banded blocks, which leave them 0
+    "banded_blocks_show_the_extra_rows": Mutant(
+        ATTENTION, "        band = replace(band, row_ok=band.row_ok & ~band.extra)\n", "", (FUZZ,)),
+    "extra_counts_unwritten": Mutant(
+        ATTENTION, "        counts[extra] = extra_seen\n", "", (FUZZ,)),
     "global_bias_ignores_key_validity": Mutant(
         ATTENTION, "np.where(band.key_ok, 0.0, -np.inf)[None]", "np.zeros((1, n))",
         (f"{BLOCK_BIAS}::test_blocks_around_an_extra_row",)),
@@ -186,10 +193,10 @@ MUTANTS = {
     "new_segments_pooled_in_one_call": Mutant(
         ATTENTION, "size = _chunk_size(config.xi)  # rows per pooling call",
         "size = n  # rows per pooling call", (POOLED_ONCE,)),
-    # a range's own grid keeping the segments that start in its halo rows
+    # a range's slice of the grid keeping the segments that start in its halo rows
     "range_pools_its_halo_segments": Mutant(
-        POOLING, "count = int(np.searchsorted(own.segment_starts, stop - start))",
-        "count = len(own)",
+        POOLING, "np.searchsorted(grid.segment_starts, (start, stop))",
+        "np.searchsorted(grid.segment_starts, (start, stop + grid.kappa - grid.xi))",
         ("tests/test_pooling.py::TestPoolGridRows::test_ranges_pool_bitwise_as_the_whole_grid",)),
     "overflow_named_within_the_range": Mutant(
         POOLING, "segment = first + np.argwhere(~np.isfinite(out))[0, 0]",

@@ -475,6 +475,18 @@ class TestPoolGridRows:
             else:
                 assert np.abs(grad_wp - whole_wp).max() <= 1e-12 * np.abs(whole_wp).max()
 
+    def test_ranges_read_the_callers_grid(self):
+        """A range's segments are sliced from the grid it is given, not rebuilt from
+        its pad mask: a grid that kept an all-padding segment is refused, as
+        ``pool_grid`` refuses it."""
+        src, pad = np.ones((8, 2)), np.array([True, True, False, False, True, True, True, True])
+        stale_grid = build_pooled_grid(8, 2, 2)  # built without the mask: 4 segments
+        op = PoolingOp("mean")
+        with pytest.raises(RuntimeError, match="entirely padding"):
+            pool_grid_rows(op, src, stale_grid, pad, 0, 8)
+        with pytest.raises(RuntimeError, match="entirely padding"):
+            pool_grid_rows_backward(op, src, stale_grid, pad, 0, 8, np.ones((4, 2)))
+
     def test_rejects_ranges_off_the_grid(self):
         grid = build_pooled_grid(20, 4, 2)
         op = PoolingOp("mean")

@@ -153,6 +153,20 @@ def test_only_the_builders_release_through_the_projection_backward():
     assert len(calls) == 1
 
 
+def test_each_level_builds_its_pooled_grid_once():
+    """``_second_level`` builds the level's pooled grid, and every pooling call
+    slices its segments from it: in the package only that function and the
+    literal oracle call ``build_pooled_grid``."""
+    callers = {
+        (path.stem, *scope[:1])
+        for path in SOURCES
+        for scope in _callers(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+                              "build_pooled_grid")
+    }
+    assert callers == {("attention", "_second_level"),
+                       ("oracle", "literal_pooling_attention")}, callers
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("attention", "pooling", "core", "costmodel", "windowing", "harness", "oracle", "cli")
 

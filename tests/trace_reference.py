@@ -7,6 +7,7 @@ level's passes run, and ``check_block_biases`` compares each
 block's bias and counts with ones built from its own mask.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -64,15 +65,17 @@ def check_block_biases(level) -> int:
 
     Returns the masks the pass built.  A slice's bias and counts must equal
     ``np.where(mask, 0, -inf)`` and ``mask.sum(1)`` of its own
-    ``_block_mask``, shared or not; the extra rows' block must see exactly
-    the valid keys.
+    ``_block_mask`` over the band with the extra rows hidden, shared or not;
+    the extra rows' block must see exactly the valid keys.
     """
     band, block_mask = level.band, attention._block_mask
     with mock.patch.object(attention, "_block_mask", wraps=block_mask) as built:
         blocks = plan(level)
+    # the banded blocks see no extra row: those rows' results come from their own block
+    banded = band if band.extra is None else replace(band, row_ok=band.row_ok & ~band.extra)
     for rows, cols, bias, counts, _ in blocks:
         if isinstance(rows, slice):
-            mask = block_mask(band, rows, cols)
+            mask = block_mask(banded, rows, cols)
         else:  # the extra rows: every key, visible where valid
             assert cols == slice(0, band.key_ok.size)
             mask = np.broadcast_to(band.key_ok, (rows.size, band.key_ok.size))
